@@ -13,7 +13,11 @@ runs on three primitives collected here:
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
+import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -21,7 +25,9 @@ from math import gcd, isqrt
 import numpy as np
 
 SIEVE_CACHE_MAGIC = b"D4CS"
-SIEVE_CACHE_VERSION = 1
+SIEVE_CACHE_VERSION = 2
+# magic, version, limit, CRC-32 of the spf payload; the payload follows
+_CACHE_HEADER = struct.Struct("<4sIQI")
 
 # Default ceiling on sieve memory: the five tables cost ~29 bytes per entry.
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -90,12 +96,15 @@ class SieveTables:
             return 0
         if y > self.limit:
             raise CapacityError(f"twist bound {bound} exceeds sieve limit {self.limit}")
-        odd = tuple(p for p in primes if p != 2)
+        odd = tuple(sorted(p for p in primes if p != 2))
         return self._count_coprime(y, odd)
 
     def _count_coprime(self, y: int, primes: tuple[int, ...]) -> int:
         if y <= 0:
             return 0
+        if primes and primes[-1] > y:
+            # primes is increasing, and a prime above y divides no t <= y
+            primes = primes[:bisect_right(primes, y)]
         if not primes:
             return int(self.odd_sf_count[y])
         key = (y, primes)
@@ -178,28 +187,46 @@ def _tables_from_spf(limit: int, spf: np.ndarray) -> SieveTables:
 
 
 def save_sieve_cache(tables: SieveTables, path) -> None:
-    """Write the spf table; mu/tau/f are rederived on load."""
-    with open(path, "wb") as fh:
-        fh.write(SIEVE_CACHE_MAGIC)
-        fh.write(struct.pack("<I", SIEVE_CACHE_VERSION))
-        fh.write(struct.pack("<Q", tables.limit))
-        fh.write(tables.spf[1:].astype("<u4").tobytes())
+    """Write the spf table and its CRC-32; mu/tau/f are rederived on load.
+
+    The file is written under a temporary name in the same directory and
+    renamed over path, so path never holds a partly written table.
+    """
+    payload = tables.spf[1:].astype("<u4").tobytes()
+    header = _CACHE_HEADER.pack(SIEVE_CACHE_MAGIC, SIEVE_CACHE_VERSION, tables.limit,
+                                zlib.crc32(payload))
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_sieve_cache(path) -> SieveTables:
+    """Read a cache file; ValueError if it is not an intact version-2 file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SIEVE_CACHE_MAGIC:
-            raise ValueError(f"bad sieve cache magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(_CACHE_HEADER.size)
+        if header[:4] != SIEVE_CACHE_MAGIC:
+            raise ValueError(f"bad sieve cache magic {header[:4]!r}")
+        if len(header) < _CACHE_HEADER.size:
+            raise ValueError("truncated sieve cache header")
+        _, version, limit, checksum = _CACHE_HEADER.unpack(header)
         if version != SIEVE_CACHE_VERSION:
             raise ValueError(f"unsupported sieve cache version {version}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(4 * limit)
-        if len(raw) != 4 * limit:
+        size = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+        if size < 4 * limit:
             raise ValueError("truncated sieve cache")
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        spf[1:] = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        if size > 4 * limit:
+            raise ValueError("sieve cache has trailing bytes")
+        raw = fh.read(4 * limit)
+    if zlib.crc32(raw) != checksum:
+        raise ValueError("sieve cache checksum mismatch")
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf[1:] = np.frombuffer(raw, dtype="<u4").astype(np.int64)
     return _tables_from_spf(limit, spf)
 
 

@@ -10,6 +10,34 @@ admissible quadratic twists:
 The factor 4 is the number of group isomorphisms fixing the labeled subfield
 data; every octic upstairs is hit exactly that often.
 
+The mask kernel.  A signed triple is an odd triple (m1', m2', m3') of
+pairwise coprime odd squarefree parts plus one of 12 choices (delta, nu) of
+signs and 2-part, m1 = 2^mu*m1', m2 = d2*2^a*m2', m3 = d3*2^b*m3'.  Each
+condition on a signed triple allows a set of choices, kept as a 12-bit mask
+(bit k is CHOICES[k], the order ALL_DELTAS x ALL_NUS):
+
+  * the mod-8 class at 2: in_E_set of (m1' mod 8, m2' mod 8, m3' mod 8);
+  * non-degeneracy: depends only on which of m1', m2', m3' equal 1;
+  * one mask per odd prime p.  The Legendre condition at p reads
+      p | m1':  (m2'm3' / p) = (-d2*d3*2^(a+b) / p),
+      p | m2':  (m1'm3' / p) = (d3*2^(mu+b) / p),
+      p | m3':  (m1'm2' / p) = (d2*2^(mu+a) / p),
+    and the right side depends only on p mod 8 and the choice.  A symbol 0
+    on the left (p divides another part) allows no choice, which is the
+    coprimality test.
+
+The AND of these masks is the set of admissible choices over the odd triple,
+and its popcount the number of admissible signed triples.  For each coprime
+pair (m1', m2') the masks of every m3' are computed at once in numpy: primes
+of m1' and m2' by their Legendre rows at m3' mod p, primes of m3' through a
+prime-incidence table reduced with bitwise_and.reduceat.
+
+The twist count tau(n) * #{t <= X4 odd squarefree coprime to n} depends only
+on n = m1'm2'm3', so popcounts are summed per distinct n and the twist
+counter runs once per n; the sum is taken in Python integers.  The CSV
+breakdown and enumerate_admissible_triples expand the set bits of the same
+masks in (m1', m2', m3', delta, nu) order.
+
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
 X4 bounds the twist.  enumerate_admissible_triples takes positional bounds
@@ -19,12 +47,16 @@ boxes are unaffected.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from functools import lru_cache
+from math import gcd, isfinite
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .arith import (
     CapacityError,
@@ -33,8 +65,10 @@ from .arith import (
     build_sieve,
     decompose_triple,
     factor_small,
+    kronecker,
+    primes_up_to,
 )
-from .localsolve import ALL_DELTAS, ALL_NUS, in_E_set
+from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
 
 
 @dataclass(frozen=True)
@@ -47,8 +81,8 @@ class BoundBox:
     x4: float
 
     def __post_init__(self):
-        if min(self.x1, self.x2, self.x3, self.x4) < 0:
-            raise ValueError(f"box bounds must be nonnegative: {self}")
+        if not all(isfinite(x) and x >= 0 for x in self.as_tuple()):
+            raise ValueError(f"box bounds must be finite and nonnegative: {self}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
@@ -118,26 +152,150 @@ def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
     return (m1 == 1 and (m2 == 1 or m3 == 1)) or m2 * m3 == 1
 
 
-def admissible_class_table() -> dict:
-    """(eps, delta, nu) -> mod-8 admissibility, all 64 * 3 * 4 classes."""
-    table = {}
-    residues = (1, 3, 5, 7)
-    for e1 in residues:
-        for e2 in residues:
-            for e3 in residues:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        table[((e1, e2, e3), delta, nu)] = in_E_set((e1, e2, e3), nu, delta)
-    return table
+# The 12 (delta, nu) choices over one odd triple.  Bit k of a mask stands for
+# CHOICES[k]; this is also the order in which rows and triples come out.
+CHOICES = tuple((delta, nu) for delta in ALL_DELTAS for nu in ALL_NUS)
+_ALL_CHOICES = (1 << len(CHOICES)) - 1
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# products factored per block in _twist_counts, to bound the factor lists
+_TWIST_BLOCK = 1 << 16
 
 
-_CLASS_TABLE: dict = {}
+def _choice_mask(allowed) -> int:
+    return sum(1 << k for k, (delta, nu) in enumerate(CHOICES) if allowed(delta, nu))
 
 
-def _class_table() -> dict:
-    if not _CLASS_TABLE:
-        _CLASS_TABLE.update(admissible_class_table())
-    return _CLASS_TABLE
+def _required_symbols(delta, nu) -> tuple[int, int, int]:
+    """(a1, a2, a3): at an odd prime p | m_i' the choice requires
+    (product of the other two odd parts / p) = (a_i / p)."""
+    (d2, d3), (mu, alpha, beta) = delta, nu
+    return (-d2 * d3 * (1 << (alpha + beta)), d3 * (1 << (mu + beta)), d2 * (1 << (mu + alpha)))
+
+
+@dataclass(frozen=True)
+class _MaskTables:
+    """Choice masks of the conditions that make an odd triple admissible.
+
+    cls[e1, e2, e3]: the mod-8 class condition at 2 (odd residues only).
+    nondeg[o1, o2, o3]: non-degeneracy, with o_i = [m_i' == 1].
+    sign[i, p % 8, s + 1]: the odd-prime condition at p | m_(i+1)' when the
+        Legendre symbol at p of the other two odd parts is s; s = 0 means p
+        divides them and allows no choice.  Row p % 8 = 0 allows every choice:
+        it pads m3' = 1, which has no prime.
+    bits[mask]: the choices of a mask, in CHOICES order.
+    popcount[mask]: their number.
+    """
+
+    cls: np.ndarray
+    nondeg: np.ndarray
+    sign: np.ndarray
+    bits: tuple
+    popcount: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _mask_tables() -> _MaskTables:
+    cls = np.zeros((8, 8, 8), dtype=np.uint16)
+    for eps in itertools.product(UNIT_RESIDUES, repeat=3):
+        cls[eps] = _choice_mask(lambda delta, nu: in_E_set(eps, nu, delta))
+    nondeg = np.zeros((2, 2, 2), dtype=np.uint16)
+    for o1, o2, o3 in itertools.product((0, 1), repeat=3):
+        # an odd part other than 1 stands in as a prime of its own
+        p1, p2, p3 = (1 if o1 else 3), (1 if o2 else 5), (1 if o3 else 7)
+        nondeg[o1, o2, o3] = _choice_mask(lambda delta, nu: not _is_degenerate(
+            (1 << nu[0]) * p1, delta[0] * (1 << nu[1]) * p2, delta[1] * (1 << nu[2]) * p3))
+    # (a / p) for a in {+-1, +-2} depends on p mod 8 only: it is the Jacobi
+    # symbol (a / r) with r = p mod 8
+    sign = np.zeros((3, 8, 3), dtype=np.uint16)
+    sign[:, 0, :] = _ALL_CHOICES
+    for i, r, s in itertools.product(range(3), UNIT_RESIDUES, (1, -1)):
+        sign[i, r, s + 1] = _choice_mask(
+            lambda delta, nu: kronecker(_required_symbols(delta, nu)[i], r) == s)
+    bits = tuple(
+        tuple(choice for k, choice in enumerate(CHOICES) if mask >> k & 1)
+        for mask in range(_ALL_CHOICES + 1)
+    )
+    popcount = np.array([len(b) for b in bits], dtype=np.uint8)
+    return _MaskTables(cls=cls, nondeg=nondeg, sign=sign, bits=bits, popcount=popcount)
+
+
+def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTables) -> None:
+    tops = [int(max(b, 0)) for b in (bound1, bound2, bound3)]
+    if tops[0] * tops[1] * tops[2] > _INT64_MAX:
+        raise CapacityError(
+            f"odd-part bounds {tuple(tops)}: the product m1'*m2'*m3' may overflow int64"
+        )
+    if tables.limit < 2 * max(tops):
+        raise CapacityError(f"sieve limit {tables.limit} < required {2 * max(tops)}")
+
+
+def _mask_rows(
+    bound1: float, bound2: float, bound3: float, tables: SieveTables,
+    m1p_values: Optional[list[int]] = None,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The mask kernel: for each coprime pair m1' <= bound1, m2' <= bound2 in
+    increasing order, yield (m1', m2', m3', masks) where m3' holds the
+    m3' <= bound3 that admit some choice, increasing, and masks their
+    nonzero choice masks."""
+    _check_capacity(bound1, bound2, bound3, tables)
+    vals1 = m1p_values if m1p_values is not None else tables.odd_squarefree_upto(bound1)
+    vals2 = tables.odd_squarefree_upto(bound2)
+    vals3 = tables.odd_squarefree_upto(bound3)
+    if not (vals1 and vals2 and vals3):
+        return
+    masks = _mask_tables()
+    v3 = np.array(vals3, dtype=np.int64)
+    factors = {v: tables.prime_factors(v) for v in set(vals1) | set(vals2) | set(vals3)}
+    legendre = {p: _legendre_table(p) for fac in factors.values() for p in fac}
+
+    # p | m1' (i = 0) or p | m2' (i = 1): the row of choices over all m3',
+    # for each value s of the symbol at p of the other part of the pair
+    pair_rows = {}
+    for i, vals in ((0, vals1), (1, vals2)):
+        for p in {p for v in vals for p in factors[v]}:
+            leg3 = np.array(legendre[p], dtype=np.int8)[v3 % p]
+            pair_rows[i, p] = {s: masks.sign[i, p % 8][s * leg3 + 1] for s in (1, -1)}
+
+    # p | m3': CSR incidence of the m3' on their primes (m3' = 1 on the pad
+    # column), and each pair-part's symbols at those primes (1 at the pad)
+    primes3 = sorted({p for v in vals3 for p in factors[v]})
+    column = {p: j for j, p in enumerate(primes3)}
+    incidence, starts = [], []
+    for v in vals3:
+        starts.append(len(incidence))
+        incidence.extend([column[p] for p in factors[v]] or [len(primes3)])
+    incidence, starts = np.array(incidence), np.array(starts)
+    residue3 = np.array([p % 8 for p in primes3] + [0])
+    symbols3 = {
+        v: np.array([legendre[p][v % p] for p in primes3] + [1], dtype=np.int8)
+        for v in set(vals1) | set(vals2)
+    }
+
+    cls3 = masks.cls[:, :, v3 % 8]
+    nondeg3 = masks.nondeg[:, :, (v3 == 1).astype(np.intp)]
+    for m1p in vals1:
+        e1, o1 = m1p % 8, int(m1p == 1)
+        for m2p in vals2:
+            if gcd(m1p, m2p) != 1:
+                continue
+            row = cls3[e1, m2p % 8] & nondeg3[o1, int(m2p == 1)]
+            for p in factors[m1p]:
+                row &= pair_rows[0, p][legendre[p][m2p % p]]
+            for p in factors[m2p]:
+                row &= pair_rows[1, p][legendre[p][m1p % p]]
+            s = symbols3[m1p] * symbols3[m2p]
+            row &= np.bitwise_and.reduceat(masks.sign[2][residue3, s + 1][incidence], starts)
+            nonzero = np.flatnonzero(row)
+            if nonzero.size:
+                yield m1p, m2p, v3[nonzero], row[nonzero]
+
+
+def _signed_triples(m1p: int, m2p: int, m3ps: np.ndarray, row: np.ndarray, bits: tuple):
+    """(m3', (m1, m2, m3)) for each choice set in a kernel row, in
+    (m3', delta, nu) order."""
+    for m3p, mask in zip(m3ps.tolist(), row.tolist()):
+        for (d2, d3), (mu, alpha, beta) in bits[mask]:
+            yield m3p, ((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p)
 
 
 def enumerate_admissible_triples(
@@ -145,65 +303,17 @@ def enumerate_admissible_triples(
     m1p_values: Optional[list[int]] = None,
 ) -> Iterator[SignedSquarefreeTriple]:
     """Yield the admissible triples with odd parts m1' <= bound1, m2' <= bound2,
-    m3' <= bound3.
+    m3' <= bound3, in (m1', m2', m3', delta, nu) order.
 
     Admissible means: pairwise coprime squarefree with m1 > 0, the governing
     conic locally (hence globally) soluble, and non-degenerate (no product of
     two entries a perfect square, so the biquadratic field is genuine).
     m1p_values restricts the outer loop; used to partition work.
     """
-    top = 2 * int(max(bound1, bound2, bound3, 0))
-    if tables.limit < top:
-        raise CapacityError(f"sieve limit {tables.limit} < required {top}")
-    vals1 = m1p_values if m1p_values is not None else tables.odd_squarefree_upto(bound1)
-    vals2 = tables.odd_squarefree_upto(bound2)
-    vals3 = tables.odd_squarefree_upto(bound3)
-    class_table = _class_table()
-    legendre = {}
-    factors = {}
-    for v in set(vals1) | set(vals2) | set(vals3):
-        fac = tables.prime_factors(v)
-        factors[v] = fac
-        for p in fac:
-            if p not in legendre:
-                legendre[p] = _legendre_table(p)
-
-    for m1p in vals1:
-        f1 = factors[m1p]
-        e1 = m1p % 8
-        for m2p in vals2:
-            if gcd(m1p, m2p) != 1:
-                continue
-            f2 = factors[m2p]
-            e2 = m2p % 8
-            m12 = m1p * m2p
-            for m3p in vals3:
-                if gcd(m12, m3p) != 1:
-                    continue
-                f3 = factors[m3p]
-                e3 = m3p % 8
-                eps = (e1, e2, e3)
-                for delta in ALL_DELTAS:
-                    d2, d3 = delta
-                    for nu in ALL_NUS:
-                        if not class_table[(eps, delta, nu)]:
-                            continue
-                        mu, alpha, beta = nu
-                        m1 = (1 << mu) * m1p
-                        m2 = d2 * (1 << alpha) * m2p
-                        m3 = d3 * (1 << beta) * m3p
-                        if _is_degenerate(m1, m2, m3):
-                            continue
-                        neg_m2m3 = -m2 * m3
-                        if any(legendre[p][neg_m2m3 % p] != 1 for p in f1):
-                            continue
-                        m1m3 = m1 * m3
-                        if any(legendre[p][m1m3 % p] != 1 for p in f2):
-                            continue
-                        m1m2 = m1 * m2
-                        if any(legendre[p][m1m2 % p] != 1 for p in f3):
-                            continue
-                        yield SignedSquarefreeTriple(m1, m2, m3)
+    bits = _mask_tables().bits
+    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables, m1p_values):
+        for _, triple in _signed_triples(m1p, m2p, m3ps, row, bits):
+            yield SignedSquarefreeTriple(*triple)
 
 
 def twist_count(m: int, bound: float, tables: SieveTables) -> int:
@@ -222,10 +332,20 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
-def _twist_count_from_parts(
-    parts_primes: tuple[int, ...], bound: float, tables: SieveTables
-) -> int:
-    return (1 << len(parts_primes)) * tables.count_odd_squarefree_coprime(bound, parts_primes)
+def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
+                  primes: np.ndarray) -> list[int]:
+    """twist_count(n, bound) for each odd squarefree n in products, all of
+    whose prime factors are in primes (increasing), found by trial division."""
+    twists = []
+    for start in range(0, len(products), _TWIST_BLOCK):
+        chunk = products[start:start + _TWIST_BLOCK]
+        factors = [[] for _ in range(len(chunk))]
+        for p in primes.tolist():
+            for j in np.flatnonzero(chunk % p == 0).tolist():
+                factors[j].append(p)
+        twists.extend((1 << len(f)) * tables.count_odd_squarefree_coprime(bound, tuple(f))
+                      for f in factors)
+    return twists
 
 
 def _census_partial(
@@ -233,22 +353,32 @@ def _census_partial(
     tables: SieveTables, m1p_values: Optional[list[int]] = None,
     want_breakdown: bool = False,
 ):
-    total = 0
-    visited = 0
+    """(sum of twist counts, triples visited, breakdown rows or None) over the
+    kernel's rows; one twist count per distinct product m1'*m2'*m3'."""
+    masks = _mask_tables()
+    products, counts, kept = [], [], []
+    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables, m1p_values):
+        products.append((m1p * m2p) * m3ps)
+        counts.append(masks.popcount[row])
+        if want_breakdown:
+            kept.append((m1p, m2p, m3ps, row))
     rows = [] if want_breakdown else None
-    for triple in enumerate_admissible_triples(bound1, bound2, bound3, tables, m1p_values):
-        dec = decompose_triple(triple)
-        primes = tuple(sorted(
-            tables.prime_factors(dec.m1p)
-            + tables.prime_factors(dec.m2p)
-            + tables.prime_factors(dec.m3p)
-        ))
-        t = _twist_count_from_parts(primes, x4, tables)
-        total += t
-        visited += 1
-        if rows is not None:
-            rows.append((triple.m1, triple.m2, triple.m3, t))
-    return total, visited, rows
+    if not products:
+        return 0, 0, rows
+    products, counts = np.concatenate(products), np.concatenate(counts)
+    distinct, which = np.unique(products, return_inverse=True)
+    weight = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(weight, which, counts)
+    primes = primes_up_to(int(max(bound1, bound2, bound3)))[1:]
+    twists = _twist_counts(distinct, x4, tables, primes)
+    total = sum(w * t for w, t in zip(weight.tolist(), twists))
+    if want_breakdown:
+        twist_of = dict(zip(distinct.tolist(), twists))
+        for m1p, m2p, m3ps, row in kept:
+            m12 = m1p * m2p
+            for m3p, triple in _signed_triples(m1p, m2p, m3ps, row, masks.bits):
+                rows.append((*triple, twist_of[m12 * m3p]))
+    return total, int(counts.sum()), rows
 
 
 def _census_worker(args):

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from . import __version__
 from .arith import (
@@ -584,6 +584,27 @@ def _config_echo(args) -> dict:
     return out
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
+
+
+def _growth_factor(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="d4census",
@@ -637,10 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=cmd_classify)
 
     p_sweep = sub.add_parser("sweep", help="census over a doubling grid of boxes")
-    p_sweep.add_argument("--min", type=float, default=10.0)
-    p_sweep.add_argument("--max", type=float, default=80.0)
-    p_sweep.add_argument("--factor", type=float, default=2.0)
-    p_sweep.add_argument("--fix-x4", type=float, default=None,
+    # the grid grows from --min by --factor until it passes --max, so these
+    # must be finite, positive and growing for the sweep to end
+    p_sweep.add_argument("--min", type=_positive_float, default=10.0)
+    p_sweep.add_argument("--max", type=_finite_float, default=80.0)
+    p_sweep.add_argument("--factor", type=_growth_factor, default=2.0)
+    p_sweep.add_argument("--fix-x4", type=_finite_float, default=None,
                          help="hold X4 at this value instead of the symmetric bound")
     p_sweep.add_argument("--classes", action="store_true",
                          help="emit per-residue-class rows instead of the aggregate")

@@ -239,10 +239,23 @@ def test_sieve_cache_roundtrip(tmp_path):
     t = build_sieve(137)
     path = tmp_path / "sieve.bin"
     save_sieve_cache(t, path)
+    save_sieve_cache(t, path)  # replaces the file in place
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.bin"]
     loaded = load_sieve_cache(path)
     assert loaded.limit == t.limit
     for name in ("spf", "mu", "tau", "f_num", "f_den", "odd_sf_count"):
         assert np.array_equal(getattr(loaded, name), getattr(t, name)), name
+
+
+def test_sieve_cache_rejects_corrupt_payload(tmp_path):
+    t = build_sieve(50)
+    path = tmp_path / "c.bin"
+    save_sieve_cache(t, path)
+    raw = bytearray(path.read_bytes())
+    raw[40] ^= 0x04
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        load_sieve_cache(path)
 
 
 def test_sieve_cache_rejects_bad_magic(tmp_path):

@@ -1,6 +1,9 @@
+from itertools import combinations
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d4census.arith import CapacityError, SignedSquarefreeTriple, build_sieve
 from d4census.census import (
@@ -14,7 +17,13 @@ from d4census.census import (
     splitting_rows,
     twist_count,
 )
-from d4census.localsolve import padic_oracle, relevant_places, satisfies_local_conditions
+from d4census.localsolve import (
+    ALL_DELTAS,
+    ALL_NUS,
+    padic_oracle,
+    relevant_places,
+    satisfies_local_conditions,
+)
 
 
 def brute_squarefree(n):
@@ -89,6 +98,51 @@ def test_enumerate_yield_passes_local_conditions(tables_census):
         assert not is_perfect_square(triple.m2 * triple.m3)
 
 
+def reference_triples(bound1, bound2, bound3):
+    """Admissible signed triples walked in (m1', m2', m3', delta, nu) order,
+    filtered by the local conditions and the non-degeneracy rule."""
+    def odd_sf(bound):
+        return [n for n in range(1, int(bound) + 1, 2) if brute_squarefree(n)]
+
+    out = []
+    for m1p in odd_sf(bound1):
+        for m2p in odd_sf(bound2):
+            for m3p in odd_sf(bound3):
+                if gcd(m1p, m2p) != 1 or gcd(m1p * m2p, m3p) != 1:
+                    continue
+                for (d2, d3) in ALL_DELTAS:
+                    for (mu, alpha, beta) in ALL_NUS:
+                        triple = ((1 << mu) * m1p, d2 * (1 << alpha) * m2p,
+                                  d3 * (1 << beta) * m3p)
+                        if any(is_perfect_square(a * b) for a, b in combinations(triple, 2)):
+                            continue
+                        if satisfies_local_conditions(SignedSquarefreeTriple(*triple)):
+                            out.append(triple)
+    return out
+
+
+def test_enumerate_and_breakdown_order_match_reference(tables_census):
+    box = BoundBox(7, 9, 11, 9)  # m2' <= 7, m3' <= 9, m1' <= 11
+    expected = reference_triples(11, 7, 9)
+    got = [t.as_tuple() for t in enumerate_admissible_triples(11, 7, 9, tables_census)]
+    assert got == expected
+    rows, cumulative = [], 0
+    for m1, m2, m3 in expected:
+        m = brute_odd_part(m1 * m2 * m3)
+        tau = sum(1 for d in range(1, m + 1) if m % d == 0)
+        twists = tau * sum(1 for t in range(1, 10, 2) if brute_squarefree(t) and gcd(t, m) == 1)
+        cumulative += twists
+        rows.append((m1, m2, m3, twists, cumulative))
+    report = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
+    assert report.breakdown == rows
+    assert report.exact == 4 * cumulative and report.triples_visited == len(rows)
+
+
+def test_enumerate_rejects_bounds_whose_product_overflows(tables_census):
+    with pytest.raises(CapacityError, match="overflow int64"):
+        list(enumerate_admissible_triples(3e6, 3e6, 3e6, tables_census))
+
+
 def test_enumerate_requires_big_enough_sieve():
     small = build_sieve(10)
     with pytest.raises(CapacityError):
@@ -142,6 +196,16 @@ def test_exact_census_asymmetric_against_brute_oracle(tables_census):
     assert exact_census(box, tables_census, pmax=1000).exact == brute_census(5, 2, 3, 3)
 
 
+half_steps = st.integers(0, 12).map(lambda k: k / 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x1=half_steps, x2=half_steps, x3=half_steps, x4=st.integers(0, 8))
+def test_exact_census_matches_brute_oracle_on_random_boxes(tables_census, x1, x2, x3, x4):
+    report = exact_census(BoundBox(x1, x2, x3, x4), tables_census, pmax=1000)
+    assert report.exact == brute_census(x1, x2, x3, x4)
+
+
 def test_exact_census_monotone(tables_census):
     base = exact_census(BoundBox(1, 1, 1, 1), tables_census, pmax=1000).exact
     assert exact_census(BoundBox(2, 1, 1, 1), tables_census, pmax=1000).exact >= base
@@ -159,10 +223,10 @@ def test_exact_census_ratio_consistent(tables_census):
 
 
 def test_worker_partition_matches_serial(tables_census):
-    box = BoundBox(15, 15, 15, 15)
-    serial = exact_census(box, tables_census, workers=1, pmax=1000).exact
-    parallel = exact_census(box, tables_census, workers=2, pmax=1000).exact
-    assert serial == parallel
+    for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
+        serial = exact_census(box, tables_census, workers=1, pmax=1000)
+        parallel = exact_census(box, tables_census, workers=2, pmax=1000)
+        assert (serial.exact, serial.triples_visited) == (parallel.exact, parallel.triples_visited)
 
 
 def test_breakdown_rows(tables_census):

@@ -74,6 +74,25 @@ def test_count_capacity_exit_code(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_count_non_finite_bound_exit_two(capsys, bound):
+    code, out, err = run_cli(capsys, "count", "--x", bound, "1", "1", "1")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--min", "0"], ["--min", "-1"], ["--factor", "1"], ["--factor", "0.5"],
+    ["--max", "inf"], ["--min", "nan"], ["--factor", "inf"],
+])
+def test_sweep_rejects_grids_that_never_end(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count")[0] == 2                       # missing --x
     assert run_cli(capsys, "verify", "--suite", "nope")[0] == 2   # unknown suite
@@ -177,6 +196,29 @@ def test_sieve_cache_reuse(capsys, tmp_path):
     _, out2, _ = run_cli(capsys, "count", "--x", "5", "5", "5", "5",
                          "--sieve-cache", str(cache))
     assert out1 == out2
+
+
+def _flip_payload_byte(raw):
+    raw = bytearray(raw)
+    raw[-1] ^= 0x01
+    return bytes(raw)
+
+
+def _version_one(raw):
+    # the version-1 layout: magic, version, limit, then the payload unchecked
+    return raw[:4] + (1).to_bytes(4, "little") + raw[8:16] + raw[20:]
+
+
+@pytest.mark.parametrize("damage", [_flip_payload_byte, lambda raw: raw[:-3], _version_one])
+def test_damaged_sieve_cache_exit_three(capsys, tmp_path, damage):
+    cache = tmp_path / "sieve.bin"
+    assert run_cli(capsys, "count", "--x", "5", "5", "5", "5",
+                   "--sieve-cache", str(cache))[0] == 0
+    cache.write_bytes(damage(cache.read_bytes()))
+    code, out, err = run_cli(capsys, "count", "--x", "5", "5", "5", "5",
+                             "--sieve-cache", str(cache))
+    assert code == 3
+    assert out == "" and "sieve cache" in err
 
 
 def test_classify_output(capsys):
