@@ -29,9 +29,10 @@ SIEVE_CACHE_VERSION = 2
 # magic, version, limit, CRC-32 of the spf payload; the payload follows
 _CACHE_HEADER = struct.Struct("<4sIQI")
 
-# Default ceiling on sieve memory: the five tables cost ~29 bytes per entry.
+# Default ceiling on sieve memory.  The tables hold 41 bytes per entry, and
+# building them peaks at 67 bytes per entry plus ~2 kB (tracemalloc).
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
-_BYTES_PER_ENTRY = 29
+_BYTES_PER_ENTRY = 68
 
 
 class CapacityError(Exception):
@@ -60,9 +61,6 @@ class SieveTables:
     f_den: np.ndarray
     odd_sf_count: np.ndarray
     _coprime_cache: dict = field(default_factory=dict, repr=False)
-
-    def is_squarefree(self, n: int) -> bool:
-        return self.mu[n] != 0
 
     def f(self, n: int) -> Fraction:
         """f(n) = prod_{p | n} (1 + 1/p)^(-1) as an exact fraction."""
@@ -297,7 +295,7 @@ class SignedSquarefreeTriple:
             raise InvalidTripleError(f"{self}: need m1 > 0 and m2, m3 nonzero")
         vals = (self.m1, self.m2, self.m3)
         for v in vals:
-            if not _is_squarefree_small(abs(v)):
+            if _squarefree_factors(v) is None:
                 raise InvalidTripleError(f"{self}: {v} is not squarefree")
         for i in range(3):
             for j in range(i + 1, 3):
@@ -307,6 +305,21 @@ class SignedSquarefreeTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
+
+
+def _valid_triples(bound: int):
+    """Every SignedSquarefreeTriple with |m1|, |m2|, |m3| <= bound: m1
+    increasing, m2 and m3 through the squarefree 1, -1, 2, -2, 3, -3, 5, ..."""
+    sf = [n for n in range(1, bound + 1) if _squarefree_factors(n) is not None]
+    signed = [s * n for n in sf for s in (1, -1)]
+    for m1 in sf:
+        for m2 in signed:
+            if gcd(m1, m2) != 1:
+                continue
+            for m3 in signed:
+                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
+                    continue
+                yield SignedSquarefreeTriple(m1, m2, m3)
 
 
 @dataclass(frozen=True)
@@ -371,17 +384,24 @@ def _split_two(n: int) -> tuple[int, int]:
     return 0, n
 
 
-def _is_squarefree_small(n: int) -> bool:
+def _squarefree_factors(n: int) -> tuple[int, ...] | None:
+    """Distinct prime divisors of |n| by trial division, increasing, or None
+    when |n| is 0 or some prime divides it twice."""
+    n = abs(n)
     if n == 0:
-        return False
+        return None
+    out = []
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
+        if n % d == 0:
             n //= d
+            if n % d == 0:
+                return None
+            out.append(d)
         d += 1 if d == 2 else 2
-    return True
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def factor_small(n: int) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import factor_small, primes_up_to
+from .arith import _squarefree_factors, factor_small, primes_up_to
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 # The fixed rational data of the leading constant, collected in one place so
@@ -118,10 +118,9 @@ def c_constant(r: int, spec: EulerProductSpec) -> CConstant:
     """c(r) = prod_{p|r} (p+1)/(p+2) * prod_p (1 - 2/(p(p+1)))."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    primes = factor_small(r)
-    for p in primes:
-        if r % (p * p) == 0:
-            raise ValueError(f"c(r) is used for squarefree r only, got {r}")
+    primes = _squarefree_factors(r)
+    if primes is None:
+        raise ValueError(f"c(r) is used for squarefree r only, got {r}")
     if primes and max(primes) > spec.pmax:
         raise ValueError(f"pmax {spec.pmax} below largest prime factor of {r}")
     pre = Fraction(1)

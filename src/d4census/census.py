@@ -67,6 +67,7 @@ from .arith import (
     factor_small,
     kronecker,
     primes_up_to,
+    _squarefree_factors,
 )
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
 
@@ -134,8 +135,8 @@ class CensusReport:
 
 
 def required_sieve_limit(box: BoundBox) -> int:
-    """Smallest sieve limit covering enumeration (2x odd-part bounds) and twists."""
-    return max(2 * int(max(box.x1, box.x2, box.x3)), int(box.x4), 1)
+    """Smallest sieve limit covering the odd-part bounds and the twist bound."""
+    return max(int(max(box.x1, box.x2, box.x3)), int(box.x4), 1)
 
 
 def _legendre_table(p: int) -> list[int]:
@@ -225,8 +226,8 @@ def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTa
         raise CapacityError(
             f"odd-part bounds {tuple(tops)}: the product m1'*m2'*m3' may overflow int64"
         )
-    if tables.limit < 2 * max(tops):
-        raise CapacityError(f"sieve limit {tables.limit} < required {2 * max(tops)}")
+    if tables.limit < max(tops):
+        raise CapacityError(f"sieve limit {tables.limit} < required {max(tops)}")
 
 
 def _mask_rows(
@@ -324,10 +325,9 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     """
     if m <= 0 or m % 2 == 0:
         raise ValueError(f"need positive odd m, got {m}")
-    primes = factor_small(m)
-    for p in primes:
-        if m % (p * p) == 0:
-            raise ValueError(f"{m} is not squarefree")
+    primes = _squarefree_factors(m)
+    if primes is None:
+        raise ValueError(f"{m} is not squarefree")
     tau = 1 << len(primes)
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
@@ -444,10 +444,10 @@ def invariants_of(triple: SignedSquarefreeTriple, t: int) -> InvariantVector:
     dec = decompose_triple(triple)
     if t <= 0 or t % 2 == 0:
         raise ValueError(f"twist must be a positive odd integer, got {t}")
-    t_primes = factor_small(t)
+    t_primes = _squarefree_factors(t)
+    if t_primes is None:
+        raise ValueError(f"twist {t} is not squarefree")
     for p in t_primes:
-        if t % (p * p) == 0:
-            raise ValueError(f"twist {t} is not squarefree")
         if (dec.m1p * dec.m2p * dec.m3p) % p == 0:
             raise ValueError(f"twist {t} shares the factor {p} with the triple")
     return InvariantVector(inv1=dec.m2p, inv2=dec.m3p, inv3=dec.m1p, inv4=t)

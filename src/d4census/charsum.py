@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, log, pi, sqrt
 from typing import Callable, Optional
 
-from .arith import SieveTables, factor_small, kronecker
+from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import BoundBox, _is_degenerate
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
@@ -68,11 +68,10 @@ def _check_parts(mp: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     m1p, m2p, m3p = mp
     if min(mp) < 1 or any(m % 2 == 0 for m in mp):
         raise ValueError(f"odd positive parts required: {mp}")
-    facs = tuple(factor_small(m) for m in mp)
+    facs = tuple(_squarefree_factors(m) for m in mp)
     for m, fac in zip(mp, facs):
-        for p in fac:
-            if m % (p * p) == 0:
-                raise ValueError(f"{m} is not squarefree")
+        if fac is None:
+            raise ValueError(f"{m} is not squarefree")
     if gcd(m1p, m2p) != 1 or gcd(m1p, m3p) != 1 or gcd(m2p, m3p) != 1:
         raise ValueError(f"parts must be pairwise coprime: {mp}")
     return facs
@@ -254,6 +253,23 @@ def _phi(n: int) -> int:
     return out
 
 
+def _class_triples(bounds: tuple[float, float, float], eps: tuple[int, int, int],
+                   tables: SieveTables):
+    """Pairwise coprime odd squarefree (m1', m2', m3') with m_i' <= bounds[i]
+    and m_i' = eps[i] mod 8, in increasing (m1', m2', m3') order."""
+    vals1, vals2, vals3 = (
+        [v for v in tables.odd_squarefree_upto(b) if v % 8 == e] for b, e in zip(bounds, eps)
+    )
+    for m1p in vals1:
+        for m2p in vals2:
+            if gcd(m1p, m2p) != 1:
+                continue
+            m12 = m1p * m2p
+            for m3p in vals3:
+                if gcd(m12, m3p) == 1:
+                    yield m1p, m2p, m3p
+
+
 def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
     """Exact census sum of the class: over coprime odd squarefree triples with
     m1' <= X3, m2' <= X1, m3' <= X2 (invariant bounds) and m_i' = eps_i mod 8,
@@ -266,35 +282,20 @@ def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
     and sign conditions live on the key, not here: aggregating over admissible
     keys only is what reproduces the census.
     """
-    e1, e2, e3 = key.eps
     d2, d3 = key.delta
     mu, alpha, beta = key.nu
-    vals1 = [v for v in tables.odd_squarefree_upto(box.x3) if v % 8 == e1]
-    vals2 = [v for v in tables.odd_squarefree_upto(box.x1) if v % 8 == e2]
-    vals3 = [v for v in tables.odd_squarefree_upto(box.x2) if v % 8 == e3]
     total = 0
-    for m1p in vals1:
-        for m2p in vals2:
-            if gcd(m1p, m2p) != 1:
-                continue
-            m12 = m1p * m2p
-            for m3p in vals3:
-                if gcd(m12, m3p) != 1:
-                    continue
-                m1 = (1 << mu) * m1p
-                m2 = d2 * (1 << alpha) * m2p
-                m3 = d3 * (1 << beta) * m3p
-                if _is_degenerate(m1, m2, m3):
-                    continue
-                lv = L_product((m1p, m2p, m3p), key.delta, key.nu)
-                if lv == 0:
-                    continue
-                primes = tuple(sorted(
-                    tables.prime_factors(m1p)
-                    + tables.prime_factors(m2p)
-                    + tables.prime_factors(m3p)
-                ))
-                total += lv * tables.count_odd_squarefree_coprime(box.x4, primes)
+    for mp in _class_triples((box.x3, box.x1, box.x2), key.eps, tables):
+        m1p, m2p, m3p = mp
+        if _is_degenerate((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p):
+            continue
+        lv = L_product(mp, key.delta, key.nu)
+        if lv == 0:
+            continue
+        primes = tuple(sorted(
+            tables.prime_factors(m1p) + tables.prime_factors(m2p) + tables.prime_factors(m3p)
+        ))
+        total += lv * tables.count_odd_squarefree_coprime(box.x4, primes)
     return total
 
 
@@ -313,24 +314,11 @@ def T111_direct(
 ) -> Fraction:
     """Exact inner sum at trivial divisor part: over coprime odd squarefree
     l_i <= x_i with l_i = eps_i mod 8, sum of f(l1) f(l2) f(l3)."""
-    e1, e2, e3 = key.eps
-    vals1 = [v for v in tables.odd_squarefree_upto(x1) if v % 8 == e1]
-    vals2 = [v for v in tables.odd_squarefree_upto(x2) if v % 8 == e2]
-    vals3 = [v for v in tables.odd_squarefree_upto(x3) if v % 8 == e3]
-    frac = {v: tables.f(v) for v in set(vals1) | set(vals2) | set(vals3)}
-    terms = []
-    for l1 in vals1:
-        f1 = frac[l1]
-        for l2 in vals2:
-            if gcd(l1, l2) != 1:
-                continue
-            f12 = f1 * frac[l2]
-            l12 = l1 * l2
-            for l3 in vals3:
-                if gcd(l12, l3) != 1:
-                    continue
-                terms.append(f12 * frac[l3])
-    return _fraction_sum(terms)
+    vals = tables.odd_squarefree_upto(max(x1, x2, x3))
+    num = {v: int(tables.f_num[v]) for v in vals}
+    den = {v: int(tables.f_den[v]) for v in vals}
+    return _fraction_sum([Fraction(num[l1] * num[l2] * num[l3], den[l1] * den[l2] * den[l3])
+                          for l1, l2, l3 in _class_triples((x1, x2, x3), key.eps, tables)])
 
 
 def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:

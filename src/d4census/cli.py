@@ -29,7 +29,7 @@ from .arith import (
     factor_small,
     load_sieve_cache,
     save_sieve_cache,
-    _is_squarefree_small,
+    _valid_triples,
 )
 from .asymptotic import (
     CONSTANTS,
@@ -73,17 +73,6 @@ from .localsolve import (
 
 SWEEP_CSV_HEADER = "x1,x2,x3,x4,exact,predicted,ratio"
 BREAKDOWN_CSV_HEADER = "m1,m2,m3,twists,cumulative"
-
-VERIFY_SUITES = (
-    "lemma432",
-    "hasse",
-    "lemma41",
-    "esets",
-    "divisor-identity",
-    "census-consistency",
-    "constants",
-    "tamagawa",
-)
 
 
 def _fmt_float(v: float) -> str:
@@ -374,19 +363,6 @@ def _suite_lemma432(args) -> list[dict]:
     return checks
 
 
-def _valid_triples(bound: int):
-    sf = [n for n in range(1, bound + 1) if _is_squarefree_small(n)]
-    signed = [s * n for n in sf for s in (1, -1)]
-    for m1 in sf:
-        for m2 in signed:
-            if gcd(m1, m2) != 1:
-                continue
-            for m3 in signed:
-                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
-                    continue
-                yield SignedSquarefreeTriple(m1, m2, m3)
-
-
 def _suite_hasse(args) -> list[dict]:
     bound = args.bound or 30
     bad = 0
@@ -552,6 +528,7 @@ _SUITE_RUNNERS = {
     "constants": _suite_constants,
     "tamagawa": _suite_tamagawa,
 }
+VERIFY_SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_verify(args) -> int:

@@ -61,10 +61,6 @@ REAL_PLACE = Place(0)
 TWO_PLACE = Place(2)
 
 
-def odd_place(p: int) -> Place:
-    return Place(p)
-
-
 def _eta(u: int) -> int:
     """Parity of (u - 1)/2 for odd u: 0 if u = 1 mod 4, 1 if u = 3 mod 4."""
     return (u % 4) // 2

@@ -7,14 +7,9 @@ PASS/FAIL lines and timings.
 import json
 import time
 from fractions import Fraction
-from math import gcd, log, sqrt
+from math import log, sqrt
 
-from d4census.arith import (
-    SignedSquarefreeTriple,
-    _is_squarefree_small,
-    build_sieve,
-    factor_small,
-)
+from d4census.arith import _squarefree_factors, build_sieve, factor_small
 from d4census.asymptotic import (
     EulerProductSpec,
     constant_identity,
@@ -22,27 +17,9 @@ from d4census.asymptotic import (
     tamagawa_constant,
     twist_main_term,
 )
-from d4census.census import BoundBox, exact_census, required_sieve_limit, twist_count
-from d4census.charsum import (
-    CharacterSpec,
-    L_divisor_sum,
-    L_product,
-    census_from_classes,
-    character_sum_f,
-)
+from d4census.census import BoundBox, exact_census, twist_count
+from d4census.charsum import CharacterSpec, character_sum_f
 from d4census.cli import main
-from d4census.localsolve import (
-    ALL_DELTAS,
-    ALL_NUS,
-    TWO_PLACE,
-    UNIT_RESIDUES,
-    hilbert_symbol,
-    in_E_set,
-    padic_oracle,
-    relevant_places,
-    satisfies_local_conditions,
-    u_weight,
-)
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str, elapsed: float) -> None:
@@ -53,26 +30,17 @@ def report(capsys, number: int, name: str, ok: bool, detail: str, elapsed: float
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
-def valid_triples(bound):
-    sf = [n for n in range(1, bound + 1) if _is_squarefree_small(n)]
-    signed = [s * n for n in sf for s in (1, -1)]
-    for m1 in sf:
-        for m2 in signed:
-            if gcd(m1, m2) != 1:
-                continue
-            for m3 in signed:
-                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
-                    continue
-                yield SignedSquarefreeTriple(m1, m2, m3)
+def run_suite(capsys, *argv):
+    """Exit code and the checks, by name, of one `d4census verify` suite."""
+    code = main(["verify", "--suite", *argv, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    return code, {c["name"]: c for c in payload["checks"]}
 
 
 def test_criterion_1_class_sums(capsys):
     t0 = time.perf_counter()
-    code = main(["verify", "--suite", "lemma432", "--format", "json"])
-    out = capsys.readouterr().out
-    payload = json.loads(out)
-    checks = {c["name"]: c["actual"] for c in payload["checks"]}
-    got = (checks["class_sum_weight_at_one"], checks["class_sum_weighted"])
+    code, checks = run_suite(capsys, "lemma432")
+    got = (checks["class_sum_weight_at_one"]["actual"], checks["class_sum_weighted"]["actual"])
     elapsed = time.perf_counter() - t0
     report(capsys, 1, "class sums 432", code == 0 and got == (432, 432) and elapsed < 1.0,
            f"sums={got}", elapsed)
@@ -80,107 +48,50 @@ def test_criterion_1_class_sums(capsys):
 
 def test_criterion_2_hasse_and_local_equivalence(capsys):
     t0 = time.perf_counter()
-    memo = {}
-
-    def oracle(a, b, place):
-        key = (a, b, place.p)
-        if key not in memo:
-            memo[key] = padic_oracle(a, b, place)
-        return memo[key]
-
-    cases = hasse_bad = equiv_bad = oracle_bad = 0
-    for triple in valid_triples(30):
-        a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        places = relevant_places(triple)
-        symbols = [hilbert_symbol(a, b, v) for v in places]
-        product = 1
-        for s in symbols:
-            product *= s
-        if product != 1:
-            hasse_bad += 1
-        all_plus = all(s == 1 for s in symbols)
-        if satisfies_local_conditions(triple) != all_plus:
-            equiv_bad += 1
-        if all(oracle(a, b, v) for v in places) != all_plus:
-            oracle_bad += 1
-        cases += 1
+    hasse_code, hasse = run_suite(capsys, "hasse")
+    local_code, local = run_suite(capsys, "lemma41")
+    results = [hasse["hasse_product_bound_30"]["actual"],
+               local["local_conditions_vs_symbols_bound_30"]["actual"],
+               local["symbols_vs_oracle_bound_30"]["actual"]]
     elapsed = time.perf_counter() - t0
-    ok = hasse_bad == equiv_bad == oracle_bad == 0 and elapsed < 60
+    ok = (hasse_code == local_code == 0 and len(hasse) == 1 and len(local) == 2
+          and all(r == {"cases": 11908, "failures": 0} for r in results) and elapsed < 60)
     report(capsys, 2, "Hasse product and local equivalences", ok,
-           f"{cases} triples, mismatches {hasse_bad}/{equiv_bad}/{oracle_bad}", elapsed)
+           f"{[r['cases'] for r in results]} triples, "
+           f"mismatches {[r['failures'] for r in results]}", elapsed)
 
 
 def test_criterion_3_weight_symbol_coherence(capsys):
     t0 = time.perf_counter()
-    cases = ident_bad = positive_bad = 0
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        mu, alpha, beta = nu
-                        u = u_weight(a1, a2, a3, delta, nu)
-                        sym = hilbert_symbol(
-                            (1 << (mu + alpha)) * delta[0] * a1 * a2,
-                            (1 << (mu + beta)) * delta[1] * a1 * a3,
-                            TWO_PLACE,
-                        )
-                        if u != sym:
-                            ident_bad += 1
-                        if in_E_set((a1, a2, a3), nu, delta) and u != 1:
-                            positive_bad += 1
-                        cases += 1
+    code, checks = run_suite(capsys, "esets")
+    names = {"u_equals_dyadic_symbol_768_cases", "u_positive_on_admissible_classes",
+             "literal_residue_lists_match"}
     elapsed = time.perf_counter() - t0
-    ok = cases == 4**3 * 3 * 4 and ident_bad == 0 and positive_bad == 0
+    ok = code == 0 and set(checks) == names and all(c["actual"] == 0 for c in checks.values())
     report(capsys, 3, "u vs dyadic symbol", ok,
-           f"{cases} cases, mismatches {ident_bad}+{positive_bad}", elapsed)
+           f"checks {sorted(checks)}, mismatches {[c['actual'] for c in checks.values()]}",
+           elapsed)
 
 
 def test_criterion_4_local_product_identity(capsys):
     t0 = time.perf_counter()
-    tables = build_sieve(3000)
-    odd_sf = tables.odd_squarefree_upto(3000)
-    cases = bad = 0
-    for m1 in odd_sf:
-        for m2 in odd_sf:
-            if m1 * m2 > 3000:
-                break
-            if gcd(m1, m2) != 1:
-                continue
-            m12 = m1 * m2
-            for m3 in odd_sf:
-                if m12 * m3 > 3000:
-                    break
-                if gcd(m12, m3) != 1:
-                    continue
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        if L_product((m1, m2, m3), delta, nu) != L_divisor_sum(
-                            (m1, m2, m3), delta, nu
-                        ):
-                            bad += 1
-                        cases += 1
+    code, checks = run_suite(capsys, "divisor-identity")
+    got = checks["product_equals_divisor_sum_upto_3000"]["actual"]
     elapsed = time.perf_counter() - t0
-    report(capsys, 4, "local product = divisor sum", bad == 0 and elapsed < 60,
-           f"{cases} cases, {bad} mismatches", elapsed)
+    ok = code == 0 and len(checks) == 1 and got == {"cases": 147216, "failures": 0}
+    report(capsys, 4, "local product = divisor sum", ok and elapsed < 60,
+           f"{got['cases']} cases, {got['failures']} mismatches", elapsed)
 
 
 def test_criterion_5_census_consistency(capsys):
     t0 = time.perf_counter()
+    code, checks = run_suite(capsys, "census-consistency", "--pmax", "10000")
     boxes = [(1, 1, 1, 1), (10, 10, 10, 10), (50, 50, 50, 50)]
-    mismatches = []
-    unit_exact = None
-    for raw in boxes:
-        box = BoundBox(*raw)
-        tables = build_sieve(required_sieve_limit(box))
-        exact = exact_census(box, tables, pmax=10_000).exact
-        via_classes = census_from_classes(box, tables)
-        if exact != via_classes:
-            mismatches.append((raw, exact, via_classes))
-        if raw == (1, 1, 1, 1):
-            unit_exact = exact
+    names = {f"census_vs_class_sums_{raw}" for raw in boxes} | {"unit_box_exact"}
+    unit_exact = checks["unit_box_exact"]["actual"]
     elapsed = time.perf_counter() - t0
-    ok = not mismatches and unit_exact == 16 and elapsed < 120
+    ok = (code == 0 and set(checks) == names and all(c["pass"] for c in checks.values())
+          and unit_exact == 16 and elapsed < 120)
     report(capsys, 5, "census = 4 * class sums", ok,
            f"boxes {boxes}, unit box {unit_exact}", elapsed)
 
@@ -242,11 +153,11 @@ def _fundamental_discriminants(bound):
     for d in range(-bound, bound + 1):
         if d in (0, 1):
             continue
-        if d % 4 == 1 and _is_squarefree_small(d):
+        if d % 4 == 1 and _squarefree_factors(d) is not None:
             out.append(d)
         elif d % 4 == 0:
             m = d // 4
-            if m % 4 in (2, 3) and _is_squarefree_small(m):
+            if m % 4 in (2, 3) and _squarefree_factors(m) is not None:
                 out.append(d)
     return out
 

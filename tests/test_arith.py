@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -5,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from d4census.arith import (
+    _BYTES_PER_ENTRY,
     CapacityError,
     InvalidTripleError,
     SignedSquarefreeTriple,
+    _squarefree_factors,
     build_sieve,
     decompose_triple,
+    factor_small,
     kronecker,
     load_sieve_cache,
     primes_up_to,
@@ -111,6 +116,25 @@ def test_sieve_capacity_error():
         build_sieve(10**7, memory_budget=1000)
 
 
+def test_sieve_peak_memory_within_capacity_estimate():
+    # the peak is linear in the limit (67 bytes per entry plus ~2 kB), so a
+    # small limit checks the per-entry estimate; tracing slows the build ~20x
+    limit = 10_000
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * _BYTES_PER_ENTRY
+
+
+def test_squarefree_factors_brute():
+    for n in range(-300, 301):
+        expected = factor_small(n) if n != 0 and brute_mu(abs(n)) != 0 else None
+        assert _squarefree_factors(n) == expected, n
+
+
 def test_primes_up_to():
     assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(primes_up_to(1)) == 0
@@ -169,6 +193,11 @@ def test_kronecker_multiplicative_in_top(a, b, n):
 )
 def test_kronecker_multiplicative_in_bottom(a, m, n):
     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+@given(a=st.integers(), n=st.integers())
+def test_kronecker_matches_sympy(a, n):
+    assert kronecker(a, n) == kronecker_symbol(a, n)
 
 
 # --- triple decomposition ---------------------------------------------------

@@ -144,9 +144,11 @@ def test_enumerate_rejects_bounds_whose_product_overflows(tables_census):
 
 
 def test_enumerate_requires_big_enough_sieve():
-    small = build_sieve(10)
     with pytest.raises(CapacityError):
-        list(enumerate_admissible_triples(20, 20, 20, small))
+        list(enumerate_admissible_triples(20, 20, 20, build_sieve(19)))
+    # the largest odd-part bound suffices: nothing reads the sieve above it
+    assert (list(enumerate_admissible_triples(20, 20, 20, build_sieve(20)))
+            == list(enumerate_admissible_triples(20, 20, 20, build_sieve(40))))
 
 
 def test_twist_count_examples(tables_census):
@@ -243,7 +245,7 @@ def test_breakdown_rows(tables_census):
 
 
 def test_required_sieve_limit():
-    assert required_sieve_limit(BoundBox(10, 20, 5, 7)) == 40
+    assert required_sieve_limit(BoundBox(10, 20, 5, 7)) == 20
     assert required_sieve_limit(BoundBox(1, 1, 1, 90)) == 90
 
 

@@ -4,7 +4,7 @@ from math import gcd, log, sqrt
 
 import pytest
 
-from d4census.arith import factor_small, kronecker
+from d4census.arith import _valid_triples, decompose_triple, factor_small, kronecker
 from d4census.census import BoundBox, exact_census
 from d4census.charsum import (
     CharacterSpec,
@@ -54,41 +54,15 @@ def test_L_rejects_bad_parts():
         L_product((3, 3, 1), (1, 1), (0, 0, 0))
 
 
-def _coprime_odd_triples(tables, bound):
-    odd_sf = tables.odd_squarefree_upto(bound)
-    for m1 in odd_sf:
-        for m2 in odd_sf:
-            if m1 * m2 > bound or gcd(m1, m2) != 1:
-                continue
-            for m3 in odd_sf:
-                if m1 * m2 * m3 > bound or gcd(m1 * m2, m3) != 1:
-                    continue
-                yield (m1, m2, m3)
-
-
-def test_L_identity_small_range(tables_census):
-    for mp in _coprime_odd_triples(tables_census, 315):
-        tau = int(tables_census.tau[mp[0] * mp[1] * mp[2]])
-        for delta in ALL_DELTAS:
-            for nu in ALL_NUS:
-                lp = L_product(mp, delta, nu)
-                assert lp == L_divisor_sum(mp, delta, nu), (mp, delta, nu)
-                assert lp in (0, tau)
-
-
-def test_L_positive_iff_odd_conditions_hold(tables_census):
-    for mp in _coprime_odd_triples(tables_census, 105):
-        for delta in ALL_DELTAS:
-            for nu in ALL_NUS:
-                d2, d3 = delta
-                mu, alpha, beta = nu
-                m1 = (1 << mu) * mp[0]
-                m2 = d2 * (1 << alpha) * mp[1]
-                m3 = d3 * (1 << beta) * mp[2]
-                conds = all(kronecker(-m2 * m3, p) == 1 for p in factor_small(mp[0]))
-                conds = conds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(mp[1]))
-                conds = conds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(mp[2]))
-                assert (L_product(mp, delta, nu) > 0) == conds
+def test_L_positive_iff_odd_conditions_hold():
+    for triple in _valid_triples(30):
+        m1, m2, m3 = triple.as_tuple()
+        dec = decompose_triple(triple)
+        conds = all(kronecker(-m2 * m3, p) == 1 for p in factor_small(dec.m1p))
+        conds = conds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(dec.m2p))
+        conds = conds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(dec.m3p))
+        mp = (dec.m1p, dec.m2p, dec.m3p)
+        assert (L_product(mp, dec.delta, dec.nu) > 0) == conds, triple
 
 
 # --- character sums -----------------------------------------------------------

@@ -132,7 +132,7 @@ def test_verify_census_consistency_custom_box(capsys):
 
 def test_verify_divisor_identity_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "divisor-identity",
-                           "--bound", "200")
+                           "--bound", "315")
     assert code == 0
     assert "PASS" in out
 

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d4census.arith import SignedSquarefreeTriple, _is_squarefree_small, factor_small
+from d4census.arith import (
+    SignedSquarefreeTriple,
+    _squarefree_factors,
+    _valid_triples,
+    factor_small,
+)
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -25,20 +30,8 @@ from d4census.localsolve import (
 
 
 def squarefree_values(bound):
-    return [s * n for n in range(1, bound + 1) if _is_squarefree_small(n) for s in (1, -1)]
-
-
-def valid_triples(bound):
-    sf = [n for n in range(1, bound + 1) if _is_squarefree_small(n)]
-    signed = squarefree_values(bound)
-    for m1 in sf:
-        for m2 in signed:
-            if gcd(m1, m2) != 1:
-                continue
-            for m3 in signed:
-                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
-                    continue
-                yield SignedSquarefreeTriple(m1, m2, m3)
+    return [s * n for n in range(1, bound + 1) if _squarefree_factors(n) is not None
+            for s in (1, -1)]
 
 
 def test_place_validation():
@@ -94,7 +87,7 @@ def test_oracle_agrees_with_symbol_up_to_30():
 
 
 def test_hasse_product_small():
-    for triple in valid_triples(15):
+    for triple in _valid_triples(15):
         a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
         prod = 1
         for v in relevant_places(triple):
@@ -103,7 +96,7 @@ def test_hasse_product_small():
 
 
 def test_local_conditions_match_symbols_small():
-    for triple in valid_triples(12):
+    for triple in _valid_triples(12):
         a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
         all_plus = all(hilbert_symbol(a, b, v) == 1 for v in relevant_places(triple))
         assert satisfies_local_conditions(triple) == all_plus, triple
@@ -171,7 +164,7 @@ def test_find_conic_point_soundness():
 
 
 def test_witness_exists_for_soluble_triples():
-    for triple in valid_triples(6):
+    for triple in _valid_triples(6):
         if satisfies_local_conditions(triple):
             a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
             assert find_conic_point(a, b, 200) is not None, triple
