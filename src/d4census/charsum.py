@@ -11,11 +11,31 @@ local product
 which equals tau(m1'm2'm3') exactly when the odd-prime solubility conditions
 hold and 0 otherwise.  Expanding each factor over divisor pairs k_i*l_i = m_i'
 and applying quadratic reciprocity turns L into a signed divisor sum weighted
-by u(k); L_product and L_divisor_sum compute both forms as exact integers and
-must agree everywhere.
+by u(k).  Both forms are computed as exact integers and must agree everywhere.
 
-T_direct evaluates the per-class census sum exactly (no main-term
-substitution), T111_direct the (k = 1) inner sum of squarefree f-weights, and
+Rows.  One odd triple carries L for all 12 (delta, nu) choices (census.CHOICES),
+and both forms are computed a row at a time from one factorisation:
+
+  * L_product_row evaluates the Legendre symbols of the three arguments,
+    only for the choices asked for, and stops at the first zero factor.  At a
+    prime of m_j' the arguments other than the j-th are 0 mod p, so their
+    factors are 1 and are not evaluated.
+  * L_divisor_sum_row sums the Jacobi factor (l1/k2k3)(l2/k1k3)(l3/k1k2),
+    which does not depend on (delta, nu), once per split into 64 buckets by
+    (k1, k2, k3) mod 8, and dots the buckets with a 64 x 12 table of u_weight
+    values (u depends on k only mod 8).  The table is built on first use.
+
+L_product and L_divisor_sum are single-choice views of the rows.
+
+Class sums.  class_sums evaluates the per-class census sum exactly (no
+main-term substitution) for any set of keys: one walk per eps class, one
+product row and at most one twist count per triple, added to every key of that
+class.  T_direct, census_from_classes and class_sums_csv are views of it.  It
+deliberately does not use the 12-bit mask kernel of census.exact_census: it
+walks the triples and evaluates L by its own code, so census_from_classes ==
+exact_census is an independent cross-check of the kernel.
+
+T111_direct is the (k = 1) inner sum of squarefree f-weights, and
 character_sum_f the weighted character sums whose main terms carry c(r).
 All class sums are exact; floats appear only in main-term comparisons.
 """
@@ -24,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log, pi, sqrt
-from typing import Callable, Optional
+from functools import cache
+from math import gcd, log, pi, prod, sqrt
+from typing import Callable, Optional, Sequence
 
 from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import BoundBox, _is_degenerate
+from .census import CHOICES, BoundBox, _is_degenerate
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -77,6 +98,37 @@ def _check_parts(mp: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     return facs
 
 
+def _local_product(args: tuple[int, int, int], facs: tuple[tuple[int, ...], ...]) -> int:
+    """prod over i and p | m_i' of (1 + (args[i] / p)), 0 at the first
+    vanishing factor.
+
+    A prime of m_j' (j != i) divides args[i], so its factor there is 1 + 0.
+    """
+    total = 1
+    for arg, primes in zip(args, facs):
+        for p in primes:
+            factor = 1 + kronecker(arg, p)
+            if not factor:
+                return 0
+            total *= factor
+    return total
+
+
+def L_product_row(facs: tuple[tuple[int, ...], ...],
+                  choices: Sequence[tuple[tuple[int, int], tuple[int, int, int]]] = CHOICES,
+                  ) -> list[int]:
+    """L(m', delta, nu) for each (delta, nu) in choices, from the literal
+    Legendre-symbol product; facs holds the primes of m1', m2', m3'."""
+    m1p, m2p, m3p = (prod(f) for f in facs)
+    row = []
+    for (d2, d3), (mu, alpha, beta) in choices:
+        args = (-d2 * d3 * (1 << (alpha + beta)) * m2p * m3p,
+                d3 * (1 << (mu + beta)) * m1p * m3p,
+                d2 * (1 << (mu + alpha)) * m1p * m2p)
+        row.append(_local_product(args, facs))
+    return row
+
+
 def L_product(mp: tuple[int, int, int], delta: tuple[int, int],
               nu: tuple[int, int, int]) -> int:
     """The local product L(m', delta, nu) as an exact integer.
@@ -84,17 +136,7 @@ def L_product(mp: tuple[int, int, int], delta: tuple[int, int],
     Always 0 or tau(m1'm2'm3'); positive exactly when every odd prime
     dividing the triple satisfies its solubility condition.
     """
-    f1, f2, f3 = _check_parts(mp)
-    m1p, m2p, m3p = mp
-    d2, d3 = delta
-    mu, alpha, beta = nu
-    arg1 = -d2 * d3 * (1 << (alpha + beta)) * m2p * m3p
-    arg2 = d3 * (1 << (mu + beta)) * m1p * m3p
-    arg3 = d2 * (1 << (mu + alpha)) * m1p * m2p
-    total = 1
-    for p in f1 + f2 + f3:
-        total *= (1 + kronecker(arg1, p)) * (1 + kronecker(arg2, p)) * (1 + kronecker(arg3, p))
-    return total
+    return L_product_row(_check_parts(mp), ((delta, nu),))[0]
 
 
 def _divisor_splits(primes: tuple[int, ...]):
@@ -105,6 +147,45 @@ def _divisor_splits(primes: tuple[int, ...]):
     return splits
 
 
+def _residue_index(k: int) -> int:
+    """0..3 for odd k = 1, 3, 5, 7 mod 8."""
+    return (k % 8) >> 1
+
+
+@cache
+def _u_table() -> tuple[tuple[int, ...], ...]:
+    """u_weight on the 64 odd residue triples mod 8 (row 16*i1 + 4*i2 + i3
+    for k_j = UNIT_RESIDUES[i_j]) times the 12 CHOICES (column)."""
+    return tuple(tuple(u_weight(k1, k2, k3, delta, nu) for delta, nu in CHOICES)
+                 for k1 in UNIT_RESIDUES for k2 in UNIT_RESIDUES for k3 in UNIT_RESIDUES)
+
+
+def L_divisor_sum_row(facs: tuple[tuple[int, ...], ...]) -> list[int]:
+    """L(m', delta, nu) for all 12 CHOICES, from the reciprocity-expanded
+    divisor sum; facs holds the primes of m1', m2', m3'.
+
+    The Jacobi factor of each split does not depend on (delta, nu) and u
+    depends on k only mod 8, so the factors are summed once per split into
+    64 buckets by (k1, k2, k3) mod 8 and dotted with the u table.
+    """
+    splits1, splits2, splits3 = (_divisor_splits(f) for f in facs)
+    buckets = [0] * 64
+    for k1, l1 in splits1:
+        r1 = 16 * _residue_index(k1)
+        for k2, l2 in splits2:
+            r12 = r1 + 4 * _residue_index(k2)
+            k1k2 = k1 * k2
+            for k3, l3 in splits3:
+                buckets[r12 + _residue_index(k3)] += (
+                    kronecker(l1, k2 * k3) * kronecker(l2, k1 * k3) * kronecker(l3, k1k2))
+    row = [0] * len(CHOICES)
+    for weights, s in zip(_u_table(), buckets):
+        if s:
+            for c, u in enumerate(weights):
+                row[c] += u * s
+    return row
+
+
 def L_divisor_sum(mp: tuple[int, int, int], delta: tuple[int, int],
                   nu: tuple[int, int, int]) -> int:
     """The same local product, computed from the reciprocity-expanded form:
@@ -112,18 +193,11 @@ def L_divisor_sum(mp: tuple[int, int, int], delta: tuple[int, int],
     sum over k_i * l_i = m_i' of
         u(k1,k2,k3) * (l1 / k2*k3) * (l2 / k1*k3) * (l3 / k1*k2).
     """
-    f1, f2, f3 = _check_parts(mp)
-    total = 0
-    for k1, l1 in _divisor_splits(f1):
-        for k2, l2 in _divisor_splits(f2):
-            k1k2 = k1 * k2
-            for k3, l3 in _divisor_splits(f3):
-                term = u_weight(k1, k2, k3, delta, nu)
-                term *= kronecker(l1, k2 * k3)
-                term *= kronecker(l2, k1 * k3)
-                term *= kronecker(l3, k1k2)
-                total += term
-    return total
+    facs = _check_parts(mp)
+    choice = (tuple(delta), tuple(nu))
+    if choice not in CHOICES:
+        raise ValueError(f"unknown (delta, nu) choice: {choice}")
+    return L_divisor_sum_row(facs)[CHOICES.index(choice)]
 
 
 @dataclass(frozen=True)
@@ -270,9 +344,10 @@ def _class_triples(bounds: tuple[float, float, float], eps: tuple[int, int, int]
                     yield m1p, m2p, m3p
 
 
-def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
-    """Exact census sum of the class: over coprime odd squarefree triples with
-    m1' <= X3, m2' <= X1, m3' <= X2 (invariant bounds) and m_i' = eps_i mod 8,
+def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
+    """Exact census sum of each class in keys: over coprime odd squarefree
+    triples with m1' <= X3, m2' <= X1, m3' <= X2 (invariant bounds) and
+    m_i' = eps_i mod 8,
 
         L(m', delta, nu) * #{t <= X4 : t odd squarefree coprime to m'}
                          * [reconstructed signed triple non-degenerate].
@@ -281,32 +356,52 @@ def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
     they do, so this is the per-class slice of the exact count.  The mod-8
     and sign conditions live on the key, not here: aggregating over admissible
     keys only is what reproduces the census.
+
+    Each eps class is walked once for all its keys: per triple one
+    factorisation, one product row over the keys' non-degenerate choices and
+    at most one twist count.
     """
-    d2, d3 = key.delta
-    mu, alpha, beta = key.nu
-    total = 0
-    for mp in _class_triples((box.x3, box.x1, box.x2), key.eps, tables):
-        m1p, m2p, m3p = mp
-        if _is_degenerate((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p):
-            continue
-        lv = L_product(mp, key.delta, key.nu)
-        if lv == 0:
-            continue
-        primes = tuple(sorted(
-            tables.prime_factors(m1p) + tables.prime_factors(m2p) + tables.prime_factors(m3p)
-        ))
-        total += lv * tables.count_odd_squarefree_coprime(box.x4, primes)
-    return total
+    sums = {key: 0 for key in keys}
+    by_eps: dict = {}
+    for key in sums:
+        by_eps.setdefault(key.eps, []).append(key)
+    for eps, eps_keys in by_eps.items():
+        # non-degeneracy depends on m' only through which m_i' equal 1
+        live_by_ones: dict = {}
+        for mp in _class_triples((box.x3, box.x1, box.x2), eps, tables):
+            m1p, m2p, m3p = mp
+            ones = (m1p == 1, m2p == 1, m3p == 1)
+            if ones not in live_by_ones:
+                live = [key for key in eps_keys if not _is_degenerate(
+                    (1 << key.nu[0]) * m1p, key.delta[0] * (1 << key.nu[1]) * m2p,
+                    key.delta[1] * (1 << key.nu[2]) * m3p)]
+                live_by_ones[ones] = live, [(key.delta, key.nu) for key in live]
+            live, choices = live_by_ones[ones]
+            facs = tuple(tables.prime_factors(m) for m in mp)
+            row = L_product_row(facs, choices)
+            twists = None
+            for key, lv in zip(live, row):
+                if lv:
+                    if twists is None:
+                        twists = tables.count_odd_squarefree_coprime(
+                            box.x4, tuple(sorted(facs[0] + facs[1] + facs[2])))
+                    sums[key] += lv * twists
+    return sums
+
+
+def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
+    """The exact census sum of one class; see class_sums."""
+    return class_sums(box, tables, [key])[key]
+
+
+def _admissible_keys() -> list[ClassKey]:
+    return [key for key in all_class_keys() if key.admissible]
 
 
 def census_from_classes(box: BoundBox, tables: SieveTables) -> int:
-    """4 * sum of T_direct over the admissible classes; must equal the exact
-    census of the same box."""
-    total = 0
-    for key in all_class_keys():
-        if key.admissible:
-            total += T_direct(key, box, tables)
-    return 4 * total
+    """4 * sum of the class sums over the admissible classes; must equal the
+    exact census of the same box."""
+    return 4 * sum(class_sums(box, tables, _admissible_keys()).values())
 
 
 def T111_direct(
@@ -346,10 +441,7 @@ def class_sums_csv(box: BoundBox, tables: SieveTables,
     plots, admissible classes only, LF-terminated."""
     lines = [CLASS_CSV_HEADER]
     x1, x2, x3, x4 = box.as_tuple()
-    for key in all_class_keys():
-        if not key.admissible:
-            continue
-        value = T_direct(key, box, tables)
+    for key, value in class_sums(box, tables, _admissible_keys()).items():
         main = T_main_term(key, box, euler)
         ratio = value / main if main else float("nan")
         e1, e2, e3 = key.eps

@@ -54,7 +54,7 @@ from .census import (
     required_sieve_limit,
     splitting_rows,
 )
-from .charsum import L_divisor_sum, L_product, census_from_classes
+from .charsum import L_divisor_sum_row, L_product_row, census_from_classes
 from .localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -364,7 +364,7 @@ def _suite_lemma432(args) -> list[dict]:
 
 
 def _suite_hasse(args) -> list[dict]:
-    bound = args.bound or 30
+    bound = 30 if args.bound is None else args.bound
     bad = 0
     total = 0
     for triple in _valid_triples(bound):
@@ -380,7 +380,7 @@ def _suite_hasse(args) -> list[dict]:
 
 
 def _suite_lemma41(args) -> list[dict]:
-    bound = args.bound or 30
+    bound = 30 if args.bound is None else args.bound
     memo: dict = {}
 
     def oracle(a, b, v):
@@ -442,7 +442,7 @@ def _suite_esets(args) -> list[dict]:
 
 
 def _suite_divisor_identity(args) -> list[dict]:
-    bound = args.bound or 3000
+    bound = 3000 if args.bound is None else args.bound
     tables = build_sieve(bound)
     odd_sf = tables.odd_squarefree_upto(bound)
     bad = total = 0
@@ -459,13 +459,11 @@ def _suite_divisor_identity(args) -> list[dict]:
                 if gcd(m12, m3) != 1:
                     continue
                 tau = int(tables.tau[m12 * m3])
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        lp = L_product((m1, m2, m3), delta, nu)
-                        ls = L_divisor_sum((m1, m2, m3), delta, nu)
-                        total += 1
-                        if lp != ls or lp not in (0, tau):
-                            bad += 1
+                facs = tuple(tables.prime_factors(m) for m in (m1, m2, m3))
+                for lp, ls in zip(L_product_row(facs), L_divisor_sum_row(facs)):
+                    total += 1
+                    if lp != ls or lp not in (0, tau):
+                        bad += 1
     return [_check(f"product_equals_divisor_sum_upto_{bound}",
                    {"cases": total, "failures": 0}, {"cases": total, "failures": bad})]
 
@@ -575,6 +573,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
+
+
 def _growth_factor(text: str) -> float:
     value = _finite_float(text)
     if value <= 1:
@@ -618,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--bound", type=int, default=None,
+    p_verify.add_argument("--bound", type=_positive_int, default=None,
                           help="case bound for exhaustive suites")
     add_common(p_verify, with_box=True)
     p_verify.set_defaults(func=cmd_verify)

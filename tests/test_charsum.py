@@ -1,24 +1,127 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, log, sqrt
 
 import pytest
 
-from d4census.arith import _valid_triples, decompose_triple, factor_small, kronecker
-from d4census.census import BoundBox, exact_census
+from d4census.arith import (
+    _squarefree_factors,
+    _valid_triples,
+    decompose_triple,
+    factor_small,
+    kronecker,
+)
+from d4census.census import CHOICES, BoundBox, _is_degenerate, exact_census
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
     L_divisor_sum,
+    L_divisor_sum_row,
     L_product,
+    L_product_row,
     T111_direct,
     T_direct,
     all_class_keys,
     bilinear_sum,
     census_from_classes,
     character_sum_f,
+    class_sums,
 )
-from d4census.localsolve import ALL_DELTAS, ALL_NUS
+from d4census.localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, u_weight
+
+
+# --- reference forms ------------------------------------------------------------
+# Reference forms for the row functions and class_sums: u on the full k and
+# one (delta, nu) choice per divisor sum, and one walk per class key.
+
+
+def _splits(n):
+    """All (k, l) with k * l = n for squarefree n."""
+    return [(k, n // k) for k in range(1, n + 1) if n % k == 0]
+
+
+def literal_divisor_sum(mp, delta, nu):
+    m1, m2, m3 = mp
+    total = 0
+    for k1, l1 in _splits(m1):
+        for k2, l2 in _splits(m2):
+            for k3, l3 in _splits(m3):
+                total += (u_weight(k1, k2, k3, delta, nu) * kronecker(l1, k2 * k3)
+                          * kronecker(l2, k1 * k3) * kronecker(l3, k1 * k2))
+    return total
+
+
+def _odd_squarefree(bound, residue):
+    return [m for m in range(1, int(bound) + 1, 2)
+            if m % 8 == residue and _squarefree_factors(m) is not None]
+
+
+def per_key_walk(key, box):
+    """The census sum of one class by its own walk, with L from the literal
+    divisor sum and the twists counted one by one."""
+    d2, d3 = key.delta
+    mu, alpha, beta = key.nu
+    twists = [t for t in range(1, int(box.x4) + 1, 2) if _squarefree_factors(t) is not None]
+    total = 0
+    for m1p in _odd_squarefree(box.x3, key.eps[0]):
+        for m2p in _odd_squarefree(box.x1, key.eps[1]):
+            for m3p in _odd_squarefree(box.x2, key.eps[2]):
+                mp = (m1p, m2p, m3p)
+                if gcd(m1p, m2p) != 1 or gcd(m1p * m2p, m3p) != 1:
+                    continue
+                if _is_degenerate((1 << mu) * m1p, d2 * (1 << alpha) * m2p,
+                                  d3 * (1 << beta) * m3p):
+                    continue
+                lv = literal_divisor_sum(mp, key.delta, key.nu)
+                if lv:
+                    total += lv * sum(1 for t in twists if gcd(t, m1p * m2p * m3p) == 1)
+    return total
+
+
+# m_i' for each residue mod 8 at position i: pairwise coprime, so the 64
+# triples below put every class of (k1, k2, k3) mod 8 in some divisor sum
+_BY_RESIDUE = {1: (1, 1, 1), 3: (3, 11, 19), 5: (5, 13, 29), 7: (7, 23, 31)}
+
+
+def test_rows_match_literal_divisor_sum():
+    odd_sf = [m for m in range(1, 316, 2) if _squarefree_factors(m) is not None]
+    small = [(m1, m2, m3) for m1 in odd_sf for m2 in odd_sf for m3 in odd_sf
+             if m1 * m2 * m3 <= 315 and gcd(m1, m2) == 1 and gcd(m1 * m2, m3) == 1]
+    assert len(small) == 895
+    by_residue = [tuple(_BY_RESIDUE[r][i] for i, r in enumerate(rs))
+                  for rs in itertools.product(UNIT_RESIDUES, repeat=3)]
+    for mp in small + by_residue:
+        facs = tuple(factor_small(m) for m in mp)
+        expected = [literal_divisor_sum(mp, delta, nu) for delta, nu in CHOICES]
+        assert L_product_row(facs) == expected, mp
+        assert L_divisor_sum_row(facs) == expected, mp
+
+
+def test_L_views_match_rows():
+    mp = (15, 7, 11)
+    facs = ((3, 5), (7,), (11,))
+    for c, (delta, nu) in enumerate(CHOICES):
+        assert L_product(mp, delta, nu) == L_product_row(facs)[c]
+        assert L_divisor_sum(mp, delta, nu) == L_divisor_sum_row(facs)[c]
+
+
+def test_L_divisor_sum_rejects_unknown_choice():
+    with pytest.raises(ValueError, match="unknown"):
+        L_divisor_sum((3, 5, 7), (-1, -1), (0, 0, 0))
+    with pytest.raises(ValueError, match="unknown"):
+        L_divisor_sum((3, 5, 7), (1, 1), (1, 1, 0))
+
+
+@pytest.mark.parametrize("raw", [(10, 10, 10, 10), (7, 3, 5, 9), (20, 12, 16, 9)])
+def test_class_sums_match_per_key_walk(tables_census, raw):
+    box = BoundBox(*raw)
+    keys = list(all_class_keys())
+    assert len(keys) == 768
+    sums = class_sums(box, tables_census, keys)
+    assert list(sums) == keys
+    assert sums == {key: per_key_walk(key, box) for key in keys}
+    assert any(sums.values())
 
 
 def test_class_key_validation():

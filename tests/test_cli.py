@@ -137,6 +137,16 @@ def test_verify_divisor_identity_small(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("suite", ["hasse", "lemma41", "divisor-identity"])
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_rejects_non_positive_bound(capsys, suite, bound):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--bound", bound)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--bound" in errors[0]
+
+
 def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "hasse", "--bound", "10")[0] == 0
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0

@@ -17,13 +17,10 @@ from d4census.localsolve import (
     TWO_PLACE,
     UNIT_RESIDUES,
     Place,
-    e_set_literal_000,
-    e_set_literal_010,
     find_conic_point,
     hilbert_symbol,
     in_E_set,
     padic_oracle,
-    relevant_places,
     satisfies_local_conditions,
     u_weight,
 )
@@ -86,22 +83,6 @@ def test_oracle_agrees_with_symbol_up_to_30():
                 assert (hilbert_symbol(a, b, v) == 1) == padic_oracle(a, b, v), key
 
 
-def test_hasse_product_small():
-    for triple in _valid_triples(15):
-        a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        prod = 1
-        for v in relevant_places(triple):
-            prod *= hilbert_symbol(a, b, v)
-        assert prod == 1, triple
-
-
-def test_local_conditions_match_symbols_small():
-    for triple in _valid_triples(12):
-        a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        all_plus = all(hilbert_symbol(a, b, v) == 1 for v in relevant_places(triple))
-        assert satisfies_local_conditions(triple) == all_plus, triple
-
-
 def test_in_E_set_examples():
     assert in_E_set((1, 1, 1), (0, 0, 0), (1, 1)) is True
     assert in_E_set((3, 5, 1), (0, 0, 0), (1, 1)) is False  # (7*3 pattern at 2)
@@ -125,15 +106,6 @@ def test_e_set_sizes():
             if in_E_set((e1, e2, e3), nu)
         )
         assert count == size, nu
-
-
-def test_literal_residue_lists_match_symbol_form():
-    for e1 in UNIT_RESIDUES:
-        for e2 in UNIT_RESIDUES:
-            for e3 in UNIT_RESIDUES:
-                eps = (e1, e2, e3)
-                assert e_set_literal_000(eps) == in_E_set(eps, (0, 0, 0)), eps
-                assert e_set_literal_010(eps) == in_E_set(eps, (0, 1, 0)), eps
 
 
 def test_local_conditions_examples():
@@ -181,40 +153,14 @@ def test_u_weight_rejects_even():
         u_weight(2, 1, 1, (1, 1), (0, 0, 0))
 
 
-def test_u_weight_mod_8_periodicity():
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        base = u_weight(a1, a2, a3, delta, nu)
-                        assert u_weight(a1 + 8, a2 + 16, a3 + 24, delta, nu) == base
-                        assert u_weight(a1 - 8, a2, a3, delta, nu) == base
-
-
-def test_u_equals_dyadic_symbol_all_cases():
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        mu, alpha, beta = nu
-                        sym = hilbert_symbol(
-                            (1 << (mu + alpha)) * delta[0] * a1 * a2,
-                            (1 << (mu + beta)) * delta[1] * a1 * a3,
-                            TWO_PLACE,
-                        )
-                        assert u_weight(a1, a2, a3, delta, nu) == sym
-
-
-def test_u_is_plus_one_on_E_members():
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        if in_E_set((a1, a2, a3), nu, delta):
-                            assert u_weight(a1, a2, a3, delta, nu) == 1
+@settings(max_examples=300)
+@given(st.tuples(*[st.integers(min_value=-5000, max_value=4999).map(lambda v: 2 * v + 1)] * 3))
+def test_u_weight_mod_8_periodicity(ks):
+    # the bucketed divisor sum in charsum reads u from a table mod 8
+    for delta in ALL_DELTAS:
+        for nu in ALL_NUS:
+            reduced = tuple(k % 8 for k in ks)
+            assert u_weight(*ks, delta, nu) == u_weight(*reduced, delta, nu), (ks, delta, nu)
 
 
 @settings(max_examples=200)
