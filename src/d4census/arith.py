@@ -20,7 +20,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -29,14 +29,14 @@ SIEVE_CACHE_VERSION = 2
 # magic, version, limit, CRC-32 of the spf payload; the payload follows
 _CACHE_HEADER = struct.Struct("<4sIQI")
 
-# Default ceiling on sieve memory.  The tables hold 41 bytes per entry, and
+# Ceiling on sieve memory.  The tables hold 41 bytes per entry, and
 # building them peaks at 67 bytes per entry plus ~2 kB (tracemalloc).
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+MEMORY_BUDGET = 2 * 1024**3
 _BYTES_PER_ENTRY = 68
 
 
 class CapacityError(Exception):
-    """A requested table exceeds the configured memory budget."""
+    """A requested table exceeds the memory budget."""
 
 
 class InvalidTripleError(ValueError):
@@ -113,7 +113,7 @@ class SieveTables:
         return cached
 
 
-def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTables:
+def build_sieve(limit: int) -> SieveTables:
     """Sieve spf, mu, tau and the reduced f(n) pairs on [1, limit].
 
     One smallest-prime-factor pass seeds everything; mu/tau/f follow by the
@@ -121,10 +121,10 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sieve
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
-    if limit * _BYTES_PER_ENTRY > memory_budget:
+    if limit * _BYTES_PER_ENTRY > MEMORY_BUDGET:
         raise CapacityError(
             f"sieve of size {limit} needs ~{limit * _BYTES_PER_ENTRY} bytes, "
-            f"budget is {memory_budget}"
+            f"budget is {MEMORY_BUDGET}"
         )
     spf = _spf_sieve(limit)
     return _tables_from_spf(limit, spf)
@@ -387,21 +387,10 @@ def _split_two(n: int) -> tuple[int, int]:
 def _squarefree_factors(n: int) -> tuple[int, ...] | None:
     """Distinct prime divisors of |n| by trial division, increasing, or None
     when |n| is 0 or some prime divides it twice."""
-    n = abs(n)
-    if n == 0:
+    primes = factor_small(n)
+    if n == 0 or prod(primes) != abs(n):
         return None
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return None
-            out.append(d)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return primes
 
 
 def factor_small(n: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,7 +249,6 @@ class TamagawaParts:
     tau_infty: Fraction
     tau_two: Fraction
     group_order: int
-    euler_factor: Callable[[int], float]
 
     def rational_prefactor(self) -> Fraction:
         return self.group_order * self.alpha_star * self.tau_infty * self.tau_two
@@ -284,7 +283,6 @@ def tamagawa_constant(spec: EulerProductSpec) -> TamagawaReport:
         tau_infty=CONSTANTS["tau_real"],
         tau_two=tau2_etale * Fraction(1, 2) ** 4,
         group_order=CONSTANTS["group_order"],
-        euler_factor=lambda p: (1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p),
     )
     p = primes_up_to(spec.pmax).astype(np.float64)
     p = p[p > 2]

@@ -48,6 +48,7 @@ boxes are unaffected.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -301,7 +302,6 @@ def _signed_triples(m1p: int, m2p: int, m3ps: np.ndarray, row: np.ndarray, bits:
 
 def enumerate_admissible_triples(
     bound1: float, bound2: float, bound3: float, tables: SieveTables,
-    m1p_values: Optional[list[int]] = None,
 ) -> Iterator[SignedSquarefreeTriple]:
     """Yield the admissible triples with odd parts m1' <= bound1, m2' <= bound2,
     m3' <= bound3, in (m1', m2', m3', delta, nu) order.
@@ -309,10 +309,9 @@ def enumerate_admissible_triples(
     Admissible means: pairwise coprime squarefree with m1 > 0, the governing
     conic locally (hence globally) soluble, and non-degenerate (no product of
     two entries a perfect square, so the biquadratic field is genuine).
-    m1p_values restricts the outer loop; used to partition work.
     """
     bits = _mask_tables().bits
-    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables, m1p_values):
+    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables):
         for _, triple in _signed_triples(m1p, m2p, m3ps, row, bits):
             yield SignedSquarefreeTriple(*triple)
 
@@ -409,13 +408,15 @@ def exact_census(
         )
     else:
         vals1 = tables.odd_squarefree_upto(bound1)
-        chunks = [vals1[i::workers] for i in range(workers)]
         jobs = [
-            (bound1, bound2, bound3, box.x4, tables.limit, chunk)
-            for chunk in chunks if chunk
+            (bound1, bound2, bound3, box.x4, tables.limit, vals1[i::workers])
+            for i in range(min(workers, len(vals1)))
         ]
         total, visited, rows = 0, 0, None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool forks all its workers at once, so size it by
+        # the jobs and the cores rather than by the requested worker count
+        pool_size = max(1, min(len(jobs), os.cpu_count() or 1))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for part_total, part_visited, _ in pool.map(_census_worker, jobs):
                 total += part_total
                 visited += part_visited

@@ -54,7 +54,13 @@ from .census import (
     required_sieve_limit,
     splitting_rows,
 )
-from .charsum import L_divisor_sum_row, L_product_row, census_from_classes
+from .charsum import (
+    CLASS_CSV_HEADER,
+    L_divisor_sum_row,
+    L_product_row,
+    census_from_classes,
+    class_sums_csv,
+)
 from .localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -110,20 +116,6 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _envelope(command: str, config: dict, result, elapsed: float, checks=None) -> dict:
-    env = {
-        "tool": "d4census",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "result": result,
-        "elapsed_seconds": elapsed,
-    }
-    if checks is not None:
-        env["checks"] = checks
-    return env
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -132,6 +124,24 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
+    """Write the canonical JSON envelope under --format json, else the text."""
+    if args.format == "json":
+        env = {
+            "tool": "d4census",
+            "version": __version__,
+            "command": args.command,
+            "config": {k: list(v) if isinstance(v, (list, tuple)) else v
+                       for k, v in vars(args).items() if k != "func" and v is not None},
+            "result": result,
+            "elapsed_seconds": time.perf_counter() - t0,
+        }
+        if checks is not None:
+            env["checks"] = checks
+        text = canonical_json(env)
+    _emit(text, args.out)
 
 
 def _load_tables(limit: int, cache_path):
@@ -170,18 +180,14 @@ def cmd_count(args) -> int:
         "ratio": report.ratio,
         "triples_visited": report.triples_visited,
     }
-    if args.format == "json":
-        env = _envelope("count", _config_echo(args), result, time.perf_counter() - t0)
-        _emit(canonical_json(env), args.out)
-    else:
-        _emit(
-            f"box       = {box.as_tuple()}\n"
-            f"exact     = {report.exact}\n"
-            f"predicted = {report.predicted:.6f}\n"
-            f"ratio     = {report.ratio:.6f}\n"
-            f"triples   = {report.triples_visited}\n",
-            args.out,
-        )
+    _emit_result(
+        args, t0, result,
+        f"box       = {box.as_tuple()}\n"
+        f"exact     = {report.exact}\n"
+        f"predicted = {report.predicted:.6f}\n"
+        f"ratio     = {report.ratio:.6f}\n"
+        f"triples   = {report.triples_visited}\n",
+    )
     return 0
 
 
@@ -196,15 +202,11 @@ def cmd_predict(args) -> int:
         "tail_bound": lead.tail_bound,
         "predicted": predicted_count(box, spec),
     }
-    if args.format == "json":
-        _emit(canonical_json(_envelope("predict", _config_echo(args), result,
-                                       time.perf_counter() - t0)), args.out)
-    else:
-        _emit(
-            f"leading constant = {lead.value:.12f} (log-tail <= {lead.tail_bound:.2e})\n"
-            f"predicted        = {result['predicted']:.6f}\n",
-            args.out,
-        )
+    _emit_result(
+        args, t0, result,
+        f"leading constant = {lead.value:.12f} (log-tail <= {lead.tail_bound:.2e})\n"
+        f"predicted        = {result['predicted']:.6f}\n",
+    )
     return 0
 
 
@@ -234,59 +236,39 @@ def cmd_constants(args) -> int:
             "product": tam.product,
         },
     }
-    if args.format == "json":
-        _emit(canonical_json(_envelope("constants", _config_echo(args), result,
-                                       time.perf_counter() - t0)), args.out)
-    else:
-        lines = [
-            f"c(1)            = {c1.value:.12f}  (log-tail <= {c1.tail_bound:.2e})",
-            f"c_tilde         = {ct.value:.12e}  (log-tail <= {ct.tail_bound:.2e})",
-            f"leading const   = {lead.value:.12f}",
-            f"identity resid  = {ident.residual:.3e}",
-            f"tamagawa parts  = |G|=8, alpha*=1/4, tau_inf=3/4, tau_2=9/4 "
-            f"(hom count {tam.tau2_etale})",
-            f"tamagawa value  = {tam.product:.12f}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"c(1)            = {c1.value:.12f}  (log-tail <= {c1.tail_bound:.2e})",
+        f"c_tilde         = {ct.value:.12e}  (log-tail <= {ct.tail_bound:.2e})",
+        f"leading const   = {lead.value:.12f}",
+        f"identity resid  = {ident.residual:.3e}",
+        f"tamagawa parts  = |G|=8, alpha*=1/4, tau_inf=3/4, tau_2=9/4 "
+        f"(hom count {tam.tau2_etale})",
+        f"tamagawa value  = {tam.product:.12f}",
+    ]
+    _emit_result(args, t0, result, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    boxes = []
+    lines = [CLASS_CSV_HEADER if args.classes else SWEEP_CSV_HEADER]
     x = args.min
     while x <= args.max:
-        x4 = args.fix_x4 if args.fix_x4 is not None else x
-        boxes.append(BoundBox(x, x, x, x4))
+        box = BoundBox(x, x, x, x if args.fix_x4 is None else args.fix_x4)
         x *= args.factor
-    if args.classes:
-        # per-class breakdown rows instead of the aggregate census
-        from .charsum import class_sums_csv
-
-        chunks = []
-        for i, box in enumerate(boxes):
-            try:
-                tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
-                text = class_sums_csv(box, tables, EulerProductSpec(pmax=args.pmax))
-            except CapacityError as err:
-                print(f"sweep: skipping {box.as_tuple()}: {err}", file=sys.stderr)
-                continue
-            chunks.append(text if i == 0 else text.split("\n", 1)[1])
-        _emit("".join(chunks), args.out)
-        return 0
-    lines = [SWEEP_CSV_HEADER]
-    for box in boxes:
         try:
             tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
-            report = exact_census(box, tables, workers=args.workers, pmax=args.pmax)
+            if args.classes:
+                text = class_sums_csv(box, tables, EulerProductSpec(pmax=args.pmax))
+                rows = text.splitlines()[1:]  # the rows without the header
+            else:
+                report = exact_census(box, tables, workers=args.workers, pmax=args.pmax)
+                rows = [",".join(_fmt_float(float(v)) for v in box.as_tuple())
+                        + f",{report.exact},{_fmt_float(report.predicted)},"
+                          f"{_fmt_float(report.ratio)}"]
         except CapacityError as err:
             print(f"sweep: skipping {box.as_tuple()}: {err}", file=sys.stderr)
             continue
-        x1, x2, x3, x4 = box.as_tuple()
-        lines.append(
-            f"{_fmt_float(float(x1))},{_fmt_float(float(x2))},{_fmt_float(float(x3))},"
-            f"{_fmt_float(float(x4))},{report.exact},{_fmt_float(report.predicted)},"
-            f"{_fmt_float(report.ratio)}"
-        )
+        lines.extend(rows)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -324,20 +306,16 @@ def cmd_classify(args) -> int:
             "splitting_rows": [list(r) for r in splitting_rows(cls)]
             if cls is not InertiaClass.UNRAMIFIED else [],
         }
-    if args.format == "json":
-        _emit(canonical_json(_envelope("classify", _config_echo(args), result,
-                                       time.perf_counter() - t0)), args.out)
-    else:
-        lines = [
-            f"triple      = {triple.as_tuple()}, twist = {args.twist}",
-            f"invariants  = {vec.as_tuple()}",
-            f"conic       = x^2 - ({a})y^2 - ({b})z^2, soluble: {soluble}, "
-            f"witness: {witness}",
-            f"ramified    = {ramified}",
-        ]
-        if args.prime:
-            lines.append(f"prime {args.prime} inertia class: {result['queried_prime']['inertia_class']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"triple      = {triple.as_tuple()}, twist = {args.twist}",
+        f"invariants  = {vec.as_tuple()}",
+        f"conic       = x^2 - ({a})y^2 - ({b})z^2, soluble: {soluble}, "
+        f"witness: {witness}",
+        f"ramified    = {ramified}",
+    ]
+    if args.prime:
+        lines.append(f"prime {args.prime} inertia class: {result['queried_prime']['inertia_class']}")
+    _emit_result(args, t0, result, "\n".join(lines) + "\n")
     return 0
 
 
@@ -533,30 +511,15 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     checks = _SUITE_RUNNERS[args.suite](args)
     all_pass = all(c["pass"] for c in checks)
-    result = {"suite": args.suite, "all_pass": all_pass}
-    env = _envelope("verify", _config_echo(args), result,
-                    time.perf_counter() - t0, checks=checks)
-    if args.format == "json":
-        _emit(canonical_json(env), args.out)
-    else:
-        lines = []
-        for c in checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            lines.append(f"{status:4s} {c['name']}: expected {c['expected']}, "
-                         f"actual {c['actual']}")
-        lines.append(f"suite {args.suite}: {'PASS' if all_pass else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = []
+    for c in checks:
+        status = "PASS" if c["pass"] else "FAIL"
+        lines.append(f"{status:4s} {c['name']}: expected {c['expected']}, "
+                     f"actual {c['actual']}")
+    lines.append(f"suite {args.suite}: {'PASS' if all_pass else 'FAIL'}")
+    _emit_result(args, t0, {"suite": args.suite, "all_pass": all_pass},
+                 "\n".join(lines) + "\n", checks=checks)
     return 0 if all_pass else 1
-
-
-def _config_echo(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for k, v in vars(args).items():
-        if k in skip or v is None:
-            continue
-        out[k] = list(v) if isinstance(v, (list, tuple)) else v
-    return out
 
 
 def _finite_float(text: str) -> float:
@@ -596,28 +559,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"d4census {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_box=False, box_required=False):
-        if with_box:
-            p.add_argument("--x", nargs=4, type=float, metavar=("X1", "X2", "X3", "X4"),
-                           required=box_required,
-                           help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist")
-        p.add_argument("--pmax", type=int, default=100_000,
-                       help="Euler product truncation (default 100000)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--sieve-cache", default=None, help="sieve cache file path")
+    def add_shared(p, *flags, formats=("text", "json"), box_required=False):
+        """Give subparser p the shared options it reads, named by flag."""
+        options = {
+            "--x": dict(nargs=4, type=float, metavar=("X1", "X2", "X3", "X4"),
+                        required=box_required,
+                        help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist"),
+            "--pmax": dict(type=int, default=100_000,
+                           help="Euler product truncation (default 100000)"),
+            "--workers": dict(type=int, default=1,
+                              help="worker processes (at most one per core)"),
+            "--format": dict(choices=formats, default="text"),
+            "--out": dict(default=None, help="write output to this path"),
+            "--sieve-cache": dict(default=None, help="sieve cache file path"),
+        }
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     p_count = sub.add_parser("count", help="exact census of a box")
-    add_common(p_count, with_box=True, box_required=True)
+    add_shared(p_count, "--x", "--pmax", "--workers", "--format", "--out", "--sieve-cache",
+               formats=("text", "json", "csv"), box_required=True)
     p_count.set_defaults(func=cmd_count)
 
     p_predict = sub.add_parser("predict", help="main-term prediction for a box")
-    add_common(p_predict, with_box=True, box_required=True)
+    add_shared(p_predict, "--x", "--pmax", "--format", "--out", box_required=True)
     p_predict.set_defaults(func=cmd_predict)
 
     p_const = sub.add_parser("constants", help="evaluate the closed-form constants")
-    add_common(p_const)
+    add_shared(p_const, "--pmax", "--format", "--out")
     p_const.set_defaults(func=cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -625,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--bound", type=_positive_int, default=None,
                           help="case bound for exhaustive suites")
-    add_common(p_verify, with_box=True)
+    add_shared(p_verify, "--x", "--pmax", "--workers", "--format", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_classify = sub.add_parser("classify", help="invariants and inertia classes "
@@ -636,10 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--prime", type=int, default=None)
     p_classify.add_argument("--height", type=int, default=500,
                             help="search bound for a conic witness point")
-    add_common(p_classify)
+    add_shared(p_classify, "--format", "--out")
     p_classify.set_defaults(func=cmd_classify)
 
-    p_sweep = sub.add_parser("sweep", help="census over a doubling grid of boxes")
+    p_sweep = sub.add_parser("sweep", help="census over a doubling grid of boxes, "
+                                           "written as CSV")
     # the grid grows from --min by --factor until it passes --max, so these
     # must be finite, positive and growing for the sweep to end
     p_sweep.add_argument("--min", type=_positive_float, default=10.0)
@@ -649,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hold X4 at this value instead of the symmetric bound")
     p_sweep.add_argument("--classes", action="store_true",
                          help="emit per-residue-class rows instead of the aggregate")
-    add_common(p_sweep)
+    add_shared(p_sweep, "--pmax", "--workers", "--out", "--sieve-cache")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

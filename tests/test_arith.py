@@ -112,8 +112,9 @@ def test_count_odd_squarefree_coprime_brute():
 
 
 def test_sieve_capacity_error():
+    # the estimate (6.8e9 bytes) exceeds the 2 GiB budget before any allocation
     with pytest.raises(CapacityError):
-        build_sieve(10**7, memory_budget=1000)
+        build_sieve(10**8)
 
 
 def test_sieve_peak_memory_within_capacity_estimate():

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d4census import census
 from d4census.arith import CapacityError, SignedSquarefreeTriple, build_sieve
 from d4census.census import (
     BoundBox,
@@ -229,6 +231,35 @@ def test_worker_partition_matches_serial(tables_census):
         serial = exact_census(box, tables_census, workers=1, pmax=1000)
         parallel = exact_census(box, tables_census, workers=2, pmax=1000)
         assert (serial.exact, serial.triples_visited) == (parallel.exact, parallel.triples_visited)
+
+
+def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
+    # a fake executor that runs the jobs in this process, so no pool starts
+    pools = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs = list(jobs)
+            return map(fn, self.jobs)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
+    box = BoundBox(15, 15, 15, 15)
+    serial = exact_census(box, tables_census, workers=1, pmax=1000)
+    many = exact_census(box, tables_census, workers=64, pmax=1000)
+    assert len(pools) == 1
+    assert pools[0].max_workers <= (os.cpu_count() or 1)
+    assert len(pools[0].jobs) == len(tables_census.odd_squarefree_upto(15))
+    assert (many.exact, many.triples_visited) == (serial.exact, serial.triples_visited)
 
 
 def test_breakdown_rows(tables_census):

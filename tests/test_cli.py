@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from d4census.charsum import CLASS_CSV_HEADER
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -93,6 +94,28 @@ def test_sweep_rejects_grids_that_never_end(capsys, argv):
     assert out == "" and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "predict --x 1 1 1 1 --workers 2",
+    "predict --x 1 1 1 1 --sieve-cache sieve.bin",
+    "predict --x 1 1 1 1 --format csv",
+    "constants --workers 2",
+    "constants --sieve-cache sieve.bin",
+    "constants --format csv",
+    "verify --suite lemma432 --sieve-cache sieve.bin",
+    "verify --suite lemma432 --format csv",
+    "classify --triple 1 2 7 --pmax 5",
+    "classify --triple 1 2 7 --workers 2",
+    "classify --triple 1 2 7 --sieve-cache sieve.bin",
+    "classify --triple 1 2 7 --format csv",
+    "sweep --format json",
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: d4census") and "error:" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "count")[0] == 2                       # missing --x
     assert run_cli(capsys, "verify", "--suite", "nope")[0] == 2   # unknown suite
@@ -165,9 +188,12 @@ def test_sweep_csv_shape(capsys):
 
 
 def test_sweep_empty_grid(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--min", "10", "--max", "5")
-    assert code == 0
-    assert out.strip() == SWEEP_CSV_HEADER
+    # no box at all, or every box skipped for capacity: the header alone
+    for grid in (["--min", "10", "--max", "5"], ["--min", "1e8", "--max", "1e8"]):
+        code, out, _ = run_cli(capsys, "sweep", *grid)
+        assert code == 0 and out == SWEEP_CSV_HEADER + "\n"
+        code, out, _ = run_cli(capsys, "sweep", *grid, "--classes")
+        assert code == 0 and out == CLASS_CSV_HEADER + "\n"
 
 
 def test_sweep_fixed_x4(capsys):
