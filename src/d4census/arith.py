@@ -29,8 +29,11 @@ SIEVE_CACHE_VERSION = 2
 # magic, version, limit, CRC-32 of the spf payload; the payload follows
 _CACHE_HEADER = struct.Struct("<4sIQI")
 
-# Ceiling on sieve memory.  The tables hold 41 bytes per entry, and
-# building them peaks at 67 bytes per entry plus ~2 kB (tracemalloc).
+# Ceiling on sieve memory.  The tables hold 41 bytes per entry.  Building
+# them, or loading them from a cache file, peaks at 42 bytes per entry plus
+# 3-4 kB (tracemalloc at N = 1e4, 2e5 and 2e6: 42.31, 42.02 and 42.00 bytes
+# per entry on both paths).  The charge is kept at 68 bytes per entry: it
+# fixes which limits exit 3 and what their messages say.
 MEMORY_BUDGET = 2 * 1024**3
 _BYTES_PER_ENTRY = 68
 
@@ -80,8 +83,8 @@ class SieveTables:
 
     def odd_squarefree_upto(self, bound: float) -> list[int]:
         """All odd squarefree integers <= bound, increasing."""
-        top = min(int(bound), self.limit)
-        return [n for n in range(1, top + 1, 2) if self.mu[n] != 0]
+        top = max(min(int(bound), self.limit), 0)
+        return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
 
     def count_odd_squarefree_coprime(self, bound: float, primes: tuple[int, ...]) -> int:
         """#{t <= bound : t odd, squarefree, p ∤ t for every p in primes}.
@@ -116,8 +119,8 @@ class SieveTables:
 def build_sieve(limit: int) -> SieveTables:
     """Sieve spf, mu, tau and the reduced f(n) pairs on [1, limit].
 
-    One smallest-prime-factor pass seeds everything; mu/tau/f follow by the
-    recurrence over n // spf[n], so the tables stay mutually consistent.
+    One smallest-prime-factor pass seeds everything; mu/tau/f follow by one
+    pass of numpy slices per prime up to sqrt(limit) (_tables_from_spf).
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
@@ -145,39 +148,48 @@ def _spf_sieve(limit: int) -> np.ndarray:
 
 
 def _tables_from_spf(limit: int, spf: np.ndarray) -> SieveTables:
-    n_range = np.arange(limit + 1, dtype=np.int64)
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    tau = np.zeros(limit + 1, dtype=np.int64)
-    f_num = np.zeros(limit + 1, dtype=np.int64)
-    f_den = np.zeros(limit + 1, dtype=np.int64)
-    # exponent of spf[n] in n, to extend tau beyond squarefree arguments
-    exp_spf = np.zeros(limit + 1, dtype=np.int8)
-    if limit >= 1:
-        mu[1] = 1
-        tau[1] = 1
-        f_num[1] = 1
-        f_den[1] = 1
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        if m % p == 0:
-            mu[n] = 0
-            exp_spf[n] = exp_spf[m] + 1
-            tau[n] = tau[m] // (exp_spf[m] + 1) * (exp_spf[m] + 2)
-            f_num[n] = f_num[m]
-            f_den[n] = f_den[m]
-        else:
-            mu[n] = -mu[m]
-            exp_spf[n] = 1
-            tau[n] = 2 * tau[m]
-            f_num[n] = f_num[m] * p
-            f_den[n] = f_den[m] * (p + 1)
+    """mu, tau and f by one pass of slices per prime p <= sqrt(limit).
+
+    rest[n] starts at n and is divided by p once per power of p dividing n, so
+    after the passes it is 1 or the one prime factor of n above sqrt(limit),
+    which a last vectorised pass applies.  Index 0 stays 0 in every table.
+    """
+    mu = np.ones(limit + 1, dtype=np.int8)
+    tau = np.ones(limit + 1, dtype=np.int64)
+    f_num = np.ones(limit + 1, dtype=np.int64)
+    f_den = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = tau[0] = f_num[0] = f_den[0] = 0
+    rest = np.arange(limit + 1, dtype=np.int64)
+    root = isqrt(limit)
+    small_primes = np.flatnonzero(spf[2 : root + 1] == np.arange(2, root + 1)) + 2
+    for p in small_primes.tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        f_num[p::p] *= p
+        f_den[p::p] *= p + 1
+        # v_p(n) >= k on the multiples of p^k: the factor k of tau becomes k + 1
+        pk, k = p, 1
+        while pk <= limit:
+            if k > 1:
+                tau[pk::pk] //= k
+            tau[pk::pk] *= k + 1
+            rest[pk::pk] //= p
+            pk, k = pk * p, k + 1
+    big = rest > 1
+    np.negative(mu, out=mu, where=big)
+    np.multiply(tau, 2, out=tau, where=big)
+    f_num *= rest  # rest is 1 off big, and f_num[0] is 0
+    rest += 1
+    np.multiply(f_den, rest, out=f_den, where=big)
+    del rest, big
     g = np.gcd(f_num, f_den)
     g[0] = 1
     f_num //= g
     f_den //= g
-    odd_sf = (mu != 0) & (n_range % 2 == 1)
-    odd_sf_count = np.cumsum(odd_sf, dtype=np.int64)
+    del g
+    odd_sf_count = (mu != 0).astype(np.int64)
+    odd_sf_count[::2] = 0
+    np.cumsum(odd_sf_count, out=odd_sf_count)  # in place: no int64 temporary
     return SieveTables(
         limit=limit, spf=spf, mu=mu, tau=tau,
         f_num=f_num, f_den=f_den, odd_sf_count=odd_sf_count,
@@ -224,7 +236,8 @@ def load_sieve_cache(path) -> SieveTables:
     if zlib.crc32(raw) != checksum:
         raise ValueError("sieve cache checksum mismatch")
     spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1:] = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+    spf[1:] = np.frombuffer(raw, dtype="<u4")
+    del raw  # the payload is not held while the tables are built
     return _tables_from_spf(limit, spf)
 
 

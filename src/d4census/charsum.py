@@ -48,6 +48,8 @@ from functools import cache
 from math import gcd, log, pi, prod, sqrt
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import CHOICES, BoundBox, _is_degenerate
@@ -250,14 +252,38 @@ class CharacterSpec:
 
 def _fraction_sum(terms: list[Fraction]) -> Fraction:
     """Balanced pairwise summation; keeps intermediate denominators small."""
-    if not terms:
+    return _reduced_sum([t.numerator for t in terms], [t.denominator for t in terms])
+
+
+def _reduced_sum(nums: list[int], dens: list[int]) -> Fraction:
+    """sum_i nums[i] / dens[i] by balanced pairwise summation, for reduced
+    fractions with positive denominators.
+
+    Each pair is added the way Fraction adds (Henrici: divide out
+    g = gcd(b, d) first, then only gcd(numerator, g) can remain), on plain
+    integer pairs, so no Fraction is built per term.
+    """
+    if not nums:
         return Fraction(0)
-    while len(terms) > 1:
-        nxt = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
+    while len(nums) > 1:
+        nxt_nums, nxt_dens = [], []
+        for i in range(0, len(nums) - 1, 2):
+            a, b, c, d = nums[i], dens[i], nums[i + 1], dens[i + 1]
+            g = gcd(b, d)
+            if g == 1:
+                nxt_nums.append(a * d + c * b)
+                nxt_dens.append(b * d)
+                continue
+            s = b // g
+            t = a * (d // g) + c * s
+            g2 = gcd(t, g)
+            nxt_nums.append(t // g2)
+            nxt_dens.append(s * (d // g2))
+        if len(nums) % 2:
+            nxt_nums.append(nums[-1])
+            nxt_dens.append(dens[-1])
+        nums, dens = nxt_nums, nxt_dens
+    return Fraction(nums[0], dens[0])
 
 
 @dataclass(frozen=True)
@@ -291,21 +317,26 @@ def character_sum_f(
         raise ValueError(f"residue class must have gcd(a, q0) = 1: {residue}")
     if residue is not None and gcd(q0, spec.q) != 1:
         raise ValueError(f"residue modulus {q0} must be coprime to character modulus {spec.q}")
-    mu = tables.mu
-    f_num = tables.f_num
-    f_den = tables.f_den
-    m = spec.m
-    terms = []
-    for n in range(1, top + 1):
-        if mu[n] == 0 or gcd(n, m) != 1:
-            continue
-        if residue is not None and n % q0 != a % q0:
-            continue
-        ch = spec.chi(n)
-        if ch == 0:
-            continue
-        terms.append(Fraction(ch * int(f_num[n]), int(f_den[n])))
-    value = _fraction_sum(terms)
+    top = max(top, 0)
+    # index i of these masks and rows stands for n = i + 1
+    keep = tables.mu[1 : top + 1] != 0
+    for p in factor_small(spec.m):
+        keep[p - 1 :: p] = False
+    if residue is not None:
+        in_class = np.zeros_like(keep)
+        in_class[(a - 1) % q0 :: q0] = True
+        keep &= in_class
+    num = tables.f_num[1 : top + 1]
+    if spec.is_principal:
+        for p in factor_small(spec.q):
+            keep[p - 1 :: p] = False
+        num = num[keep]
+    else:
+        chi = _kronecker_row(spec.disc, top)
+        keep &= chi != 0
+        num = num[keep] * chi[keep]
+    den = tables.f_den[1 : top + 1][keep]
+    value = _grouped_fraction_sum(num, den)
     if spec.is_principal:
         r = spec.m * spec.q * q0
         rad = 1
@@ -317,7 +348,32 @@ def character_sum_f(
     norm = sqrt(x) * log(x) if x > 1 else 1.0
     deviation = abs(float(value) - main) / norm
     return CharacterSumReport(value=value, main_term=main, deviation=deviation,
-                              x=x, terms=len(terms))
+                              x=x, terms=len(den))
+
+
+def _kronecker_row(disc: int, top: int) -> np.ndarray:
+    """kronecker(disc, n) for n = 1..top as int8.  For disc = 0 or 1 mod 4
+    the symbol has period |disc| in n, so one period is evaluated and repeated."""
+    period = np.array([kronecker(disc, n) for n in range(1, abs(disc) + 1)], dtype=np.int8)
+    return np.resize(period, top)
+
+
+def _grouped_fraction_sum(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """sum_i num[i] / den[i] exactly.  The numerators of each distinct
+    denominator are added as integers first, then the groups as fractions.
+
+    The int64 group sums cannot overflow: |num| and the group sizes are both
+    bounded by the sieve limit, which the memory budget keeps below 2^25.
+    """
+    if not len(den):
+        return Fraction(0)
+    order = np.argsort(den, kind="stable")
+    den = den[order]
+    starts = np.flatnonzero(np.concatenate(([True], den[1:] != den[:-1])))
+    sums = np.add.reduceat(num[order], starts)
+    den = den[starts]
+    g = np.gcd(sums, den)
+    return _reduced_sum((sums // g).tolist(), (den // g).tolist())
 
 
 def _phi(n: int) -> int:

@@ -134,7 +134,8 @@ def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
             "version": __version__,
             "command": args.command,
             "config": {k: list(v) if isinstance(v, (list, tuple)) else v
-                       for k, v in vars(args).items() if k != "func" and v is not None},
+                       for k, v in vars(args).items()
+                       if k not in ("func", "given") and v is not None},
             "result": result,
             "elapsed_seconds": time.perf_counter() - t0,
         }
@@ -494,22 +495,25 @@ def _suite_tamagawa(args) -> list[dict]:
     ]
 
 
-_SUITE_RUNNERS = {
-    "lemma432": _suite_lemma432,
-    "hasse": _suite_hasse,
-    "lemma41": _suite_lemma41,
-    "esets": _suite_esets,
-    "divisor-identity": _suite_divisor_identity,
-    "census-consistency": _suite_census_consistency,
-    "constants": _suite_constants,
-    "tamagawa": _suite_tamagawa,
+# Each suite's runner and the verify options it reads; giving a suite any
+# other of --tol, --bound, --x, --workers and --pmax is a usage error.
+_SUITES = {
+    "lemma432": (_suite_lemma432, ()),
+    "hasse": (_suite_hasse, ("bound",)),
+    "lemma41": (_suite_lemma41, ("bound",)),
+    "esets": (_suite_esets, ()),
+    "divisor-identity": (_suite_divisor_identity, ("bound",)),
+    "census-consistency": (_suite_census_consistency, ("x", "workers", "pmax")),
+    "constants": (_suite_constants, ("tol", "pmax")),
+    "tamagawa": (_suite_tamagawa, ("tol", "pmax")),
 }
-VERIFY_SUITES = tuple(_SUITE_RUNNERS)
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    checks = _SUITE_RUNNERS[args.suite](args)
+    runner, _ = _SUITES[args.suite]
+    checks = runner(args)
     all_pass = all(c["pass"] for c in checks)
     lines = []
     for c in checks:
@@ -520,6 +524,15 @@ def cmd_verify(args) -> int:
     _emit_result(args, t0, {"suite": args.suite, "all_pass": all_pass},
                  "\n".join(lines) + "\n", checks=checks)
     return 0 if all_pass else 1
+
+
+class _NoteGiven(argparse.Action):
+    """Store the value and add the dest to namespace.given, which tells an
+    option given on the command line from one left at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
 def _finite_float(text: str) -> float:
@@ -559,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"d4census {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, *flags, formats=("text", "json"), box_required=False):
+    def add_shared(p, *flags, formats=("text", "json"), box_required=False, action="store"):
         """Give subparser p the shared options it reads, named by flag."""
         options = {
             "--x": dict(nargs=4, type=float, metavar=("X1", "X2", "X3", "X4"),
@@ -567,14 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist"),
             "--pmax": dict(type=int, default=100_000,
                            help="Euler product truncation (default 100000)"),
-            "--workers": dict(type=int, default=1,
+            "--workers": dict(type=_positive_int, default=1,
                               help="worker processes (at most one per core)"),
             "--format": dict(choices=formats, default="text"),
             "--out": dict(default=None, help="write output to this path"),
             "--sieve-cache": dict(default=None, help="sieve cache file path"),
         }
         for flag in flags:
-            p.add_argument(flag, **options[flag])
+            p.add_argument(flag, action=action, **options[flag])
 
     p_count = sub.add_parser("count", help="exact census of a box")
     add_shared(p_count, "--x", "--pmax", "--workers", "--format", "--out", "--sieve-cache",
@@ -591,10 +604,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--bound", type=_positive_int, default=None,
+    # each suite reads some of these five; main rejects the others (_SUITES)
+    p_verify.add_argument("--tol", type=float, default=1e-8, action=_NoteGiven)
+    p_verify.add_argument("--bound", type=_positive_int, default=None, action=_NoteGiven,
                           help="case bound for exhaustive suites")
-    add_shared(p_verify, "--x", "--pmax", "--workers", "--format", "--out")
+    add_shared(p_verify, "--x", "--pmax", "--workers", action=_NoteGiven)
+    add_shared(p_verify, "--format", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_classify = sub.add_parser("classify", help="invariants and inertia classes "
@@ -629,6 +644,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify":
+            unread = sorted(set(getattr(args, "given", ())) - set(_SUITES[args.suite][1]))
+            if unread:
+                parser.error(f"verify --suite {args.suite} does not read "
+                             + ", ".join(f"--{dest}" for dest in unread))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -13,7 +13,9 @@ from d4census.arith import (
     CapacityError,
     InvalidTripleError,
     SignedSquarefreeTriple,
+    _spf_sieve,
     _squarefree_factors,
+    _tables_from_spf,
     build_sieve,
     decompose_triple,
     factor_small,
@@ -39,6 +41,71 @@ def brute_mu(n):
 
 def brute_divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+TABLE_FIELDS = ("spf", "mu", "tau", "f_num", "f_den", "odd_sf_count")
+
+
+def reference_tables(limit, spf):
+    """The tables by the per-entry recurrence over n // spf[n]: the loop that
+    _tables_from_spf replaced with one pass of slices per small prime."""
+    n_range = np.arange(limit + 1, dtype=np.int64)
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    tau = np.zeros(limit + 1, dtype=np.int64)
+    f_num = np.zeros(limit + 1, dtype=np.int64)
+    f_den = np.zeros(limit + 1, dtype=np.int64)
+    exp_spf = np.zeros(limit + 1, dtype=np.int8)  # exponent of spf[n] in n
+    mu[1] = tau[1] = f_num[1] = f_den[1] = exp_spf[1] = 1
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        if m % p == 0:
+            mu[n] = 0
+            exp_spf[n] = exp_spf[m] + 1
+            tau[n] = tau[m] // (exp_spf[m] + 1) * (exp_spf[m] + 2)
+            f_num[n] = f_num[m]
+            f_den[n] = f_den[m]
+        else:
+            mu[n] = -mu[m]
+            exp_spf[n] = 1
+            tau[n] = 2 * tau[m]
+            f_num[n] = f_num[m] * p
+            f_den[n] = f_den[m] * (p + 1)
+    g = np.gcd(f_num, f_den)
+    g[0] = 1
+    f_num //= g
+    f_den //= g
+    odd_sf_count = np.cumsum((mu != 0) & (n_range % 2 == 1), dtype=np.int64)
+    return dict(spf=spf, mu=mu, tau=tau, f_num=f_num, f_den=f_den, odd_sf_count=odd_sf_count)
+
+
+def assert_tables_equal(got, expected):
+    for name in TABLE_FIELDS:
+        a, b = getattr(got, name), expected[name]
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 25, 137, 1000, 65536])
+def test_tables_match_reference_loop(limit):
+    spf = _spf_sieve(limit)
+    assert_tables_equal(_tables_from_spf(limit, spf.copy()), reference_tables(limit, spf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5000))
+def test_tables_match_reference_loop_random(limit):
+    spf = _spf_sieve(limit)
+    assert_tables_equal(build_sieve(limit), reference_tables(limit, spf))
+
+
+def test_load_matches_build(tmp_path):
+    built = build_sieve(100_003)
+    path = tmp_path / "sieve.bin"
+    save_sieve_cache(built, path)
+    loaded = load_sieve_cache(path)
+    assert loaded.limit == built.limit
+    assert_tables_equal(loaded, {name: getattr(built, name) for name in TABLE_FIELDS})
 
 
 def test_sieve_trivial_limit():
@@ -95,6 +162,11 @@ def test_odd_squarefree_prefix_counts():
         assert int(t.odd_sf_count[bound]) == expected
     got = t.odd_squarefree_upto(30)
     assert got == [1, 3, 5, 7, 11, 13, 15, 17, 19, 21, 23, 29]
+    for bound in (-7, -1, 0, 0.5, 1, 2, 3, 30.9, 199, 200, 10**6):
+        top = min(int(bound), t.limit)
+        got = t.odd_squarefree_upto(bound)
+        assert got == [n for n in range(1, top + 1, 2) if t.mu[n] != 0], bound
+        assert all(type(n) is int for n in got)
 
 
 def test_count_odd_squarefree_coprime_brute():
@@ -117,17 +189,21 @@ def test_sieve_capacity_error():
         build_sieve(10**8)
 
 
-def test_sieve_peak_memory_within_capacity_estimate():
-    # the peak is linear in the limit (67 bytes per entry plus ~2 kB), so a
-    # small limit checks the per-entry estimate; tracing slows the build ~20x
+def test_sieve_peak_memory_within_capacity_estimate(tmp_path):
+    # the peak is linear in the limit (42 bytes per entry plus ~3 kB, both
+    # when building and when loading a cache), so a small limit checks the
+    # per-entry charge on both paths
     limit = 10_000
-    tracemalloc.start()
-    try:
-        build_sieve(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit * _BYTES_PER_ENTRY
+    cache = tmp_path / "sieve.bin"
+    save_sieve_cache(build_sieve(limit), cache)
+    for make in (lambda: build_sieve(limit), lambda: load_sieve_cache(cache)):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * _BYTES_PER_ENTRY
 
 
 def test_squarefree_factors_brute():

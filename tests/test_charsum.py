@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from d4census.charsum import (
     T_direct,
     all_class_keys,
     bilinear_sum,
+    _kronecker_row,
     census_from_classes,
     character_sum_f,
     class_sums,
@@ -196,6 +198,64 @@ def test_character_completely_multiplicative():
         for a in range(1, 40):
             for b in range(1, 40):
                 assert spec.chi(a * b) == spec.chi(a) * spec.chi(b)
+
+
+def reference_character_sum(x, spec, tables, residue=None):
+    """(value, terms) of character_sum_f by the per-term loop it replaced."""
+    a, q0 = residue if residue is not None else (0, 1)
+    terms = []
+    for n in range(1, int(x) + 1):
+        if tables.mu[n] == 0 or gcd(n, spec.m) != 1:
+            continue
+        if residue is not None and n % q0 != a % q0:
+            continue
+        ch = spec.chi(n)
+        if ch:
+            terms.append(Fraction(ch * int(tables.f_num[n]), int(tables.f_den[n])))
+    return sum(terms, Fraction(0)), len(terms)
+
+
+def _radical(n):
+    out = 1
+    for p in factor_small(n):
+        out *= p
+    return out
+
+
+# every discriminant 0 or 1 mod 4 with |D| <= 60, fundamental or not, with
+# q = |D| and, where it differs, with q = rad(D)
+DISCRIMINANTS = [d for d in range(-60, 61) if d != 0 and d % 4 in (0, 1)]
+CHARACTERS = [CharacterSpec.principal(q) for q in (1, 6, 15, 30)] + [
+    CharacterSpec(q=q, kind="kronecker", disc=d)
+    for d in DISCRIMINANTS for q in sorted({abs(d), _radical(d)})
+]
+
+
+def _coprime_to(q, candidates):
+    return next(c for c in candidates if gcd(c, q) == 1)
+
+
+@pytest.mark.parametrize("spec", CHARACTERS, ids=lambda s: f"{s.kind}-q{s.q}-D{s.disc}")
+def test_character_sum_matches_reference_loop(spec, tables_3000):
+    m = _coprime_to(spec.q, (45, 77, 91, 13))
+    q0 = _coprime_to(spec.q, (8, 9, 7, 5, 11))
+    cases = [
+        (3000, spec, None),
+        (2999.5, dataclasses.replace(spec, m=m), None),
+        (1000, spec, (-1, q0)),
+        (1000, dataclasses.replace(spec, m=m), (q0 + 2 if q0 % 2 else q0 + 3, q0)),
+        (1, spec, None),
+        (0.5, spec, None),
+    ]
+    for x, case, residue in cases:
+        rep = character_sum_f(x, case, tables_3000, residue=residue)
+        assert (rep.value, rep.terms) == reference_character_sum(x, case, tables_3000, residue)
+
+
+@pytest.mark.parametrize("disc", DISCRIMINANTS)
+def test_kronecker_row_is_the_symbol(disc):
+    top = 3 * abs(disc)
+    assert _kronecker_row(disc, top).tolist() == [kronecker(disc, n) for n in range(1, top + 1)]
 
 
 def test_character_sum_small_principal(tables_census):

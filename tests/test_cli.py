@@ -6,6 +6,7 @@ from d4census.charsum import CLASS_CSV_HEADER
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    VERIFY_SUITES,
     canonical_json,
     main,
 )
@@ -114,6 +115,62 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage: d4census") and "error:" in err
+
+
+def assert_one_usage_error(code, out, err, flag):
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "count --x 1 1 1 1 --workers 0",
+    "count --x 1 1 1 1 --workers -5",
+    "verify --suite census-consistency --workers 0",
+    "verify --suite census-consistency --x 1 1 1 1 --workers -2",
+    "sweep --max 10 --workers 0",
+    "sweep --max 10 --workers -1",
+])
+def test_non_positive_workers_are_usage_errors(capsys, argv):
+    assert_one_usage_error(*run_cli(capsys, *argv.split()), "--workers")
+
+
+# the verify options each suite reads, and a cheap value for each option
+SUITE_OPTIONS = {
+    "lemma432": (),
+    "hasse": ("--bound",),
+    "lemma41": ("--bound",),
+    "esets": (),
+    "divisor-identity": ("--bound",),
+    "census-consistency": ("--x", "--workers", "--pmax"),
+    "constants": ("--tol", "--pmax"),
+    "tamagawa": ("--tol", "--pmax"),
+}
+VERIFY_OPTION_VALUES = {
+    "--bound": ["3"],
+    "--tol": ["1e-6"],
+    "--x": ["1", "1", "1", "1"],
+    "--workers": ["1"],
+    "--pmax": ["1000"],
+}
+
+
+@pytest.mark.parametrize("option", VERIFY_OPTION_VALUES)
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_accepts_only_the_options_its_suite_reads(capsys, suite, option):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             option, *VERIFY_OPTION_VALUES[option])
+    if option in SUITE_OPTIONS[suite]:
+        assert code == 0 and f"suite {suite}: PASS" in out
+    else:
+        assert_one_usage_error(code, out, err, option)
+
+
+def test_verify_names_every_unread_option(capsys):
+    code, out, err = run_cli(capsys, *"verify --suite lemma432 --bound 5 --tol 3 --workers 9 "
+                                       "--x 1 1 1 1 --pmax 7".split())
+    assert_one_usage_error(code, out, err, "--bound, --pmax, --tol, --workers, --x")
 
 
 def test_usage_errors_exit_two(capsys):
