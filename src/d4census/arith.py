@@ -4,7 +4,7 @@ Everything downstream (local solubility, the exact census, the character sums)
 runs on three primitives collected here:
 
   * SieveTables: smallest prime factor, mu, tau and the exact rational weight
-    f(n) = prod_{p|n} (1 + 1/p)^(-1) on [1, N], built once and then read-only.
+    f(n) = prod_{p|n} (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
   * decompose_triple: the sign / 2-part / odd-part splitting
     m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
@@ -36,6 +36,14 @@ _CACHE_HEADER = struct.Struct("<4sIQI")
 # fixes which limits exit 3 and what their messages say.
 MEMORY_BUDGET = 2 * 1024**3
 _BYTES_PER_ENTRY = 68
+# primes_up_to with its float64 copy peaks at 2.54, 2.26 and 2.06 bytes per
+# entry at n = 1e5, 1e6 and 1e7 (tracemalloc); the ratio falls as n grows
+_PRIME_BYTES_PER_ENTRY = 3
+
+
+def _check_budget(table: str, nbytes: int) -> None:
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(f"{table} needs ~{nbytes} bytes, budget is {MEMORY_BUDGET}")
 
 
 class CapacityError(Exception):
@@ -48,12 +56,13 @@ class InvalidTripleError(ValueError):
 
 @dataclass
 class SieveTables:
-    """Multiplicative data on [1, N], immutable once built.
+    """Multiplicative data on [1, N]; the arrays are immutable once built.
 
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced
     rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
-    integers <= n; it backs the exact coprime twist counting.
+    integers <= n; it backs the exact coprime twist counting, whose memo is
+    the one mutable part (each census pool worker fills its own copy).
     """
 
     limit: int
@@ -124,11 +133,7 @@ def build_sieve(limit: int) -> SieveTables:
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
-    if limit * _BYTES_PER_ENTRY > MEMORY_BUDGET:
-        raise CapacityError(
-            f"sieve of size {limit} needs ~{limit * _BYTES_PER_ENTRY} bytes, "
-            f"budget is {MEMORY_BUDGET}"
-        )
+    _check_budget(f"sieve of size {limit}", limit * _BYTES_PER_ENTRY)
     spf = _spf_sieve(limit)
     return _tables_from_spf(limit, spf)
 
@@ -245,6 +250,7 @@ def primes_up_to(n: int) -> np.ndarray:
     """Primes <= n via a plain boolean sieve (used for Euler products)."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
+    _check_budget(f"prime table up to {n}", n * _PRIME_BYTES_PER_ENTRY)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):

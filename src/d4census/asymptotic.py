@@ -90,10 +90,18 @@ def _product_over(factors: np.ndarray, dev_coeff: float, pmax: int) -> EulerValu
     return EulerValue(value, 2.0 * dev_coeff / pmax)
 
 
+@lru_cache(maxsize=1)
+def _primes(pmax: int) -> np.ndarray:
+    """The primes <= pmax as a read-only float64 table, shared by the Euler products."""
+    p = primes_up_to(pmax).astype(np.float64)
+    p.setflags(write=False)
+    return p
+
+
 @lru_cache(maxsize=32)
 def c_base(spec: EulerProductSpec) -> EulerValue:
     """c(1) = prod_p (1 - 2/(p(p+1))), truncated at pmax."""
-    p = primes_up_to(spec.pmax).astype(np.float64)
+    p = _primes(spec.pmax)
     return _product_over(1.0 - 2.0 / (p * (p + 1.0)), 2.0, spec.pmax)
 
 
@@ -140,8 +148,7 @@ class CTilde(NamedTuple):
 def c_tilde(spec: EulerProductSpec) -> CTilde:
     """(3/16)^3 * c(1)^3 * prod_{p>2} (1 - 3/(p+2)^2 + 2/(p+2)^3)."""
     c1 = c_base(spec)
-    p = primes_up_to(spec.pmax).astype(np.float64)
-    p = p[p > 2]
+    p = _primes(spec.pmax)[1:]  # the odd primes
     q = p + 2.0
     odd = _product_over(1.0 - 3.0 / (q * q) + 2.0 / (q * q * q), 3.0, spec.pmax)
     value = (3.0 / 16.0) ** 3 * c1.value**3 * odd.value
@@ -156,8 +163,7 @@ def leading_constant(spec: EulerProductSpec) -> EulerValue:
     + 4/p^5 (identical algebraically; a different rounding path than the
     Tamagawa product, which makes the cross-check meaningful).
     """
-    p = primes_up_to(spec.pmax).astype(np.float64)
-    p = p[p > 2]
+    p = _primes(spec.pmax)[1:]  # the odd primes
     factors = 1.0 - 10.0 / p**2 + 20.0 / p**3 - 15.0 / p**4 + 4.0 / p**5
     bare = _product_over(factors, 10.0, spec.pmax)
     return EulerValue(float(CONSTANTS["leading_prefactor"]) * bare.value, bare.tail_bound)
@@ -178,8 +184,7 @@ def constant_identity(spec: EulerProductSpec) -> IdentityReport:
     only; the reported tail bound covers both truncations.
     """
     ct = c_tilde(spec)
-    p = primes_up_to(spec.pmax).astype(np.float64)
-    p = p[p > 2]
+    p = _primes(spec.pmax)[1:]  # the odd primes
     zeta_part = _product_over(1.0 - 1.0 / (p * p), 1.0, spec.pmax)
     lhs = 1728.0 * ct.value * zeta_part.value
     rhs = leading_constant(spec)
@@ -284,8 +289,7 @@ def tamagawa_constant(spec: EulerProductSpec) -> TamagawaReport:
         tau_two=tau2_etale * Fraction(1, 2) ** 4,
         group_order=CONSTANTS["group_order"],
     )
-    p = primes_up_to(spec.pmax).astype(np.float64)
-    p = p[p > 2]
+    p = _primes(spec.pmax)[1:]  # the odd primes
     bare = _product_over((1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p), 10.0, spec.pmax)
     product = float(parts.rational_prefactor()) * bare.value
     lead = leading_constant(spec)

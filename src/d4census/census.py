@@ -47,6 +47,7 @@ boxes are unaffected.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import time
@@ -63,13 +64,13 @@ from .arith import (
     CapacityError,
     SignedSquarefreeTriple,
     SieveTables,
-    build_sieve,
     decompose_triple,
     factor_small,
     kronecker,
     primes_up_to,
     _squarefree_factors,
 )
+from .asymptotic import EulerProductSpec, predicted_count
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
 
 
@@ -348,9 +349,8 @@ def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
 
 
 def _census_partial(
-    bound1: float, bound2: float, bound3: float, x4: float,
-    tables: SieveTables, m1p_values: Optional[list[int]] = None,
-    want_breakdown: bool = False,
+    tables: SieveTables, bound1: float, bound2: float, bound3: float, x4: float,
+    m1p_values: list[int], want_breakdown: bool,
 ):
     """(sum of twist counts, triples visited, breakdown rows or None) over the
     kernel's rows; one twist count per distinct product m1'*m2'*m3'."""
@@ -380,10 +380,18 @@ def _census_partial(
     return total, int(counts.sum()), rows
 
 
-def _census_worker(args):
-    bound1, bound2, bound3, x4, limit, m1p_values = args
-    tables = build_sieve(limit)
-    return _census_partial(bound1, bound2, bound3, x4, tables, m1p_values)
+# the caller's tables, handed to each pool worker once when it starts; under
+# the fork start method the worker shares them with the caller
+_worker_tables: Optional[SieveTables] = None
+
+
+def _init_worker(tables: SieveTables) -> None:
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _census_worker(job):
+    return _census_partial(_worker_tables, *job)
 
 
 def exact_census(
@@ -393,8 +401,8 @@ def exact_census(
     """Exact count of pairs with invariants in the box, plus the predicted
     main term and their ratio.
 
-    Deterministic and independent of the worker count: work is partitioned by
-    disjoint ranges of m1' and the partial sums are added as exact integers.
+    Deterministic and independent of the worker count: each m1' lies in one
+    job, and the jobs' sums and breakdown rows are merged exactly.
     """
     start = time.perf_counter()
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
@@ -402,39 +410,35 @@ def exact_census(
         raise CapacityError(
             f"sieve limit {tables.limit} < required {required_sieve_limit(box)}"
         )
-    if workers <= 1 or want_breakdown:
-        total, visited, rows = _census_partial(
-            bound1, bound2, bound3, box.x4, tables, want_breakdown=want_breakdown
-        )
+    vals1 = tables.odd_squarefree_upto(bound1)
+    n = max(1, min(workers, len(vals1)))
+    jobs = [(bound1, bound2, bound3, box.x4, vals1[i::n], want_breakdown) for i in range(n)]
+    if n == 1:
+        parts = [_census_partial(tables, *jobs[0])]
     else:
-        vals1 = tables.odd_squarefree_upto(bound1)
-        jobs = [
-            (bound1, bound2, bound3, box.x4, tables.limit, vals1[i::workers])
-            for i in range(min(workers, len(vals1)))
-        ]
-        total, visited, rows = 0, 0, None
+        _mask_tables()  # built before the pool forks, so no worker builds it
         # a fork-started pool forks all its workers at once, so size it by
         # the jobs and the cores rather than by the requested worker count
-        pool_size = max(1, min(len(jobs), os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for part_total, part_visited, _ in pool.map(_census_worker, jobs):
-                total += part_total
-                visited += part_visited
-    exact = 4 * total
-    from .asymptotic import EulerProductSpec, predicted_count
-
+        pool_size = min(n, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_init_worker,
+                                 initargs=(tables,)) as pool:
+            parts = list(pool.map(_census_worker, jobs))
+    totals, visited, rows = zip(*parts)
+    exact = 4 * sum(totals)
     predicted = predicted_count(box, EulerProductSpec(pmax=pmax))
     ratio = exact / predicted if predicted else float("nan")
     breakdown = None
-    if want_breakdown and rows is not None:
+    if want_breakdown:
         breakdown = []
         cumulative = 0
-        for m1, m2, m3, t in rows:
+        # each job's rows come in serial order, and each m1' lies in one job
+        for m1, m2, m3, t in heapq.merge(
+                *rows, key=lambda row: row[0] if row[0] % 2 else row[0] // 2):
             cumulative += t
             breakdown.append((m1, m2, m3, t, cumulative))
     return CensusReport(
         box=box, exact=exact, predicted=predicted, ratio=ratio,
-        triples_visited=visited, elapsed=time.perf_counter() - start,
+        triples_visited=sum(visited), elapsed=time.perf_counter() - start,
         breakdown=breakdown,
     )
 

@@ -170,7 +170,7 @@ def cmd_count(args) -> int:
     )
     if args.format == "csv":
         lines = [BREAKDOWN_CSV_HEADER]
-        for m1, m2, m3, twists, cumulative in report.breakdown or []:
+        for m1, m2, m3, twists, cumulative in report.breakdown:
             lines.append(f"{m1},{m2},{m3},{twists},{cumulative}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
@@ -466,10 +466,8 @@ def _suite_census_consistency(args) -> list[dict]:
 def _suite_constants(args) -> list[dict]:
     spec = EulerProductSpec(pmax=args.pmax)
     ident = constant_identity(spec)
-    per_prime_bad = sum(
-        1 for p in primes_up_to(100)[1:] if per_prime_identity_fractions(int(p))[0]
-        != per_prime_identity_fractions(int(p))[1]
-    )
+    per_prime_bad = sum(lhs != rhs for lhs, rhs in
+                        map(per_prime_identity_fractions, primes_up_to(100)[1:].tolist()))
     spec_small = EulerProductSpec(pmax=max(args.pmax // 2, 3))
     ident_small = constant_identity(spec_small)
     return [
@@ -632,9 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--factor", type=_growth_factor, default=2.0)
     p_sweep.add_argument("--fix-x4", type=_finite_float, default=None,
                          help="hold X4 at this value instead of the symmetric bound")
-    p_sweep.add_argument("--classes", action="store_true",
-                         help="emit per-residue-class rows instead of the aggregate")
-    add_shared(p_sweep, "--pmax", "--workers", "--out", "--sieve-cache")
+    # the class sums run in one process, so --classes reads no --workers
+    classes_or_workers = p_sweep.add_mutually_exclusive_group()
+    classes_or_workers.add_argument("--classes", action="store_true",
+                                    help="emit per-residue-class rows instead of the aggregate")
+    add_shared(classes_or_workers, "--workers")
+    add_shared(p_sweep, "--pmax", "--out", "--sieve-cache")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

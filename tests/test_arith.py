@@ -10,6 +10,7 @@ from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from d4census.arith import (
     _BYTES_PER_ENTRY,
+    _PRIME_BYTES_PER_ENTRY,
     CapacityError,
     InvalidTripleError,
     SignedSquarefreeTriple,
@@ -204,6 +205,19 @@ def test_sieve_peak_memory_within_capacity_estimate(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= limit * _BYTES_PER_ENTRY
+
+
+def test_prime_table_peak_memory_within_capacity_estimate():
+    # with the float64 copy the Euler products take; the bytes per entry fall
+    # as n grows, so the charge holds for every n from here up
+    n = 100_000
+    tracemalloc.start()
+    try:
+        primes_up_to(n).astype(np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * _PRIME_BYTES_PER_ENTRY
 
 
 def test_squarefree_factors_brute():

@@ -3,10 +3,10 @@ from itertools import combinations
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d4census import census
+from d4census import arith, census
 from d4census.arith import CapacityError, SignedSquarefreeTriple, build_sieve
 from d4census.census import (
     BoundBox,
@@ -238,7 +238,8 @@ def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
     pools = []
 
     class InProcessExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
             self.max_workers, self.jobs = max_workers, []
             pools.append(self)
 
@@ -260,6 +261,73 @@ def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
     assert pools[0].max_workers <= (os.cpu_count() or 1)
     assert len(pools[0].jobs) == len(tables_census.odd_squarefree_upto(15))
     assert (many.exact, many.triples_visited) == (serial.exact, serial.triples_visited)
+
+
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Swap the census worker pool for one that runs its jobs in this process;
+    the list records each pool made."""
+    pools = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(census, "_worker_tables", None, raising=False)
+    return pools
+
+
+def census_result(report):
+    return report.exact, report.triples_visited, report.breakdown
+
+
+def test_breakdown_with_workers_matches_serial(tables_census, in_process_pools):
+    for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
+        serial = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
+        parallel = exact_census(box, tables_census, workers=3, pmax=1000, want_breakdown=True)
+        assert census_result(parallel) == census_result(serial)
+    assert len(in_process_pools) == 2
+
+
+def test_workers_read_the_callers_tables(tables_census, in_process_pools, monkeypatch):
+    box = BoundBox(15, 15, 15, 15)
+    serial = exact_census(box, tables_census, pmax=1000)
+
+    def no_sieve(limit):
+        raise AssertionError(f"a worker built a sieve of {limit} entries")
+
+    monkeypatch.setattr(census, "build_sieve", no_sieve, raising=False)
+    monkeypatch.setattr(arith, "build_sieve", no_sieve)
+    parallel = exact_census(box, tables_census, workers=2, pmax=1000)
+    assert len(in_process_pools) == 1
+    assert census_result(parallel) == census_result(serial)
+
+
+odd_part_bounds = st.integers(0, 30).map(lambda k: k / 2)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x1=odd_part_bounds, x2=odd_part_bounds, x3=odd_part_bounds,
+       x4=st.integers(0, 60), workers=st.integers(1, 6))
+def test_any_worker_count_matches_serial(tables_census, in_process_pools,
+                                         x1, x2, x3, x4, workers):
+    box = BoundBox(x1, x2, x3, x4)
+    serial = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
+    parallel = exact_census(box, tables_census, workers=workers, pmax=1000,
+                            want_breakdown=True)
+    assert census_result(parallel) == census_result(serial)
 
 
 def test_breakdown_rows(tables_census):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from d4census import arith, asymptotic
 from d4census.charsum import CLASS_CSV_HEADER
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
@@ -60,6 +61,13 @@ def test_count_workers_agree(capsys):
     assert exact1 == exact8
 
 
+def test_count_csv_same_bytes_for_any_worker_count(capsys):
+    outs = [run_cli(capsys, *f"count --x 9 17 13 11 --format csv --workers {w}".split())
+            for w in (1, 2, 7)]
+    assert outs[0][0] == 0 and outs[0][1].count("\n") > 1
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_count_csv_breakdown(capsys):
     code, out, _ = run_cli(capsys, "count", "--x", "1", "1", "1", "1",
                            "--format", "csv")
@@ -74,6 +82,18 @@ def test_count_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--x", "1e8", "1e8", "1e8", "1")
     assert code == 3
     assert "capacity" in err
+
+
+def test_prime_table_over_budget_exits_three(capsys, monkeypatch):
+    # the Euler products keep their values and prime tables, so clear them first
+    for cached in vars(asymptotic).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 10**6)
+    code, out, err = run_cli(capsys, "constants", "--pmax", "10000000")
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("capacity error: prime table")
 
 
 @pytest.mark.parametrize("bound", ["inf", "nan"])
@@ -165,6 +185,11 @@ def test_verify_accepts_only_the_options_its_suite_reads(capsys, suite, option):
         assert code == 0 and f"suite {suite}: PASS" in out
     else:
         assert_one_usage_error(code, out, err, option)
+
+
+def test_sweep_classes_reads_no_workers(capsys):
+    assert_one_usage_error(*run_cli(capsys, *"sweep --max 10 --classes --workers 2".split()),
+                           "--workers")
 
 
 def test_verify_names_every_unread_option(capsys):
