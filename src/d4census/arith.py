@@ -62,7 +62,8 @@ class SieveTables:
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced
     rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
     integers <= n; it backs the exact coprime twist counting, whose memo is
-    the one mutable part (each census pool worker fills its own copy).
+    the one mutable part (each census pool worker fills its own copy, for
+    its share of the distinct products).
     """
 
     limit: int

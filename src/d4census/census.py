@@ -47,10 +47,8 @@ boxes are unaffected.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -132,7 +130,6 @@ class CensusReport:
     predicted: float
     ratio: float
     triples_visited: int
-    elapsed: float
     breakdown: Optional[list] = None
 
 
@@ -234,14 +231,13 @@ def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTa
 
 def _mask_rows(
     bound1: float, bound2: float, bound3: float, tables: SieveTables,
-    m1p_values: Optional[list[int]] = None,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The mask kernel: for each coprime pair m1' <= bound1, m2' <= bound2 in
     increasing order, yield (m1', m2', m3', masks) where m3' holds the
     m3' <= bound3 that admit some choice, increasing, and masks their
     nonzero choice masks."""
     _check_capacity(bound1, bound2, bound3, tables)
-    vals1 = m1p_values if m1p_values is not None else tables.odd_squarefree_upto(bound1)
+    vals1 = tables.odd_squarefree_upto(bound1)
     vals2 = tables.odd_squarefree_upto(bound2)
     vals3 = tables.odd_squarefree_upto(bound3)
     if not (vals1 and vals2 and vals3):
@@ -348,50 +344,19 @@ def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
     return twists
 
 
-def _census_partial(
-    tables: SieveTables, bound1: float, bound2: float, bound3: float, x4: float,
-    m1p_values: list[int], want_breakdown: bool,
-):
-    """(sum of twist counts, triples visited, breakdown rows or None) over the
-    kernel's rows; one twist count per distinct product m1'*m2'*m3'."""
-    masks = _mask_tables()
-    products, counts, kept = [], [], []
-    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables, m1p_values):
-        products.append((m1p * m2p) * m3ps)
-        counts.append(masks.popcount[row])
-        if want_breakdown:
-            kept.append((m1p, m2p, m3ps, row))
-    rows = [] if want_breakdown else None
-    if not products:
-        return 0, 0, rows
-    products, counts = np.concatenate(products), np.concatenate(counts)
-    distinct, which = np.unique(products, return_inverse=True)
-    weight = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(weight, which, counts)
-    primes = primes_up_to(int(max(bound1, bound2, bound3)))[1:]
-    twists = _twist_counts(distinct, x4, tables, primes)
-    total = sum(w * t for w, t in zip(weight.tolist(), twists))
-    if want_breakdown:
-        twist_of = dict(zip(distinct.tolist(), twists))
-        for m1p, m2p, m3ps, row in kept:
-            m12 = m1p * m2p
-            for m3p, triple in _signed_triples(m1p, m2p, m3ps, row, masks.bits):
-                rows.append((*triple, twist_of[m12 * m3p]))
-    return total, int(counts.sum()), rows
+# the twist bound, the caller's sieve tables and the primes, handed to each
+# pool worker once when it starts; under the fork start method the worker
+# shares them with the caller
+_worker_twist_args: Optional[tuple] = None
 
 
-# the caller's tables, handed to each pool worker once when it starts; under
-# the fork start method the worker shares them with the caller
-_worker_tables: Optional[SieveTables] = None
+def _init_worker(*twist_args) -> None:
+    global _worker_twist_args
+    _worker_twist_args = twist_args
 
 
-def _init_worker(tables: SieveTables) -> None:
-    global _worker_tables
-    _worker_tables = tables
-
-
-def _census_worker(job):
-    return _census_partial(_worker_tables, *job)
+def _twist_worker(products: np.ndarray) -> list[int]:
+    return _twist_counts(products, *_worker_twist_args)
 
 
 def exact_census(
@@ -401,45 +366,58 @@ def exact_census(
     """Exact count of pairs with invariants in the box, plus the predicted
     main term and their ratio.
 
-    Deterministic and independent of the worker count: each m1' lies in one
-    job, and the jobs' sums and breakdown rows are merged exactly.
+    Deterministic and independent of the worker count: the kernel runs once
+    in the calling process, each distinct product m1'*m2'*m3' is twist-counted
+    in one job, and the jobs' sums are added exactly.
     """
-    start = time.perf_counter()
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
     if tables.limit < required_sieve_limit(box):
         raise CapacityError(
             f"sieve limit {tables.limit} < required {required_sieve_limit(box)}"
         )
-    vals1 = tables.odd_squarefree_upto(bound1)
-    n = max(1, min(workers, len(vals1)))
-    jobs = [(bound1, bound2, bound3, box.x4, vals1[i::n], want_breakdown) for i in range(n)]
+    masks = _mask_tables()
+    products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
+    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables):
+        products.append((m1p * m2p) * m3ps)
+        counts.append(masks.popcount[row])
+        if want_breakdown:
+            kept.append((m1p, m2p, m3ps, row))
+    products, counts = np.concatenate(products), np.concatenate(counts)
+    distinct, which = np.unique(products, return_inverse=True)
+    weight = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(weight, which, counts)
+    primes = primes_up_to(int(max(bound1, bound2, bound3)))[1:]
+    n = max(1, min(workers, len(distinct), os.cpu_count() or 1))
     if n == 1:
-        parts = [_census_partial(tables, *jobs[0])]
+        parts = [_twist_counts(distinct, box.x4, tables, primes)]
     else:
-        _mask_tables()  # built before the pool forks, so no worker builds it
-        # a fork-started pool forks all its workers at once, so size it by
-        # the jobs and the cores rather than by the requested worker count
-        pool_size = min(n, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=_init_worker,
-                                 initargs=(tables,)) as pool:
-            parts = list(pool.map(_census_worker, jobs))
-    totals, visited, rows = zip(*parts)
-    exact = 4 * sum(totals)
+        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
+                                 initargs=(box.x4, tables, primes)) as pool:
+            parts = list(pool.map(_twist_worker, [distinct[i::n] for i in range(n)]))
+    total, twist_of = 0, {}
+    for i, twists in enumerate(parts):
+        total += sum(w * t for w, t in zip(weight[i::n].tolist(), twists))
+        if want_breakdown:
+            twist_of.update(zip(distinct[i::n].tolist(), twists))
+    exact = 4 * total
+    # freed before the prediction allocates its tables, which would otherwise
+    # stack on the census peak
+    del products, which, distinct, weight, parts
     predicted = predicted_count(box, EulerProductSpec(pmax=pmax))
     ratio = exact / predicted if predicted else float("nan")
     breakdown = None
     if want_breakdown:
-        breakdown = []
-        cumulative = 0
-        # each job's rows come in serial order, and each m1' lies in one job
-        for m1, m2, m3, t in heapq.merge(
-                *rows, key=lambda row: row[0] if row[0] % 2 else row[0] // 2):
-            cumulative += t
-            breakdown.append((m1, m2, m3, t, cumulative))
+        breakdown, cumulative = [], 0
+        # the kernel's rows come in serial (m1', m2', m3', delta, nu) order
+        for m1p, m2p, m3ps, row in kept:
+            m12 = m1p * m2p
+            for m3p, (m1, m2, m3) in _signed_triples(m1p, m2p, m3ps, row, masks.bits):
+                t = twist_of[m12 * m3p]
+                cumulative += t
+                breakdown.append((m1, m2, m3, t, cumulative))
     return CensusReport(
         box=box, exact=exact, predicted=predicted, ratio=ratio,
-        triples_visited=sum(visited), elapsed=time.perf_counter() - start,
-        breakdown=breakdown,
+        triples_visited=int(counts.sum()), breakdown=breakdown,
     )
 
 

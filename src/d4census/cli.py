@@ -554,6 +554,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _pmax(text: str) -> int:
+    value = int(text)
+    try:
+        EulerProductSpec(pmax=value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+    return value
+
+
 def _growth_factor(text: str) -> float:
     value = _finite_float(text)
     if value <= 1:
@@ -576,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--x": dict(nargs=4, type=float, metavar=("X1", "X2", "X3", "X4"),
                         required=box_required,
                         help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist"),
-            "--pmax": dict(type=int, default=100_000,
+            "--pmax": dict(type=_pmax, default=100_000,
                            help="Euler product truncation (default 100000)"),
             "--workers": dict(type=_positive_int, default=1,
                               help="worker processes (at most one per core)"),
@@ -603,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     # each suite reads some of these five; main rejects the others (_SUITES)
-    p_verify.add_argument("--tol", type=float, default=1e-8, action=_NoteGiven)
+    p_verify.add_argument("--tol", type=_positive_float, default=1e-8, action=_NoteGiven)
     p_verify.add_argument("--bound", type=_positive_int, default=None, action=_NoteGiven,
                           help="case bound for exhaustive suites")
     add_shared(p_verify, "--x", "--pmax", "--workers", action=_NoteGiven)

@@ -259,7 +259,7 @@ def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
     many = exact_census(box, tables_census, workers=64, pmax=1000)
     assert len(pools) == 1
     assert pools[0].max_workers <= (os.cpu_count() or 1)
-    assert len(pools[0].jobs) == len(tables_census.odd_squarefree_upto(15))
+    assert len(pools[0].jobs) == pools[0].max_workers
     assert (many.exact, many.triples_visited) == (serial.exact, serial.triples_visited)
 
 
@@ -284,7 +284,7 @@ def in_process_pools(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
-    monkeypatch.setattr(census, "_worker_tables", None, raising=False)
+    monkeypatch.setattr(census, "_worker_twist_args", None, raising=False)
     return pools
 
 
@@ -312,6 +312,42 @@ def test_workers_read_the_callers_tables(tables_census, in_process_pools, monkey
     parallel = exact_census(box, tables_census, workers=2, pmax=1000)
     assert len(in_process_pools) == 1
     assert census_result(parallel) == census_result(serial)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 64])
+def test_kernel_runs_once_per_census(tables_census, in_process_pools, monkeypatch, workers):
+    calls = []
+    mask_rows = census._mask_rows
+
+    def counted(*args):
+        calls.append(args)
+        return mask_rows(*args)
+
+    monkeypatch.setattr(census, "_mask_rows", counted)
+    exact_census(BoundBox(15, 15, 15, 15), tables_census, workers=workers, pmax=1000,
+                 want_breakdown=True)
+    assert len(calls) == 1
+
+
+def test_each_distinct_product_twist_counted_once(tables_census, in_process_pools,
+                                                   monkeypatch):
+    box = BoundBox(15, 15, 15, 15)
+    distinct = {m1p * m2p * m3p
+                for m1p, m2p, m3ps, _ in census._mask_rows(15, 15, 15, tables_census)
+                for m3p in m3ps.tolist()}
+    calls = []
+    count = arith.SieveTables.count_odd_squarefree_coprime
+
+    def counted(self, bound, primes):
+        calls.append(primes)
+        return count(self, bound, primes)
+
+    monkeypatch.setattr(arith.SieveTables, "count_odd_squarefree_coprime", counted)
+    for workers in (1, 3):
+        calls.clear()
+        exact_census(box, tables_census, workers=workers, pmax=1000)
+        assert len(calls) == len(distinct)
+    assert len(in_process_pools) == 1
 
 
 odd_part_bounds = st.integers(0, 30).map(lambda k: k / 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from d4census import arith, asymptotic
+from d4census import arith, asymptotic, census, cli
 from d4census.charsum import CLASS_CSV_HEADER
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
@@ -154,6 +154,29 @@ def assert_one_usage_error(code, out, err, flag):
 ])
 def test_non_positive_workers_are_usage_errors(capsys, argv):
     assert_one_usage_error(*run_cli(capsys, *argv.split()), "--workers")
+
+
+@pytest.mark.parametrize("argv", [
+    "count --x 400 400 400 400 --pmax 2",
+    "count --x 1 1 1 1 --format csv --pmax -1",
+    "predict --x 1 1 1 1 --pmax 2",
+    "constants --pmax 0",
+    "verify --suite census-consistency --pmax 2",
+    "sweep --pmax 0",
+])
+def test_pmax_below_three_is_a_usage_error_before_any_census(capsys, monkeypatch, argv):
+    def no_census(*args, **kwargs):
+        raise AssertionError("a census ran before --pmax was checked")
+
+    monkeypatch.setattr(census, "exact_census", no_census)
+    monkeypatch.setattr(cli, "exact_census", no_census)
+    assert_one_usage_error(*run_cli(capsys, *argv.split()), "--pmax")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("suite", ["constants", "tamagawa"])
+def test_verify_tol_must_be_finite_and_positive(capsys, suite, tol):
+    assert_one_usage_error(*run_cli(capsys, "verify", "--suite", suite, "--tol", tol), "--tol")
 
 
 # the verify options each suite reads, and a cheap value for each option
