@@ -5,6 +5,7 @@ runs on three primitives collected here:
 
   * SieveTables: smallest prime factor, mu, tau and the exact rational weight
     f(n) = prod_{p|n} (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.
+    Its twist counter reaches bounds up to N^2.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
   * decompose_triple: the sign / 2-part / odd-part splitting
     m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
@@ -61,9 +62,10 @@ class SieveTables:
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced
     rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
-    integers <= n; it backs the exact coprime twist counting, whose memo is
-    the one mutable part (each census pool worker fills its own copy, for
-    its share of the distinct products).
+    integers <= n.  With mu it backs the exact coprime twist counting, which
+    answers for twist bounds up to N^2 and whose memo is the one mutable part
+    (each census pool worker fills its own copy, for its share of the
+    distinct products).
     """
 
     limit: int
@@ -100,13 +102,18 @@ class SieveTables:
         """#{t <= bound : t odd, squarefree, p ∤ t for every p in primes}.
 
         Uses A(Y, P) = A(Y, P \\ {p}) - A(Y // p, P): split on whether the
-        largest excluded prime divides t.  Exact; memoized per table.
+        largest excluded prime divides t.  The base case A(y, {}) = S(y) is
+        odd_sf_count[y] for y <= limit, and above the table the closed form
+        S(y) = sum over odd j <= sqrt(y) of mu(j) * ((y // j^2 + 1) // 2),
+        which reads mu only up to sqrt(y).  So bound may reach limit^2;
+        CapacityError beyond.  Exact; memoized per table, base cases too.
         """
         y = int(bound)
         if y <= 0:
             return 0
-        if y > self.limit:
-            raise CapacityError(f"twist bound {bound} exceeds sieve limit {self.limit}")
+        if isqrt(y) > self.limit:
+            raise CapacityError(
+                f"twist bound {bound} needs a sieve limit of {isqrt(y)}, have {self.limit}")
         odd = tuple(sorted(p for p in primes if p != 2))
         return self._count_coprime(y, odd)
 
@@ -116,12 +123,20 @@ class SieveTables:
         if primes and primes[-1] > y:
             # primes is increasing, and a prime above y divides no t <= y
             primes = primes[:bisect_right(primes, y)]
-        if not primes:
+        if not primes and y <= self.limit:
             return int(self.odd_sf_count[y])
         key = (y, primes)
         cached = self._coprime_cache.get(key)
         if cached is None:
-            cached = self._count_coprime(y, primes[:-1]) - self._count_coprime(y // primes[-1], primes)
+            if primes:
+                cached = (self._count_coprime(y, primes[:-1])
+                          - self._count_coprime(y // primes[-1], primes))
+            else:
+                root = isqrt(y)
+                j = np.arange(1, root + 1, 2, dtype=np.int64)
+                # the memory budget keeps limit below 31.6M, so y < (limit + 1)^2 < 2^63
+                # and y // (j * j) cannot overflow int64
+                cached = int((self.mu[1 : root + 1 : 2] * ((y // (j * j) + 1) // 2)).sum())
             self._coprime_cache[key] = cached
         return cached
 

@@ -34,7 +34,11 @@ prime-incidence table reduced with bitwise_and.reduceat.
 
 The twist count tau(n) * #{t <= X4 odd squarefree coprime to n} depends only
 on n = m1'm2'm3', so popcounts are summed per distinct n and the twist
-counter runs once per n; the sum is taken in Python integers.  The CSV
+counter runs once per n; the sum is taken in Python integers.  That counter
+(SieveTables.count_odd_squarefree_coprime) reads the sieve only up to
+isqrt(X4): above its table it counts odd squarefree t <= y in closed form
+from mu.  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
+whole census (required_sieve_limit), however large X4 is.  The CSV
 breakdown and enumerate_admissible_triples expand the set bits of the same
 masks in (m1', m2', m3', delta, nu) order.
 
@@ -53,7 +57,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd, isfinite
+from math import gcd, isfinite, isqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -134,8 +138,21 @@ class CensusReport:
 
 
 def required_sieve_limit(box: BoundBox) -> int:
-    """Smallest sieve limit covering the odd-part bounds and the twist bound."""
-    return max(int(max(box.x1, box.x2, box.x3)), int(box.x4), 1)
+    """Smallest sieve limit covering the odd-part bounds and isqrt(X4).
+
+    The kernel reads the tables up to max(X1, X2, X3).  The twist counter
+    needs them only up to isqrt(X4): above its table it reads mu up to
+    sqrt(y) (SieveTables.count_odd_squarefree_coprime).
+    """
+    return max(int(max(box.x1, box.x2, box.x3)), isqrt(int(box.x4)), 1)
+
+
+def check_sieve_covers(box: BoundBox, tables: SieveTables) -> None:
+    """CapacityError unless tables reach required_sieve_limit(box)."""
+    if tables.limit < required_sieve_limit(box):
+        raise CapacityError(
+            f"sieve limit {tables.limit} < required {required_sieve_limit(box)}"
+        )
 
 
 def _legendre_table(p: int) -> list[int]:
@@ -371,10 +388,7 @@ def exact_census(
     in one job, and the jobs' sums are added exactly.
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
-    if tables.limit < required_sieve_limit(box):
-        raise CapacityError(
-            f"sieve limit {tables.limit} < required {required_sieve_limit(box)}"
-        )
+    check_sieve_covers(box, tables)
     masks = _mask_tables()
     products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
     for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables):

@@ -52,7 +52,7 @@ import numpy as np
 
 from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _is_degenerate
+from .census import CHOICES, BoundBox, _is_degenerate, check_sieve_covers
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -415,8 +415,10 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
 
     Each eps class is walked once for all its keys: per triple one
     factorisation, one product row over the keys' non-degenerate choices and
-    at most one twist count.
+    at most one twist count.  CapacityError when tables do not reach
+    required_sieve_limit(box), as in exact_census.
     """
+    check_sieve_covers(box, tables)
     sums = {key: 0 for key in keys}
     by_eps: dict = {}
     for key in sums:

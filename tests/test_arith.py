@@ -184,6 +184,48 @@ def test_count_odd_squarefree_coprime_brute():
             assert t.count_odd_squarefree_coprime(bound, primes) == expected
 
 
+def test_odd_squarefree_count_above_table_every_y():
+    # the closed form reads mu up to sqrt(y); the full table counts directly
+    small, full = build_sieve(30), build_sieve(30 * 30)
+    for y in range(31, 30 * 30 + 1):
+        assert small.count_odd_squarefree_coprime(y, ()) == int(full.odd_sf_count[y]), y
+
+
+def test_odd_squarefree_count_above_table_random_y():
+    small, full = build_sieve(1000), build_sieve(10**6)
+    rng = np.random.default_rng(9)
+    for y in [*rng.integers(1001, 10**6, size=200).tolist(), 1001, 10**6]:
+        assert small.count_odd_squarefree_coprime(y, ()) == int(full.odd_sf_count[y]), y
+        assert small.count_odd_squarefree_coprime(float(y) + 0.5, ()) == int(full.odd_sf_count[y])
+
+
+@pytest.fixture(scope="module")
+def tables_200k():
+    return build_sieve(200_000)
+
+
+ODD_PRIMES_TO_500 = primes_up_to(500)[1:].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=st.integers(1, 200_000),
+       primes=st.lists(st.sampled_from(ODD_PRIMES_TO_500), max_size=6, unique=True))
+def test_coprime_count_on_sqrt_table_matches_full_table(tables_200k, y, primes):
+    small = build_sieve(isqrt(y))
+    primes = tuple(primes)
+    assert (small.count_odd_squarefree_coprime(y, primes)
+            == tables_200k.count_odd_squarefree_coprime(y, primes))
+
+
+def test_coprime_count_needs_table_up_to_sqrt_bound():
+    t = build_sieve(30)
+    assert t.count_odd_squarefree_coprime(31 * 31 - 1, (3, 5)) > 0
+    for bound in (31 * 31, 31 * 31 + 0.5, 10**6):
+        for primes in ((), (3, 5)):
+            with pytest.raises(CapacityError):
+                t.count_odd_squarefree_coprime(bound, primes)
+
+
 def test_sieve_capacity_error():
     # the estimate (6.8e9 bytes) exceeds the 2 GiB budget before any allocation
     with pytest.raises(CapacityError):

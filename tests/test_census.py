@@ -19,6 +19,7 @@ from d4census.census import (
     splitting_rows,
     twist_count,
 )
+from d4census.charsum import census_from_classes
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -381,7 +382,29 @@ def test_breakdown_rows(tables_census):
 
 def test_required_sieve_limit():
     assert required_sieve_limit(BoundBox(10, 20, 5, 7)) == 20
-    assert required_sieve_limit(BoundBox(1, 1, 1, 90)) == 90
+    # the twist counter reads the tables only up to isqrt(X4)
+    assert required_sieve_limit(BoundBox(1, 1, 1, 90)) == 9
+
+
+@pytest.mark.parametrize("raw", [(20, 20, 20, 5000), (7, 3, 5, 2000), (15, 9, 12, 300)])
+def test_sqrt_table_census_equals_full_table_census(raw):
+    box = BoundBox(*raw)
+    small, full = build_sieve(required_sieve_limit(box)), build_sieve(int(box.x4))
+    assert small.limit < box.x4
+    for workers in (1, 2):
+        for want_breakdown in (False, True):
+            got, expected = (census_result(exact_census(box, t, workers=workers, pmax=1000,
+                                                        want_breakdown=want_breakdown))
+                             for t in (small, full))
+            assert got == expected, (workers, want_breakdown)
+    exact = got[0]
+    assert census_from_classes(box, small) == census_from_classes(box, full) == exact
+
+
+def test_sqrt_table_census_against_brute_oracle():
+    box = BoundBox(15, 9, 12, 300)
+    report = exact_census(box, build_sieve(required_sieve_limit(box)), pmax=1000)
+    assert report.exact == brute_census(15, 9, 12, 300)
 
 
 # --- invariants and inertia --------------------------------------------------

@@ -7,8 +7,10 @@ from math import gcd, log, sqrt
 import pytest
 
 from d4census.arith import (
+    CapacityError,
     _squarefree_factors,
     _valid_triples,
+    build_sieve,
     decompose_triple,
     factor_small,
     kronecker,
@@ -124,6 +126,17 @@ def test_class_sums_match_per_key_walk(tables_census, raw):
     assert list(sums) == keys
     assert sums == {key: per_key_walk(key, box) for key in keys}
     assert any(sums.values())
+
+
+def test_class_sums_need_sieve_over_odd_part_bounds():
+    # with a small X4 the twist counter never reaches the table's end, so the
+    # walk itself must refuse a table below X1 rather than stop at its limit
+    box, keys = BoundBox(20, 20, 20, 5), list(all_class_keys())
+    with pytest.raises(CapacityError):
+        class_sums(box, build_sieve(19), keys)
+    with pytest.raises(CapacityError):
+        census_from_classes(box, build_sieve(19))
+    assert class_sums(box, build_sieve(20), keys) == class_sums(box, build_sieve(40), keys)
 
 
 def test_class_key_validation():

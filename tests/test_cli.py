@@ -84,6 +84,34 @@ def test_count_capacity_exit_code(capsys):
     assert "capacity" in err
 
 
+def test_twist_bound_needs_sieve_only_to_its_square_root(capsys):
+    # 4e7 entries would exceed the budget; isqrt(4e7) = 6324 does not
+    code, out, _ = run_cli(capsys, "count", "--x", "1", "1", "1", "4e7")
+    assert code == 0
+    assert "exact     = 259381648" in out
+    code, out, err = run_cli(capsys, "count", "--x", "1", "1", "1", "1e16")
+    assert code == 3 and out == "" and "Traceback" not in err
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("capacity error: sieve of size 100000000 ")
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_sweep_large_fixed_x4_prints_every_box(capsys, classes):
+    argv = ["sweep", "--min", "10", "--max", "40", "--fix-x4", "1e9"]
+    code, out, err = run_cli(capsys, *argv, *(["--classes"] if classes else []))
+    assert code == 0 and err == ""
+    rows = out.strip().split("\n")[1:]
+    x1s = sorted({row.split(",")[8 if classes else 0] for row in rows})
+    assert x1s == ["10", "20", "40"]
+
+
+def test_census_consistency_at_large_twist_bound(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "census-consistency",
+                           "--x", "30", "30", "30", "1e9")
+    assert code == 0
+    assert "expected 15269227515440, actual 15269227515440" in out
+
+
 def test_prime_table_over_budget_exits_three(capsys, monkeypatch):
     # the Euler products keep their values and prime tables, so clear them first
     for cached in vars(asymptotic).values():
