@@ -8,7 +8,9 @@ admissible quadratic twists:
                tau(m1'*m2'*m3') * #{t <= X4 : t odd squarefree, coprime}
 
 The factor 4 is the number of group isomorphisms fixing the labeled subfield
-data; every octic upstairs is hit exactly that often.
+data; every octic upstairs is hit exactly that often.  The module only
+counts: the predicted main term lives in asymptotic, and the CLI sets the
+two side by side.
 
 The mask kernel.  A signed triple is an odd triple (m1', m2', m3') of
 pairwise coprime odd squarefree parts plus one of 12 choices (delta, nu) of
@@ -72,7 +74,6 @@ from .arith import (
     primes_up_to,
     _squarefree_factors,
 )
-from .asymptotic import EulerProductSpec, predicted_count
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
 
 
@@ -129,10 +130,7 @@ INERTIA_CLASS_OF_INVARIANT = {
 
 @dataclass
 class CensusReport:
-    box: BoundBox
     exact: int
-    predicted: float
-    ratio: float
     triples_visited: int
     breakdown: Optional[list] = None
 
@@ -377,11 +375,10 @@ def _twist_worker(products: np.ndarray) -> list[int]:
 
 
 def exact_census(
-    box: BoundBox, tables: SieveTables, workers: int = 1,
-    pmax: int = 100_000, want_breakdown: bool = False,
+    box: BoundBox, tables: SieveTables, workers: int = 1, want_breakdown: bool = False,
 ) -> CensusReport:
-    """Exact count of pairs with invariants in the box, plus the predicted
-    main term and their ratio.
+    """Exact count of pairs with invariants in the box, in integers only: the
+    predicted main term and its ratio are the caller's (asymptotic.predicted_count).
 
     Deterministic and independent of the worker count: the kernel runs once
     in the calling process, each distinct product m1'*m2'*m3' is twist-counted
@@ -413,12 +410,6 @@ def exact_census(
         total += sum(w * t for w, t in zip(weight[i::n].tolist(), twists))
         if want_breakdown:
             twist_of.update(zip(distinct[i::n].tolist(), twists))
-    exact = 4 * total
-    # freed before the prediction allocates its tables, which would otherwise
-    # stack on the census peak
-    del products, which, distinct, weight, parts
-    predicted = predicted_count(box, EulerProductSpec(pmax=pmax))
-    ratio = exact / predicted if predicted else float("nan")
     breakdown = None
     if want_breakdown:
         breakdown, cumulative = [], 0
@@ -429,10 +420,8 @@ def exact_census(
                 t = twist_of[m12 * m3p]
                 cumulative += t
                 breakdown.append((m1, m2, m3, t, cumulative))
-    return CensusReport(
-        box=box, exact=exact, predicted=predicted, ratio=ratio,
-        triples_visited=int(counts.sum()), breakdown=breakdown,
-    )
+    return CensusReport(exact=4 * total, triples_visited=int(counts.sum()),
+                        breakdown=breakdown)
 
 
 def invariants_of(triple: SignedSquarefreeTriple, t: int) -> InvariantVector:

@@ -30,14 +30,16 @@ L_product and L_divisor_sum are single-choice views of the rows.
 Class sums.  class_sums evaluates the per-class census sum exactly (no
 main-term substitution) for any set of keys: one walk per eps class, one
 product row and at most one twist count per triple, added to every key of that
-class.  T_direct, census_from_classes and class_sums_csv are views of it.  It
+class.  T_direct and census_from_classes are views of it, and so are the
+per-class rows of `sweep --classes`, which the CLI writes.  It
 deliberately does not use the 12-bit mask kernel of census.exact_census: it
 walks the triples and evaluates L by its own code, so census_from_classes ==
 exact_census is an independent cross-check of the kernel.
 
 T111_direct is the (k = 1) inner sum of squarefree f-weights, and
 character_sum_f the weighted character sums whose main terms carry c(r).
-All class sums are exact; floats appear only in main-term comparisons.
+All class sums are exact; floats appear only in main terms, and the module
+formats no output (the CLI owns every CSV format).
 """
 
 from __future__ import annotations
@@ -488,28 +490,6 @@ def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] 
     x1, x2, x3, x4 = box.as_tuple()
     # prod_{p>2} (1 - 1/p^2) = 8 / pi^2
     return 8.0 / pi**2 * c_tilde(euler or EulerProductSpec()).value * x1 * x2 * x3 * x4
-
-
-CLASS_CSV_HEADER = "e1,e2,e3,d2,d3,mu,alpha,beta,x1,x2,x3,x4,value,main,ratio"
-
-
-def class_sums_csv(box: BoundBox, tables: SieveTables,
-                   euler: Optional[EulerProductSpec] = None) -> str:
-    """Per-class rows (key, box, exact value, main term, ratio) for sweep
-    plots, admissible classes only, LF-terminated."""
-    lines = [CLASS_CSV_HEADER]
-    x1, x2, x3, x4 = box.as_tuple()
-    for key, value in class_sums(box, tables, _admissible_keys()).items():
-        main = T_main_term(key, box, euler)
-        ratio = value / main if main else float("nan")
-        e1, e2, e3 = key.eps
-        d2, d3 = key.delta
-        mu, alpha, beta = key.nu
-        lines.append(
-            f"{e1},{e2},{e3},{d2},{d3},{mu},{alpha},{beta},"
-            f"{x1:g},{x2:g},{x3:g},{x4:g},{value},{main:.17g},{ratio:.17g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 class BilinearReport:

@@ -55,11 +55,12 @@ from .census import (
     splitting_rows,
 )
 from .charsum import (
-    CLASS_CSV_HEADER,
     L_divisor_sum_row,
     L_product_row,
+    T_main_term,
     census_from_classes,
-    class_sums_csv,
+    class_sums,
+    _admissible_keys,
 )
 from .localsolve import (
     ALL_DELTAS,
@@ -78,6 +79,7 @@ from .localsolve import (
 )
 
 SWEEP_CSV_HEADER = "x1,x2,x3,x4,exact,predicted,ratio"
+CLASS_CSV_HEADER = "e1,e2,e3,d2,d3,mu,alpha,beta,x1,x2,x3,x4,value,main,ratio"
 BREAKDOWN_CSV_HEADER = "m1,m2,m3,twists,cumulative"
 
 
@@ -85,6 +87,28 @@ def _fmt_float(v: float) -> str:
     if v != v or v in (float("inf"), float("-inf")):
         return "null"
     return format(v, ".17g")
+
+
+def _ratio(value, main: float) -> float:
+    """value / main, or nan where the main term is 0."""
+    return value / main if main else float("nan")
+
+
+def class_csv_rows(box: BoundBox, tables, euler: EulerProductSpec) -> list[str]:
+    """The CLASS_CSV_HEADER rows of one box, one per admissible class: the
+    key, the box, the exact class sum, its main term and their ratio."""
+    x1, x2, x3, x4 = box.as_tuple()
+    rows = []
+    for key, value in class_sums(box, tables, _admissible_keys()).items():
+        main = T_main_term(key, box, euler)
+        e1, e2, e3 = key.eps
+        d2, d3 = key.delta
+        mu, alpha, beta = key.nu
+        # .17g, not _fmt_float: a zero main term gives a ratio of nan, not null
+        rows.append(f"{e1},{e2},{e3},{d2},{d3},{mu},{alpha},{beta},"
+                    f"{x1:g},{x2:g},{x3:g},{x4:g},{value},{main:.17g},"
+                    f"{_ratio(value, main):.17g}")
+    return rows
 
 
 def canonical_json(obj) -> str:
@@ -163,12 +187,12 @@ def _load_tables(limit: int, cache_path):
 def cmd_count(args) -> int:
     t0 = time.perf_counter()
     box = BoundBox(*args.x)
+    csv = args.format == "csv"
+    # CSV rows carry no prediction; an over-budget --pmax exits 3 before the census
+    predicted = None if csv else predicted_count(box, EulerProductSpec(pmax=args.pmax))
     tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
-    report = exact_census(
-        box, tables, workers=args.workers, pmax=args.pmax,
-        want_breakdown=(args.format == "csv"),
-    )
-    if args.format == "csv":
+    report = exact_census(box, tables, workers=args.workers, want_breakdown=csv)
+    if csv:
         lines = [BREAKDOWN_CSV_HEADER]
         for m1, m2, m3, twists, cumulative in report.breakdown:
             lines.append(f"{m1},{m2},{m3},{twists},{cumulative}")
@@ -177,16 +201,16 @@ def cmd_count(args) -> int:
     result = {
         "box": list(box.as_tuple()),
         "exact": report.exact,
-        "predicted": report.predicted,
-        "ratio": report.ratio,
+        "predicted": predicted,
+        "ratio": _ratio(report.exact, predicted),
         "triples_visited": report.triples_visited,
     }
     _emit_result(
         args, t0, result,
         f"box       = {box.as_tuple()}\n"
         f"exact     = {report.exact}\n"
-        f"predicted = {report.predicted:.6f}\n"
-        f"ratio     = {report.ratio:.6f}\n"
+        f"predicted = {predicted:.6f}\n"
+        f"ratio     = {result['ratio']:.6f}\n"
         f"triples   = {report.triples_visited}\n",
     )
     return 0
@@ -252,20 +276,21 @@ def cmd_constants(args) -> int:
 
 def cmd_sweep(args) -> int:
     lines = [CLASS_CSV_HEADER if args.classes else SWEEP_CSV_HEADER]
+    euler = EulerProductSpec(pmax=args.pmax)
     x = args.min
     while x <= args.max:
         box = BoundBox(x, x, x, x if args.fix_x4 is None else args.fix_x4)
         x *= args.factor
         try:
+            predicted = None if args.classes else predicted_count(box, euler)
             tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
             if args.classes:
-                text = class_sums_csv(box, tables, EulerProductSpec(pmax=args.pmax))
-                rows = text.splitlines()[1:]  # the rows without the header
+                rows = class_csv_rows(box, tables, euler)
             else:
-                report = exact_census(box, tables, workers=args.workers, pmax=args.pmax)
+                exact = exact_census(box, tables, workers=args.workers).exact
                 rows = [",".join(_fmt_float(float(v)) for v in box.as_tuple())
-                        + f",{report.exact},{_fmt_float(report.predicted)},"
-                          f"{_fmt_float(report.ratio)}"]
+                        + f",{exact},{_fmt_float(predicted)},"
+                          f"{_fmt_float(_ratio(exact, predicted))}"]
         except CapacityError as err:
             print(f"sweep: skipping {box.as_tuple()}: {err}", file=sys.stderr)
             continue
@@ -455,7 +480,7 @@ def _suite_census_consistency(args) -> list[dict]:
     for raw in boxes:
         box = BoundBox(*raw)
         tables = build_sieve(required_sieve_limit(box))
-        exact = exact_census(box, tables, workers=args.workers, pmax=args.pmax).exact
+        exact = exact_census(box, tables, workers=args.workers).exact
         via_classes = census_from_classes(box, tables)
         checks.append(_check(f"census_vs_class_sums_{raw}", exact, via_classes))
         if raw == (1, 1, 1, 1):
@@ -501,7 +526,7 @@ _SUITES = {
     "lemma41": (_suite_lemma41, ("bound",)),
     "esets": (_suite_esets, ()),
     "divisor-identity": (_suite_divisor_identity, ("bound",)),
-    "census-consistency": (_suite_census_consistency, ("x", "workers", "pmax")),
+    "census-consistency": (_suite_census_consistency, ("x", "workers")),
     "constants": (_suite_constants, ("tol", "pmax")),
     "tamagawa": (_suite_tamagawa, ("tol", "pmax")),
 }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -241,7 +241,6 @@ def find_conic_point(a: int, b: int, height: int):
         raise ValueError("need nonzero coefficients")
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    squares = {x * x: x for x in range(height + 1)}
     for z in range(height + 1):
         bz2 = b * z * z
         for y in range(height + 1):
@@ -249,8 +248,8 @@ def find_conic_point(a: int, b: int, height: int):
                 continue
             target = a * y * y + bz2
             if 0 <= target <= height * height:
-                x = squares.get(target)
-                if x is not None and gcd(gcd(x, y), z) == 1:
+                x = isqrt(target)
+                if x * x == target and gcd(gcd(x, y), z) == 1:
                     return (x, y, z)
     return None
 

@@ -14,6 +14,7 @@ from d4census.asymptotic import (
     EulerProductSpec,
     constant_identity,
     dyadic_hom_count,
+    predicted_count,
     tamagawa_constant,
     twist_main_term,
 )
@@ -85,7 +86,7 @@ def test_criterion_4_local_product_identity(capsys):
 
 def test_criterion_5_census_consistency(capsys):
     t0 = time.perf_counter()
-    code, checks = run_suite(capsys, "census-consistency", "--pmax", "10000")
+    code, checks = run_suite(capsys, "census-consistency")
     boxes = [(1, 1, 1, 1), (10, 10, 10, 10), (50, 50, 50, 50)]
     names = {f"census_vs_class_sums_{raw}" for raw in boxes} | {"unit_box_exact"}
     unit_exact = checks["unit_box_exact"]["actual"]
@@ -135,10 +136,11 @@ def test_criterion_7_twist_main_term(capsys):
 def test_criterion_8_asymptotic_convergence(capsys):
     t0 = time.perf_counter()
     tables = build_sieve(160)
+    spec = EulerProductSpec(pmax=100_000)
     ratios = []
     for x in (10, 20, 40, 80):
-        r = exact_census(BoundBox(x, x, x, x), tables, pmax=100_000)
-        ratios.append(r.ratio)
+        box = BoundBox(x, x, x, x)
+        ratios.append(exact_census(box, tables).exact / predicted_count(box, spec))
     elapsed = time.perf_counter() - t0
     hard_ok = all(0.2 <= r <= 5.0 for r in ratios)
     deviations = [abs(r - 1) for r in ratios]
@@ -197,7 +199,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     tables = build_sieve(100)
     box = BoundBox(50, 50, 50, 50)
     counts = {
-        w: exact_census(box, tables, workers=w, pmax=10_000).exact for w in (1, 4, 8)
+        w: exact_census(box, tables, workers=w).exact for w in (1, 4, 8)
     }
     paths = [tmp_path / f"sweep{i}.csv" for i in (1, 2)]
     for path in paths:

@@ -136,7 +136,7 @@ def test_enumerate_and_breakdown_order_match_reference(tables_census):
         twists = tau * sum(1 for t in range(1, 10, 2) if brute_squarefree(t) and gcd(t, m) == 1)
         cumulative += twists
         rows.append((m1, m2, m3, twists, cumulative))
-    report = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
+    report = exact_census(box, tables_census, want_breakdown=True)
     assert report.breakdown == rows
     assert report.exact == 4 * cumulative and report.triples_visited == len(rows)
 
@@ -180,25 +180,25 @@ def test_twist_count_rejects_bad_m(tables_census):
 
 
 def test_exact_census_unit_box(tables_census):
-    report = exact_census(BoundBox(1, 1, 1, 1), tables_census, pmax=1000)
+    report = exact_census(BoundBox(1, 1, 1, 1), tables_census)
     assert report.exact == 16
     assert report.triples_visited == 4
     assert report.exact == brute_census(1, 1, 1, 1)
 
 
 def test_exact_census_empty_twist_range(tables_census):
-    assert exact_census(BoundBox(1, 1, 1, 0.5), tables_census, pmax=1000).exact == 0
+    assert exact_census(BoundBox(1, 1, 1, 0.5), tables_census).exact == 0
 
 
 def test_exact_census_against_brute_oracle(tables_census):
     box = BoundBox(3, 3, 3, 4)
-    assert exact_census(box, tables_census, pmax=1000).exact == brute_census(3, 3, 3, 4)
+    assert exact_census(box, tables_census).exact == brute_census(3, 3, 3, 4)
 
 
 def test_exact_census_asymmetric_against_brute_oracle(tables_census):
     # asymmetric box exercises the invariant-to-bound mapping
     box = BoundBox(5, 2, 3, 3)
-    assert exact_census(box, tables_census, pmax=1000).exact == brute_census(5, 2, 3, 3)
+    assert exact_census(box, tables_census).exact == brute_census(5, 2, 3, 3)
 
 
 half_steps = st.integers(0, 12).map(lambda k: k / 2)
@@ -207,30 +207,25 @@ half_steps = st.integers(0, 12).map(lambda k: k / 2)
 @settings(max_examples=40, deadline=None)
 @given(x1=half_steps, x2=half_steps, x3=half_steps, x4=st.integers(0, 8))
 def test_exact_census_matches_brute_oracle_on_random_boxes(tables_census, x1, x2, x3, x4):
-    report = exact_census(BoundBox(x1, x2, x3, x4), tables_census, pmax=1000)
+    report = exact_census(BoundBox(x1, x2, x3, x4), tables_census)
     assert report.exact == brute_census(x1, x2, x3, x4)
 
 
 def test_exact_census_monotone(tables_census):
-    base = exact_census(BoundBox(1, 1, 1, 1), tables_census, pmax=1000).exact
-    assert exact_census(BoundBox(2, 1, 1, 1), tables_census, pmax=1000).exact >= base
-    assert exact_census(BoundBox(1, 1, 1, 9), tables_census, pmax=1000).exact >= base
+    base = exact_census(BoundBox(1, 1, 1, 1), tables_census).exact
+    assert exact_census(BoundBox(2, 1, 1, 1), tables_census).exact >= base
+    assert exact_census(BoundBox(1, 1, 1, 9), tables_census).exact >= base
 
 
 def test_exact_census_multiple_of_four(tables_census):
     for box in [(1, 1, 1, 1), (4, 4, 4, 4), (9, 7, 5, 3), (10, 10, 10, 10)]:
-        assert exact_census(BoundBox(*box), tables_census, pmax=1000).exact % 4 == 0
-
-
-def test_exact_census_ratio_consistent(tables_census):
-    report = exact_census(BoundBox(10, 10, 10, 10), tables_census, pmax=10_000)
-    assert report.ratio == pytest.approx(report.exact / report.predicted)
+        assert exact_census(BoundBox(*box), tables_census).exact % 4 == 0
 
 
 def test_worker_partition_matches_serial(tables_census):
     for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
-        serial = exact_census(box, tables_census, workers=1, pmax=1000)
-        parallel = exact_census(box, tables_census, workers=2, pmax=1000)
+        serial = exact_census(box, tables_census, workers=1)
+        parallel = exact_census(box, tables_census, workers=2)
         assert (serial.exact, serial.triples_visited) == (parallel.exact, parallel.triples_visited)
 
 
@@ -256,8 +251,8 @@ def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
     box = BoundBox(15, 15, 15, 15)
-    serial = exact_census(box, tables_census, workers=1, pmax=1000)
-    many = exact_census(box, tables_census, workers=64, pmax=1000)
+    serial = exact_census(box, tables_census, workers=1)
+    many = exact_census(box, tables_census, workers=64)
     assert len(pools) == 1
     assert pools[0].max_workers <= (os.cpu_count() or 1)
     assert len(pools[0].jobs) == pools[0].max_workers
@@ -295,22 +290,22 @@ def census_result(report):
 
 def test_breakdown_with_workers_matches_serial(tables_census, in_process_pools):
     for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
-        serial = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
-        parallel = exact_census(box, tables_census, workers=3, pmax=1000, want_breakdown=True)
+        serial = exact_census(box, tables_census, want_breakdown=True)
+        parallel = exact_census(box, tables_census, workers=3, want_breakdown=True)
         assert census_result(parallel) == census_result(serial)
     assert len(in_process_pools) == 2
 
 
 def test_workers_read_the_callers_tables(tables_census, in_process_pools, monkeypatch):
     box = BoundBox(15, 15, 15, 15)
-    serial = exact_census(box, tables_census, pmax=1000)
+    serial = exact_census(box, tables_census)
 
     def no_sieve(limit):
         raise AssertionError(f"a worker built a sieve of {limit} entries")
 
     monkeypatch.setattr(census, "build_sieve", no_sieve, raising=False)
     monkeypatch.setattr(arith, "build_sieve", no_sieve)
-    parallel = exact_census(box, tables_census, workers=2, pmax=1000)
+    parallel = exact_census(box, tables_census, workers=2)
     assert len(in_process_pools) == 1
     assert census_result(parallel) == census_result(serial)
 
@@ -325,8 +320,7 @@ def test_kernel_runs_once_per_census(tables_census, in_process_pools, monkeypatc
         return mask_rows(*args)
 
     monkeypatch.setattr(census, "_mask_rows", counted)
-    exact_census(BoundBox(15, 15, 15, 15), tables_census, workers=workers, pmax=1000,
-                 want_breakdown=True)
+    exact_census(BoundBox(15, 15, 15, 15), tables_census, workers=workers, want_breakdown=True)
     assert len(calls) == 1
 
 
@@ -346,7 +340,7 @@ def test_each_distinct_product_twist_counted_once(tables_census, in_process_pool
     monkeypatch.setattr(arith.SieveTables, "count_odd_squarefree_coprime", counted)
     for workers in (1, 3):
         calls.clear()
-        exact_census(box, tables_census, workers=workers, pmax=1000)
+        exact_census(box, tables_census, workers=workers)
         assert len(calls) == len(distinct)
     assert len(in_process_pools) == 1
 
@@ -361,15 +355,13 @@ odd_part_bounds = st.integers(0, 30).map(lambda k: k / 2)
 def test_any_worker_count_matches_serial(tables_census, in_process_pools,
                                          x1, x2, x3, x4, workers):
     box = BoundBox(x1, x2, x3, x4)
-    serial = exact_census(box, tables_census, pmax=1000, want_breakdown=True)
-    parallel = exact_census(box, tables_census, workers=workers, pmax=1000,
-                            want_breakdown=True)
+    serial = exact_census(box, tables_census, want_breakdown=True)
+    parallel = exact_census(box, tables_census, workers=workers, want_breakdown=True)
     assert census_result(parallel) == census_result(serial)
 
 
 def test_breakdown_rows(tables_census):
-    report = exact_census(BoundBox(4, 4, 4, 4), tables_census, pmax=1000,
-                          want_breakdown=True)
+    report = exact_census(BoundBox(4, 4, 4, 4), tables_census, want_breakdown=True)
     rows = report.breakdown
     assert rows
     running = 0
@@ -393,7 +385,7 @@ def test_sqrt_table_census_equals_full_table_census(raw):
     assert small.limit < box.x4
     for workers in (1, 2):
         for want_breakdown in (False, True):
-            got, expected = (census_result(exact_census(box, t, workers=workers, pmax=1000,
+            got, expected = (census_result(exact_census(box, t, workers=workers,
                                                         want_breakdown=want_breakdown))
                              for t in (small, full))
             assert got == expected, (workers, want_breakdown)
@@ -403,7 +395,7 @@ def test_sqrt_table_census_equals_full_table_census(raw):
 
 def test_sqrt_table_census_against_brute_oracle():
     box = BoundBox(15, 9, 12, 300)
-    report = exact_census(box, build_sieve(required_sieve_limit(box)), pmax=1000)
+    report = exact_census(box, build_sieve(required_sieve_limit(box)))
     assert report.exact == brute_census(15, 9, 12, 300)
 
 

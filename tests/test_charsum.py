@@ -374,7 +374,7 @@ def test_T_direct_empty_twist_range(tables_census):
 def test_census_consistency_small_boxes(tables_census):
     for raw in [(1, 1, 1, 1), (6, 6, 6, 6), (10, 10, 10, 10), (7, 3, 5, 9)]:
         box = BoundBox(*raw)
-        exact = exact_census(box, tables_census, pmax=1000).exact
+        exact = exact_census(box, tables_census).exact
         assert census_from_classes(box, tables_census) == exact, raw
 
 
@@ -396,13 +396,13 @@ def test_class_main_terms_recover_leading_constant():
 
 
 def test_class_sums_csv_shape(tables_census):
-    from d4census.charsum import CLASS_CSV_HEADER, class_sums_csv
+    from d4census.asymptotic import EulerProductSpec
+    from d4census.cli import CLASS_CSV_HEADER, class_csv_rows
 
-    text = class_sums_csv(BoundBox(1, 1, 1, 1), tables_census)
-    lines = text.strip().split("\n")
-    assert lines[0] == CLASS_CSV_HEADER
-    assert len(lines) == 433  # header + one row per admissible class
-    values = [int(line.split(",")[12]) for line in lines[1:]]
+    rows = class_csv_rows(BoundBox(1, 1, 1, 1), tables_census, EulerProductSpec())
+    assert len(rows) == 432  # one row per admissible class
+    assert all(len(row.split(",")) == len(CLASS_CSV_HEADER.split(",")) for row in rows)
+    values = [int(row.split(",")[12]) for row in rows]
     assert sum(values) * 4 == 16
 
 

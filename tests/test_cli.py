@@ -3,9 +3,9 @@ import json
 import pytest
 
 from d4census import arith, asymptotic, census, cli
-from d4census.charsum import CLASS_CSV_HEADER
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
+    CLASS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     VERIFY_SUITES,
     canonical_json,
@@ -124,6 +124,23 @@ def test_prime_table_over_budget_exits_three(capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("capacity error: prime table")
 
 
+def test_over_budget_pmax_exits_three_before_the_census(capsys, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran before the prediction")
+
+    monkeypatch.setattr(cli, "exact_census", no_census)
+    code, out, err = run_cli(capsys, *"count --x 20 20 20 20 --pmax 2000000000".split())
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: prime table up to 2000000000 ")
+
+
+def test_count_csv_makes_no_prediction(capsys):
+    argv = "count --x 9 17 13 11 --format csv".split()
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--pmax", "2000000000") == plain
+
+
 @pytest.mark.parametrize("bound", ["inf", "nan"])
 def test_count_non_finite_bound_exit_two(capsys, bound):
     code, out, err = run_cli(capsys, "count", "--x", bound, "1", "1", "1")
@@ -214,7 +231,7 @@ SUITE_OPTIONS = {
     "lemma41": ("--bound",),
     "esets": (),
     "divisor-identity": ("--bound",),
-    "census-consistency": ("--x", "--workers", "--pmax"),
+    "census-consistency": ("--x", "--workers"),
     "constants": ("--tol", "--pmax"),
     "tamagawa": ("--tol", "--pmax"),
 }

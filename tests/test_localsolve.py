@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -133,6 +134,41 @@ def test_find_conic_point_soundness():
             assert x * x - a * y * y - b * z * z == 0
             assert gcd(gcd(x, y), z) == 1
             assert max(abs(x), abs(y), abs(z)) <= 30
+
+
+def _find_conic_point_by_square_table(a, b, height):
+    """Reference: the same search, looking each target up in a dict of every
+    square up to height^2."""
+    squares = {x * x: x for x in range(height + 1)}
+    for z in range(height + 1):
+        for y in range(height + 1):
+            if y == 0 and z == 0:
+                continue
+            target = a * y * y + b * z * z
+            if 0 <= target <= height * height:
+                x = squares.get(target)
+                if x is not None and gcd(gcd(x, y), z) == 1:
+                    return (x, y, z)
+    return None
+
+
+def test_find_conic_point_matches_square_table_search():
+    for height in (1, 2, 5, 17, 40):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                if a and b:
+                    assert (find_conic_point(a, b, height)
+                            == _find_conic_point_by_square_table(a, b, height)), (a, b, height)
+
+
+def test_find_conic_point_holds_no_table_of_squares():
+    tracemalloc.start()
+    try:
+        assert find_conic_point(1, 7, 100_000) == (1, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_witness_exists_for_soluble_triples():
