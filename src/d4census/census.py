@@ -29,10 +29,15 @@ condition on a signed triple allows a set of choices, kept as a 12-bit mask
     coprimality test.
 
 The AND of these masks is the set of admissible choices over the odd triple,
-and its popcount the number of admissible signed triples.  For each coprime
-pair (m1', m2') the masks of every m3' are computed at once in numpy: primes
-of m1' and m2' by their Legendre rows at m3' mod p, primes of m3' through a
-prime-incidence table reduced with bitwise_and.reduceat.
+and its popcount the number of admissible signed triples.  For each m1' the
+masks of every pair (m2', m3') are computed at once, as one numpy block in
+row-major order.  Each odd squarefree value's primes sit in columns padded
+with 0, and the pad allows every choice.  A prime of m2' or m3' reads two
+(m2', m3') planes built once per census, one per sign of the Legendre symbol
+of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
+and m3' at it.  Coprimality needs no test of its own: a shared prime gives a
+symbol 0 somewhere, and that allows no choice.  The planes and one block are
+charged against arith.MEMORY_BUDGET before any is built (_check_capacity).
 
 The twist count tau(n) * #{t <= X4 odd squarefree coprime to n} depends only
 on n = m1'm2'm3', so popcounts are summed per distinct n and the twist
@@ -59,7 +64,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd, isfinite, isqrt
+from math import isfinite, isqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -72,6 +77,7 @@ from .arith import (
     factor_small,
     kronecker,
     primes_up_to,
+    _check_budget,
     _squarefree_factors,
 )
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
@@ -153,14 +159,6 @@ def check_sieve_covers(box: BoundBox, tables: SieveTables) -> None:
         )
 
 
-def _legendre_table(p: int) -> list[int]:
-    """kronecker(r, p) for r in [0, p), via Euler's criterion."""
-    row = [0] * p
-    for r in range(1, p):
-        row[r] = 1 if pow(r, (p - 1) // 2, p) == 1 else -1
-    return row
-
-
 def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
     # For pairwise coprime squarefree entries, a product m_i*m_j is a perfect
     # square only when it equals 1, so degeneracy is this sign pattern check.
@@ -234,7 +232,24 @@ def _mask_tables() -> _MaskTables:
     return _MaskTables(cls=cls, nondeg=nondeg, sign=sign, bits=bits, popcount=popcount)
 
 
+# The odd primorials 3, 3*5, 3*5*7, ...: the number of them <= b is the most
+# primes of an odd squarefree value <= b, for every b a sieve can reach.
+_ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435)
+# The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
+# of m2' or m3' (a uint16 plane for each sign of the symbol of m1'), plus 48
+# for the class and non-degeneracy planes and one m1' block with its
+# temporaries.  Per (m1', m2') or (m1', m3') entry: 1 per prime column for the
+# symbols of m1', plus 2.  tracemalloc at X = 100 to 2000 read 59-70 bytes per
+# plane entry and 5 per pair entry, under the charge.
+_PLANE_BYTES_PER_COLUMN = 4
+_PLANE_BYTES = 48
+_PAIR_BYTES = 2
+
+
 def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTables) -> None:
+    """CapacityError unless the products fit int64, the sieve covers the
+    bounds and the kernel's tables fit arith.MEMORY_BUDGET; it runs before
+    anything of their size is allocated."""
     tops = [int(max(b, 0)) for b in (bound1, bound2, bound3)]
     if tops[0] * tops[1] * tops[2] > _INT64_MAX:
         raise CapacityError(
@@ -242,74 +257,84 @@ def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTa
         )
     if tables.limit < max(tops):
         raise CapacityError(f"sieve limit {tables.limit} < required {max(tops)}")
+    v1, v2, v3 = (int(tables.odd_sf_count[top]) for top in tops)
+    k2, k3 = (sum(p <= top for p in _ODD_PRIMORIALS) for top in tops[1:])
+    nbytes = (v2 * v3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES)
+              + v1 * (v2 * (k2 + _PAIR_BYTES) + v3 * (k3 + _PAIR_BYTES)))
+    _check_budget(f"mask kernel of {v1} x {v2} x {v3} odd parts", nbytes)
 
 
-def _mask_rows(
+def _prime_columns(values: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """The primes of each value, increasing along its row and padded with 0."""
+    factors = [tables.prime_factors(v) for v in values.tolist()]
+    width = max(map(len, factors))
+    return np.array([f + (0,) * (width - len(f)) for f in factors],
+                    dtype=np.int64).reshape(len(factors), width)
+
+
+def _symbols_at(values: np.ndarray, primes: np.ndarray):
+    """A look-up p -> the Legendre symbols (values / p) as int8, for p in
+    primes or an array of them; the pad prime 0 gives all 1."""
+    distinct = np.array(sorted(set(primes.ravel().tolist()) | {0}), dtype=np.int64)
+    rows = np.ones((len(distinct), len(values)), dtype=np.int8)
+    for j, p in enumerate(distinct[1:].tolist(), 1):
+        residue = np.full(p, -1, dtype=np.int8)
+        residue[np.arange(p) ** 2 % p] = 1
+        residue[0] = 0
+        rows[j] = residue[values % p]
+    return lambda p: rows[np.searchsorted(distinct, p)]
+
+
+def _mask_blocks(
     bound1: float, bound2: float, bound3: float, tables: SieveTables,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The mask kernel: for each coprime pair m1' <= bound1, m2' <= bound2 in
-    increasing order, yield (m1', m2', m3', masks) where m3' holds the
-    m3' <= bound3 that admit some choice, increasing, and masks their
-    nonzero choice masks."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The mask kernel: for each m1' <= bound1 in increasing order, yield
+    (m1', m2', m3', masks) where the arrays m2' <= bound2 and m3' <= bound3
+    hold the pairs that admit some choice, in row-major (m2', m3') order, and
+    masks their nonzero choice masks."""
     _check_capacity(bound1, bound2, bound3, tables)
-    vals1 = tables.odd_squarefree_upto(bound1)
-    vals2 = tables.odd_squarefree_upto(bound2)
-    vals3 = tables.odd_squarefree_upto(bound3)
-    if not (vals1 and vals2 and vals3):
+    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64)
+                  for b in (bound1, bound2, bound3))
+    if not (v1.size and v2.size and v3.size):
         return
     masks = _mask_tables()
-    v3 = np.array(vals3, dtype=np.int64)
-    factors = {v: tables.prime_factors(v) for v in set(vals1) | set(vals2) | set(vals3)}
-    legendre = {p: _legendre_table(p) for fac in factors.values() for p in fac}
-
-    # p | m1' (i = 0) or p | m2' (i = 1): the row of choices over all m3',
-    # for each value s of the symbol at p of the other part of the pair
-    pair_rows = {}
-    for i, vals in ((0, vals1), (1, vals2)):
-        for p in {p for v in vals for p in factors[v]}:
-            leg3 = np.array(legendre[p], dtype=np.int8)[v3 % p]
-            pair_rows[i, p] = {s: masks.sign[i, p % 8][s * leg3 + 1] for s in (1, -1)}
-
-    # p | m3': CSR incidence of the m3' on their primes (m3' = 1 on the pad
-    # column), and each pair-part's symbols at those primes (1 at the pad)
-    primes3 = sorted({p for v in vals3 for p in factors[v]})
-    column = {p: j for j, p in enumerate(primes3)}
-    incidence, starts = [], []
-    for v in vals3:
-        starts.append(len(incidence))
-        incidence.extend([column[p] for p in factors[v]] or [len(primes3)])
-    incidence, starts = np.array(incidence), np.array(starts)
-    residue3 = np.array([p % 8 for p in primes3] + [0])
-    symbols3 = {
-        v: np.array([legendre[p][v % p] for p in primes3] + [1], dtype=np.int8)
-        for v in set(vals1) | set(vals2)
-    }
-
-    cls3 = masks.cls[:, :, v3 % 8]
-    nondeg3 = masks.nondeg[:, :, (v3 == 1).astype(np.intp)]
-    for m1p in vals1:
-        e1, o1 = m1p % 8, int(m1p == 1)
-        for m2p in vals2:
-            if gcd(m1p, m2p) != 1:
-                continue
-            row = cls3[e1, m2p % 8] & nondeg3[o1, int(m2p == 1)]
-            for p in factors[m1p]:
-                row &= pair_rows[0, p][legendre[p][m2p % p]]
-            for p in factors[m2p]:
-                row &= pair_rows[1, p][legendre[p][m1p % p]]
-            s = symbols3[m1p] * symbols3[m2p]
-            row &= np.bitwise_and.reduceat(masks.sign[2][residue3, s + 1][incidence], starts)
-            nonzero = np.flatnonzero(row)
-            if nonzero.size:
-                yield m1p, m2p, v3[nonzero], row[nonzero]
+    p1, p2, p3 = (_prime_columns(v, tables) for v in (v1, v2, v3))
+    at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
+                     _symbols_at(v3, np.append(p1, p2)))
+    # p | m2' in the k-th prime column: the (m2', m3') planes of choices when
+    # the symbol of m1' at p is -1 and +1; likewise for p | m3'
+    plane2 = [[masks.sign[1][p2[:, k, None] % 8, s * at3(p2[:, k]) + 1] for s in (-1, 1)]
+              for k in range(p2.shape[1])]
+    plane3 = [[masks.sign[2][p3[:, k] % 8, s * at2(p3[:, k]).T + 1] for s in (-1, 1)]
+              for k in range(p3.shape[1])]
+    sym2, sym3 = at1(p2), at1(p3)  # [m2' or m3', k, m1']
+    r2, r3 = v2[:, None] % 8, v3 % 8
+    cls = {e: masks.cls[e][r2, r3] for e in UNIT_RESIDUES}
+    one2, one3 = (v2[:, None] == 1).astype(np.intp), (v3 == 1).astype(np.intp)
+    nondeg = [masks.nondeg[o][one2, one3] for o in (0, 1)]
+    for i, m1p in enumerate(v1.tolist()):
+        block = cls[m1p % 8] & nondeg[int(m1p == 1)]
+        for k, (minus, plus) in enumerate(plane2):
+            block &= np.where(sym2[:, k, i, None] > 0, plus, minus)
+        for k, (minus, plus) in enumerate(plane3):
+            block &= np.where(sym3[:, k, i] > 0, plus, minus)
+        for p in p1[i][p1[i] > 0].tolist():
+            # the choices at p over m3', one row per symbol -1, 0, +1 of m2'
+            rows = masks.sign[0][p % 8][np.multiply.outer((-1, 0, 1), at3(p)) + 1]
+            block &= rows[at2(p) + 1]
+        j2, j3 = np.nonzero(block)
+        if j2.size:
+            yield m1p, v2[j2], v3[j3], block[j2, j3]
 
 
-def _signed_triples(m1p: int, m2p: int, m3ps: np.ndarray, row: np.ndarray, bits: tuple):
-    """(m3', (m1, m2, m3)) for each choice set in a kernel row, in
-    (m3', delta, nu) order."""
-    for m3p, mask in zip(m3ps.tolist(), row.tolist()):
+def _signed_triples(m1p: int, m2ps: np.ndarray, m3ps: np.ndarray, block: np.ndarray,
+                    bits: tuple):
+    """(m1'*m2'*m3', (m1, m2, m3)) for each choice set in a kernel block, in
+    (m2', m3', delta, nu) order."""
+    for m2p, m3p, mask in zip(m2ps.tolist(), m3ps.tolist(), block.tolist()):
         for (d2, d3), (mu, alpha, beta) in bits[mask]:
-            yield m3p, ((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p)
+            yield (m1p * m2p * m3p,
+                   ((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p))
 
 
 def enumerate_admissible_triples(
@@ -323,8 +348,8 @@ def enumerate_admissible_triples(
     two entries a perfect square, so the biquadratic field is genuine).
     """
     bits = _mask_tables().bits
-    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables):
-        for _, triple in _signed_triples(m1p, m2p, m3ps, row, bits):
+    for block in _mask_blocks(bound1, bound2, bound3, tables):
+        for _, triple in _signed_triples(*block, bits):
             yield SignedSquarefreeTriple(*triple)
 
 
@@ -388,11 +413,12 @@ def exact_census(
     check_sieve_covers(box, tables)
     masks = _mask_tables()
     products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
-    for m1p, m2p, m3ps, row in _mask_rows(bound1, bound2, bound3, tables):
-        products.append((m1p * m2p) * m3ps)
-        counts.append(masks.popcount[row])
+    for block in _mask_blocks(bound1, bound2, bound3, tables):
+        m1p, m2ps, m3ps, block_masks = block
+        products.append(m1p * m2ps * m3ps)
+        counts.append(masks.popcount[block_masks])
         if want_breakdown:
-            kept.append((m1p, m2p, m3ps, row))
+            kept.append(block)
     products, counts = np.concatenate(products), np.concatenate(counts)
     distinct, which = np.unique(products, return_inverse=True)
     weight = np.zeros(len(distinct), dtype=np.int64)
@@ -413,11 +439,10 @@ def exact_census(
     breakdown = None
     if want_breakdown:
         breakdown, cumulative = [], 0
-        # the kernel's rows come in serial (m1', m2', m3', delta, nu) order
-        for m1p, m2p, m3ps, row in kept:
-            m12 = m1p * m2p
-            for m3p, (m1, m2, m3) in _signed_triples(m1p, m2p, m3ps, row, masks.bits):
-                t = twist_of[m12 * m3p]
+        # the kernel's blocks come in serial (m1', m2', m3', delta, nu) order
+        for block in kept:
+            for n, (m1, m2, m3) in _signed_triples(*block, masks.bits):
+                t = twist_of[n]
                 cumulative += t
                 breakdown.append((m1, m2, m3, t, cumulative))
     return CensusReport(exact=4 * total, triples_visited=int(counts.sum()),

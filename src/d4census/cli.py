@@ -188,7 +188,7 @@ def cmd_count(args) -> int:
     t0 = time.perf_counter()
     box = BoundBox(*args.x)
     csv = args.format == "csv"
-    # CSV rows carry no prediction; an over-budget --pmax exits 3 before the census
+    # an over-budget --pmax exits 3 before the census
     predicted = None if csv else predicted_count(box, EulerProductSpec(pmax=args.pmax))
     tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
     report = exact_census(box, tables, workers=args.workers, want_breakdown=csv)
@@ -282,7 +282,11 @@ def cmd_sweep(args) -> int:
         box = BoundBox(x, x, x, x if args.fix_x4 is None else args.fix_x4)
         x *= args.factor
         try:
-            predicted = None if args.classes else predicted_count(box, euler)
+            # an over-budget --pmax skips the box before the sieve is built
+            if args.classes:
+                c_tilde(euler)  # the class rows' main terms read it
+            else:
+                predicted = predicted_count(box, euler)
             tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
             if args.classes:
                 rows = class_csv_rows(box, tables, euler)
@@ -622,8 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, action=action, **options[flag])
 
     p_count = sub.add_parser("count", help="exact census of a box")
-    add_shared(p_count, "--x", "--pmax", "--workers", "--format", "--out", "--sieve-cache",
-               formats=("text", "json", "csv"), box_required=True)
+    add_shared(p_count, "--x", box_required=True)
+    # CSV rows carry no prediction: main rejects --pmax with --format csv
+    add_shared(p_count, "--pmax", action=_NoteGiven)
+    add_shared(p_count, "--workers", "--format", "--out", "--sieve-cache",
+               formats=("text", "json", "csv"))
     p_count.set_defaults(func=cmd_count)
 
     p_predict = sub.add_parser("predict", help="main-term prediction for a box")
@@ -684,6 +691,9 @@ def main(argv=None) -> int:
             if unread:
                 parser.error(f"verify --suite {args.suite} does not read "
                              + ", ".join(f"--{dest}" for dest in unread))
+        if args.command == "count" and args.format == "csv" and "pmax" in getattr(
+                args, "given", ()):
+            parser.error("count --format csv does not read --pmax")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -313,13 +314,13 @@ def test_workers_read_the_callers_tables(tables_census, in_process_pools, monkey
 @pytest.mark.parametrize("workers", [1, 3, 64])
 def test_kernel_runs_once_per_census(tables_census, in_process_pools, monkeypatch, workers):
     calls = []
-    mask_rows = census._mask_rows
+    mask_blocks = census._mask_blocks
 
     def counted(*args):
         calls.append(args)
-        return mask_rows(*args)
+        return mask_blocks(*args)
 
-    monkeypatch.setattr(census, "_mask_rows", counted)
+    monkeypatch.setattr(census, "_mask_blocks", counted)
     exact_census(BoundBox(15, 15, 15, 15), tables_census, workers=workers, want_breakdown=True)
     assert len(calls) == 1
 
@@ -328,8 +329,8 @@ def test_each_distinct_product_twist_counted_once(tables_census, in_process_pool
                                                    monkeypatch):
     box = BoundBox(15, 15, 15, 15)
     distinct = {m1p * m2p * m3p
-                for m1p, m2p, m3ps, _ in census._mask_rows(15, 15, 15, tables_census)
-                for m3p in m3ps.tolist()}
+                for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables_census)
+                for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
     calls = []
     count = arith.SieveTables.count_odd_squarefree_coprime
 
@@ -343,6 +344,66 @@ def test_each_distinct_product_twist_counted_once(tables_census, in_process_pool
         exact_census(box, tables_census, workers=workers)
         assert len(calls) == len(distinct)
     assert len(in_process_pools) == 1
+
+
+def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):
+    # the 81 x 81 (m2', m3') plane of X = 200 is charged ~538 kB
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="mask kernel of 81 x 81 x 81 odd parts"):
+            exact_census(BoundBox(200, 200, 200, 200), tables_census)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+    # the charge grows with the plane: a thin box still fits
+    assert exact_census(BoundBox(15, 15, 200, 15), tables_census).exact > 0
+
+
+@pytest.mark.parametrize("raw, exact, triples", [
+    ((200, 200, 200, 200), 1_151_510_048, 357_016),
+    ((50, 100, 200, 100), 69_552_784, 53_629),
+    ((50, 200, 100, 100), 69_492_784, 53_493),
+    ((100, 200, 50, 100), 69_463_440, 53_423),
+])
+def test_kernel_pinned_above_fifty(tables_census, raw, exact, triples):
+    # recorded with the earlier per-pair row kernel, an independent implementation
+    report = exact_census(BoundBox(*raw), tables_census)
+    assert (report.exact, report.triples_visited) == (exact, triples)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x1=st.integers(0, 60), x2=st.integers(0, 60), x3=st.integers(0, 60),
+       x4=st.integers(0, 2000))
+def test_count_symmetric_in_the_reflection_invariants(tables_census, x1, x2, x3, x4):
+    # the outer automorphism swaps the two reflection classes, so X1 and X2
+    # (the bounds on m2' and m3') may be exchanged
+    assert (exact_census(BoundBox(x1, x2, x3, x4), tables_census).exact
+            == exact_census(BoundBox(x2, x1, x3, x4), tables_census).exact)
+
+
+@pytest.mark.parametrize("bounds", [(45, 45, 45), (30, 20, 45), (7, 60, 1)])
+def test_choice_swap_maps_masks_onto_swapped_triples(tables_census, bounds):
+    """(d2, d3, alpha, beta) -> (d3, d2, beta, alpha) maps the masks of
+    (m1', m2', m3') onto those of (m1', m3', m2')."""
+    def masks_of(b1, b2, b3):
+        return {(m1p, m2p, m3p): mask
+                for m1p, m2ps, m3ps, block in census._mask_blocks(b1, b2, b3, tables_census)
+                for m2p, m3p, mask in zip(m2ps.tolist(), m3ps.tolist(), block.tolist())}
+
+    index = {choice: k for k, choice in enumerate(census.CHOICES)}
+    image = [index[(d3, d2), (mu, beta, alpha)]
+             for (d2, d3), (mu, alpha, beta) in census.CHOICES]
+
+    def swap(mask):
+        return sum(1 << image[k] for k in range(len(image)) if mask >> k & 1)
+
+    b1, b2, b3 = bounds
+    direct, swapped = masks_of(b1, b2, b3), masks_of(b1, b3, b2)
+    assert direct and image != list(range(len(image)))
+    assert {(m1p, m3p, m2p): swap(mask) for (m1p, m2p, m3p), mask in direct.items()} == swapped
 
 
 odd_part_bounds = st.integers(0, 30).map(lambda k: k / 2)

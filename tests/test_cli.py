@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -134,11 +136,54 @@ def test_over_budget_pmax_exits_three_before_the_census(capsys, monkeypatch):
     assert err.startswith("capacity error: prime table up to 2000000000 ")
 
 
-def test_count_csv_makes_no_prediction(capsys):
+def test_count_csv_makes_no_prediction(capsys, monkeypatch):
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("count --format csv made a prediction")
+
+    monkeypatch.setattr(cli, "predicted_count", no_prediction)
     argv = "count --x 9 17 13 11 --format csv".split()
-    plain = run_cli(capsys, *argv)
-    assert plain[0] == 0
-    assert run_cli(capsys, *argv, "--pmax", "2000000000") == plain
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.count("\n") > 1 and err == ""
+    # the rows carry no prediction, so --pmax is an option the CSV does not read
+    code, out, err = run_cli(capsys, *argv, "--pmax", "2000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: d4census") and "does not read --pmax" in err
+
+
+def test_count_csv_bytes_pinned(capsys):
+    # recorded with the earlier per-pair row kernel, an independent implementation
+    code, out, _ = run_cli(capsys, *"count --x 50 100 200 100 --format csv".split())
+    assert code == 0 and out.count("\n") == 53630
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "905c12b1554f316b7c04398cfa7c5b4b203557982cb4a4188e7ef277d4b9f330")
+
+
+def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypatch):
+    # the sieve of 201 entries fits; the 81 x 81 mask plane needs ~538 kB
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 200_000)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *"count --x 200 200 200 100 --format csv".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == ("capacity error: mask kernel of 81 x 81 x 81 odd parts needs ~538002 "
+                   "bytes, budget is 200000\n")
+    assert peak < 200_000
+
+
+def test_sweep_classes_skips_an_over_budget_pmax_before_the_class_sums(capsys, monkeypatch):
+    def no_class_sums(*args, **kwargs):
+        raise AssertionError("the class sums ran before --pmax was checked")
+
+    monkeypatch.setattr(cli, "class_sums", no_class_sums)
+    code, out, err = run_cli(capsys, *"sweep --min 10 --max 20 --classes --pmax 2000000000".split())
+    assert code == 0 and out == CLASS_CSV_HEADER + "\n"
+    lines = err.strip().split("\n")
+    assert len(lines) == 2 and all(
+        line.startswith("sweep: skipping ") and "prime table up to 2000000000 " in line
+        for line in lines)
 
 
 @pytest.mark.parametrize("bound", ["inf", "nan"])
@@ -174,6 +219,7 @@ def test_sweep_rejects_grids_that_never_end(capsys, argv):
     "classify --triple 1 2 7 --sieve-cache sieve.bin",
     "classify --triple 1 2 7 --format csv",
     "sweep --format json",
+    "count --x 1 1 1 1 --format csv --pmax 5",
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
