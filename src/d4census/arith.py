@@ -64,8 +64,7 @@ class SieveTables:
     rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
     integers <= n.  With mu it backs the exact coprime twist counting, which
     answers for twist bounds up to N^2 and whose memo is the one mutable part
-    (each census pool worker fills its own copy, for its share of the
-    distinct products).
+    (filled as the census twist-counts its distinct products).
     """
 
     limit: int

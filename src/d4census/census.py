@@ -41,9 +41,10 @@ charged against arith.MEMORY_BUDGET before any is built (_check_capacity).
 
 The twist count tau(n) * #{t <= X4 odd squarefree coprime to n} depends only
 on n = m1'm2'm3', so popcounts are summed per distinct n and the twist
-counter runs once per n; the sum is taken in Python integers.  That counter
-(SieveTables.count_odd_squarefree_coprime) reads the sieve only up to
-isqrt(X4): above its table it counts odd squarefree t <= y in closed form
+counter runs once per n, in one pass over the distinct products in the
+calling process; the weighted sum is taken in Python integers.  That
+counter (SieveTables.count_odd_squarefree_coprime) reads the sieve only up
+to isqrt(X4): above its table it counts odd squarefree t <= y in closed form
 from mu.  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
 whole census (required_sieve_limit), however large X4 is.  The CSV
 breakdown and enumerate_admissible_triples expand the set bits of the same
@@ -59,8 +60,6 @@ boxes are unaffected.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -172,6 +171,8 @@ _ALL_CHOICES = (1 << len(CHOICES)) - 1
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # products factored per block in _twist_counts, to bound the factor lists
 _TWIST_BLOCK = 1 << 16
+# (prime, value) entries per block of _symbols_at, to bound its int64 temporaries
+_SYMBOL_BLOCK = 1 << 16
 
 
 def _choice_mask(allowed) -> int:
@@ -274,14 +275,24 @@ def _prime_columns(values: np.ndarray, tables: SieveTables) -> np.ndarray:
 
 def _symbols_at(values: np.ndarray, primes: np.ndarray):
     """A look-up p -> the Legendre symbols (values / p) as int8, for p in
-    primes or an array of them; the pad prime 0 gives all 1."""
+    primes or an array of them; the pad prime 0 gives all 1.
+
+    Euler's criterion: values^((p-1)/2) mod p by repeated squaring, about
+    len(values) * log p work per odd prime, for a block of primes at a time.
+    p is below the sieve limit, which the memory budget keeps under 2^31, so
+    no int64 product overflows.
+    """
     distinct = np.array(sorted(set(primes.ravel().tolist()) | {0}), dtype=np.int64)
     rows = np.ones((len(distinct), len(values)), dtype=np.int8)
-    for j, p in enumerate(distinct[1:].tolist(), 1):
-        residue = np.full(p, -1, dtype=np.int8)
-        residue[np.arange(p) ** 2 % p] = 1
-        residue[0] = 0
-        rows[j] = residue[values % p]
+    step = max(1, _SYMBOL_BLOCK // max(len(values), 1))
+    for start in range(1, len(distinct), step):
+        p = distinct[start:start + step, None]
+        base, e = values % p, (p - 1) // 2
+        power = np.ones_like(base)
+        while e.any():
+            power = np.where(e & 1, power * base % p, power)
+            base, e = base * base % p, e >> 1
+        rows[start:start + step] = np.where(power == p - 1, -1, power)  # 0, 1 or p - 1
     return lambda p: rows[np.searchsorted(distinct, p)]
 
 
@@ -384,30 +395,12 @@ def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
     return twists
 
 
-# the twist bound, the caller's sieve tables and the primes, handed to each
-# pool worker once when it starts; under the fork start method the worker
-# shares them with the caller
-_worker_twist_args: Optional[tuple] = None
-
-
-def _init_worker(*twist_args) -> None:
-    global _worker_twist_args
-    _worker_twist_args = twist_args
-
-
-def _twist_worker(products: np.ndarray) -> list[int]:
-    return _twist_counts(products, *_worker_twist_args)
-
-
-def exact_census(
-    box: BoundBox, tables: SieveTables, workers: int = 1, want_breakdown: bool = False,
-) -> CensusReport:
+def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
     """Exact count of pairs with invariants in the box, in integers only: the
     predicted main term and its ratio are the caller's (asymptotic.predicted_count).
 
-    Deterministic and independent of the worker count: the kernel runs once
-    in the calling process, each distinct product m1'*m2'*m3' is twist-counted
-    in one job, and the jobs' sums are added exactly.
+    Deterministic: the kernel runs once, each distinct product m1'*m2'*m3' is
+    twist-counted once, and the weighted sum is taken in Python integers.
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
     check_sieve_covers(box, tables)
@@ -424,22 +417,13 @@ def exact_census(
     weight = np.zeros(len(distinct), dtype=np.int64)
     np.add.at(weight, which, counts)
     primes = primes_up_to(int(max(bound1, bound2, bound3)))[1:]
-    n = max(1, min(workers, len(distinct), os.cpu_count() or 1))
-    if n == 1:
-        parts = [_twist_counts(distinct, box.x4, tables, primes)]
-    else:
-        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
-                                 initargs=(box.x4, tables, primes)) as pool:
-            parts = list(pool.map(_twist_worker, [distinct[i::n] for i in range(n)]))
-    total, twist_of = 0, {}
-    for i, twists in enumerate(parts):
-        total += sum(w * t for w, t in zip(weight[i::n].tolist(), twists))
-        if want_breakdown:
-            twist_of.update(zip(distinct[i::n].tolist(), twists))
+    twists = _twist_counts(distinct, box.x4, tables, primes)
+    total = sum(w * t for w, t in zip(weight.tolist(), twists))
     breakdown = None
     if want_breakdown:
+        twist_of = dict(zip(distinct.tolist(), twists))
         breakdown, cumulative = [], 0
-        # the kernel's blocks come in serial (m1', m2', m3', delta, nu) order
+        # the kernel's blocks come in (m1', m2', m3', delta, nu) order
         for block in kept:
             for n, (m1, m2, m3) in _signed_triples(*block, masks.bits):
                 t = twist_of[n]

@@ -180,7 +180,10 @@ def _load_tables(limit: int, cache_path):
             return tables
     tables = build_sieve(limit)
     if cache_path:
-        save_sieve_cache(tables, cache_path)
+        try:
+            save_sieve_cache(tables, cache_path)
+        except OSError as err:
+            raise OSError(f"sieve cache {cache_path}: {err.strerror}") from err
     return tables
 
 
@@ -191,7 +194,7 @@ def cmd_count(args) -> int:
     # an over-budget --pmax exits 3 before the census
     predicted = None if csv else predicted_count(box, EulerProductSpec(pmax=args.pmax))
     tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
-    report = exact_census(box, tables, workers=args.workers, want_breakdown=csv)
+    report = exact_census(box, tables, want_breakdown=csv)
     if csv:
         lines = [BREAKDOWN_CSV_HEADER]
         for m1, m2, m3, twists, cumulative in report.breakdown:
@@ -291,7 +294,7 @@ def cmd_sweep(args) -> int:
             if args.classes:
                 rows = class_csv_rows(box, tables, euler)
             else:
-                exact = exact_census(box, tables, workers=args.workers).exact
+                exact = exact_census(box, tables).exact
                 rows = [",".join(_fmt_float(float(v)) for v in box.as_tuple())
                         + f",{exact},{_fmt_float(predicted)},"
                           f"{_fmt_float(_ratio(exact, predicted))}"]
@@ -484,7 +487,7 @@ def _suite_census_consistency(args) -> list[dict]:
     for raw in boxes:
         box = BoundBox(*raw)
         tables = build_sieve(required_sieve_limit(box))
-        exact = exact_census(box, tables, workers=args.workers).exact
+        exact = exact_census(box, tables).exact
         via_classes = census_from_classes(box, tables)
         checks.append(_check(f"census_vs_class_sums_{raw}", exact, via_classes))
         if raw == (1, 1, 1, 1):
@@ -523,14 +526,14 @@ def _suite_tamagawa(args) -> list[dict]:
 
 
 # Each suite's runner and the verify options it reads; giving a suite any
-# other of --tol, --bound, --x, --workers and --pmax is a usage error.
+# other of --tol, --bound, --x and --pmax is a usage error.
 _SUITES = {
     "lemma432": (_suite_lemma432, ()),
     "hasse": (_suite_hasse, ("bound",)),
     "lemma41": (_suite_lemma41, ("bound",)),
     "esets": (_suite_esets, ()),
     "divisor-identity": (_suite_divisor_identity, ("bound",)),
-    "census-consistency": (_suite_census_consistency, ("x", "workers")),
+    "census-consistency": (_suite_census_consistency, ("x",)),
     "constants": (_suite_constants, ("tol", "pmax")),
     "tamagawa": (_suite_tamagawa, ("tol", "pmax")),
 }
@@ -616,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist"),
             "--pmax": dict(type=_pmax, default=100_000,
                            help="Euler product truncation (default 100000)"),
-            "--workers": dict(type=_positive_int, default=1,
-                              help="worker processes (at most one per core)"),
             "--format": dict(choices=formats, default="text"),
             "--out": dict(default=None, help="write output to this path"),
             "--sieve-cache": dict(default=None, help="sieve cache file path"),
@@ -629,8 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(p_count, "--x", box_required=True)
     # CSV rows carry no prediction: main rejects --pmax with --format csv
     add_shared(p_count, "--pmax", action=_NoteGiven)
-    add_shared(p_count, "--workers", "--format", "--out", "--sieve-cache",
-               formats=("text", "json", "csv"))
+    add_shared(p_count, "--format", "--out", "--sieve-cache", formats=("text", "json", "csv"))
     p_count.set_defaults(func=cmd_count)
 
     p_predict = sub.add_parser("predict", help="main-term prediction for a box")
@@ -643,11 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    # each suite reads some of these five; main rejects the others (_SUITES)
+    # each suite reads some of these four; main rejects the others (_SUITES)
     p_verify.add_argument("--tol", type=_positive_float, default=1e-8, action=_NoteGiven)
     p_verify.add_argument("--bound", type=_positive_int, default=None, action=_NoteGiven,
                           help="case bound for exhaustive suites")
-    add_shared(p_verify, "--x", "--pmax", "--workers", action=_NoteGiven)
+    add_shared(p_verify, "--x", "--pmax", action=_NoteGiven)
     add_shared(p_verify, "--format", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -671,11 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--factor", type=_growth_factor, default=2.0)
     p_sweep.add_argument("--fix-x4", type=_finite_float, default=None,
                          help="hold X4 at this value instead of the symmetric bound")
-    # the class sums run in one process, so --classes reads no --workers
-    classes_or_workers = p_sweep.add_mutually_exclusive_group()
-    classes_or_workers.add_argument("--classes", action="store_true",
-                                    help="emit per-residue-class rows instead of the aggregate")
-    add_shared(classes_or_workers, "--workers")
+    p_sweep.add_argument("--classes", action="store_true",
+                         help="emit per-residue-class rows instead of the aggregate")
     add_shared(p_sweep, "--pmax", "--out", "--sieve-cache")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -702,7 +699,8 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return 3
-    except (InvalidTripleError, ValueError) as err:
+    except (InvalidTripleError, ValueError, OSError) as err:
+        # a bad value, or an --out or --sieve-cache path that cannot be used
         print(f"error: {err}", file=sys.stderr)
         return 2
 

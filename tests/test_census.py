@@ -1,14 +1,21 @@
-import os
+import random
 import tracemalloc
 from itertools import combinations
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from d4census import arith, census
-from d4census.arith import CapacityError, SignedSquarefreeTriple, build_sieve
+from d4census.arith import (
+    CapacityError,
+    SignedSquarefreeTriple,
+    build_sieve,
+    kronecker,
+    primes_up_to,
+)
 from d4census.census import (
     BoundBox,
     InertiaClass,
@@ -223,96 +230,8 @@ def test_exact_census_multiple_of_four(tables_census):
         assert exact_census(BoundBox(*box), tables_census).exact % 4 == 0
 
 
-def test_worker_partition_matches_serial(tables_census):
-    for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
-        serial = exact_census(box, tables_census, workers=1)
-        parallel = exact_census(box, tables_census, workers=2)
-        assert (serial.exact, serial.triples_visited) == (parallel.exact, parallel.triples_visited)
-
-
-def test_worker_pool_sized_by_cores_and_jobs(tables_census, monkeypatch):
-    # a fake executor that runs the jobs in this process, so no pool starts
-    pools = []
-
-    class InProcessExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
-            self.max_workers, self.jobs = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            self.jobs = list(jobs)
-            return map(fn, self.jobs)
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
-    box = BoundBox(15, 15, 15, 15)
-    serial = exact_census(box, tables_census, workers=1)
-    many = exact_census(box, tables_census, workers=64)
-    assert len(pools) == 1
-    assert pools[0].max_workers <= (os.cpu_count() or 1)
-    assert len(pools[0].jobs) == pools[0].max_workers
-    assert (many.exact, many.triples_visited) == (serial.exact, serial.triples_visited)
-
-
-@pytest.fixture
-def in_process_pools(monkeypatch):
-    """Swap the census worker pool for one that runs its jobs in this process;
-    the list records each pool made."""
-    pools = []
-
-    class InProcessExecutor:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessExecutor)
-    monkeypatch.setattr(census, "_worker_twist_args", None, raising=False)
-    return pools
-
-
-def census_result(report):
-    return report.exact, report.triples_visited, report.breakdown
-
-
-def test_breakdown_with_workers_matches_serial(tables_census, in_process_pools):
-    for box in (BoundBox(15, 15, 15, 15), BoundBox(9, 17, 13, 11)):
-        serial = exact_census(box, tables_census, want_breakdown=True)
-        parallel = exact_census(box, tables_census, workers=3, want_breakdown=True)
-        assert census_result(parallel) == census_result(serial)
-    assert len(in_process_pools) == 2
-
-
-def test_workers_read_the_callers_tables(tables_census, in_process_pools, monkeypatch):
-    box = BoundBox(15, 15, 15, 15)
-    serial = exact_census(box, tables_census)
-
-    def no_sieve(limit):
-        raise AssertionError(f"a worker built a sieve of {limit} entries")
-
-    monkeypatch.setattr(census, "build_sieve", no_sieve, raising=False)
-    monkeypatch.setattr(arith, "build_sieve", no_sieve)
-    parallel = exact_census(box, tables_census, workers=2)
-    assert len(in_process_pools) == 1
-    assert census_result(parallel) == census_result(serial)
-
-
-@pytest.mark.parametrize("workers", [1, 3, 64])
-def test_kernel_runs_once_per_census(tables_census, in_process_pools, monkeypatch, workers):
+@pytest.mark.parametrize("x", [1, 3, 64])
+def test_kernel_runs_once_per_census(tables_census, monkeypatch, x):
     calls = []
     mask_blocks = census._mask_blocks
 
@@ -321,12 +240,11 @@ def test_kernel_runs_once_per_census(tables_census, in_process_pools, monkeypatc
         return mask_blocks(*args)
 
     monkeypatch.setattr(census, "_mask_blocks", counted)
-    exact_census(BoundBox(15, 15, 15, 15), tables_census, workers=workers, want_breakdown=True)
+    exact_census(BoundBox(x, x, x, x), tables_census, want_breakdown=True)
     assert len(calls) == 1
 
 
-def test_each_distinct_product_twist_counted_once(tables_census, in_process_pools,
-                                                   monkeypatch):
+def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
     box = BoundBox(15, 15, 15, 15)
     distinct = {m1p * m2p * m3p
                 for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables_census)
@@ -339,11 +257,10 @@ def test_each_distinct_product_twist_counted_once(tables_census, in_process_pool
         return count(self, bound, primes)
 
     monkeypatch.setattr(arith.SieveTables, "count_odd_squarefree_coprime", counted)
-    for workers in (1, 3):
+    for want_breakdown in (False, True):
         calls.clear()
-        exact_census(box, tables_census, workers=workers)
+        exact_census(box, tables_census, want_breakdown=want_breakdown)
         assert len(calls) == len(distinct)
-    assert len(in_process_pools) == 1
 
 
 def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):
@@ -406,19 +323,19 @@ def test_choice_swap_maps_masks_onto_swapped_triples(tables_census, bounds):
     assert {(m1p, m3p, m2p): swap(mask) for (m1p, m2p, m3p), mask in direct.items()} == swapped
 
 
-odd_part_bounds = st.integers(0, 30).map(lambda k: k / 2)
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(x1=odd_part_bounds, x2=odd_part_bounds, x3=odd_part_bounds,
-       x4=st.integers(0, 60), workers=st.integers(1, 6))
-def test_any_worker_count_matches_serial(tables_census, in_process_pools,
-                                         x1, x2, x3, x4, workers):
-    box = BoundBox(x1, x2, x3, x4)
-    serial = exact_census(box, tables_census, want_breakdown=True)
-    parallel = exact_census(box, tables_census, workers=workers, want_breakdown=True)
-    assert census_result(parallel) == census_result(serial)
+def test_symbols_at_match_kronecker(tables_100k):
+    """The kernel's Legendre symbols against arith.kronecker: random odd
+    squarefree values and odd primes up to 1e5, with multiples of each prime
+    (symbol 0) and the pad prime 0 (a row of 1)."""
+    rng = random.Random(12)
+    primes = rng.sample(primes_up_to(100_000)[1:].tolist(), 40) + [3]
+    values = rng.sample(tables_100k.odd_squarefree_upto(100_000), 300)
+    values += [p * q for p in primes for q in (1, 5 if p != 5 else 7)]
+    at = census._symbols_at(np.array(values, dtype=np.int64), np.array(primes))
+    for p in primes:
+        assert at(p).tolist() == [kronecker(v, p) for v in values], p
+    assert (at(0) == 1).all()
+    assert at(np.array([0, primes[0]])).shape == (2, len(values))
 
 
 def test_breakdown_rows(tables_census):
@@ -439,17 +356,19 @@ def test_required_sieve_limit():
     assert required_sieve_limit(BoundBox(1, 1, 1, 90)) == 9
 
 
+def census_result(report):
+    return report.exact, report.triples_visited, report.breakdown
+
+
 @pytest.mark.parametrize("raw", [(20, 20, 20, 5000), (7, 3, 5, 2000), (15, 9, 12, 300)])
 def test_sqrt_table_census_equals_full_table_census(raw):
     box = BoundBox(*raw)
     small, full = build_sieve(required_sieve_limit(box)), build_sieve(int(box.x4))
     assert small.limit < box.x4
-    for workers in (1, 2):
-        for want_breakdown in (False, True):
-            got, expected = (census_result(exact_census(box, t, workers=workers,
-                                                        want_breakdown=want_breakdown))
-                             for t in (small, full))
-            assert got == expected, (workers, want_breakdown)
+    for want_breakdown in (False, True):
+        got, expected = (census_result(exact_census(box, t, want_breakdown=want_breakdown))
+                         for t in (small, full))
+        assert got == expected, want_breakdown
     exact = got[0]
     assert census_from_classes(box, small) == census_from_classes(box, full) == exact
 

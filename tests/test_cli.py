@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -51,23 +54,6 @@ def test_json_roundtrip_byte_identical(capsys):
     assert code == 0
     text = out.strip()
     assert canonical_json(json.loads(text)) == text
-
-
-def test_count_workers_agree(capsys):
-    _, out1, _ = run_cli(capsys, "count", "--x", "20", "20", "20", "20",
-                         "--format", "json")
-    _, out8, _ = run_cli(capsys, "count", "--x", "20", "20", "20", "20",
-                         "--format", "json", "--workers", "8")
-    exact1 = json.loads(out1)["result"]["exact"]
-    exact8 = json.loads(out8)["result"]["exact"]
-    assert exact1 == exact8
-
-
-def test_count_csv_same_bytes_for_any_worker_count(capsys):
-    outs = [run_cli(capsys, *f"count --x 9 17 13 11 --format csv --workers {w}".split())
-            for w in (1, 2, 7)]
-    assert outs[0][0] == 0 and outs[0][1].count("\n") > 1
-    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_count_csv_breakdown(capsys):
@@ -220,6 +206,9 @@ def test_sweep_rejects_grids_that_never_end(capsys, argv):
     "classify --triple 1 2 7 --format csv",
     "sweep --format json",
     "count --x 1 1 1 1 --format csv --pmax 5",
+    "count --x 1 1 1 1 --workers 2",
+    "sweep --max 10 --workers 2",
+    "verify --suite census-consistency --workers 1",
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -244,6 +233,7 @@ def assert_one_usage_error(code, out, err, flag):
     "sweep --max 10 --workers -1",
 ])
 def test_non_positive_workers_are_usage_errors(capsys, argv):
+    # count, verify and sweep have no --workers: any value is a usage error naming it
     assert_one_usage_error(*run_cli(capsys, *argv.split()), "--workers")
 
 
@@ -270,14 +260,15 @@ def test_verify_tol_must_be_finite_and_positive(capsys, suite, tol):
     assert_one_usage_error(*run_cli(capsys, "verify", "--suite", suite, "--tol", tol), "--tol")
 
 
-# the verify options each suite reads, and a cheap value for each option
+# the verify options each suite reads, and a cheap value for each option;
+# --workers, which no suite reads, must be a usage error on all of them
 SUITE_OPTIONS = {
     "lemma432": (),
     "hasse": ("--bound",),
     "lemma41": ("--bound",),
     "esets": (),
     "divisor-identity": ("--bound",),
-    "census-consistency": ("--x", "--workers"),
+    "census-consistency": ("--x",),
     "constants": ("--tol", "--pmax"),
     "tamagawa": ("--tol", "--pmax"),
 }
@@ -307,9 +298,36 @@ def test_sweep_classes_reads_no_workers(capsys):
 
 
 def test_verify_names_every_unread_option(capsys):
-    code, out, err = run_cli(capsys, *"verify --suite lemma432 --bound 5 --tol 3 --workers 9 "
+    code, out, err = run_cli(capsys, *"verify --suite lemma432 --bound 5 --tol 3 "
                                        "--x 1 1 1 1 --pmax 7".split())
-    assert_one_usage_error(code, out, err, "--bound, --pmax, --tol, --workers, --x")
+    assert_one_usage_error(code, out, err, "--bound, --pmax, --tol, --x")
+
+
+@pytest.mark.parametrize("argv", [
+    "count --x 1 1 1 1 --out {missing}/x",
+    "sweep --max 10 --out {missing}/x",
+    "count --x 1 1 1 1 --sieve-cache {missing}/x",
+    "count --x 1 1 1 1 --sieve-cache {directory}",
+])
+def test_unusable_output_or_cache_path_is_an_error_not_a_traceback(capsys, tmp_path, argv):
+    argv = argv.format(missing=tmp_path / "missing", directory=tmp_path)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_readme_options_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {m.group(1): set(re.findall(r"--[a-z][a-z0-9-]*", m.group(2)))
+             for m in re.finditer(r"^\| `([a-z]+)` \| (.*) \|$", readme, re.MULTILINE)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert table == flags
 
 
 def test_usage_errors_exit_two(capsys):
@@ -400,14 +418,6 @@ def test_sweep_fixed_x4(capsys):
         fields = line.split(",")
         assert fields[3] == "1"
         assert float(fields[6]) > 0
-
-
-def test_sweep_byte_identical_across_runs_and_workers(capsys):
-    _, out1, _ = run_cli(capsys, "sweep", "--min", "5", "--max", "20")
-    _, out2, _ = run_cli(capsys, "sweep", "--min", "5", "--max", "20")
-    _, out3, _ = run_cli(capsys, "sweep", "--min", "5", "--max", "20",
-                         "--workers", "2")
-    assert out1 == out2 == out3
 
 
 def test_sweep_to_file_lf_endings(capsys, tmp_path):
