@@ -117,8 +117,7 @@ class SieveTables:
         return self._count_coprime(y, odd)
 
     def _count_coprime(self, y: int, primes: tuple[int, ...]) -> int:
-        if y <= 0:
-            return 0
+        # y >= 1: the caller returns on y <= 0, and y is divided only by primes <= y
         if primes and primes[-1] > y:
             # primes is increasing, and a prime above y divides no t <= y
             primes = primes[:bisect_right(primes, y)]

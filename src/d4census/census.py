@@ -458,16 +458,10 @@ def inertia_class(p: int, triple: SignedSquarefreeTriple, t: int) -> InertiaClas
         raise ValueError("2 ramifies wildly; no tame inertia class")
     if p < 3 or factor_small(p) != (p,):
         raise ValueError(f"{p} is not an odd prime")
-    dec = decompose_triple(triple)
-    invariants_of(triple, t)  # validates t
-    if dec.m1p % p == 0:
-        return INERTIA_CLASS_OF_INVARIANT[3]
-    if dec.m2p % p == 0:
-        return INERTIA_CLASS_OF_INVARIANT[1]
-    if dec.m3p % p == 0:
-        return INERTIA_CLASS_OF_INVARIANT[2]
-    if t % p == 0:
-        return INERTIA_CLASS_OF_INVARIANT[4]
+    # the invariants are pairwise coprime, so p divides at most one of them
+    for i, inv in enumerate(invariants_of(triple, t).as_tuple(), 1):
+        if inv % p == 0:
+            return INERTIA_CLASS_OF_INVARIANT[i]
     return InertiaClass.UNRAMIFIED
 
 

@@ -17,15 +17,13 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, log
 
 from . import __version__
 from .arith import (
     CapacityError,
-    InvalidTripleError,
     SignedSquarefreeTriple,
     build_sieve,
-    decompose_triple,
     factor_small,
     load_sieve_cache,
     save_sieve_cache,
@@ -46,6 +44,7 @@ from .asymptotic import (
     tamagawa_constant,
 )
 from .census import (
+    INERTIA_CLASS_OF_INVARIANT,
     BoundBox,
     InertiaClass,
     exact_census,
@@ -81,6 +80,10 @@ from .localsolve import (
 SWEEP_CSV_HEADER = "x1,x2,x3,x4,exact,predicted,ratio"
 CLASS_CSV_HEADER = "e1,e2,e3,d2,d3,mu,alpha,beta,x1,x2,x3,x4,value,main,ratio"
 BREAKDOWN_CSV_HEADER = "m1,m2,m3,twists,cumulative"
+# a sweep of more boxes is refused before it starts: it would not end in practice
+SWEEP_MAX_BOXES = 10_000
+# classify factors each input by trial division: at most 5 * 10^5 odd divisors
+CLASSIFY_BOUND = 10**12
 
 
 def _fmt_float(v: float) -> str:
@@ -278,6 +281,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # the grid has floor(log(max/min) / log(factor)) + 1 boxes when max >= min
+    if args.max >= args.min and log(args.max / args.min) / log(args.factor) >= SWEEP_MAX_BOXES:
+        raise ValueError(f"sweep from {args.min:g} to {args.max:g} by {args.factor} "
+                         f"has more than {SWEEP_MAX_BOXES} boxes")
     lines = [CLASS_CSV_HEADER if args.classes else SWEEP_CSV_HEADER]
     euler = EulerProductSpec(pmax=args.pmax)
     x = args.min
@@ -290,7 +297,7 @@ def cmd_sweep(args) -> int:
                 c_tilde(euler)  # the class rows' main terms read it
             else:
                 predicted = predicted_count(box, euler)
-            tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
+            tables = build_sieve(required_sieve_limit(box))
             if args.classes:
                 rows = class_csv_rows(box, tables, euler)
             else:
@@ -309,19 +316,13 @@ def cmd_sweep(args) -> int:
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     triple = SignedSquarefreeTriple(*args.triple)
-    try:
-        triple.validate()
-        vec = invariants_of(triple, args.twist)
-    except (InvalidTripleError, ValueError) as err:
-        print(f"classify: {err}", file=sys.stderr)
-        return 2
-    dec = decompose_triple(triple)
+    vec = invariants_of(triple, args.twist)  # validates the triple and the twist
     a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
     soluble = satisfies_local_conditions(triple)
-    ramified = {}
-    for p in sorted(set(factor_small(dec.m1p * dec.m2p * dec.m3p * args.twist))):
-        cls = inertia_class(p, triple, args.twist)
-        ramified[str(p)] = cls.value
+    # each invariant is factored on its own: a prime dividing the i-th one
+    # has its inertia class, and factoring their product would cost far more
+    ramified = {str(p): INERTIA_CLASS_OF_INVARIANT[i].value for p, i in sorted(
+        (p, i) for i, inv in enumerate(vec.as_tuple(), 1) for p in factor_small(inv))}
     witness = find_conic_point(a, b, args.height) if soluble else None
     result = {
         "triple": list(triple.as_tuple()),
@@ -331,7 +332,7 @@ def cmd_classify(args) -> int:
                   "witness": list(witness) if witness else None},
         "ramified_primes": ramified,
     }
-    if args.prime:
+    if args.prime is not None:
         cls = inertia_class(args.prime, triple, args.twist)
         result["queried_prime"] = {
             "p": args.prime,
@@ -346,7 +347,7 @@ def cmd_classify(args) -> int:
         f"witness: {witness}",
         f"ramified    = {ramified}",
     ]
-    if args.prime:
+    if args.prime is not None:
         lines.append(f"prime {args.prime} inertia class: {result['queried_prime']['inertia_class']}")
     _emit_result(args, t0, result, "\n".join(lines) + "\n")
     return 0
@@ -392,14 +393,6 @@ def _suite_hasse(args) -> list[dict]:
 
 def _suite_lemma41(args) -> list[dict]:
     bound = 30 if args.bound is None else args.bound
-    memo: dict = {}
-
-    def oracle(a, b, v):
-        key = (a, b, v.p)
-        if key not in memo:
-            memo[key] = padic_oracle(a, b, v)
-        return memo[key]
-
     total = equiv_bad = oracle_bad = 0
     for triple in _valid_triples(bound):
         a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
@@ -407,7 +400,7 @@ def _suite_lemma41(args) -> list[dict]:
         all_plus = all(hilbert_symbol(a, b, v) == 1 for v in places)
         if satisfies_local_conditions(triple) != all_plus:
             equiv_bad += 1
-        if all(oracle(a, b, v) for v in places) != all_plus:
+        if all(padic_oracle(a, b, v) for v in places) != all_plus:
             oracle_bad += 1
         total += 1
     return [
@@ -595,6 +588,13 @@ def _pmax(text: str) -> int:
     return value
 
 
+def _classify_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > CLASSIFY_BOUND:
+        raise argparse.ArgumentTypeError(f"{text!r} is above 10^12 in absolute value")
+    return value
+
+
 def _growth_factor(text: str) -> float:
     value = _finite_float(text)
     if value <= 1:
@@ -653,10 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="invariants and inertia classes "
                                                  "of a labeled triple")
-    p_classify.add_argument("--triple", nargs=3, type=int, required=True,
+    p_classify.add_argument("--triple", nargs=3, type=_classify_int, required=True,
                             metavar=("M1", "M2", "M3"))
-    p_classify.add_argument("--twist", type=int, default=1)
-    p_classify.add_argument("--prime", type=int, default=None)
+    p_classify.add_argument("--twist", type=_classify_int, default=1)
+    p_classify.add_argument("--prime", type=_classify_int, default=None)
     p_classify.add_argument("--height", type=int, default=500,
                             help="search bound for a conic witness point")
     add_shared(p_classify, "--format", "--out")
@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="census over a doubling grid of boxes, "
                                            "written as CSV")
     # the grid grows from --min by --factor until it passes --max, so these
-    # must be finite, positive and growing for the sweep to end
+    # must be finite, positive and growing for the sweep to end (and cmd_sweep
+    # caps the number of boxes)
     p_sweep.add_argument("--min", type=_positive_float, default=10.0)
     p_sweep.add_argument("--max", type=_finite_float, default=80.0)
     p_sweep.add_argument("--factor", type=_growth_factor, default=2.0)
@@ -673,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hold X4 at this value instead of the symmetric bound")
     p_sweep.add_argument("--classes", action="store_true",
                          help="emit per-residue-class rows instead of the aggregate")
-    add_shared(p_sweep, "--pmax", "--out", "--sieve-cache")
+    add_shared(p_sweep, "--pmax", "--out")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -699,7 +700,7 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return 3
-    except (InvalidTripleError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         # a bad value, or an --out or --sieve-cache path that cannot be used
         print(f"error: {err}", file=sys.stderr)
         return 2

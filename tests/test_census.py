@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from itertools import combinations
@@ -321,6 +322,26 @@ def test_choice_swap_maps_masks_onto_swapped_triples(tables_census, bounds):
     direct, swapped = masks_of(b1, b2, b3), masks_of(b1, b3, b2)
     assert direct and image != list(range(len(image)))
     assert {(m1p, m3p, m2p): swap(mask) for (m1p, m2p, m3p), mask in direct.items()} == swapped
+
+
+def test_class_plane_is_implied_by_the_other_planes(tables_census, monkeypatch):
+    """Hilbert reciprocity: the symbol at 2 is the product of the symbols at
+    the other places, so once the sign, non-degeneracy and odd-prime planes
+    allow a choice, the mod-8 class plane allows it too.  Opening the class
+    plane to every choice leaves every kernel block unchanged."""
+    boxes = [(1, 1, 1), (15, 15, 15), (45, 45, 45), (30, 20, 45), (7, 60, 1), (150, 150, 150)]
+    blocks = {box: list(census._mask_blocks(*box, tables_census)) for box in boxes}
+    masks = census._mask_tables()
+    opened = dataclasses.replace(masks, cls=np.full_like(masks.cls, census._ALL_CHOICES))
+    monkeypatch.setattr(census, "_mask_tables", lambda: opened)
+    for box in boxes:
+        without_class = list(census._mask_blocks(*box, tables_census))
+        assert blocks[box] and len(without_class) == len(blocks[box])
+        for (m1p, m2ps, m3ps, block), (n1p, n2ps, n3ps, open_block) in zip(
+                blocks[box], without_class):
+            assert m1p == n1p
+            for got, want in ((n2ps, m2ps), (n3ps, m3ps), (open_block, block)):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_symbols_at_match_kronecker(tables_100k):

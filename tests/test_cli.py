@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -184,11 +185,21 @@ def test_count_non_finite_bound_exit_two(capsys, bound):
 @pytest.mark.parametrize("argv", [
     ["--min", "0"], ["--min", "-1"], ["--factor", "1"], ["--factor", "0.5"],
     ["--max", "inf"], ["--min", "nan"], ["--factor", "inf"],
+    # about 9.4e15 boxes: refused before the first one runs
+    ["--min", "10", "--max", "80", "--factor", "1.0000000000000002"],
 ])
 def test_sweep_rejects_grids_that_never_end(capsys, argv):
     code, out, err = run_cli(capsys, "sweep", *argv)
     assert code == 2
     assert out == "" and "error" in err
+
+
+def test_sweep_box_cap_admits_a_fine_grid(capsys, monkeypatch):
+    # 187 boxes, far below the cap; the census is stubbed to keep the test cheap
+    monkeypatch.setattr(cli, "build_sieve", lambda limit: None)
+    monkeypatch.setattr(cli, "exact_census", lambda box, tables: census.CensusReport(0, 0))
+    code, out, _ = run_cli(capsys, *"sweep --min 10 --max 400 --factor 1.02".split())
+    assert code == 0 and len(out.splitlines()) == 1 + 187
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,6 +216,7 @@ def test_sweep_rejects_grids_that_never_end(capsys, argv):
     "classify --triple 1 2 7 --sieve-cache sieve.bin",
     "classify --triple 1 2 7 --format csv",
     "sweep --format json",
+    "sweep --max 10 --sieve-cache sieve.bin",
     "count --x 1 1 1 1 --format csv --pmax 5",
     "count --x 1 1 1 1 --workers 2",
     "sweep --max 10 --workers 2",
@@ -389,12 +401,14 @@ def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0
 
 
-def test_sweep_csv_shape(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--min", "4", "--max", "16")
+@pytest.mark.parametrize("factor, xs", [([], [4, 8, 16]), (["--factor", "4"], [4, 16])],
+                         ids=["default", "factor-4"])
+def test_sweep_csv_shape(capsys, factor, xs):
+    code, out, _ = run_cli(capsys, "sweep", "--min", "4", "--max", "16", *factor)
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
-    assert len(lines) == 4  # X = 4, 8, 16
+    assert [int(line.split(",")[0]) for line in lines[1:]] == xs
     for line in lines[1:]:
         x1, x2, x3, x4, exact, predicted, ratio = line.split(",")
         assert float(ratio) > 0
@@ -475,9 +489,31 @@ def test_classify_output(capsys):
 
 
 def test_classify_invalid_triple_exit_two(capsys):
-    code, _, err = run_cli(capsys, "classify", "--triple", "4", "1", "1")
-    assert code == 2
-    assert "squarefree" in err
+    for argv, message in (("4 1 1", "4 is not squarefree"),
+                          ("1 2 7 --prime 0", "0 is not an odd prime")):
+        code, out, err = run_cli(capsys, "classify", "--triple", *argv.split())
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--triple 99999989 2 99999971", 0),
+    ("--triple 999999999989 2 999999999959", 0),
+    ("--triple 2305843009213693951 1 1", 2),
+    ("--triple 1 2 7 --twist 2305843009213693951", 2),
+    ("--triple 1 2 7 --prime 2305843009213693951", 2),
+    ("--triple 1 -1000000000001 1", 2),
+])
+def test_classify_large_inputs_end_quickly(capsys, argv, code):
+    # each invariant is factored on its own, and every input is bounded by 10^12
+    start = time.perf_counter()
+    got = run_cli(capsys, "classify", *argv.split())
+    assert time.perf_counter() - start < 5
+    if code:
+        assert_one_usage_error(*got, "above 10^12")
+    else:
+        assert got[0] == 0 and "ramified    = {" in got[1]
 
 
 def test_constants_text(capsys):
