@@ -5,7 +5,8 @@ runs on three primitives collected here:
 
   * SieveTables: smallest prime factor, mu, tau and the exact rational weight
     f(n) = prod_{p|n} (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.
-    Its twist counter reaches bounds up to N^2.
+    Its twist counters: a batch divisor sum for bounds up to N, and a
+    memoised recursion that reaches bounds up to N^2.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
   * decompose_triple: the sign / 2-part / odd-part splitting
     m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
@@ -40,6 +41,8 @@ _BYTES_PER_ENTRY = 68
 # primes_up_to with its float64 copy peaks at 2.54, 2.26 and 2.06 bytes per
 # entry at n = 1e5, 1e6 and 1e7 (tracemalloc); the ratio falls as n grows
 _PRIME_BYTES_PER_ENTRY = 3
+# signed divisors per chunk of SieveTables.count_odd_squarefree_coprime_rows
+_DIVISOR_BLOCK = 1 << 16
 
 
 def _check_budget(table: str, nbytes: int) -> None:
@@ -62,9 +65,12 @@ class SieveTables:
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced
     rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
-    integers <= n.  With mu it backs the exact coprime twist counting, which
-    answers for twist bounds up to N^2 and whose memo is the one mutable part
-    (filled as the census twist-counts its distinct products).
+    integers <= n.  With mu it backs the exact coprime twist counting: the
+    batch divisor sum count_odd_squarefree_coprime_rows for twist bounds up
+    to N, which keeps no memo, and the recursion count_odd_squarefree_coprime
+    for bounds up to N^2.  The recursion's memo is the one mutable part; the
+    census fills it only when its twist bound is above N, and the class sums
+    (charsum.class_sums) at every bound.
     """
 
     limit: int
@@ -116,6 +122,58 @@ class SieveTables:
         odd = tuple(sorted(p for p in primes if p != 2))
         return self._count_coprime(y, odd)
 
+    def count_odd_squarefree_coprime_rows(self, bound: float, primes: np.ndarray) -> np.ndarray:
+        """count_odd_squarefree_coprime(bound, row) for each row of a 2-D
+        array of primes padded with 0, as int64; bound must not exceed limit.
+
+        A(Y, n) = sum over d | n of mu(d) * C(d), with C(d) the number of odd
+        squarefree t <= Y divisible by d (_divisible_counts), and C(d) = 0 for
+        d > Y.  The rows are grouped by their number w of primes <= Y, and the
+        2^w signed divisors of each group are formed by broadcasting, in
+        chunks of at most _DIVISOR_BLOCK divisors.  Uses no memo.
+        """
+        y = int(bound)
+        if y > self.limit:
+            raise ValueError(f"twist bound {bound} above the sieve limit {self.limit}")
+        out = np.zeros(len(primes), dtype=np.int64)
+        if y <= 0:
+            return out
+        c = self._divisible_counts(y)
+        kept = (primes > 0) & (primes <= y)  # a prime above y divides no t <= y
+        omega = np.count_nonzero(kept, axis=1)
+        for w in np.flatnonzero(np.bincount(omega)).tolist():
+            rows = np.flatnonzero(omega == w)
+            sign = np.ones(1, dtype=np.int64)
+            for _ in range(w):
+                sign = np.concatenate([sign, -sign])
+            step = max(1, _DIVISOR_BLOCK >> w)
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                # the w kept primes of each row first
+                p = -np.sort(-np.where(kept[chunk], primes[chunk], 0).astype(np.int64), axis=1)
+                d = np.ones((len(chunk), 1), dtype=np.int64)
+                for k in range(w):
+                    # a divisor above y stays at y + 1, where C is 0
+                    d = np.concatenate([d, np.minimum(d * p[:, k, None], y + 1)], axis=1)
+                out[chunk] = c[d] @ sign
+        return out
+
+    def _divisible_counts(self, y: int) -> np.ndarray:
+        """C[d] = #{t <= y : t odd squarefree, d | t} for d <= y + 1, as int32
+        (y <= limit < 2^31; C[y + 1] = 0), in about sqrt(y) numpy passes: one
+        strided sum per odd d <= sqrt(y), then one pass per odd cofactor
+        k < sqrt(y) adding the t = d * k with d > sqrt(y)."""
+        odd_sf = self.mu[:y + 1] != 0
+        odd_sf[::2] = False
+        c = np.zeros(y + 2, dtype=np.int32)
+        root = isqrt(y)
+        for d in range(1, root + 1, 2):
+            c[d] = np.count_nonzero(odd_sf[d::2 * d])
+        for k in range(1, y // (root + 1) + 1, 2):
+            top = y // k
+            c[root + 1:top + 1] += odd_sf[(root + 1) * k:top * k + 1:k]
+        return c
+
     def _count_coprime(self, y: int, primes: tuple[int, ...]) -> int:
         # y >= 1: the caller returns on y <= 0, and y is divided only by primes <= y
         if primes and primes[-1] > y:
@@ -123,7 +181,9 @@ class SieveTables:
             primes = primes[:bisect_right(primes, y)]
         if not primes and y <= self.limit:
             return int(self.odd_sf_count[y])
-        key = (y, primes)
+        # flat: a tuple of ints alone leaves the garbage collector's tracking at
+        # its first collection, so a growing memo triggers no full collections
+        key = (y, *primes)
         cached = self._coprime_cache.get(key)
         if cached is None:
             if primes:

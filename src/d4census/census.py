@@ -39,16 +39,22 @@ and m3' at it.  Coprimality needs no test of its own: a shared prime gives a
 symbol 0 somewhere, and that allows no choice.  The planes and one block are
 charged against arith.MEMORY_BUDGET before any is built (_check_capacity).
 
-The twist count tau(n) * #{t <= X4 odd squarefree coprime to n} depends only
-on n = m1'm2'm3', so popcounts are summed per distinct n and the twist
-counter runs once per n, in one pass over the distinct products in the
-calling process; the weighted sum is taken in Python integers.  That
-counter (SieveTables.count_odd_squarefree_coprime) reads the sieve only up
-to isqrt(X4): above its table it counts odd squarefree t <= y in closed form
-from mu.  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
-whole census (required_sieve_limit), however large X4 is.  The CSV
-breakdown and enumerate_admissible_triples expand the set bits of the same
-masks in (m1', m2', m3', delta, nu) order.
+The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
+to n}, depends only on n = m1'm2'm3'.  Popcounts are summed per distinct n,
+tau(n) = tau(m1') tau(m2') tau(m3') is read per kernel entry from the sieve,
+and A depends only on the primes of n up to Y = X4, so each distinct product
+is trial-divided by the odd primes up to min(Y, X1, X2, X3) into padded prime
+columns (_prime_fill).  When Y fits the sieve, every A(Y, n) comes from one
+divisor sum, A(Y, n) = sum over d | n of mu(d) * C(d), over a table C of
+counts of odd squarefree t <= Y divisible by d, built once per census
+(SieveTables.count_odd_squarefree_coprime_rows).  Above the table the
+memoised recursion SieveTables.count_odd_squarefree_coprime runs once per
+distinct product; it reads the sieve only up to isqrt(X4) and counts odd
+squarefree t <= y in closed form from mu above it.  So one sieve of
+max(X1, X2, X3, isqrt(X4)) entries serves the whole census
+(required_sieve_limit), however large X4 is.  The weighted sum is taken in
+Python integers.  The CSV breakdown and enumerate_admissible_triples expand
+the set bits of the same masks in (m1', m2', m3', delta, nu) order.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
@@ -169,8 +175,6 @@ def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
 CHOICES = tuple((delta, nu) for delta in ALL_DELTAS for nu in ALL_NUS)
 _ALL_CHOICES = (1 << len(CHOICES)) - 1
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# products factored per block in _twist_counts, to bound the factor lists
-_TWIST_BLOCK = 1 << 16
 # (prime, value) entries per block of _symbols_at, to bound its int64 temporaries
 _SYMBOL_BLOCK = 1 << 16
 
@@ -234,8 +238,10 @@ def _mask_tables() -> _MaskTables:
 
 
 # The odd primorials 3, 3*5, 3*5*7, ...: the number of them <= b is the most
-# primes of an odd squarefree value <= b, for every b a sieve can reach.
-_ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435)
+# primes of an odd squarefree value <= b, for every b < 2^63.
+_ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435, 3234846615,
+                   100280245065, 3710369067405, 152125131763605, 6541380665835015,
+                   307444891294245705)
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
 # of m2' or m3' (a uint16 plane for each sign of the symbol of m1'), plus 48
 # for the class and non-degeneracy planes and one m1' block with its
@@ -379,20 +385,37 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
+def _prime_fill(products: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The primes in primes (increasing) of each product, increasing along its
+    row and padded with 0: one numpy pass per prime puts it into the next free
+    column of the products it divides."""
+    top = int(products.max(initial=1))
+    width = min(len(primes), sum(q <= top for q in _ODD_PRIMORIALS))
+    # primes <= the sieve limit, which the memory budget keeps under 2^31
+    columns = np.zeros((len(products), width), dtype=np.int32)
+    filled = np.zeros(len(products), dtype=np.intp)
+    for p in primes.tolist():
+        hit = np.flatnonzero(products % p == 0)
+        columns[hit, filled[hit]] = p
+        filled[hit] += 1
+    return columns
+
+
 def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
-                  primes: np.ndarray) -> list[int]:
-    """twist_count(n, bound) for each odd squarefree n in products, all of
-    whose prime factors are in primes (increasing), found by trial division."""
-    twists = []
-    for start in range(0, len(products), _TWIST_BLOCK):
-        chunk = products[start:start + _TWIST_BLOCK]
-        factors = [[] for _ in range(len(chunk))]
-        for p in primes.tolist():
-            for j in np.flatnonzero(chunk % p == 0).tolist():
-                factors[j].append(p)
-        twists.extend((1 << len(f)) * tables.count_odd_squarefree_coprime(bound, tuple(f))
-                      for f in factors)
-    return twists
+                  primes: np.ndarray) -> np.ndarray:
+    """#{t <= bound : t odd squarefree coprime to n} for each odd squarefree n
+    in products, whose prime factors up to bound are all in primes.
+
+    One divisor sum over the whole array when bound fits the table
+    (SieveTables.count_odd_squarefree_coprime_rows), else the recursion once
+    per product."""
+    columns = _prime_fill(products, primes)
+    if int(bound) <= tables.limit:
+        return tables.count_odd_squarefree_coprime_rows(bound, columns)
+    # one int object per prime: the memo's keys then compare by identity
+    prime_of = {p: p for p in primes.tolist()}
+    return np.array([tables.count_odd_squarefree_coprime(
+        bound, tuple(prime_of[p] for p in row.tolist() if p)) for row in columns], dtype=np.int64)
 
 
 def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
@@ -404,24 +427,33 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
     check_sieve_covers(box, tables)
-    masks = _mask_tables()
+    masks, tau = _mask_tables(), tables.tau
     products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
+    taus = [np.zeros(0, dtype=np.uint16)]
     for block in _mask_blocks(bound1, bound2, bound3, tables):
         m1p, m2ps, m3ps, block_masks = block
         products.append(m1p * m2ps * m3ps)
         counts.append(masks.popcount[block_masks])
+        # tau(n) = tau(m1') tau(m2') tau(m3') <= 2^14 for n < 2^63
+        taus.append((tau[m1p] * tau[m2ps] * tau[m3ps]).astype(np.uint16))
         if want_breakdown:
             kept.append(block)
-    products, counts = np.concatenate(products), np.concatenate(counts)
+    products, counts, taus = map(np.concatenate, (products, counts, taus))
     distinct, which = np.unique(products, return_inverse=True)
-    weight = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(weight, which, counts)
-    primes = primes_up_to(int(max(bound1, bound2, bound3)))[1:]
-    twists = _twist_counts(distinct, box.x4, tables, primes)
-    total = sum(w * t for w, t in zip(weight.tolist(), twists))
+    # per product at most 12 choices of each of 3^omega splittings (< 2^53), so
+    # bincount's float64 sums are exact
+    weight = np.bincount(which, weights=counts, minlength=len(distinct)).astype(np.int64)
+    twists = np.zeros(len(distinct), dtype=np.int64)
+    twists[which] = taus
+    # the count depends only on the primes <= X4 of a product; it is at most
+    # (X4 + 1) / 2 < 5e14 (the budget keeps isqrt(X4) under 31.6M), so
+    # tau * count < 2^14 * 5e14 fits int64
+    primes = primes_up_to(int(min(max(bound1, bound2, bound3), box.x4)))[1:]
+    twists *= _twist_counts(distinct, box.x4, tables, primes)
+    total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
     breakdown = None
     if want_breakdown:
-        twist_of = dict(zip(distinct.tolist(), twists))
+        twist_of = dict(zip(distinct.tolist(), twists.tolist()))
         breakdown, cumulative = [], 0
         # the kernel's blocks come in (m1', m2', m3', delta, nu) order
         for block in kept:

@@ -34,7 +34,10 @@ class.  T_direct and census_from_classes are views of it, and so are the
 per-class rows of `sweep --classes`, which the CLI writes.  It
 deliberately does not use the 12-bit mask kernel of census.exact_census: it
 walks the triples and evaluates L by its own code, so census_from_classes ==
-exact_census is an independent cross-check of the kernel.
+exact_census is an independent cross-check of the kernel.  Its twist counts
+come from the recursion SieveTables.count_odd_squarefree_coprime, while the
+census takes them from a divisor sum whenever X4 fits the sieve, so the
+check covers twist counting too.
 
 T111_direct is the (k = 1) inner sum of squarefree f-weights, and
 character_sum_f the weighted character sums whose main terms carry c(r).

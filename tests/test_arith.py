@@ -226,6 +226,51 @@ def test_coprime_count_needs_table_up_to_sqrt_bound():
                 t.count_odd_squarefree_coprime(bound, primes)
 
 
+def test_divisible_counts_brute():
+    t = build_sieve(300)
+    odd_sf = [n for n in range(1, 301) if n % 2 == 1 and brute_mu(n) != 0]
+    for y in (0, 1, 2, 3, 8, 9, 10, 99, 100, 101, 299, 300):
+        got = t._divisible_counts(y).tolist()
+        assert got == [0] + [sum(1 for n in odd_sf if n <= y and n % d == 0)
+                             for d in range(1, y + 2)], y
+
+
+ROWS_LIMIT = 3000
+ODD_PRIMES_TO_3X_LIMIT = primes_up_to(3 * ROWS_LIMIT)[1:].tolist()
+
+
+@pytest.fixture(scope="module")
+def tables_rows():
+    return build_sieve(ROWS_LIMIT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.one_of(st.sampled_from([0, 1, ROWS_LIMIT]), st.integers(0, ROWS_LIMIT),
+                   st.floats(0, ROWS_LIMIT + 0.99)),
+       rows=st.lists(st.lists(st.one_of(st.sampled_from(ODD_PRIMES_TO_3X_LIMIT[:12]),
+                                        st.sampled_from(ODD_PRIMES_TO_3X_LIMIT)),
+                              max_size=7, unique=True),
+                     min_size=1, max_size=12))
+def test_coprime_count_rows_match_recursion(tables_rows, y, rows):
+    # the batch divisor sum against the memoised recursion, row by row: the
+    # empty set, primes above y and up to 7 odd primes in any order
+    width = max(map(len, rows))
+    padded = np.array([row + [0] * (width - len(row)) for row in rows],
+                      dtype=np.int64).reshape(len(rows), width)
+    got = tables_rows.count_odd_squarefree_coprime_rows(y, padded)
+    assert got.dtype == np.int64
+    assert got.tolist() == [tables_rows.count_odd_squarefree_coprime(y, tuple(row))
+                            for row in rows]
+
+
+def test_coprime_count_rows_need_bound_within_table():
+    t = build_sieve(30)
+    assert t.count_odd_squarefree_coprime_rows(30.5, np.array([[3, 5]])).tolist() == [8]
+    assert t.count_odd_squarefree_coprime_rows(30, np.zeros((0, 2), dtype=np.int64)).size == 0
+    with pytest.raises(ValueError):
+        t.count_odd_squarefree_coprime_rows(31, np.array([[3, 5]]))
+
+
 def test_sieve_capacity_error():
     # the estimate (6.8e9 bytes) exceeds the 2 GiB budget before any allocation
     with pytest.raises(CapacityError):

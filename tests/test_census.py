@@ -246,22 +246,38 @@ def test_kernel_runs_once_per_census(tables_census, monkeypatch, x):
 
 
 def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
-    box = BoundBox(15, 15, 15, 15)
-    distinct = {m1p * m2p * m3p
-                for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables_census)
-                for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
-    calls = []
+    # X4 within the table: one batch divisor sum sees every distinct product
+    # once and the scalar recursion is never called; X4 above it: the
+    # recursion runs once per distinct product
+    calls, batches = [], []
     count = arith.SieveTables.count_odd_squarefree_coprime
+    count_rows = arith.SieveTables.count_odd_squarefree_coprime_rows
 
     def counted(self, bound, primes):
         calls.append(primes)
         return count(self, bound, primes)
 
+    def counted_rows(self, bound, primes):
+        batches.append(len(primes))
+        return count_rows(self, bound, primes)
+
     monkeypatch.setattr(arith.SieveTables, "count_odd_squarefree_coprime", counted)
-    for want_breakdown in (False, True):
-        calls.clear()
-        exact_census(box, tables_census, want_breakdown=want_breakdown)
-        assert len(calls) == len(distinct)
+    monkeypatch.setattr(arith.SieveTables, "count_odd_squarefree_coprime_rows", counted_rows)
+    above = BoundBox(15, 15, 15, 5000)
+    for box, tables in ((BoundBox(15, 15, 15, 15), tables_census),
+                        (above, build_sieve(required_sieve_limit(above)))):
+        distinct = {m1p * m2p * m3p
+                    for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables)
+                    for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
+        for want_breakdown in (False, True):
+            calls.clear()
+            batches.clear()
+            exact_census(box, tables, want_breakdown=want_breakdown)
+            if box is above:
+                assert tables.limit < box.x4
+                assert batches == [] and len(calls) == len(distinct)
+            else:
+                assert batches == [len(distinct)] and calls == []
 
 
 def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):
@@ -288,6 +304,18 @@ def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch
 def test_kernel_pinned_above_fifty(tables_census, raw, exact, triples):
     # recorded with the earlier per-pair row kernel, an independent implementation
     report = exact_census(BoundBox(*raw), tables_census)
+    assert (report.exact, report.triples_visited) == (exact, triples)
+
+
+@pytest.mark.parametrize("x, exact, triples", [
+    (300, 5_763_471_600, 1_053_692),
+    (400, 18_036_061_248, 2_315_144),
+])
+def test_kernel_pinned_at_300_and_400(tables_census, x, exact, triples):
+    # the exact counts were checked once against census_from_classes, which
+    # walks the triples by its own code and twist-counts by the recursion
+    # (41 s at X = 300 and 96 s at X = 400 on a 2-vCPU VM, too slow for here)
+    report = exact_census(BoundBox(x, x, x, x), tables_census)
     assert (report.exact, report.triples_visited) == (exact, triples)
 
 
