@@ -3,10 +3,10 @@
 Everything downstream (local solubility, the exact census, the character sums)
 runs on three primitives collected here:
 
-  * SieveTables: smallest prime factor, mu, tau and the exact rational weight
-    f(n) = prod_{p|n} (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.
-    Its twist counters: a batch divisor sum for bounds up to N, and a
-    memoised recursion that reaches bounds up to N^2.
+  * SieveTables: smallest prime factor (prime_columns walks it to factor an
+    array), mu, tau and the exact rational weight f(n) = prod_{p|n}
+    (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.  Twist counters: a
+    batch divisor sum for bounds up to N, a memoised recursion up to N^2.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
   * decompose_triple: the sign / 2-part / odd-part splitting
     m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
@@ -63,13 +63,14 @@ class SieveTables:
     """Multiplicative data on [1, N]; the arrays are immutable once built.
 
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
-    function, tau the divisor count, and f_num[n]/f_den[n] the reduced
-    rational f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree
-    integers <= n.  With mu it backs the exact coprime twist counting: the
-    batch divisor sum count_odd_squarefree_coprime_rows for twist bounds up
-    to N, which keeps no memo, and the recursion count_odd_squarefree_coprime
-    for bounds up to N^2.  The recursion's memo is the one mutable part; the
-    census fills it only when its twist bound is above N, and the class sums
+    function, tau the divisor count, and f_num[n]/f_den[n] the reduced rational
+    f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree integers
+    <= n.  prime_factors and prime_columns read primes off spf, for one n or an
+    array.  With mu it backs the exact coprime twist counting: the batch
+    divisor sum count_odd_squarefree_coprime_rows for twist bounds up to N,
+    which keeps no memo, and the recursion count_odd_squarefree_coprime for
+    bounds up to N^2.  The recursion's memo is the one mutable part; the census
+    fills it only when its twist bound is above N, and the class sums
     (charsum.class_sums) at every bound.
     """
 
@@ -97,6 +98,19 @@ class SieveTables:
             while n % p == 0:
                 n //= p
         return tuple(out)
+
+    def prime_columns(self, values: np.ndarray) -> np.ndarray:
+        """The primes of each squarefree value in [1, limit], increasing along
+        its row and padded with 0, as int32 (limit < 2^31 under the budget).
+        Each pass down spf divides a value by its least prime once, so the
+        values must be squarefree.  A 1 gives a row of 0s."""
+        rest = np.asarray(values, dtype=np.int64)
+        columns = []
+        while (rest > 1).any():
+            p = self.spf[rest]  # spf[1] = 1
+            columns.append(np.where(p > 1, p, 0).astype(np.int32))
+            rest = rest // p
+        return np.array(columns, dtype=np.int32).reshape(len(columns), len(rest)).T
 
     def odd_squarefree_upto(self, bound: float) -> list[int]:
         """All odd squarefree integers <= bound, increasing."""

@@ -41,17 +41,17 @@ charged against arith.MEMORY_BUDGET before any is built (_check_capacity).
 
 The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
 to n}, depends only on n = m1'm2'm3'.  Popcounts are summed per distinct n,
-tau(n) = tau(m1') tau(m2') tau(m3') is read per kernel entry from the sieve,
-and A depends only on the primes of n up to Y = X4, so each distinct product
-is trial-divided by the odd primes up to min(Y, X1, X2, X3) into padded prime
-columns (_prime_fill).  When Y fits the sieve, every A(Y, n) comes from one
-divisor sum, A(Y, n) = sum over d | n of mu(d) * C(d), over a table C of
-counts of odd squarefree t <= Y divisible by d, built once per census
-(SieveTables.count_odd_squarefree_coprime_rows).  Above the table the
-memoised recursion SieveTables.count_odd_squarefree_coprime runs once per
-distinct product; it reads the sieve only up to isqrt(X4) and counts odd
-squarefree t <= y in closed form from mu above it.  So one sieve of
-max(X1, X2, X3, isqrt(X4)) entries serves the whole census
+and one kernel entry of n, which keeps its m2', gives a split of n whose
+three parts the spf walk SieveTables.prime_columns factors into padded prime
+columns.  tau(n) is 2 to the number of primes, and the twist counters take
+the same columns and drop the primes above Y = X4.  When Y fits the sieve,
+every A(Y, n) comes from one divisor sum, A(Y, n) = sum over d | n of
+mu(d) * C(d), over a table C of counts of odd squarefree t <= Y divisible by
+d, built once per census (SieveTables.count_odd_squarefree_coprime_rows).
+Above the table the memoised recursion SieveTables.count_odd_squarefree_coprime
+runs once per distinct product; it reads the sieve only up to isqrt(X4) and
+counts odd squarefree t <= y in closed form from mu above it.  So one sieve
+of max(X1, X2, X3, isqrt(X4)) entries serves the whole census
 (required_sieve_limit), however large X4 is.  The weighted sum is taken in
 Python integers.  The CSV breakdown and enumerate_admissible_triples expand
 the set bits of the same masks in (m1', m2', m3', delta, nu) order.
@@ -81,7 +81,6 @@ from .arith import (
     decompose_triple,
     factor_small,
     kronecker,
-    primes_up_to,
     _check_budget,
     _squarefree_factors,
 )
@@ -271,14 +270,6 @@ def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTa
     _check_budget(f"mask kernel of {v1} x {v2} x {v3} odd parts", nbytes)
 
 
-def _prime_columns(values: np.ndarray, tables: SieveTables) -> np.ndarray:
-    """The primes of each value, increasing along its row and padded with 0."""
-    factors = [tables.prime_factors(v) for v in values.tolist()]
-    width = max(map(len, factors))
-    return np.array([f + (0,) * (width - len(f)) for f in factors],
-                    dtype=np.int64).reshape(len(factors), width)
-
-
 def _symbols_at(values: np.ndarray, primes: np.ndarray):
     """A look-up p -> the Legendre symbols (values / p) as int8, for p in
     primes or an array of them; the pad prime 0 gives all 1.
@@ -315,7 +306,7 @@ def _mask_blocks(
     if not (v1.size and v2.size and v3.size):
         return
     masks = _mask_tables()
-    p1, p2, p3 = (_prime_columns(v, tables) for v in (v1, v2, v3))
+    p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
     at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
                      _symbols_at(v3, np.append(p1, p2)))
     # p | m2' in the k-th prime column: the (m2', m3') planes of choices when
@@ -385,37 +376,17 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
-def _prime_fill(products: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The primes in primes (increasing) of each product, increasing along its
-    row and padded with 0: one numpy pass per prime puts it into the next free
-    column of the products it divides."""
-    top = int(products.max(initial=1))
-    width = min(len(primes), sum(q <= top for q in _ODD_PRIMORIALS))
-    # primes <= the sieve limit, which the memory budget keeps under 2^31
-    columns = np.zeros((len(products), width), dtype=np.int32)
-    filled = np.zeros(len(products), dtype=np.intp)
-    for p in primes.tolist():
-        hit = np.flatnonzero(products % p == 0)
-        columns[hit, filled[hit]] = p
-        filled[hit] += 1
-    return columns
-
-
-def _twist_counts(products: np.ndarray, bound: float, tables: SieveTables,
-                  primes: np.ndarray) -> np.ndarray:
-    """#{t <= bound : t odd squarefree coprime to n} for each odd squarefree n
-    in products, whose prime factors up to bound are all in primes.
-
-    One divisor sum over the whole array when bound fits the table
-    (SieveTables.count_odd_squarefree_coprime_rows), else the recursion once
-    per product."""
-    columns = _prime_fill(products, primes)
+def _twist_counts(columns: np.ndarray, bound: float, tables: SieveTables) -> np.ndarray:
+    """#{t <= bound : t odd squarefree coprime to n} for each n, given by a row
+    of its primes padded with 0: one divisor sum over the whole array when
+    bound fits the table (SieveTables.count_odd_squarefree_coprime_rows), else
+    the recursion once per product.  Both drop the primes above bound."""
     if int(bound) <= tables.limit:
         return tables.count_odd_squarefree_coprime_rows(bound, columns)
     # one int object per prime: the memo's keys then compare by identity
-    prime_of = {p: p for p in primes.tolist()}
-    return np.array([tables.count_odd_squarefree_coprime(
-        bound, tuple(prime_of[p] for p in row.tolist() if p)) for row in columns], dtype=np.int64)
+    prime_of = {}
+    return np.array([tables.count_odd_squarefree_coprime(bound, tuple(
+        prime_of.setdefault(p, p) for p in row.tolist() if p)) for row in columns], dtype=np.int64)
 
 
 def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
@@ -427,29 +398,37 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
     check_sieve_covers(box, tables)
-    masks, tau = _mask_tables(), tables.tau
+    masks, m2_type = _mask_tables(), np.min_scalar_type(int(bound2))
     products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
-    taus = [np.zeros(0, dtype=np.uint16)]
+    m2s, m1_of_block = [np.zeros(0, dtype=m2_type)], []
     for block in _mask_blocks(bound1, bound2, bound3, tables):
         m1p, m2ps, m3ps, block_masks = block
         products.append(m1p * m2ps * m3ps)
         counts.append(masks.popcount[block_masks])
-        # tau(n) = tau(m1') tau(m2') tau(m3') <= 2^14 for n < 2^63
-        taus.append((tau[m1p] * tau[m2ps] * tau[m3ps]).astype(np.uint16))
+        m2s.append(m2ps.astype(m2_type))
+        m1_of_block.append(m1p)
         if want_breakdown:
             kept.append(block)
-    products, counts, taus = map(np.concatenate, (products, counts, taus))
+    block_ends = np.cumsum([len(m) for m in m2s[1:]], dtype=np.intp)
+    products, counts, m2s = map(np.concatenate, (products, counts, m2s))
     distinct, which = np.unique(products, return_inverse=True)
     # per product at most 12 choices of each of 3^omega splittings (< 2^53), so
     # bincount's float64 sums are exact
     weight = np.bincount(which, weights=counts, minlength=len(distinct)).astype(np.int64)
-    twists = np.zeros(len(distinct), dtype=np.int64)
-    twists[which] = taus
-    # the count depends only on the primes <= X4 of a product; it is at most
-    # (X4 + 1) / 2 < 5e14 (the budget keeps isqrt(X4) under 31.6M), so
-    # tau * count < 2^14 * 5e14 fits int64
-    primes = primes_up_to(int(min(max(bound1, bound2, bound3), box.x4)))[1:]
-    twists *= _twist_counts(distinct, box.x4, tables, primes)
+    # one kernel entry per product gives its split n = m1' * m2' * m3'
+    entry = np.zeros(len(distinct), dtype=np.intp)
+    entry[which] = np.arange(len(which))
+    m1 = np.array(m1_of_block, dtype=np.int64)[np.searchsorted(block_ends, entry, side="right")]
+    m2 = m2s[entry].astype(np.int64)
+    columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
+                             axis=1)
+    triples_visited = int(counts.sum())
+    # the twist counts may grow the recursion's memo: hold no per-entry array
+    del products, counts, which, m2s, entry, m1, m2
+    # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
+    # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
+    # so tau * A < 2^14 * 5e14 fits int64
+    twists = (1 << np.count_nonzero(columns, axis=1)) * _twist_counts(columns, box.x4, tables)
     total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
     breakdown = None
     if want_breakdown:
@@ -461,8 +440,7 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
                 t = twist_of[n]
                 cumulative += t
                 breakdown.append((m1, m2, m3, t, cumulative))
-    return CensusReport(exact=4 * total, triples_visited=int(counts.sum()),
-                        breakdown=breakdown)
+    return CensusReport(exact=4 * total, triples_visited=triples_visited, breakdown=breakdown)
 
 
 def invariants_of(triple: SignedSquarefreeTriple, t: int) -> InvariantVector:

@@ -6,16 +6,12 @@ PASS/FAIL lines and timings.
 
 import json
 import time
-from fractions import Fraction
 from math import log, sqrt
 
 from d4census.arith import _squarefree_factors, build_sieve, factor_small
 from d4census.asymptotic import (
     EulerProductSpec,
-    constant_identity,
-    dyadic_hom_count,
     predicted_count,
-    tamagawa_constant,
     twist_main_term,
 )
 from d4census.census import BoundBox, exact_census, twist_count
@@ -99,20 +95,18 @@ def test_criterion_5_census_consistency(capsys):
 
 def test_criterion_6_constant_identities(capsys):
     t0 = time.perf_counter()
-    spec = EulerProductSpec(pmax=1_000_000)
-    ident = constant_identity(spec)
-    tam = tamagawa_constant(spec)
-    head = tam.parts.rational_prefactor()
-    checks = {
-        "identity residual": ident.residual < 1e-8,
-        "rational head": head == Fraction(27, 8),
-        "dyadic count": dyadic_hom_count() == 36,
-        "tamagawa vs leading": tam.difference < 1e-8,
-    }
+    const_code, const = run_suite(capsys, "constants", "--pmax", "1000000")
+    tam_code, tam = run_suite(capsys, "tamagawa", "--pmax", "1000000")
+    residual = const["identity_residual_below_1e-08"]["actual"]["residual"]
+    difference = tam["product_matches_leading_below_1e-08"]["actual"]["difference"]
     elapsed = time.perf_counter() - t0
-    report(capsys, 6, "constant identities", all(checks.values()) and elapsed < 30,
-           f"residual {ident.residual:.2e}, tamagawa diff {tam.difference:.2e}",
-           elapsed)
+    ok = (const_code == tam_code == 0
+          and all(c["pass"] for c in (*const.values(), *tam.values()))
+          and residual < 1e-8 and difference < 1e-8
+          and tam["rational_head_27_over_8"]["actual"] == "27/8"
+          and tam["dyadic_hom_count"]["actual"] == "36")
+    report(capsys, 6, "constant identities", ok and elapsed < 30,
+           f"residual {residual:.2e}, tamagawa diff {difference:.2e}", elapsed)
 
 
 def test_criterion_7_twist_main_term(capsys):

@@ -154,6 +154,20 @@ def test_f_is_exact_product_over_primes():
         assert gcd(int(t.f_num[n]), int(t.f_den[n])) == 1
 
 
+def test_prime_columns_match_prime_factors():
+    t = build_sieve(3000)
+    values = np.flatnonzero(t.mu)  # every squarefree n <= 3000, 1 first
+    columns = t.prime_columns(values)
+    assert columns.dtype == np.int32 and columns.shape[0] == len(values)
+    assert not columns[0].any()
+    for n, row in zip(values.tolist(), columns.tolist()):
+        primes = [p for p in row if p]
+        assert primes == sorted(primes) and row[len(primes):] == [0] * (len(row) - len(primes))
+        assert tuple(primes) == t.prime_factors(n)
+    assert t.prime_columns(np.ones(4, dtype=np.int64)).shape == (4, 0)
+    assert t.prime_columns(np.zeros(0, dtype=np.int64)).shape == (0, 0)
+
+
 def test_odd_squarefree_prefix_counts():
     t = build_sieve(200)
     for bound in (0, 1, 2, 17, 200):

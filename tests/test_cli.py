@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -477,6 +480,29 @@ def test_damaged_sieve_cache_exit_three(capsys, tmp_path, damage):
     assert out == "" and "sieve cache" in err
 
 
+# numpy.ma costs 14-34 ms to import, and a bare np.unique(a) imports it
+_NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from d4census import cli
+for argv in ({argvs}):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_census_never_imports_masked_arrays():
+    argvs = ("count --x 200 200 200 200", "count --x 50 100 200 100 --format csv",
+             "count --x 60 60 60 970000")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS.format(argvs=argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_classify_output(capsys):
     code, out, _ = run_cli(capsys, "classify", "--triple", "1", "2", "7",
                            "--twist", "5", "--prime", "7", "--format", "json")
@@ -514,6 +540,16 @@ def test_classify_large_inputs_end_quickly(capsys, argv, code):
         assert_one_usage_error(*got, "above 10^12")
     else:
         assert got[0] == 0 and "ramified    = {" in got[1]
+
+
+@pytest.mark.parametrize("height, code", [("2000", 0), ("2001", 2), ("50000", 2)])
+def test_classify_height_is_bounded(capsys, height, code):
+    # the search tries (height + 1)^2 pairs when the conic has no small point
+    got = run_cli(capsys, "classify", "--triple", "1", "2", "7", "--height", height)
+    if code:
+        assert_one_usage_error(*got, "--height")
+    else:
+        assert got[0] == 0 and "witness: (3, 1, 1)" in got[1]
 
 
 def test_constants_text(capsys):
