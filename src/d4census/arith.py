@@ -65,13 +65,13 @@ class SieveTables:
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced rational
     f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree integers
-    <= n.  prime_factors and prime_columns read primes off spf, for one n or an
-    array.  With mu it backs the exact coprime twist counting: the batch
-    divisor sum count_odd_squarefree_coprime_rows for twist bounds up to N,
-    which keeps no memo, and the recursion count_odd_squarefree_coprime for
-    bounds up to N^2.  The recursion's memo is the one mutable part; the census
-    fills it only when its twist bound is above N, and the class sums
-    (charsum.class_sums) at every bound.
+    <= n.  prime_columns reads the primes of an array of values off spf.
+    With mu it backs the exact coprime twist counting: the batch divisor sum
+    count_odd_squarefree_coprime_rows for twist bounds up to N, which keeps no
+    memo, and the recursion count_odd_squarefree_coprime for bounds up to N^2.
+    The recursion's memo is the one mutable part; the census fills it only
+    when its twist bound is above N, and the class sums (charsum.class_sums)
+    at every bound.
     """
 
     limit: int
@@ -86,18 +86,6 @@ class SieveTables:
     def f(self, n: int) -> Fraction:
         """f(n) = prod_{p | n} (1 + 1/p)^(-1) as an exact fraction."""
         return Fraction(int(self.f_num[n]), int(self.f_den[n]))
-
-    def prime_factors(self, n: int) -> tuple[int, ...]:
-        """Distinct prime divisors of 1 <= n <= limit, increasing."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"{n} outside sieve range [1, {self.limit}]")
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return tuple(out)
 
     def prime_columns(self, values: np.ndarray) -> np.ndarray:
         """The primes of each squarefree value in [1, limit], increasing along

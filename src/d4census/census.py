@@ -53,8 +53,9 @@ runs once per distinct product; it reads the sieve only up to isqrt(X4) and
 counts odd squarefree t <= y in closed form from mu above it.  So one sieve
 of max(X1, X2, X3, isqrt(X4)) entries serves the whole census
 (required_sieve_limit), however large X4 is.  The weighted sum is taken in
-Python integers.  The CSV breakdown and enumerate_admissible_triples expand
-the set bits of the same masks in (m1', m2', m3', delta, nu) order.
+Python integers.  The CSV breakdown (over the census's per-entry arrays) and
+enumerate_admissible_triples (per kernel block) expand the set bits of the
+masks in one numpy step, in (m1', m2', m3', delta, nu) order.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
@@ -173,6 +174,11 @@ def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
 # CHOICES[k]; this is also the order in which rows and triples come out.
 CHOICES = tuple((delta, nu) for delta in ALL_DELTAS for nu in ALL_NUS)
 _ALL_CHOICES = (1 << len(CHOICES)) - 1
+# the bit of each choice, and the factors (2^mu, d2*2^alpha, d3*2^beta) that
+# take an odd triple to its signed triple, one column per choice
+_CHOICE_BITS = np.array([1 << k for k in range(len(CHOICES))], dtype=np.uint16)
+_CHOICE_FACTORS = np.array([(1 << mu, d2 << alpha, d3 << beta)
+                            for (d2, d3), (mu, alpha, beta) in CHOICES], dtype=np.int64).T
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # (prime, value) entries per block of _symbols_at, to bound its int64 temporaries
 _SYMBOL_BLOCK = 1 << 16
@@ -199,14 +205,12 @@ class _MaskTables:
         Legendre symbol at p of the other two odd parts is s; s = 0 means p
         divides them and allows no choice.  Row p % 8 = 0 allows every choice:
         it pads m3' = 1, which has no prime.
-    bits[mask]: the choices of a mask, in CHOICES order.
-    popcount[mask]: their number.
+    popcount[mask]: the number of choices of a mask.
     """
 
     cls: np.ndarray
     nondeg: np.ndarray
     sign: np.ndarray
-    bits: tuple
     popcount: np.ndarray
 
 
@@ -228,12 +232,8 @@ def _mask_tables() -> _MaskTables:
     for i, r, s in itertools.product(range(3), UNIT_RESIDUES, (1, -1)):
         sign[i, r, s + 1] = _choice_mask(
             lambda delta, nu: kronecker(_required_symbols(delta, nu)[i], r) == s)
-    bits = tuple(
-        tuple(choice for k, choice in enumerate(CHOICES) if mask >> k & 1)
-        for mask in range(_ALL_CHOICES + 1)
-    )
-    popcount = np.array([len(b) for b in bits], dtype=np.uint8)
-    return _MaskTables(cls=cls, nondeg=nondeg, sign=sign, bits=bits, popcount=popcount)
+    popcount = np.array([mask.bit_count() for mask in range(_ALL_CHOICES + 1)], dtype=np.uint8)
+    return _MaskTables(cls=cls, nondeg=nondeg, sign=sign, popcount=popcount)
 
 
 # The odd primorials 3, 3*5, 3*5*7, ...: the number of them <= b is the most
@@ -335,14 +335,12 @@ def _mask_blocks(
             yield m1p, v2[j2], v3[j3], block[j2, j3]
 
 
-def _signed_triples(m1p: int, m2ps: np.ndarray, m3ps: np.ndarray, block: np.ndarray,
-                    bits: tuple):
-    """(m1'*m2'*m3', (m1, m2, m3)) for each choice set in a kernel block, in
-    (m2', m3', delta, nu) order."""
-    for m2p, m3p, mask in zip(m2ps.tolist(), m3ps.tolist(), block.tolist()):
-        for (d2, d3), (mu, alpha, beta) in bits[mask]:
-            yield (m1p * m2p * m3p,
-                   ((1 << mu) * m1p, d2 * (1 << alpha) * m2p, d3 * (1 << beta) * m3p))
+def _signed_triples(m1p, m2p, m3p, masks: np.ndarray):
+    """(entry, m1, m2, m3) as int64 arrays, one row per choice set in masks[entry],
+    in (entry, delta, nu) order; each odd part m_i' is one int or one per entry."""
+    entry, k = np.nonzero(masks[:, None] & _CHOICE_BITS)
+    return (entry, *(np.broadcast_to(m, masks.shape)[entry] * factor[k]
+                     for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
 
 
 def enumerate_admissible_triples(
@@ -355,10 +353,9 @@ def enumerate_admissible_triples(
     conic locally (hence globally) soluble, and non-degenerate (no product of
     two entries a perfect square, so the biquadratic field is genuine).
     """
-    bits = _mask_tables().bits
     for block in _mask_blocks(bound1, bound2, bound3, tables):
-        for _, triple in _signed_triples(*block, bits):
-            yield SignedSquarefreeTriple(*triple)
+        _, *signed = _signed_triples(*block)
+        yield from map(SignedSquarefreeTriple, *(m.tolist() for m in signed))
 
 
 def twist_count(m: int, bound: float, tables: SieveTables) -> int:
@@ -398,48 +395,51 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
     check_sieve_covers(box, tables)
-    masks, m2_type = _mask_tables(), np.min_scalar_type(int(bound2))
-    products, counts, kept = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)], []
-    m2s, m1_of_block = [np.zeros(0, dtype=m2_type)], []
-    for block in _mask_blocks(bound1, bound2, bound3, tables):
-        m1p, m2ps, m3ps, block_masks = block
+    popcount, m2_type = _mask_tables().popcount, np.min_scalar_type(int(bound2))
+    products, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    m2s, masks = [np.zeros(0, dtype=m2_type)], [np.zeros(0, dtype=np.uint16)]
+    m1_of_block, block_sizes = [], []
+    for m1p, m2ps, m3ps, block_masks in _mask_blocks(bound1, bound2, bound3, tables):
         products.append(m1p * m2ps * m3ps)
-        counts.append(masks.popcount[block_masks])
+        counts.append(popcount[block_masks])
         m2s.append(m2ps.astype(m2_type))
         m1_of_block.append(m1p)
+        block_sizes.append(len(m2ps))
         if want_breakdown:
-            kept.append(block)
-    block_ends = np.cumsum([len(m) for m in m2s[1:]], dtype=np.intp)
-    products, counts, m2s = map(np.concatenate, (products, counts, m2s))
+            masks.append(block_masks)
+    products, counts, m2s, masks = map(np.concatenate, (products, counts, m2s, masks))
     distinct, which = np.unique(products, return_inverse=True)
     # per product at most 12 choices of each of 3^omega splittings (< 2^53), so
     # bincount's float64 sums are exact
     weight = np.bincount(which, weights=counts, minlength=len(distinct)).astype(np.int64)
+    triples_visited = int(counts.sum())
     # one kernel entry per product gives its split n = m1' * m2' * m3'
     entry = np.zeros(len(distinct), dtype=np.intp)
     entry[which] = np.arange(len(which))
-    m1 = np.array(m1_of_block, dtype=np.int64)[np.searchsorted(block_ends, entry, side="right")]
-    m2 = m2s[entry].astype(np.int64)
+    m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(bound1))), block_sizes)
+    m1, m2 = (m[entry].astype(np.int64) for m in (m1s, m2s))
+    if want_breakdown:
+        # rows in the kernel's (m1', m2', m3') order; a row's entry gives its product
+        row_product, *signed = _signed_triples(
+            m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
+        row_product, signed = which[row_product], [m.tolist() for m in signed]
+    # the twist counts may grow the recursion's memo: hold no per-entry array
+    del products, counts, m2s, masks, which, m1s, entry
     columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
                              axis=1)
-    triples_visited = int(counts.sum())
-    # the twist counts may grow the recursion's memo: hold no per-entry array
-    del products, counts, which, m2s, entry, m1, m2
+    del m1, m2
     # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
     # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
     # so tau * A < 2^14 * 5e14 fits int64
     twists = (1 << np.count_nonzero(columns, axis=1)) * _twist_counts(columns, box.x4, tables)
-    total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
+    twist_of = twists.tolist()
+    total = sum(w * t for w, t in zip(weight.tolist(), twist_of))
     breakdown = None
     if want_breakdown:
-        twist_of = dict(zip(distinct.tolist(), twists.tolist()))
-        breakdown, cumulative = [], 0
-        # the kernel's blocks come in (m1', m2', m3', delta, nu) order
-        for block in kept:
-            for n, (m1, m2, m3) in _signed_triples(*block, masks.bits):
-                t = twist_of[n]
-                cumulative += t
-                breakdown.append((m1, m2, m3, t, cumulative))
+        # one int object per distinct product; the cumulative may pass 2^63
+        row_twists = [twist_of[i] for i in row_product.tolist()]
+        del row_product
+        breakdown = list(zip(*signed, row_twists, itertools.accumulate(row_twists)))
     return CensusReport(exact=4 * total, triples_visited=triples_visited, breakdown=breakdown)
 
 

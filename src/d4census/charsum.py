@@ -418,12 +418,16 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     and sign conditions live on the key, not here: aggregating over admissible
     keys only is what reproduces the census.
 
-    Each eps class is walked once for all its keys: per triple one
-    factorisation, one product row over the keys' non-degenerate choices and
-    at most one twist count.  CapacityError when tables do not reach
+    Each eps class is walked once for all its keys: per triple a look-up of
+    its primes (one spf walk over all the values, SieveTables.prime_columns),
+    one product row over the keys' non-degenerate choices and at most one
+    twist count.  CapacityError when tables do not reach
     required_sieve_limit(box), as in exact_census.
     """
     check_sieve_covers(box, tables)
+    values = tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3))
+    primes_of = {m: tuple(p for p in row if p)
+                 for m, row in zip(values, tables.prime_columns(values).tolist())}
     sums = {key: 0 for key in keys}
     by_eps: dict = {}
     for key in sums:
@@ -440,7 +444,7 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
                     key.delta[1] * (1 << key.nu[2]) * m3p)]
                 live_by_ones[ones] = live, [(key.delta, key.nu) for key in live]
             live, choices = live_by_ones[ones]
-            facs = tuple(tables.prime_factors(m) for m in mp)
+            facs = (primes_of[m1p], primes_of[m2p], primes_of[m3p])
             row = L_product_row(facs, choices)
             twists = None
             for key, lv in zip(live, row):

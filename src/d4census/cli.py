@@ -451,6 +451,8 @@ def _suite_divisor_identity(args) -> list[dict]:
     bound = 3000 if args.bound is None else args.bound
     tables = build_sieve(bound)
     odd_sf = tables.odd_squarefree_upto(bound)
+    primes_of = {m: tuple(p for p in row if p)
+                 for m, row in zip(odd_sf, tables.prime_columns(odd_sf).tolist())}
     bad = total = 0
     for m1 in odd_sf:
         for m2 in odd_sf:
@@ -464,8 +466,8 @@ def _suite_divisor_identity(args) -> list[dict]:
                     break
                 if gcd(m12, m3) != 1:
                     continue
-                tau = int(tables.tau[m12 * m3])
-                facs = tuple(tables.prime_factors(m) for m in (m1, m2, m3))
+                facs = (primes_of[m1], primes_of[m2], primes_of[m3])
+                tau = 1 << sum(map(len, facs))  # m1 * m2 * m3 is squarefree
                 for lp, ls in zip(L_product_row(facs), L_divisor_sum_row(facs)):
                     total += 1
                     if lp != ls or lp not in (0, tau):
@@ -520,24 +522,25 @@ def _suite_tamagawa(args) -> list[dict]:
     ]
 
 
-# Each suite's runner and the verify options it reads; giving a suite any
-# other of --tol, --bound, --x and --pmax is a usage error.
+# Each suite's runner, the verify options it reads and the largest --bound it
+# takes (each ran 5-8 s at its cap on a 2-vCPU VM); giving a suite any other
+# of --tol, --bound, --x and --pmax, or a larger bound, is a usage error.
 _SUITES = {
-    "lemma432": (_suite_lemma432, ()),
-    "hasse": (_suite_hasse, ("bound",)),
-    "lemma41": (_suite_lemma41, ("bound",)),
-    "esets": (_suite_esets, ()),
-    "divisor-identity": (_suite_divisor_identity, ("bound",)),
-    "census-consistency": (_suite_census_consistency, ("x",)),
-    "constants": (_suite_constants, ("tol", "pmax")),
-    "tamagawa": (_suite_tamagawa, ("tol", "pmax")),
+    "lemma432": (_suite_lemma432, (), None),
+    "hasse": (_suite_hasse, ("bound",), 80),
+    "lemma41": (_suite_lemma41, ("bound",), 40),
+    "esets": (_suite_esets, (), None),
+    "divisor-identity": (_suite_divisor_identity, ("bound",), 20_000),
+    "census-consistency": (_suite_census_consistency, ("x",), None),
+    "constants": (_suite_constants, ("tol", "pmax"), None),
+    "tamagawa": (_suite_tamagawa, ("tol", "pmax"), None),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    runner, _ = _SUITES[args.suite]
+    runner = _SUITES[args.suite][0]
     checks = runner(args)
     all_pass = all(c["pass"] for c in checks)
     lines = []
@@ -692,10 +695,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            unread = sorted(set(getattr(args, "given", ())) - set(_SUITES[args.suite][1]))
+            _, reads, max_bound = _SUITES[args.suite]
+            unread = sorted(set(getattr(args, "given", ())) - set(reads))
             if unread:
                 parser.error(f"verify --suite {args.suite} does not read "
                              + ", ".join(f"--{dest}" for dest in unread))
+            if args.bound is not None and args.bound > max_bound:
+                parser.error(f"verify --suite {args.suite} takes --bound up to {max_bound}")
         if args.command == "count" and args.format == "csv" and "pmax" in getattr(
                 args, "given", ()):
             parser.error("count --format csv does not read --pmax")

@@ -148,13 +148,13 @@ def test_f_is_exact_product_over_primes():
         if t.mu[n] == 0:
             continue
         expected = Fraction(1)
-        for p in t.prime_factors(n):
+        for p in factor_small(n):
             expected *= Fraction(p, p + 1)
         assert t.f(n) == expected
         assert gcd(int(t.f_num[n]), int(t.f_den[n])) == 1
 
 
-def test_prime_columns_match_prime_factors():
+def test_prime_columns_match_factor_small():
     t = build_sieve(3000)
     values = np.flatnonzero(t.mu)  # every squarefree n <= 3000, 1 first
     columns = t.prime_columns(values)
@@ -163,7 +163,7 @@ def test_prime_columns_match_prime_factors():
     for n, row in zip(values.tolist(), columns.tolist()):
         primes = [p for p in row if p]
         assert primes == sorted(primes) and row[len(primes):] == [0] * (len(row) - len(primes))
-        assert tuple(primes) == t.prime_factors(n)
+        assert tuple(primes) == factor_small(n)
     assert t.prime_columns(np.ones(4, dtype=np.int64)).shape == (4, 0)
     assert t.prime_columns(np.zeros(0, dtype=np.int64)).shape == (0, 0)
 

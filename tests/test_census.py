@@ -387,6 +387,42 @@ def test_symbols_at_match_kronecker(tables_100k):
     assert at(np.array([0, primes[0]])).shape == (2, len(values))
 
 
+def test_signed_triples_expand_every_mask_in_choice_order():
+    """All 4096 masks, one entry each: the rows of an entry are the signed
+    triples of its set bits, in CHOICES order, and the odd parts may be one
+    int or one value per entry."""
+    masks = np.arange(census._ALL_CHOICES + 1, dtype=np.uint16)
+    fives = np.full(len(masks), 5, dtype=np.uint16)
+    expected = [(mask, (1 << mu) * 3, d2 * (1 << alpha) * 5, d3 * (1 << beta) * 7)
+                for mask in range(len(masks))
+                for k, ((d2, d3), (mu, alpha, beta)) in enumerate(census.CHOICES)
+                if mask >> k & 1]
+    columns = census._signed_triples(3, fives, 7, masks)
+    assert all(c.dtype == np.int64 for c in columns[1:])
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x1=st.integers(0, 40), x2=st.integers(0, 40), x3=st.integers(0, 40),
+       x4=st.one_of(st.just(0), st.integers(1, 100_000), st.integers(100_001, 10**9)))
+def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
+    """The breakdown against enumerate_admissible_triples and twist_count,
+    with X4 inside the table (the divisor sum) and above it (the recursion)."""
+    report = exact_census(BoundBox(x1, x2, x3, x4), tables_100k, want_breakdown=True)
+    rows = report.breakdown
+    assert [row[:3] for row in rows] == [
+        t.as_tuple() for t in enumerate_admissible_triples(x3, x1, x2, tables_100k)]
+    assert len(rows) == report.triples_visited
+    assert 4 * (rows[-1][4] if rows else 0) == report.exact
+    twist_of = {}
+    for m1, m2, m3, twists, _ in rows:
+        n = brute_odd_part(m1 * m2 * m3)
+        if n not in twist_of:
+            twist_of[n] = twist_count(n, x4, tables_100k)
+        assert twists == twist_of[n]
+
+
 def test_breakdown_rows(tables_census):
     report = exact_census(BoundBox(4, 4, 4, 4), tables_census, want_breakdown=True)
     rows = report.breakdown

@@ -399,6 +399,16 @@ def test_verify_rejects_non_positive_bound(capsys, suite, bound):
     assert len(errors) == 1 and "--bound" in errors[0]
 
 
+@pytest.mark.parametrize("suite, cap", [("hasse", 80), ("lemma41", 40),
+                                        ("divisor-identity", 20_000)])
+@pytest.mark.parametrize("over", [1, 100_000])
+def test_verify_bound_is_capped(capsys, suite, cap, over):
+    # the exhaustive suites grow like bound^3 (hasse, lemma41) or faster than
+    # bound (divisor-identity): a bound above the cap is refused before any work
+    got = run_cli(capsys, "verify", "--suite", suite, "--bound", str(cap + over))
+    assert_one_usage_error(*got, f"--bound up to {cap}")
+
+
 def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "hasse", "--bound", "10")[0] == 0
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0
