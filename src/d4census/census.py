@@ -18,7 +18,8 @@ signs and 2-part, m1 = 2^mu*m1', m2 = d2*2^a*m2', m3 = d3*2^b*m3'.  Each
 condition on a signed triple allows a set of choices, kept as a 12-bit mask
 (bit k is CHOICES[k], the order ALL_DELTAS x ALL_NUS):
 
-  * the mod-8 class at 2: in_E_set of (m1' mod 8, m2' mod 8, m3' mod 8);
+  * none for the mod-8 class at 2: by Hilbert reciprocity it follows from the
+    real place (no choice has d2 = d3 = -1) and the odd-prime masks below;
   * non-degeneracy: depends only on which of m1', m2', m3' equal 1;
   * one mask per odd prime p.  The Legendre condition at p reads
       p | m1':  (m2'm3' / p) = (-d2*d3*2^(a+b) / p),
@@ -35,23 +36,23 @@ row-major order.  Each odd squarefree value's primes sit in columns padded
 with 0, and the pad allows every choice.  A prime of m2' or m3' reads two
 (m2', m3') planes built once per census, one per sign of the Legendre symbol
 of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
-and m3' at it.  Coprimality needs no test of its own: a shared prime gives a
-symbol 0 somewhere, and that allows no choice.  The planes and one block are
-charged against arith.MEMORY_BUDGET before any is built (_check_capacity).
+and m3' at it.  The planes and one block are charged against
+arith.MEMORY_BUDGET before any is built (_check_capacity).
 
 The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
-to n}, depends only on n = m1'm2'm3'.  Popcounts are summed per distinct n,
-and one kernel entry of n, which keeps its m2', gives a split of n whose
-three parts the spf walk SieveTables.prime_columns factors into padded prime
-columns.  tau(n) is 2 to the number of primes, and the twist counters take
-the same columns and drop the primes above Y = X4.  When Y fits the sieve,
-every A(Y, n) comes from one divisor sum, A(Y, n) = sum over d | n of
-mu(d) * C(d), over a table C of counts of odd squarefree t <= Y divisible by
-d, built once per census (SieveTables.count_odd_squarefree_coprime_rows).
-Above the table the memoised recursion SieveTables.count_odd_squarefree_coprime
-runs once per distinct product; it reads the sieve only up to isqrt(X4) and
-counts odd squarefree t <= y in closed form from mu above it.  So one sieve
-of max(X1, X2, X3, isqrt(X4)) entries serves the whole census
+to n}, depends only on n = m1'm2'm3'.  One argsort groups the kernel entries
+by n: their popcounts are summed per group, and a group's first entry, which
+keeps its m2', gives a split of n whose three parts the spf walk
+SieveTables.prime_columns factors into padded prime columns.  tau(n) is 2 to
+the number of primes, and the twist counters take the same columns and drop
+the primes above Y = X4.  When Y fits the sieve, every A(Y, n) comes from one
+divisor sum, A(Y, n) = sum over d | n of mu(d) * C(d), over a table C of
+counts of odd squarefree t <= Y divisible by d, built once per census
+(SieveTables.count_odd_squarefree_coprime_rows).  Above the table the memoised
+recursion SieveTables.count_odd_squarefree_coprime runs once per distinct
+product; it reads the sieve only up to isqrt(X4) and counts odd squarefree
+t <= y in closed form from mu above it.  So one sieve of
+max(X1, X2, X3, isqrt(X4)) entries serves the whole census
 (required_sieve_limit), however large X4 is.  The weighted sum is taken in
 Python integers.  The CSV breakdown (over the census's per-entry arrays) and
 enumerate_admissible_triples (per kernel block) expand the set bits of the
@@ -85,7 +86,7 @@ from .arith import (
     _check_budget,
     _squarefree_factors,
 )
-from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set
+from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,6 @@ def _required_symbols(delta, nu) -> tuple[int, int, int]:
 class _MaskTables:
     """Choice masks of the conditions that make an odd triple admissible.
 
-    cls[e1, e2, e3]: the mod-8 class condition at 2 (odd residues only).
     nondeg[o1, o2, o3]: non-degeneracy, with o_i = [m_i' == 1].
     sign[i, p % 8, s + 1]: the odd-prime condition at p | m_(i+1)' when the
         Legendre symbol at p of the other two odd parts is s; s = 0 means p
@@ -208,7 +208,6 @@ class _MaskTables:
     popcount[mask]: the number of choices of a mask.
     """
 
-    cls: np.ndarray
     nondeg: np.ndarray
     sign: np.ndarray
     popcount: np.ndarray
@@ -216,9 +215,6 @@ class _MaskTables:
 
 @lru_cache(maxsize=None)
 def _mask_tables() -> _MaskTables:
-    cls = np.zeros((8, 8, 8), dtype=np.uint16)
-    for eps in itertools.product(UNIT_RESIDUES, repeat=3):
-        cls[eps] = _choice_mask(lambda delta, nu: in_E_set(eps, nu, delta))
     nondeg = np.zeros((2, 2, 2), dtype=np.uint16)
     for o1, o2, o3 in itertools.product((0, 1), repeat=3):
         # an odd part other than 1 stands in as a prime of its own
@@ -233,7 +229,7 @@ def _mask_tables() -> _MaskTables:
         sign[i, r, s + 1] = _choice_mask(
             lambda delta, nu: kronecker(_required_symbols(delta, nu)[i], r) == s)
     popcount = np.array([mask.bit_count() for mask in range(_ALL_CHOICES + 1)], dtype=np.uint8)
-    return _MaskTables(cls=cls, nondeg=nondeg, sign=sign, popcount=popcount)
+    return _MaskTables(nondeg=nondeg, sign=sign, popcount=popcount)
 
 
 # The odd primorials 3, 3*5, 3*5*7, ...: the number of them <= b is the most
@@ -243,10 +239,10 @@ _ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435, 32348466
                    307444891294245705)
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
 # of m2' or m3' (a uint16 plane for each sign of the symbol of m1'), plus 48
-# for the class and non-degeneracy planes and one m1' block with its
-# temporaries.  Per (m1', m2') or (m1', m3') entry: 1 per prime column for the
-# symbols of m1', plus 2.  tracemalloc at X = 100 to 2000 read 59-70 bytes per
-# plane entry and 5 per pair entry, under the charge.
+# for the non-degeneracy planes and one m1' block with its temporaries.  Per
+# (m1', m2') or (m1', m3') entry: 1 per prime column for the symbols of m1',
+# plus 2.  tracemalloc at X = 100 to 2000 read 75-90% of this charge; the 48
+# is kept although less would do, so that the boxes refused with exit 3 stay.
 _PLANE_BYTES_PER_COLUMN = 4
 _PLANE_BYTES = 48
 _PAIR_BYTES = 2
@@ -316,12 +312,10 @@ def _mask_blocks(
     plane3 = [[masks.sign[2][p3[:, k] % 8, s * at2(p3[:, k]).T + 1] for s in (-1, 1)]
               for k in range(p3.shape[1])]
     sym2, sym3 = at1(p2), at1(p3)  # [m2' or m3', k, m1']
-    r2, r3 = v2[:, None] % 8, v3 % 8
-    cls = {e: masks.cls[e][r2, r3] for e in UNIT_RESIDUES}
     one2, one3 = (v2[:, None] == 1).astype(np.intp), (v3 == 1).astype(np.intp)
     nondeg = [masks.nondeg[o][one2, one3] for o in (0, 1)]
     for i, m1p in enumerate(v1.tolist()):
-        block = cls[m1p % 8] & nondeg[int(m1p == 1)]
+        block = nondeg[int(m1p == 1)].copy()
         for k, (minus, plus) in enumerate(plane2):
             block &= np.where(sym2[:, k, i, None] > 0, plus, minus)
         for k, (minus, plus) in enumerate(plane3):
@@ -408,23 +402,27 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
         if want_breakdown:
             masks.append(block_masks)
     products, counts, m2s, masks = map(np.concatenate, (products, counts, m2s, masks))
-    distinct, which = np.unique(products, return_inverse=True)
-    # per product at most 12 choices of each of 3^omega splittings (< 2^53), so
-    # bincount's float64 sums are exact
-    weight = np.bincount(which, weights=counts, minlength=len(distinct)).astype(np.int64)
     triples_visited = int(counts.sum())
-    # one kernel entry per product gives its split n = m1' * m2' * m3'
-    entry = np.zeros(len(distinct), dtype=np.intp)
-    entry[which] = np.arange(len(which))
+    # one sort groups the entries by product; any entry of a product gives its
+    # split n = m1' * m2' * m3', since the twist step reads only its primes
+    order = np.argsort(products)
+    ordered = products[order]
+    first = np.ones(len(ordered), dtype=bool)  # the first entry of each product
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    distinct, entry = ordered[starts], order[starts]
+    del ordered, first  # reduceat casts its whole input to int64
+    weight = np.add.reduceat(counts[order], starts, dtype=np.int64)
     m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(bound1))), block_sizes)
     m1, m2 = (m[entry].astype(np.int64) for m in (m1s, m2s))
     if want_breakdown:
         # rows in the kernel's (m1', m2', m3') order; a row's entry gives its product
         row_product, *signed = _signed_triples(
             m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
-        row_product, signed = which[row_product], [m.tolist() for m in signed]
+        row_product = np.searchsorted(distinct, products[row_product])
+        signed = [m.tolist() for m in signed]
     # the twist counts may grow the recursion's memo: hold no per-entry array
-    del products, counts, m2s, masks, which, m1s, entry
+    del products, counts, m2s, masks, m1s, entry, order, starts
     columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
                              axis=1)
     del m1, m2

@@ -522,18 +522,18 @@ def _suite_tamagawa(args) -> list[dict]:
     ]
 
 
-# Each suite's runner, the verify options it reads and the largest --bound it
-# takes (each ran 5-8 s at its cap on a 2-vCPU VM); giving a suite any other
-# of --tol, --bound, --x and --pmax, or a larger bound, is a usage error.
+# Each suite's runner, the verify options it reads and the caps on its --bound
+# or --x values (each ran 5-8 s at its caps on a 2-vCPU VM); giving a suite any
+# other of --tol, --bound, --x and --pmax, or a larger value, is a usage error.
 _SUITES = {
-    "lemma432": (_suite_lemma432, (), None),
-    "hasse": (_suite_hasse, ("bound",), 80),
-    "lemma41": (_suite_lemma41, ("bound",), 40),
-    "esets": (_suite_esets, (), None),
-    "divisor-identity": (_suite_divisor_identity, ("bound",), 20_000),
-    "census-consistency": (_suite_census_consistency, ("x",), None),
-    "constants": (_suite_constants, ("tol", "pmax"), None),
-    "tamagawa": (_suite_tamagawa, ("tol", "pmax"), None),
+    "lemma432": (_suite_lemma432, (), ()),
+    "hasse": (_suite_hasse, ("bound",), (80,)),
+    "lemma41": (_suite_lemma41, ("bound",), (40,)),
+    "esets": (_suite_esets, (), ()),
+    "divisor-identity": (_suite_divisor_identity, ("bound",), (20_000,)),
+    "census-consistency": (_suite_census_consistency, ("x",), (150, 150, 150, 10**12)),
+    "constants": (_suite_constants, ("tol", "pmax"), ()),
+    "tamagawa": (_suite_tamagawa, ("tol", "pmax"), ()),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
@@ -695,13 +695,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            _, reads, max_bound = _SUITES[args.suite]
+            _, reads, caps = _SUITES[args.suite]
             unread = sorted(set(getattr(args, "given", ())) - set(reads))
             if unread:
                 parser.error(f"verify --suite {args.suite} does not read "
                              + ", ".join(f"--{dest}" for dest in unread))
-            if args.bound is not None and args.bound > max_bound:
-                parser.error(f"verify --suite {args.suite} takes --bound up to {max_bound}")
+            if any(value > cap for value, cap in zip(args.x or [args.bound or 0], caps)):
+                parser.error(f"verify --suite {args.suite} takes --{reads[0]} up to "
+                             + " ".join(map(str, caps)))
         if args.command == "count" and args.format == "csv" and "pmax" in getattr(
                 args, "given", ()):
             parser.error("count --format csv does not read --pmax")

@@ -409,6 +409,14 @@ def test_verify_bound_is_capped(capsys, suite, cap, over):
     assert_one_usage_error(*got, f"--bound up to {cap}")
 
 
+@pytest.mark.parametrize("x", ["151 1 1 1", "1 151 1 1", "1 1 151 1", "1 1 1 1.1e12"])
+def test_verify_census_consistency_box_is_capped(capsys, x):
+    # the class sums walk every coprime odd triple in Python, so their cost
+    # grows like X^3: a box above the caps is refused before any work
+    got = run_cli(capsys, "verify", "--suite", "census-consistency", "--x", *x.split())
+    assert_one_usage_error(*got, "--x up to 150 150 150 1000000000000")
+
+
 def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "hasse", "--bound", "10")[0] == 0
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0
