@@ -5,8 +5,8 @@ runs on three primitives collected here:
 
   * SieveTables: smallest prime factor (prime_columns walks it to factor an
     array), mu, tau and the exact rational weight f(n) = prod_{p|n}
-    (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.  Twist counters: a
-    batch divisor sum for bounds up to N, a memoised recursion up to N^2.
+    (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.  Twist counters up
+    to N^2: a memoised recursion, and a batch divisor sum up to N.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
   * decompose_triple: the sign / 2-part / odd-part splitting
     m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
@@ -66,12 +66,15 @@ class SieveTables:
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced rational
     f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree integers
     <= n.  prime_columns reads the primes of an array of values off spf.
-    With mu it backs the exact coprime twist counting: the batch divisor sum
-    count_odd_squarefree_coprime_rows for twist bounds up to N, which keeps no
-    memo, and the recursion count_odd_squarefree_coprime for bounds up to N^2.
-    The recursion's memo is the one mutable part; the census fills it only
-    when its twist bound is above N, and the class sums (charsum.class_sums)
-    at every bound.
+    With mu it backs the exact coprime twist counting: the recursion
+    count_odd_squarefree_coprime for bounds up to N^2, whose memo is the one
+    mutable part, and the batch count_odd_squarefree_coprime_rows, a divisor
+    sum with no memo for bounds up to N and the recursion per row above.
+
+    The tables refuse reads past their end: odd_squarefree_upto above N and
+    the twist counters above N^2 raise CapacityError, so no reader returns a
+    value computed from a table shorter than what it read.  The CLI sizes
+    every census table with census.required_sieve_limit.
     """
 
     limit: int
@@ -101,8 +104,11 @@ class SieveTables:
         return np.array(columns, dtype=np.int32).reshape(len(columns), len(rest)).T
 
     def odd_squarefree_upto(self, bound: float) -> list[int]:
-        """All odd squarefree integers <= bound, increasing."""
-        top = max(min(int(bound), self.limit), 0)
+        """All odd squarefree integers <= bound, increasing; CapacityError
+        when bound is past the table."""
+        top = max(int(bound), 0)
+        if top > self.limit:
+            raise CapacityError(f"sieve limit {self.limit} < required {top}")
         return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
 
     def count_odd_squarefree_coprime(self, bound: float, primes: tuple[int, ...]) -> int:
@@ -126,17 +132,23 @@ class SieveTables:
 
     def count_odd_squarefree_coprime_rows(self, bound: float, primes: np.ndarray) -> np.ndarray:
         """count_odd_squarefree_coprime(bound, row) for each row of a 2-D
-        array of primes padded with 0, as int64; bound must not exceed limit.
+        array of primes padded with 0, as int64.
 
-        A(Y, n) = sum over d | n of mu(d) * C(d), with C(d) the number of odd
-        squarefree t <= Y divisible by d (_divisible_counts), and C(d) = 0 for
-        d > Y.  The rows are grouped by their number w of primes <= Y, and the
-        2^w signed divisors of each group are formed by broadcasting, in
-        chunks of at most _DIVISOR_BLOCK divisors.  Uses no memo.
+        Up to limit: A(Y, n) = sum over d | n of mu(d) * C(d), with C(d) the
+        number of odd squarefree t <= Y divisible by d (_divisible_counts),
+        and C(d) = 0 for d > Y.  The rows are grouped by their number w of
+        primes <= Y, and the 2^w signed divisors of each group are formed by
+        broadcasting, in chunks of at most _DIVISOR_BLOCK divisors.  Uses no
+        memo.  Above limit: the memoised recursion once per row, which raises
+        CapacityError when isqrt(Y) > limit.
         """
         y = int(bound)
         if y > self.limit:
-            raise ValueError(f"twist bound {bound} above the sieve limit {self.limit}")
+            # one int object per prime: the memo's keys then compare by identity
+            prime_of = {}
+            return np.array([self.count_odd_squarefree_coprime(bound, tuple(
+                prime_of.setdefault(p, p) for p in row.tolist() if p)) for row in primes],
+                dtype=np.int64)
         out = np.zeros(len(primes), dtype=np.int64)
         if y <= 0:
             return out

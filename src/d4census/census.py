@@ -37,7 +37,7 @@ with 0, and the pad allows every choice.  A prime of m2' or m3' reads two
 (m2', m3') planes built once per census, one per sign of the Legendre symbol
 of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
 and m3' at it.  The planes and one block are charged against
-arith.MEMORY_BUDGET before any is built (_check_capacity).
+arith.MEMORY_BUDGET before any is built.
 
 The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
 to n}, depends only on n = m1'm2'm3'.  One argsort groups the kernel entries
@@ -45,18 +45,16 @@ by n: their popcounts are summed per group, and a group's first entry, which
 keeps its m2', gives a split of n whose three parts the spf walk
 SieveTables.prime_columns factors into padded prime columns.  tau(n) is 2 to
 the number of primes, and the twist counters take the same columns and drop
-the primes above Y = X4.  When Y fits the sieve, every A(Y, n) comes from one
-divisor sum, A(Y, n) = sum over d | n of mu(d) * C(d), over a table C of
-counts of odd squarefree t <= Y divisible by d, built once per census
-(SieveTables.count_odd_squarefree_coprime_rows).  Above the table the memoised
-recursion SieveTables.count_odd_squarefree_coprime runs once per distinct
-product; it reads the sieve only up to isqrt(X4) and counts odd squarefree
-t <= y in closed form from mu above it.  So one sieve of
-max(X1, X2, X3, isqrt(X4)) entries serves the whole census
-(required_sieve_limit), however large X4 is.  The weighted sum is taken in
-Python integers.  The CSV breakdown (over the census's per-entry arrays) and
-enumerate_admissible_triples (per kernel block) expand the set bits of the
-masks in one numpy step, in (m1', m2', m3', delta, nu) order.
+the primes above Y = X4.  One call of
+SieveTables.count_odd_squarefree_coprime_rows counts them all: when Y fits
+the sieve, by one divisor sum A(Y, n) = sum over d | n of mu(d) * C(d) over a
+table C of counts of odd squarefree t <= Y divisible by d; above it, by the
+memoised recursion once per distinct product, which reads the sieve only up
+to isqrt(X4).  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
+whole census (required_sieve_limit), however large X4 is.  The weighted sum
+is taken in Python integers.  The CSV breakdown (over the census's per-entry
+arrays) and enumerate_admissible_triples (per kernel block) expand the set
+bits of the masks in one numpy step, in (m1', m2', m3', delta, nu) order.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
@@ -148,21 +146,14 @@ class CensusReport:
 
 
 def required_sieve_limit(box: BoundBox) -> int:
-    """Smallest sieve limit covering the odd-part bounds and isqrt(X4).
+    """Smallest sieve limit covering every read of a census of box: the
+    odd-part bounds and isqrt(X4).
 
     The kernel reads the tables up to max(X1, X2, X3).  The twist counter
     needs them only up to isqrt(X4): above its table it reads mu up to
     sqrt(y) (SieveTables.count_odd_squarefree_coprime).
     """
     return max(int(max(box.x1, box.x2, box.x3)), isqrt(int(box.x4)), 1)
-
-
-def check_sieve_covers(box: BoundBox, tables: SieveTables) -> None:
-    """CapacityError unless tables reach required_sieve_limit(box)."""
-    if tables.limit < required_sieve_limit(box):
-        raise CapacityError(
-            f"sieve limit {tables.limit} < required {required_sieve_limit(box)}"
-        )
 
 
 def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
@@ -232,11 +223,6 @@ def _mask_tables() -> _MaskTables:
     return _MaskTables(nondeg=nondeg, sign=sign, popcount=popcount)
 
 
-# The odd primorials 3, 3*5, 3*5*7, ...: the number of them <= b is the most
-# primes of an odd squarefree value <= b, for every b < 2^63.
-_ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435, 3234846615,
-                   100280245065, 3710369067405, 152125131763605, 6541380665835015,
-                   307444891294245705)
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
 # of m2' or m3' (a uint16 plane for each sign of the symbol of m1'), plus 48
 # for the non-degeneracy planes and one m1' block with its temporaries.  Per
@@ -246,24 +232,6 @@ _ODD_PRIMORIALS = (3, 15, 105, 1155, 15015, 255255, 4849845, 111546435, 32348466
 _PLANE_BYTES_PER_COLUMN = 4
 _PLANE_BYTES = 48
 _PAIR_BYTES = 2
-
-
-def _check_capacity(bound1: float, bound2: float, bound3: float, tables: SieveTables) -> None:
-    """CapacityError unless the products fit int64, the sieve covers the
-    bounds and the kernel's tables fit arith.MEMORY_BUDGET; it runs before
-    anything of their size is allocated."""
-    tops = [int(max(b, 0)) for b in (bound1, bound2, bound3)]
-    if tops[0] * tops[1] * tops[2] > _INT64_MAX:
-        raise CapacityError(
-            f"odd-part bounds {tuple(tops)}: the product m1'*m2'*m3' may overflow int64"
-        )
-    if tables.limit < max(tops):
-        raise CapacityError(f"sieve limit {tables.limit} < required {max(tops)}")
-    v1, v2, v3 = (int(tables.odd_sf_count[top]) for top in tops)
-    k2, k3 = (sum(p <= top for p in _ODD_PRIMORIALS) for top in tops[1:])
-    nbytes = (v2 * v3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES)
-              + v1 * (v2 * (k2 + _PAIR_BYTES) + v3 * (k3 + _PAIR_BYTES)))
-    _check_budget(f"mask kernel of {v1} x {v2} x {v3} odd parts", nbytes)
 
 
 def _symbols_at(values: np.ndarray, primes: np.ndarray):
@@ -295,14 +263,22 @@ def _mask_blocks(
     """The mask kernel: for each m1' <= bound1 in increasing order, yield
     (m1', m2', m3', masks) where the arrays m2' <= bound2 and m3' <= bound3
     hold the pairs that admit some choice, in row-major (m2', m3') order, and
-    masks their nonzero choice masks."""
-    _check_capacity(bound1, bound2, bound3, tables)
-    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64)
-                  for b in (bound1, bound2, bound3))
-    if not (v1.size and v2.size and v3.size):
+    masks their nonzero choice masks.  CapacityError, before anything of the
+    kernel's size is allocated, when the products may overflow int64 or the
+    kernel's tables do not fit arith.MEMORY_BUDGET."""
+    tops = tuple(int(max(b, 0)) for b in (bound1, bound2, bound3))
+    if tops[0] * tops[1] * tops[2] > _INT64_MAX:
+        raise CapacityError(f"odd-part bounds {tops}: the product m1'*m2'*m3' may overflow int64")
+    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64) for b in tops)
+    p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
+    n1, n2, n3 = map(len, (v1, v2, v3))
+    k2, k3 = p2.shape[1], p3.shape[1]  # the most primes of an m2' and an m3'
+    _check_budget(f"mask kernel of {n1} x {n2} x {n3} odd parts",
+                  n2 * n3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES)
+                  + n1 * (n2 * (k2 + _PAIR_BYTES) + n3 * (k3 + _PAIR_BYTES)))
+    if not (n1 and n2 and n3):
         return
     masks = _mask_tables()
-    p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
     at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
                      _symbols_at(v3, np.append(p1, p2)))
     # p | m2' in the k-th prime column: the (m2', m3') planes of choices when
@@ -367,19 +343,6 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
-def _twist_counts(columns: np.ndarray, bound: float, tables: SieveTables) -> np.ndarray:
-    """#{t <= bound : t odd squarefree coprime to n} for each n, given by a row
-    of its primes padded with 0: one divisor sum over the whole array when
-    bound fits the table (SieveTables.count_odd_squarefree_coprime_rows), else
-    the recursion once per product.  Both drop the primes above bound."""
-    if int(bound) <= tables.limit:
-        return tables.count_odd_squarefree_coprime_rows(bound, columns)
-    # one int object per prime: the memo's keys then compare by identity
-    prime_of = {}
-    return np.array([tables.count_odd_squarefree_coprime(bound, tuple(
-        prime_of.setdefault(p, p) for p in row.tolist() if p)) for row in columns], dtype=np.int64)
-
-
 def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
     """Exact count of pairs with invariants in the box, in integers only: the
     predicted main term and its ratio are the caller's (asymptotic.predicted_count).
@@ -388,7 +351,6 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     twist-counted once, and the weighted sum is taken in Python integers.
     """
     bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
-    check_sieve_covers(box, tables)
     popcount, m2_type = _mask_tables().popcount, np.min_scalar_type(int(bound2))
     products, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     m2s, masks = [np.zeros(0, dtype=m2_type)], [np.zeros(0, dtype=np.uint16)]
@@ -429,7 +391,8 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
     # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
     # so tau * A < 2^14 * 5e14 fits int64
-    twists = (1 << np.count_nonzero(columns, axis=1)) * _twist_counts(columns, box.x4, tables)
+    twists = ((1 << np.count_nonzero(columns, axis=1))
+              * tables.count_odd_squarefree_coprime_rows(box.x4, columns))
     twist_of = twists.tolist()
     total = sum(w * t for w, t in zip(weight.tolist(), twist_of))
     breakdown = None

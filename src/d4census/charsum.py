@@ -57,7 +57,7 @@ import numpy as np
 
 from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _is_degenerate, check_sieve_covers
+from .census import CHOICES, BoundBox, _is_degenerate
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -255,18 +255,14 @@ class CharacterSpec:
         return kronecker(self.disc, n)
 
 
-def _fraction_sum(terms: list[Fraction]) -> Fraction:
-    """Balanced pairwise summation; keeps intermediate denominators small."""
-    return _reduced_sum([t.numerator for t in terms], [t.denominator for t in terms])
-
-
 def _reduced_sum(nums: list[int], dens: list[int]) -> Fraction:
-    """sum_i nums[i] / dens[i] by balanced pairwise summation, for reduced
-    fractions with positive denominators.
+    """sum_i nums[i] / dens[i] by balanced pairwise summation, for positive
+    denominators; the final Fraction reduces the result.
 
     Each pair is added the way Fraction adds (Henrici: divide out
-    g = gcd(b, d) first, then only gcd(numerator, g) can remain), on plain
-    integer pairs, so no Fraction is built per term.
+    g = gcd(b, d) first, then gcd(numerator, g), which leaves a reduced pair
+    when both terms are reduced), on plain integer pairs, so no Fraction is
+    built per term.
     """
     if not nums:
         return Fraction(0)
@@ -421,10 +417,9 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     Each eps class is walked once for all its keys: per triple a look-up of
     its primes (one spf walk over all the values, SieveTables.prime_columns),
     one product row over the keys' non-degenerate choices and at most one
-    twist count.  CapacityError when tables do not reach
-    required_sieve_limit(box), as in exact_census.
+    twist count.  CapacityError when tables do not reach the odd-part bounds,
+    or isqrt(X4) once a triple is twist-counted, as in exact_census.
     """
-    check_sieve_covers(box, tables)
     values = tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3))
     primes_of = {m: tuple(p for p in row if p)
                  for m, row in zip(values, tables.prime_columns(values).tolist())}
@@ -451,7 +446,7 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
                 if lv:
                     if twists is None:
                         twists = tables.count_odd_squarefree_coprime(
-                            box.x4, tuple(sorted(facs[0] + facs[1] + facs[2])))
+                            box.x4, facs[0] + facs[1] + facs[2])
                     sums[key] += lv * twists
     return sums
 
@@ -479,8 +474,9 @@ def T111_direct(
     vals = tables.odd_squarefree_upto(max(x1, x2, x3))
     num = {v: int(tables.f_num[v]) for v in vals}
     den = {v: int(tables.f_den[v]) for v in vals}
-    return _fraction_sum([Fraction(num[l1] * num[l2] * num[l3], den[l1] * den[l2] * den[l3])
-                          for l1, l2, l3 in _class_triples((x1, x2, x3), key.eps, tables)])
+    triples = list(_class_triples((x1, x2, x3), key.eps, tables))
+    return _reduced_sum([num[l1] * num[l2] * num[l3] for l1, l2, l3 in triples],
+                        [den[l1] * den[l2] * den[l3] for l1, l2, l3 in triples])
 
 
 def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:

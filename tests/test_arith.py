@@ -177,11 +177,14 @@ def test_odd_squarefree_prefix_counts():
         assert int(t.odd_sf_count[bound]) == expected
     got = t.odd_squarefree_upto(30)
     assert got == [1, 3, 5, 7, 11, 13, 15, 17, 19, 21, 23, 29]
-    for bound in (-7, -1, 0, 0.5, 1, 2, 3, 30.9, 199, 200, 10**6):
-        top = min(int(bound), t.limit)
+    for bound in (-7, -1, 0, 0.5, 1, 2, 3, 30.9, 199, 200, 200.9):
         got = t.odd_squarefree_upto(bound)
-        assert got == [n for n in range(1, top + 1, 2) if t.mu[n] != 0], bound
+        assert got == [n for n in range(1, int(bound) + 1, 2) if t.mu[n] != 0], bound
         assert all(type(n) is int for n in got)
+    # past the table it refuses rather than stop at its end
+    for bound in (201, 10**6):
+        with pytest.raises(CapacityError, match=f"sieve limit 200 < required {bound}"):
+            t.odd_squarefree_upto(bound)
 
 
 def test_count_odd_squarefree_coprime_brute():
@@ -259,15 +262,18 @@ def tables_rows():
 
 
 @settings(max_examples=200, deadline=None)
-@given(y=st.one_of(st.sampled_from([0, 1, ROWS_LIMIT]), st.integers(0, ROWS_LIMIT),
-                   st.floats(0, ROWS_LIMIT + 0.99)),
+@given(y=st.one_of(st.sampled_from([0, 1, ROWS_LIMIT, ROWS_LIMIT + 1, ROWS_LIMIT**2]),
+                   st.integers(0, ROWS_LIMIT), st.floats(0, ROWS_LIMIT + 0.99),
+                   st.integers(ROWS_LIMIT + 1, ROWS_LIMIT**2),
+                   st.floats(ROWS_LIMIT + 1, ROWS_LIMIT**2)),
        rows=st.lists(st.lists(st.one_of(st.sampled_from(ODD_PRIMES_TO_3X_LIMIT[:12]),
                                         st.sampled_from(ODD_PRIMES_TO_3X_LIMIT)),
                               max_size=7, unique=True),
                      min_size=1, max_size=12))
 def test_coprime_count_rows_match_recursion(tables_rows, y, rows):
-    # the batch divisor sum against the memoised recursion, row by row: the
-    # empty set, primes above y and up to 7 odd primes in any order
+    # the batch counter against the memoised recursion, row by row: the
+    # empty set, primes above y and up to 7 odd primes in any order, with y
+    # within the table (the divisor sum) and above it up to its square
     width = max(map(len, rows))
     padded = np.array([row + [0] * (width - len(row)) for row in rows],
                       dtype=np.int64).reshape(len(rows), width)
@@ -278,11 +284,14 @@ def test_coprime_count_rows_match_recursion(tables_rows, y, rows):
 
 
 def test_coprime_count_rows_need_bound_within_table():
+    # the rows take every bound the scalar counter takes: up to the table's square
     t = build_sieve(30)
     assert t.count_odd_squarefree_coprime_rows(30.5, np.array([[3, 5]])).tolist() == [8]
     assert t.count_odd_squarefree_coprime_rows(30, np.zeros((0, 2), dtype=np.int64)).size == 0
-    with pytest.raises(ValueError):
-        t.count_odd_squarefree_coprime_rows(31, np.array([[3, 5]]))
+    assert (t.count_odd_squarefree_coprime_rows(31, np.array([[3, 5]])).tolist()
+            == [t.count_odd_squarefree_coprime(31, (3, 5))])
+    with pytest.raises(CapacityError):
+        t.count_odd_squarefree_coprime_rows(31 * 31, np.array([[3, 5]]))
 
 
 def test_sieve_capacity_error():

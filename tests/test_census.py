@@ -1,7 +1,8 @@
 import random
 import tracemalloc
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from d4census.census import (
     splitting_rows,
     twist_count,
 )
-from d4census.charsum import census_from_classes
+from d4census.charsum import ClassKey, T111_direct, census_from_classes, class_sums
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -164,6 +165,29 @@ def test_enumerate_requires_big_enough_sieve():
             == list(enumerate_admissible_triples(20, 20, 20, build_sieve(40))))
 
 
+_SHORT = build_sieve(30)
+_KEY = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
+
+
+@pytest.mark.parametrize("read, required", [
+    pytest.param(lambda t: list(enumerate_admissible_triples(20, 40, 20, t)), 40,
+                 id="enumerate"),
+    pytest.param(lambda t: exact_census(BoundBox(5, 5, 31, 5), t), 31, id="census-odd-part"),
+    # a nonempty kernel with X4 past the table's square
+    pytest.param(lambda t: exact_census(BoundBox(5, 5, 5, 31 * 31), t), None, id="census-x4"),
+    pytest.param(lambda t: class_sums(BoundBox(40, 5, 5, 5), t, [_KEY]), 40, id="class_sums"),
+    pytest.param(lambda t: T111_direct(60, 60, 60, _KEY, t), 60, id="T111_direct"),
+])
+def test_every_reader_refuses_a_short_table(read, required):
+    # each reader raises rather than return a value computed from the table's
+    # first 30 entries; the message names the first bound past the table
+    match = "twist bound" if required is None else f"sieve limit 30 < required {required}"
+    with pytest.raises(CapacityError, match=match):
+        read(_SHORT)
+    # a box whose kernel is empty reads nothing past the table: exact 0
+    assert exact_census(BoundBox(0, 5, 5, 10**6), _SHORT).exact == 0
+
+
 def test_twist_count_examples(tables_census):
     assert twist_count(1, 1, tables_census) == 1
     assert twist_count(7, 10, tables_census) == 6   # tau(7)=2, t in {1, 3, 5}
@@ -247,9 +271,9 @@ def test_kernel_runs_once_per_census(tables_census, monkeypatch, x):
 
 
 def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
-    # X4 within the table: one batch divisor sum sees every distinct product
-    # once and the scalar recursion is never called; X4 above it: the
-    # recursion runs once per distinct product
+    # one batch call per census sees every distinct product once.  X4 within
+    # the table: it takes a divisor sum and never calls the scalar recursion;
+    # X4 above it: inside that call the recursion runs once per distinct product
     calls, batches = [], []
     count = arith.SieveTables.count_odd_squarefree_coprime
     count_rows = arith.SieveTables.count_odd_squarefree_coprime_rows
@@ -274,11 +298,21 @@ def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
             calls.clear()
             batches.clear()
             exact_census(box, tables, want_breakdown=want_breakdown)
+            assert batches == [len(distinct)]
             if box is above:
-                assert tables.limit < box.x4
-                assert batches == [] and len(calls) == len(distinct)
+                assert tables.limit < box.x4 and len(calls) == len(distinct)
             else:
-                assert batches == [len(distinct)] and calls == []
+                assert calls == []
+
+
+def test_kernel_charge_column_widths_match_odd_primorials(tables_3000):
+    # the kernel charges per prime column of m2' and m3'; the width of the
+    # columns is the most primes of an odd squarefree value <= b, which the
+    # odd primorials 3, 3*5, 3*5*7, ... <= b count
+    primorials = list(accumulate(primes_up_to(20)[1:].tolist(), mul))
+    for b in range(3001):
+        width = tables_3000.prime_columns(tables_3000.odd_squarefree_upto(b)).shape[1]
+        assert width == sum(p <= b for p in primorials), b
 
 
 def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):

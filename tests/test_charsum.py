@@ -383,6 +383,10 @@ def test_T111_examples(tables_census):
     assert T111_direct(1, 1, 1, key, tables_census) == 1
     key3 = ClassKey((3, 1, 1), (1, 1), (0, 0, 0))
     assert T111_direct(3, 1, 1, key3, tables_census) == Fraction(3, 4)
+    # a table of exactly the bound reads all it needs (a shorter one raises:
+    # test_census.py::test_every_reader_refuses_a_short_table)
+    assert (T111_direct(60, 60, 60, key, build_sieve(60))
+            == T111_direct(60, 60, 60, key, build_sieve(180)) == Fraction(1413, 35))
 
 
 def test_class_main_terms_recover_leading_constant():

@@ -74,6 +74,11 @@ def test_count_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--x", "1e8", "1e8", "1e8", "1")
     assert code == 3
     assert "capacity" in err
+    # the kernel's charge reads the sizes and prime-column widths of its value lists
+    code, out, err = run_cli(capsys, *"count --x 20000 20000 1 1".split())
+    assert code == 3 and out == ""
+    assert err == ("capacity error: mask kernel of 1 x 8104 x 8104 odd parts needs "
+                   "~5779497264 bytes, budget is 2147483648\n")
 
 
 def test_twist_bound_needs_sieve_only_to_its_square_root(capsys):
