@@ -58,6 +58,7 @@ from .localsolve import (
     hilbert_symbol,
     in_E_set,
     padic_oracle,
+    padic_oracle_rows,
     satisfies_local_conditions,
     u_weight,
 )

@@ -385,6 +385,11 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def _legendre(a: int, p: int) -> int:
+    """Legendre symbol (a / p) at an odd prime p, by Euler's criterion."""
+    return (pow(a, (p - 1) >> 1, p) + 1) % p - 1
+
+
 @dataclass(frozen=True)
 class SignedSquarefreeTriple:
     """Pairwise coprime squarefree (m1, m2, m3) with m1 > 0.

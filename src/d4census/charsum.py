@@ -19,11 +19,15 @@ and both forms are computed a row at a time from one factorisation:
   * L_product_row evaluates the Legendre symbols of the three arguments,
     only for the choices asked for, and stops at the first zero factor.  At a
     prime of m_j' the arguments other than the j-th are 0 mod p, so their
-    factors are 1 and are not evaluated.
+    factors are 1 and are not evaluated.  Every modulus is an odd prime, so
+    each factor 1 + (a/p) is read off Euler's criterion, (a^((p-1)/2) + 1)
+    mod p.
   * L_divisor_sum_row sums the Jacobi factor (l1/k2k3)(l2/k1k3)(l3/k1k2),
     which does not depend on (delta, nu), once per split into 64 buckets by
     (k1, k2, k3) mod 8, and dots the buckets with a 64 x 12 table of u_weight
     values (u depends on k only mod 8).  The table is built on first use.
+    Its moduli are products of the primes, so it calls arith.kronecker (the
+    reciprocity loop): the two forms share no symbol code.
 
 L_product and L_divisor_sum are single-choice views of the rows.
 
@@ -110,11 +114,12 @@ def _local_product(args: tuple[int, int, int], facs: tuple[tuple[int, ...], ...]
     vanishing factor.
 
     A prime of m_j' (j != i) divides args[i], so its factor there is 1 + 0.
+    Each factor comes from Euler's criterion: (a^((p-1)/2) + 1) mod p.
     """
     total = 1
     for arg, primes in zip(args, facs):
         for p in primes:
-            factor = 1 + kronecker(arg, p)
+            factor = (pow(arg, (p - 1) >> 1, p) + 1) % p
             if not factor:
                 return 0
             total *= factor

@@ -4,15 +4,19 @@ The census needs to decide, for a = m1*m2 and b = m1*m3, whether the conic
 has a rational point.  By the Hasse principle that reduces to local checks:
 
   * hilbert_symbol: closed-form (a, b)_v at the real place, at 2, and at odd
-    primes (valuations stripped mod 2, epsilon(p) = (p-1)/2 exponent formula).
-  * padic_oracle: an independent ground truth that searches exhaustively for
-    primitive solutions modulo p^3 (odd p) resp. 2^6 -- Hensel-sufficient for
-    coefficients of valuation <= 1.
+    primes (valuations stripped mod 2, epsilon(p) = (p-1)/2 exponent formula,
+    Legendre symbols of the unit parts by Euler's criterion).
+  * padic_oracle_rows: an independent ground truth that searches exhaustively
+    for primitive solutions modulo p^3 (odd p) resp. 2^6 -- Hensel-sufficient
+    for coefficients of valuation <= 1 -- for a whole column of pairs (a, b)
+    at one place, in blocks over a cached table of the squares mod p^3 resp.
+    2^6.  padic_oracle is its one-row view.
   * in_E_set: the mod-8 residue criterion at 2, stated operationally through
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
     cross-check (E_000_LITERAL / E_010_LITERAL below).
   * satisfies_local_conditions: the full bundle (odd-prime Legendre
-    conditions, real-place sign condition, the mod-8 set).
+    conditions by Euler's criterion, real-place sign condition, the mod-8
+    set).
   * u_weight: the +-1 weight collecting quadratic-reciprocity signs in the
     character-sum expansion; it coincides with a 2-adic Hilbert symbol.
 """
@@ -27,6 +31,7 @@ import numpy as np
 
 from .arith import (
     SignedSquarefreeTriple,
+    _legendre,
     decompose_triple,
     factor_small,
     kronecker,
@@ -98,18 +103,73 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     eps = ((p - 1) // 2) % 2
     sign = (-1) ** (s * t * eps)
     if t:
-        sign *= kronecker(u, p)
+        sign *= _legendre(u, p)
     if s:
-        sign *= kronecker(w, p)
+        sign *= _legendre(w, p)
     return sign
 
 
+# Each block of padic_oracle_rows holds at most this many cells of its
+# rows x modulus table of the values b*z^2; past p = 37 one row holds more,
+# and a block is one row.
+_ORACLE_BLOCK_CELLS = 1 << 16
+
+
 @lru_cache(maxsize=64)
-def _squares_mask(modulus: int) -> np.ndarray:
-    mask = np.zeros(modulus, dtype=bool)
+def _square_table(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, q) modulo m: q holds the distinct squares, and mask (of length
+    2m, read-only) marks t in [0, 2m) with t mod m a square."""
     x = np.arange(modulus, dtype=np.int64)
+    mask = np.zeros(2 * modulus, dtype=bool)
     mask[(x * x) % modulus] = True
-    return mask
+    q = np.flatnonzero(mask)
+    mask[q + modulus] = True
+    mask.flags.writeable = False
+    q.flags.writeable = False
+    return mask, q
+
+
+def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
+    """padic_oracle for every pair (a[i], b[i]) at one place, as a bool array.
+
+    The same exhaustive search, a block of rows at a time: aq = a*q and
+    bq = b*q (q the distinct squares mod m) are formed once per block, the
+    y = 1 and z = 1 cases read the doubled squares mask at a + bq and b + aq,
+    and the x = 1 case marks each row's values b*q in a rows x m table and
+    reads it at 1 - aq.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if ((a == 0) | (b == 0)).any():
+        raise ValueError("padic_oracle needs nonzero arguments")
+    if v.is_real:
+        return ~((a < 0) & (b < 0))
+    p = 2 if v.is_two else v.p
+    high = (a % (p * p) == 0) | (b % (p * p) == 0)
+    if high.any():
+        i = int(np.argmax(high))
+        coeff = a[i] if a[i] % (p * p) == 0 else b[i]
+        raise ValueError(f"padic_oracle: valuation of {int(coeff)} at {p} exceeds 1")
+    modulus = 64 if p == 2 else p**3
+    sq, q = _square_table(modulus)
+    am = (a % modulus).astype(np.int64)
+    bm = (b % modulus).astype(np.int64)
+    out = np.zeros(len(am), dtype=bool)
+    step = max(1, _ORACLE_BLOCK_CELLS // modulus)
+    for start in range(0, len(am), step):
+        ab, bb = am[start:start + step, None], bm[start:start + step, None]
+        aq = (ab * q) % modulus
+        bq = (bb * q) % modulus
+        # y = 1: need x^2 - b*z^2 = a;  z = 1: need x^2 - a*y^2 = b
+        hit = sq[ab + bq].any(axis=1) | sq[bb + aq].any(axis=1)
+        # x = 1: need a*y^2 + b*z^2 = 1, i.e. (1 - a*y^2) in {b*z^2}
+        rest = np.flatnonzero(~hit)
+        if len(rest):
+            rows = np.arange(len(rest))[:, None]
+            bz2 = np.zeros((len(rest), modulus), dtype=bool)
+            bz2[rows, bq[rest]] = True
+            hit[rest] = bz2[rows, (1 - aq[rest]) % modulus].any(axis=1)
+        out[start:start + step] = hit
+    return out
 
 
 def padic_oracle(a: int, b: int, v: Place) -> bool:
@@ -120,38 +180,10 @@ def padic_oracle(a: int, b: int, v: Place) -> bool:
     Hensel's lemma once the coefficient valuations are at most 1, and any
     p-adic solution scales to such a residue.  A primitive solution has a unit
     coordinate, so dividing by it leaves one coordinate equal to 1; the search
-    below runs those three one-coordinate-pinned cases exhaustively.
+    runs those three one-coordinate-pinned cases exhaustively.  This is the
+    one-row view of padic_oracle_rows.
     """
-    if a == 0 or b == 0:
-        raise ValueError("padic_oracle needs nonzero arguments")
-    if v.is_real:
-        return not (a < 0 and b < 0)
-    p = 2 if v.is_two else v.p
-    for coeff in (a, b):
-        val = 0
-        n = abs(coeff)
-        while n % p == 0:
-            n //= p
-            val += 1
-        if val > 1:
-            raise ValueError(f"padic_oracle: valuation of {coeff} at {p} exceeds 1")
-    modulus = 64 if p == 2 else p**3
-    sq = _squares_mask(modulus)
-    t = np.arange(modulus, dtype=np.int64)
-    t2 = (t * t) % modulus
-    am, bm = a % modulus, b % modulus
-    # x = 1: need a*y^2 + b*z^2 = 1, i.e. (1 - a*y^2) in {b*z^2}
-    bz2 = np.zeros(modulus, dtype=bool)
-    bz2[(bm * t2) % modulus] = True
-    if bz2[(1 - am * t2) % modulus].any():
-        return True
-    # y = 1: need x^2 - b*z^2 = a
-    if sq[(am + bm * t2) % modulus].any():
-        return True
-    # z = 1: need x^2 - a*y^2 = b
-    if sq[(bm + am * t2) % modulus].any():
-        return True
-    return False
+    return bool(padic_oracle_rows([a], [b], v)[0])
 
 
 def in_E_set(eps: tuple[int, int, int], nu: tuple[int, int, int],
@@ -208,15 +240,20 @@ def satisfies_local_conditions(triple: SignedSquarefreeTriple) -> bool:
     if m2 < 0 and m3 < 0:
         return False
     for p in factor_small(dec.m1p):
-        if kronecker(-m2 * m3, p) != 1:
+        if _legendre(-m2 * m3, p) != 1:
             return False
     for p in factor_small(dec.m2p):
-        if kronecker(m1 * m3, p) != 1:
+        if _legendre(m1 * m3, p) != 1:
             return False
     for p in factor_small(dec.m3p):
-        if kronecker(m1 * m2, p) != 1:
+        if _legendre(m1 * m2, p) != 1:
             return False
     return in_E_set(dec.eps, dec.nu, dec.delta)
+
+
+@lru_cache(maxsize=256)
+def _odd_place(p: int) -> Place:
+    return Place(p)
 
 
 def relevant_places(triple: SignedSquarefreeTriple) -> list[Place]:
@@ -225,7 +262,7 @@ def relevant_places(triple: SignedSquarefreeTriple) -> list[Place]:
     m1, m2, m3 = triple.as_tuple()
     for p in factor_small(m1 * m2 * m3):
         if p != 2:
-            places.append(Place(p))
+            places.append(_odd_place(p))
     return places
 
 

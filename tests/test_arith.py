@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.functions.combinatorial.numbers import kronecker_symbol
+from sympy import nextprime
+from sympy.functions.combinatorial.numbers import kronecker_symbol, legendre_symbol
 
 from d4census.arith import (
     _BYTES_PER_ENTRY,
@@ -14,6 +15,7 @@ from d4census.arith import (
     CapacityError,
     InvalidTripleError,
     SignedSquarefreeTriple,
+    _legendre,
     _spf_sieve,
     _squarefree_factors,
     _tables_from_spf,
@@ -363,6 +365,22 @@ def test_kronecker_matches_euler_criterion():
             expected = -1 if expected == p - 1 else expected
             assert kronecker(a, p) == expected, (a, p)
 
+
+
+def test_legendre_equals_kronecker_at_odd_primes():
+    for p in primes_up_to(500).tolist()[1:]:
+        for a in range(-p, 2 * p):
+            assert _legendre(a, p) == kronecker(a, p), (a, p)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=2, max_value=10**12 - 100),
+       a=st.integers(min_value=-10**13, max_value=10**13))
+def test_legendre_matches_sympy_up_to_1e12(n, a):
+    # classify accepts primes up to 10^12; the largest below it is 999999999989
+    p = int(nextprime(n))
+    assert p < 10**12
+    assert _legendre(a, p) == legendre_symbol(a % p, p)
 
 def test_quadratic_reciprocity_exhaustive():
     for m in range(1, 201, 2):

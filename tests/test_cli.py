@@ -427,6 +427,45 @@ def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0
 
 
+
+def count_oracle_rows(monkeypatch, flip_first=False):
+    """Wrap the oracle the lemma41 suite calls: count its (triple, place)
+    rows, and optionally flip the first verdict at the first place."""
+    seen = []
+    oracle = cli.padic_oracle_rows
+
+    def rows(a, b, v):
+        out = oracle(a, b, v)
+        if flip_first and not seen:
+            out[0] = not out[0]
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "padic_oracle_rows", rows)
+    return seen
+
+
+def test_lemma41_oracle_rows(capsys, monkeypatch):
+    # the place-by-place pass evaluates exactly the (triple, place) pairs a
+    # per-triple all() over relevant_places would: real first, then p ascending
+    seen = count_oracle_rows(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma41")
+    assert code == 0 and sum(seen) == 29_422
+    assert "'cases': 11908, 'failures': 0" in out
+    seen.clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "1")
+    assert code == 0 and out.count("'cases': 4, 'failures': 0") == 4
+    assert seen == [4, 3]  # (1, -1, -1) fails at the real place
+
+
+def test_lemma41_reports_one_flipped_oracle_verdict(capsys, monkeypatch):
+    count_oracle_rows(monkeypatch, flip_first=True)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma41")
+    assert code == 1
+    assert "FAIL symbols_vs_oracle_bound_30" in out
+    assert "actual {'cases': 11908, 'failures': 1}" in out
+    assert "PASS local_conditions_vs_symbols_bound_30" in out
+
 @pytest.mark.parametrize("factor, xs", [([], [4, 8, 16]), (["--factor", "4"], [4, 16])],
                          ids=["default", "factor-4"])
 def test_sweep_csv_shape(capsys, factor, xs):

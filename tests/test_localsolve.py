@@ -1,6 +1,7 @@
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from d4census.arith import (
     _valid_triples,
     factor_small,
 )
+from d4census import localsolve
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -22,6 +24,7 @@ from d4census.localsolve import (
     hilbert_symbol,
     in_E_set,
     padic_oracle,
+    padic_oracle_rows,
     satisfies_local_conditions,
     u_weight,
 )
@@ -68,6 +71,108 @@ def test_oracle_rejects_high_valuation():
     with pytest.raises(ValueError):
         padic_oracle(3, 8, TWO_PLACE)
 
+
+
+def reference_oracle(a, b, v):
+    """The scalar exhaustive search padic_oracle_rows replaced, kept as the
+    reference: one numpy search per pair."""
+    if a == 0 or b == 0:
+        raise ValueError("padic_oracle needs nonzero arguments")
+    if v.is_real:
+        return not (a < 0 and b < 0)
+    p = 2 if v.is_two else v.p
+    for coeff in (a, b):
+        val = 0
+        n = abs(coeff)
+        while n % p == 0:
+            n //= p
+            val += 1
+        if val > 1:
+            raise ValueError(f"padic_oracle: valuation of {coeff} at {p} exceeds 1")
+    modulus = 64 if p == 2 else p**3
+    x = np.arange(modulus, dtype=np.int64)
+    sq = np.zeros(modulus, dtype=bool)
+    sq[(x * x) % modulus] = True
+    t = np.arange(modulus, dtype=np.int64)
+    t2 = (t * t) % modulus
+    am, bm = a % modulus, b % modulus
+    bz2 = np.zeros(modulus, dtype=bool)
+    bz2[(bm * t2) % modulus] = True
+    if bz2[(1 - am * t2) % modulus].any():
+        return True
+    if sq[(am + bm * t2) % modulus].any():
+        return True
+    if sq[(bm + am * t2) % modulus].any():
+        return True
+    return False
+
+
+ORACLE_PLACES = [REAL_PLACE, TWO_PLACE] + [Place(p) for p in (3, 5, 7, 29, 37)]
+
+
+def block_rows(v):
+    if v.is_real:
+        return 1
+    modulus = 64 if v.is_two else v.p**3
+    return max(1, localsolve._ORACLE_BLOCK_CELLS // modulus)
+
+
+@st.composite
+def oracle_batches(draw):
+    """A place and a batch of pairs of valuation <= 1 there, signs mixed; the
+    batch is empty, small, or repeated past one block of padic_oracle_rows."""
+    v = draw(st.sampled_from(ORACLE_PLACES))
+    p = v.p or 1
+
+    def coefficient():
+        unit = st.integers(min_value=-10**12, max_value=10**12).filter(
+            lambda n: n != 0 and (p == 1 or n % p != 0))
+        return st.builds(lambda u, e: u * p**e, unit, st.integers(0, 0 if p == 1 else 1))
+
+    pairs = draw(st.lists(st.tuples(coefficient(), coefficient()), max_size=8))
+    if pairs and draw(st.booleans()):
+        pairs = pairs * (block_rows(v) // len(pairs) + 2)
+    return v, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_batches())
+def test_oracle_rows_equal_the_scalar_search(batch):
+    v, pairs = batch
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    got = padic_oracle_rows(a, b, v)
+    assert got.dtype == bool and got.shape == (len(pairs),)
+    expected = {pair: reference_oracle(*pair, v) for pair in set(pairs)}
+    assert got.tolist() == [expected[pair] for pair in pairs]
+    for pair in list(expected)[:3]:
+        assert padic_oracle(*pair, v) is expected[pair]
+
+
+@pytest.mark.parametrize("a, b, v, message", [
+    (0, 5, REAL_PLACE, "padic_oracle needs nonzero arguments"),
+    (3, 0, Place(3), "padic_oracle needs nonzero arguments"),
+    (9, 1, Place(3), "padic_oracle: valuation of 9 at 3 exceeds 1"),
+    (3, -18, Place(3), "padic_oracle: valuation of -18 at 3 exceeds 1"),
+    (3, 8, TWO_PLACE, "padic_oracle: valuation of 8 at 2 exceeds 1"),
+    (-12, 40, TWO_PLACE, "padic_oracle: valuation of -12 at 2 exceeds 1"),
+])
+def test_oracle_rows_raise_the_scalar_messages(a, b, v, message):
+    for oracle in (reference_oracle, padic_oracle):
+        with pytest.raises(ValueError) as err:
+            oracle(a, b, v)
+        assert str(err.value) == message
+    # a bad pair anywhere in a batch refuses the whole batch, naming that pair
+    with pytest.raises(ValueError) as err:
+        padic_oracle_rows(np.array([1, a, 4 * a + 1]), np.array([1, b, 1]), v)
+    assert str(err.value) == message
+
+
+def test_oracle_view_keeps_python_ints():
+    # pairs past int64 are reduced before the search, as the scalar search did
+    a, b = 3 * 10**30 + 2, -(7 * 10**25) + 1
+    for v in ORACLE_PLACES:
+        assert padic_oracle(a, b, v) is reference_oracle(a, b, v)
 
 def test_oracle_agrees_with_symbol_up_to_30():
     values = squarefree_values(30)
