@@ -8,9 +8,10 @@ runs on three primitives collected here:
     (1 + 1/p)^(-1) on [1, N]; only a twist memo grows.  Twist counters up
     to N^2: a memoised recursion, and a batch divisor sum up to N.
   * kronecker(a, n): the full Kronecker symbol for arbitrary integer pairs.
-  * decompose_triple: the sign / 2-part / odd-part splitting
-    m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
-    of a signed squarefree triple, which drives all residue-class logic.
+  * decompose_triple: the validation and the sign / 2-part / odd-part
+    splitting m1 = 2^mu * m1', m2 = d2 * 2^a * m2', m3 = d3 * 2^b * m3'
+    of a signed squarefree triple, which drives all residue-class logic; it
+    factors each entry once and keeps the odd primes.
 """
 
 from __future__ import annotations
@@ -395,25 +396,12 @@ class SignedSquarefreeTriple:
     """Pairwise coprime squarefree (m1, m2, m3) with m1 > 0.
 
     Labels the biquadratic field generated by sqrt(m1*m2) and sqrt(m1*m3);
-    at most one entry is even.
+    at most one entry is even.  decompose_triple checks these conditions.
     """
 
     m1: int
     m2: int
     m3: int
-
-    def validate(self) -> "SignedSquarefreeTriple":
-        if self.m1 <= 0 or self.m2 == 0 or self.m3 == 0:
-            raise InvalidTripleError(f"{self}: need m1 > 0 and m2, m3 nonzero")
-        vals = (self.m1, self.m2, self.m3)
-        for v in vals:
-            if _squarefree_factors(v) is None:
-                raise InvalidTripleError(f"{self}: {v} is not squarefree")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if gcd(vals[i], vals[j]) != 1:
-                    raise InvalidTripleError(f"{self}: entries {i+1},{j+1} share a factor")
-        return self
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
@@ -440,7 +428,8 @@ class DecomposedTriple:
 
     m1 = 2^mu * m1p, m2 = delta2 * 2^alpha * m2p, m3 = delta3 * 2^beta * m3p
     with m1p, m2p, m3p positive odd; eps_i = m_ip mod 8.  Pairwise coprimality
-    forces mu + alpha + beta <= 1.
+    forces mu + alpha + beta <= 1.  primes holds the primes of m1p, m2p and
+    m3p, each tuple increasing.
     """
 
     m1p: int
@@ -454,6 +443,7 @@ class DecomposedTriple:
     eps1: int
     eps2: int
     eps3: int
+    primes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     @property
     def nu(self) -> tuple[int, int, int]:
@@ -476,24 +466,34 @@ class DecomposedTriple:
 
 
 def decompose_triple(triple: SignedSquarefreeTriple) -> DecomposedTriple:
-    """Split a validated triple into signs, 2-exponents and odd parts."""
-    triple.validate()
-    mu, m1p = _split_two(triple.m1)
-    alpha, m2p = _split_two(abs(triple.m2))
-    beta, m3p = _split_two(abs(triple.m3))
+    """Validate a triple (InvalidTripleError names the first failure: signs,
+    then squarefreeness, then coprimality) and split it into signs,
+    2-exponents and odd parts, factoring each entry once."""
+    m1, m2, m3 = triple.m1, triple.m2, triple.m3
+    if m1 <= 0 or m2 == 0 or m3 == 0:
+        raise InvalidTripleError(f"{triple}: need m1 > 0 and m2, m3 nonzero")
+    vals = (m1, m2, m3)
+    facs = []
+    for v in vals:
+        primes = _squarefree_factors(v)
+        if primes is None:
+            raise InvalidTripleError(f"{triple}: {v} is not squarefree")
+        facs.append(primes)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if gcd(vals[i], vals[j]) != 1:
+                raise InvalidTripleError(f"{triple}: entries {i+1},{j+1} share a factor")
+    mu, alpha, beta = 1 - m1 % 2, 1 - m2 % 2, 1 - m3 % 2
+    m1p, m2p, m3p = m1 >> mu, abs(m2) >> alpha, abs(m3) >> beta
     return DecomposedTriple(
         m1p=m1p, m2p=m2p, m3p=m3p,
-        delta2=1 if triple.m2 > 0 else -1,
-        delta3=1 if triple.m3 > 0 else -1,
+        delta2=1 if m2 > 0 else -1,
+        delta3=1 if m3 > 0 else -1,
         mu=mu, alpha=alpha, beta=beta,
         eps1=m1p % 8, eps2=m2p % 8, eps3=m3p % 8,
+        # an even entry's primes start with 2, and its 2-exponent is 1
+        primes=(facs[0][mu:], facs[1][alpha:], facs[2][beta:]),
     )
-
-
-def _split_two(n: int) -> tuple[int, int]:
-    if n % 2 == 0:
-        return 1, n // 2
-    return 0, n
 
 
 def _squarefree_factors(n: int) -> tuple[int, ...] | None:

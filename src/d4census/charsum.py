@@ -59,7 +59,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .arith import SieveTables, _squarefree_factors, factor_small, kronecker
+from .arith import SieveTables, SignedSquarefreeTriple, decompose_triple, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import CHOICES, BoundBox, _is_degenerate
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
@@ -97,16 +97,11 @@ def all_class_keys():
 
 
 def _check_parts(mp: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
-    m1p, m2p, m3p = mp
+    """The primes of odd positive parts m1', m2', m3'; decompose_triple
+    raises a ValueError unless they are squarefree and pairwise coprime."""
     if min(mp) < 1 or any(m % 2 == 0 for m in mp):
         raise ValueError(f"odd positive parts required: {mp}")
-    facs = tuple(_squarefree_factors(m) for m in mp)
-    for m, fac in zip(mp, facs):
-        if fac is None:
-            raise ValueError(f"{m} is not squarefree")
-    if gcd(m1p, m2p) != 1 or gcd(m1p, m3p) != 1 or gcd(m2p, m3p) != 1:
-        raise ValueError(f"parts must be pairwise coprime: {mp}")
-    return facs
+    return decompose_triple(SignedSquarefreeTriple(*mp)).primes
 
 
 def _local_product(args: tuple[int, int, int], facs: tuple[tuple[int, ...], ...]) -> int:

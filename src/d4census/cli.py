@@ -371,8 +371,8 @@ def _check(name: str, expected, actual, ok=None) -> dict:
 def _suite_lemma432(args) -> list[dict]:
     sums = lemma432_sums()
     checks = [
-        _check("class_sum_weight_at_one", 432, sums.weight_at_one),
-        _check("class_sum_weighted", 432, sums.weighted),
+        _check("class_sum_weight_at_one", CONSTANTS["class_sum"], sums.weight_at_one),
+        _check("class_sum_weighted", CONSTANTS["class_sum"], sums.weighted),
     ]
     for delta in ALL_DELTAS:
         tally = tuple(sums.tally[(delta, nu)] for nu in ALL_NUS)
@@ -612,12 +612,12 @@ def _pmax(text: str) -> int:
     return value
 
 
-def _int_at_most(bound: int, shown: str):
-    """An argparse type: an int of absolute value <= bound, named shown in errors."""
+def _int_in(low: int, high: int, outside: str):
+    """An argparse type: an int in [low, high]; errors say the text is outside."""
     def parse(text: str) -> int:
         value = int(text)
-        if abs(value) > bound:
-            raise argparse.ArgumentTypeError(f"{text!r} is above {shown} in absolute value")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text!r} is {outside}")
         return value
     return parse
 
@@ -680,12 +680,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="invariants and inertia classes "
                                                  "of a labeled triple")
-    classify_int = _int_at_most(CLASSIFY_BOUND, "10^12")
+    classify_int = _int_in(-CLASSIFY_BOUND, CLASSIFY_BOUND, "above 10^12 in absolute value")
     p_classify.add_argument("--triple", nargs=3, type=classify_int, required=True,
                             metavar=("M1", "M2", "M3"))
     p_classify.add_argument("--twist", type=classify_int, default=1)
     p_classify.add_argument("--prime", type=classify_int, default=None)
-    p_classify.add_argument("--height", type=_int_at_most(CLASSIFY_HEIGHT_BOUND, "2000"),
+    p_classify.add_argument("--height", type=_int_in(1, CLASSIFY_HEIGHT_BOUND, "not in 1..2000"),
                             default=500,
                             help="search bound for a conic witness point")
     add_shared(p_classify, "--format", "--out")

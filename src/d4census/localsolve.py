@@ -7,16 +7,22 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     primes (valuations stripped mod 2, epsilon(p) = (p-1)/2 exponent formula,
     Legendre symbols of the unit parts by Euler's criterion).
   * padic_oracle_rows: an independent ground truth that searches exhaustively
-    for primitive solutions modulo p^3 (odd p) resp. 2^6 -- Hensel-sufficient
-    for coefficients of valuation <= 1 -- for a whole column of pairs (a, b)
-    at one place, in blocks over a cached table of the squares mod p^3 resp.
-    2^6.  padic_oracle is its one-row view.
+    for primitive solutions modulo m = p^3 (odd p) resp. 2^6 -- Hensel-
+    sufficient for coefficients of valuation <= 1 -- for a whole column of
+    pairs (a, b) at one place, in blocks over a cached table of the squares
+    mod m.  padic_oracle is its one-row view.  A primitive solution has a
+    unit coordinate; dividing by it pins that coordinate to 1, and the search
+    runs the cases y = 1 and z = 1 only.  The case x = 1 adds nothing: if
+    (1, y, z) solves the conic mod m, then a*y^2 + b*z^2 = 1 mod p, so p
+    does not divide both y and z.  A unit y gives the solution
+    (1/y, 1, z/y), and a unit z gives (1/z, y/z, 1).  This holds for every
+    p, a and b.
   * in_E_set: the mod-8 residue criterion at 2, stated operationally through
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
     cross-check (E_000_LITERAL / E_010_LITERAL below).
   * satisfies_local_conditions: the full bundle (odd-prime Legendre
-    conditions by Euler's criterion, real-place sign condition, the mod-8
-    set).
+    conditions by Euler's criterion at the primes decompose_triple keeps,
+    real-place sign condition, the mod-8 set).
   * u_weight: the +-1 weight collecting quadratic-reciprocity signs in the
     character-sum expansion; it coincides with a 2-adic Hilbert symbol.
 """
@@ -109,9 +115,9 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     return sign
 
 
-# Each block of padic_oracle_rows holds at most this many cells of its
-# rows x modulus table of the values b*z^2; past p = 37 one row holds more,
-# and a block is one row.
+# Each block of padic_oracle_rows takes as many rows as fit this many cells of
+# rows x modulus (its arrays, rows x number of squares, are smaller); past
+# p = 37 one row holds more, and a block is one row.
 _ORACLE_BLOCK_CELLS = 1 << 16
 
 
@@ -133,10 +139,9 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
     """padic_oracle for every pair (a[i], b[i]) at one place, as a bool array.
 
     The same exhaustive search, a block of rows at a time: aq = a*q and
-    bq = b*q (q the distinct squares mod m) are formed once per block, the
-    y = 1 and z = 1 cases read the doubled squares mask at a + bq and b + aq,
-    and the x = 1 case marks each row's values b*q in a rows x m table and
-    reads it at 1 - aq.
+    bq = b*q (q the distinct squares mod m) are formed once per block, and
+    the y = 1 and z = 1 cases read the doubled squares mask at a + bq and
+    b + aq.
     """
     a, b = np.asarray(a), np.asarray(b)
     if ((a == 0) | (b == 0)).any():
@@ -160,15 +165,7 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
         aq = (ab * q) % modulus
         bq = (bb * q) % modulus
         # y = 1: need x^2 - b*z^2 = a;  z = 1: need x^2 - a*y^2 = b
-        hit = sq[ab + bq].any(axis=1) | sq[bb + aq].any(axis=1)
-        # x = 1: need a*y^2 + b*z^2 = 1, i.e. (1 - a*y^2) in {b*z^2}
-        rest = np.flatnonzero(~hit)
-        if len(rest):
-            rows = np.arange(len(rest))[:, None]
-            bz2 = np.zeros((len(rest), modulus), dtype=bool)
-            bz2[rows, bq[rest]] = True
-            hit[rest] = bz2[rows, (1 - aq[rest]) % modulus].any(axis=1)
-        out[start:start + step] = hit
+        out[start:start + step] = sq[ab + bq].any(axis=1) | sq[bb + aq].any(axis=1)
     return out
 
 
@@ -176,12 +173,16 @@ def padic_oracle(a: int, b: int, v: Place) -> bool:
     """Ground truth for hilbert_symbol by finite search, no symbol formulas.
 
     Real place: sign check.  At an odd p (resp. at 2) a primitive solution of
-    x^2 - a*y^2 - b*z^2 = 0 modulo p^3 (resp. 2^6) lifts to the completion by
-    Hensel's lemma once the coefficient valuations are at most 1, and any
-    p-adic solution scales to such a residue.  A primitive solution has a unit
-    coordinate, so dividing by it leaves one coordinate equal to 1; the search
-    runs those three one-coordinate-pinned cases exhaustively.  This is the
-    one-row view of padic_oracle_rows.
+    x^2 - a*y^2 - b*z^2 = 0 modulo m = p^3 (resp. 2^6) lifts to the
+    completion by Hensel's lemma once the coefficient valuations are at most
+    1, and any p-adic solution scales to such a residue.  A primitive solution
+    has a unit coordinate, so dividing by it leaves one coordinate equal to 1.
+    The search runs the cases y = 1 and z = 1 exhaustively; they cover x = 1.
+    Suppose (1, y, z) solves the conic mod m.  Then a*y^2 + b*z^2 = 1 mod p,
+    so p cannot divide both y and z.  If y is a unit, (1/y, 1, z/y) solves
+    the case y = 1; if z is a unit, (1/z, y/z, 1) solves the case z = 1.
+    This holds for every p, a and b.  This is the one-row view of
+    padic_oracle_rows.
     """
     return bool(padic_oracle_rows([a], [b], v)[0])
 
@@ -233,21 +234,17 @@ def satisfies_local_conditions(triple: SignedSquarefreeTriple) -> bool:
     """Global solubility of x^2 - m1*m2*y^2 - m1*m3*z^2 = 0, by local tests.
 
     Conjunction of the odd-prime Legendre conditions, the real-place sign
-    condition, and the mod-8 class condition at 2.
+    condition, and the mod-8 class condition at 2.  The Legendre conditions
+    run over the primes decompose_triple found while validating the triple.
     """
     dec = decompose_triple(triple)
     m1, m2, m3 = triple.as_tuple()
     if m2 < 0 and m3 < 0:
         return False
-    for p in factor_small(dec.m1p):
-        if _legendre(-m2 * m3, p) != 1:
-            return False
-    for p in factor_small(dec.m2p):
-        if _legendre(m1 * m3, p) != 1:
-            return False
-    for p in factor_small(dec.m3p):
-        if _legendre(m1 * m2, p) != 1:
-            return False
+    for arg, primes in zip((-m2 * m3, m1 * m3, m1 * m2), dec.primes):
+        for p in primes:
+            if _legendre(arg, p) != 1:
+                return False
     return in_E_set(dec.eps, dec.nu, dec.delta)
 
 

@@ -19,6 +19,7 @@ from d4census.arith import (
     _spf_sieve,
     _squarefree_factors,
     _tables_from_spf,
+    _valid_triples,
     build_sieve,
     decompose_triple,
     factor_small,
@@ -454,6 +455,31 @@ def test_decompose_rejects_invalid(bad):
 def test_decompose_requires_positive_m1():
     with pytest.raises(InvalidTripleError):
         decompose_triple(SignedSquarefreeTriple(-1, 2, 7))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 3, 5), "need m1 > 0 and m2, m3 nonzero"),
+    ((3, 0, 5), "need m1 > 0 and m2, m3 nonzero"),
+    ((4, 6, 1), "4 is not squarefree"),  # squarefreeness before coprimality
+    ((3, -18, 5), "-18 is not squarefree"),
+    ((3, 5, 6), "entries 1,3 share a factor"),
+    ((1, 10, -15), "entries 2,3 share a factor"),
+])
+def test_decompose_names_the_first_failure(bad, message):
+    triple = SignedSquarefreeTriple(*bad)
+    with pytest.raises(InvalidTripleError) as err:
+        decompose_triple(triple)
+    assert str(err.value) == f"{triple}: {message}"
+
+
+def test_decompose_keeps_the_odd_primes():
+    count = 0
+    for triple in _valid_triples(12):
+        expected = tuple(tuple(p for p in factor_small(m) if p != 2)
+                         for m in triple.as_tuple())
+        assert decompose_triple(triple).primes == expected, triple
+        count += 1
+    assert count == 856
 
 
 def _squarefree(n):

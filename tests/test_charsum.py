@@ -164,12 +164,16 @@ def test_L_divisor_sum_examples():
 
 
 def test_L_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        L_product((2, 1, 1), (1, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        L_product((9, 1, 1), (1, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        L_product((3, 3, 1), (1, 1), (0, 0, 0))
+    bad_parts = [
+        (2, 1, 1), (1, 1, 6),  # even
+        (0, 1, 1), (1, -3, 1),  # not positive
+        (9, 1, 1), (1, 1, 75),  # not squarefree
+        (3, 3, 1), (1, 15, 5),  # not pairwise coprime
+    ]
+    for mp in bad_parts:
+        for L in (L_product, L_divisor_sum):
+            with pytest.raises(ValueError):
+                L(mp, (1, 1), (0, 0, 0))
 
 
 def test_L_positive_iff_odd_conditions_hold():

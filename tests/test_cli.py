@@ -604,14 +604,18 @@ def test_classify_large_inputs_end_quickly(capsys, argv, code):
         assert got[0] == 0 and "ramified    = {" in got[1]
 
 
-@pytest.mark.parametrize("height, code", [("2000", 0), ("2001", 2), ("50000", 2)])
+@pytest.mark.parametrize("height, code", [
+    ("2000", 0), ("2001", 2), ("50000", 2), ("0", 2), ("-5", 2)])
 def test_classify_height_is_bounded(capsys, height, code):
-    # the search tries (height + 1)^2 pairs when the conic has no small point
-    got = run_cli(capsys, "classify", "--triple", "1", "2", "7", "--height", height)
-    if code:
-        assert_one_usage_error(*got, "--height")
-    else:
-        assert got[0] == 0 and "witness: (3, 1, 1)" in got[1]
+    # the search tries (height + 1)^2 pairs when the conic has no small point;
+    # it runs only on a soluble conic, so the bound is checked at parse time
+    for triple, line in (("1 2 7", "soluble: True, witness: (3, 1, 1)"),
+                         ("1 3 5", "soluble: False, witness: None")):
+        got = run_cli(capsys, "classify", "--triple", *triple.split(), "--height", height)
+        if code:
+            assert_one_usage_error(*got, "--height")
+        else:
+            assert got[0] == 0 and line in got[1]
 
 
 def test_constants_text(capsys):

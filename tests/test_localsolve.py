@@ -168,6 +168,52 @@ def test_oracle_rows_raise_the_scalar_messages(a, b, v, message):
     assert str(err.value) == message
 
 
+def residues_of_low_valuation(p):
+    """The modulus of padic_oracle at p and the residues of valuation <= 1."""
+    modulus = 64 if p == 2 else p**3
+    return modulus, np.array([r for r in range(1, modulus) if r % (p * p)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_oracle_rows_equal_the_reference_on_every_residue_pair(p):
+    modulus, residues = residues_of_low_valuation(p)
+    a = np.repeat(residues, len(residues))
+    b = np.tile(residues, len(residues))
+    got = padic_oracle_rows(a, b, Place(p))
+    expected = [reference_oracle(x, y, Place(p)) for x, y in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == expected
+    assert 0 < np.count_nonzero(got) < len(got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_x_one_solutions_have_a_unit_y_or_z(p):
+    # why padic_oracle_rows searches only y = 1 and z = 1: in a solution
+    # (1, y, z) mod m, a*y^2 + b*z^2 = 1 mod p, so y or z is a unit, and
+    # dividing by it gives a solution with y = 1 or z = 1
+    modulus, residues = residues_of_low_valuation(p)
+    t = np.arange(modulus, dtype=np.int64)
+    unit = t % p != 0
+    inv = np.zeros(modulus, dtype=np.int64)
+    inv[unit] = [pow(u, -1, modulus) for u in t[unit].tolist()]
+    sq = (t * t) % modulus
+    # row i: b_i * z^2 over z; each term is below m <= 125, so int16 holds the sums
+    bz2 = ((residues[:, None] * sq) % modulus).astype(np.int16)
+    solutions = 0
+    for a in residues.tolist():
+        # a*y^2 + b*z^2 over (b, y, z), below 2m: it is 1 mod m at 1 and m + 1
+        v = ((a * sq) % modulus).astype(np.int16)[None, :, None] + bz2[:, None, :]
+        bi, ys, zs = np.nonzero((v == 1) | (v == modulus + 1))
+        b = residues[bi]
+        solutions += len(ys)
+        assert (unit[ys] | unit[zs]).all()
+        by_y = unit[ys]
+        x, z = inv[ys[by_y]], zs[by_y] * inv[ys[by_y]]
+        assert ((x * x - a - b[by_y] * z * z) % modulus == 0).all()
+        x, y = inv[zs[~by_y]], ys[~by_y] * inv[zs[~by_y]]
+        assert ((x * x - a * y * y - b[~by_y]) % modulus == 0).all()
+    assert solutions > 0
+
+
 def test_oracle_view_keeps_python_ints():
     # pairs past int64 are reduced before the search, as the scalar search did
     a, b = 3 * 10**30 + 2, -(7 * 10**25) + 1
