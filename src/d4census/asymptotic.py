@@ -4,8 +4,9 @@ The expected number of pairs in a box (X1, X2, X3, X4) is
 
     (27/8) * prod_{p>2} (1 - 1/p)^4 (1 + 4/p) * X1*X2*X3*X4.
 
-That single number admits two independent decompositions, both reproduced
-here so they can be checked against each other:
+That single number admits two independent decompositions, both computed
+here and judged against each other only by the verify suites `constants`
+and `tamagawa`:
 
   * the character-sum route: leading constant = 1728 * c_tilde *
     prod_{p>2}(1 - 1/p^2), with c(r) and c_tilde the Euler products coming out
@@ -40,8 +41,6 @@ CONSTANTS = {
     "cone_alpha_star": Fraction(1, 4),
     # real-place density: 6 of the 8 group elements square to the identity
     "tau_real": Fraction(3, 4),
-    # dyadic density after the convergence factor (1/2)^4
-    "tau_two": Fraction(9, 4),
     "group_order": 8,
     # total of the admissible sign/residue class sums, both weightings
     "class_sum": 432,
@@ -137,22 +136,15 @@ def c_constant(r: int, spec: EulerProductSpec) -> CConstant:
     return CConstant(r=r, prefactor=pre, base=c_base(spec))
 
 
-class CTilde(NamedTuple):
-    value: float
-    tail_bound: float
-    odd_product: EulerValue
-    c1: EulerValue
-
-
 @lru_cache(maxsize=32)
-def c_tilde(spec: EulerProductSpec) -> CTilde:
+def c_tilde(spec: EulerProductSpec) -> EulerValue:
     """(3/16)^3 * c(1)^3 * prod_{p>2} (1 - 3/(p+2)^2 + 2/(p+2)^3)."""
     c1 = c_base(spec)
     p = _primes(spec.pmax)[1:]  # the odd primes
     q = p + 2.0
     odd = _product_over(1.0 - 3.0 / (q * q) + 2.0 / (q * q * q), 3.0, spec.pmax)
     value = (3.0 / 16.0) ** 3 * c1.value**3 * odd.value
-    return CTilde(value, 3.0 * c1.tail_bound + odd.tail_bound, odd, c1)
+    return EulerValue(value, 3.0 * c1.tail_bound + odd.tail_bound)
 
 
 @lru_cache(maxsize=32)
@@ -169,27 +161,16 @@ def leading_constant(spec: EulerProductSpec) -> EulerValue:
     return EulerValue(float(CONSTANTS["leading_prefactor"]) * bare.value, bare.tail_bound)
 
 
-class IdentityReport(NamedTuple):
-    lhs: float
-    rhs: float
-    residual: float
-    tail_bound: float
-
-
-def constant_identity(spec: EulerProductSpec) -> IdentityReport:
-    """Compare 1728 * c_tilde * prod_{p>2}(1 - 1/p^2) with the leading
-    constant at the same truncation.
+def constant_identity(spec: EulerProductSpec) -> float:
+    """The residual |1728 * c_tilde * prod_{p>2}(1 - 1/p^2) - leading
+    constant| at one truncation.
 
     The two sides agree factor by factor, so the residual measures rounding
-    only; the reported tail bound covers both truncations.
+    only.
     """
-    ct = c_tilde(spec)
     p = _primes(spec.pmax)[1:]  # the odd primes
     zeta_part = _product_over(1.0 - 1.0 / (p * p), 1.0, spec.pmax)
-    lhs = 1728.0 * ct.value * zeta_part.value
-    rhs = leading_constant(spec)
-    tail = ct.tail_bound + zeta_part.tail_bound + rhs.tail_bound
-    return IdentityReport(lhs, rhs.value, abs(lhs - rhs.value), tail)
+    return abs(1728.0 * c_tilde(spec).value * zeta_part.value - leading_constant(spec).value)
 
 
 def per_prime_identity_fractions(p: int) -> tuple[Fraction, Fraction]:
@@ -204,15 +185,6 @@ def per_prime_identity_fractions(p: int) -> tuple[Fraction, Fraction]:
     lhs *= 1 - Fraction(1, p * p)
     rhs = (1 - 1 / pf) ** 4 * (1 + 4 / pf)
     return lhs, rhs
-
-
-def per_prime_identity_gap(p: int) -> float:
-    """Float residual of the factor identity at p, evaluated both ways."""
-    lhs = (1.0 - 2.0 / (p * (p + 1.0))) ** 3
-    lhs *= 1.0 - 3.0 / (p + 2.0) ** 2 + 2.0 / (p + 2.0) ** 3
-    lhs *= 1.0 - 1.0 / p**2
-    rhs = (1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p)
-    return abs(lhs - rhs)
 
 
 class ClassSums(NamedTuple):
@@ -263,7 +235,6 @@ class TamagawaReport(NamedTuple):
     parts: TamagawaParts
     tau2_etale: Fraction
     product: float
-    leading: float
     difference: float
 
 
@@ -278,9 +249,10 @@ def dyadic_hom_count() -> Fraction:
 def tamagawa_constant(spec: EulerProductSpec) -> TamagawaReport:
     """Assemble the leading constant from its local densities.
 
-    product = 8 * (1/4) * (3/4) * (9/4) * prod_{p>2} (1-1/p)^4 (1+4/p); the
-    rational head equals 27/8 exactly and the assembled product must agree
-    with leading_constant within the combined truncation tolerance.
+    product = 8 * (1/4) * (3/4) * (9/4) * prod_{p>2} (1-1/p)^4 (1+4/p), and
+    difference is its distance from leading_constant at the same truncation.
+    Both are reported, never judged here: the verify suites decide whether
+    they agree.
     """
     tau2_etale = dyadic_hom_count()
     parts = TamagawaParts(
@@ -292,15 +264,7 @@ def tamagawa_constant(spec: EulerProductSpec) -> TamagawaReport:
     p = _primes(spec.pmax)[1:]  # the odd primes
     bare = _product_over((1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p), 10.0, spec.pmax)
     product = float(parts.rational_prefactor()) * bare.value
-    lead = leading_constant(spec)
-    difference = abs(product - lead.value)
-    tolerance = product * (bare.tail_bound + lead.tail_bound) + 1e-9
-    if difference > tolerance:
-        raise AssertionError(
-            f"Tamagawa product {product} differs from leading constant "
-            f"{lead.value} by {difference} > {tolerance}"
-        )
-    return TamagawaReport(parts, tau2_etale, product, lead.value, difference)
+    return TamagawaReport(parts, tau2_etale, product, abs(product - leading_constant(spec).value))
 
 
 def predicted_count(box, spec: EulerProductSpec) -> float:

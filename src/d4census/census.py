@@ -106,12 +106,14 @@ class BoundBox:
 
 @dataclass(frozen=True)
 class InvariantVector:
-    """The four multi-invariants of a pair (field, isomorphism)."""
+    """The four multi-invariants of a pair (field, isomorphism), and the
+    primes of each, increasing."""
 
     inv1: int
     inv2: int
     inv3: int
     inv4: int
+    primes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.inv1, self.inv2, self.inv3, self.inv4)
@@ -416,11 +418,13 @@ def invariants_of(triple: SignedSquarefreeTriple, t: int) -> InvariantVector:
     for p in t_primes:
         if (dec.m1p * dec.m2p * dec.m3p) % p == 0:
             raise ValueError(f"twist {t} shares the factor {p} with the triple")
-    return InvariantVector(inv1=dec.m2p, inv2=dec.m3p, inv3=dec.m1p, inv4=t)
+    m1_primes, m2_primes, m3_primes = dec.primes
+    return InvariantVector(inv1=dec.m2p, inv2=dec.m3p, inv3=dec.m1p, inv4=t,
+                           primes=(m2_primes, m3_primes, m1_primes, t_primes))
 
 
-def inertia_class(p: int, triple: SignedSquarefreeTriple, t: int) -> InertiaClass:
-    """Inertia class of the odd prime p in the octic labeled by (triple, t).
+def inertia_class(p: int, vec: InvariantVector) -> InertiaClass:
+    """Inertia class of the odd prime p in the octic with invariants vec.
 
     p = 2 is rejected: when 2 ramifies it does so wildly and carries no class
     here.
@@ -430,8 +434,8 @@ def inertia_class(p: int, triple: SignedSquarefreeTriple, t: int) -> InertiaClas
     if p < 3 or factor_small(p) != (p,):
         raise ValueError(f"{p} is not an odd prime")
     # the invariants are pairwise coprime, so p divides at most one of them
-    for i, inv in enumerate(invariants_of(triple, t).as_tuple(), 1):
-        if inv % p == 0:
+    for i, primes in enumerate(vec.primes, 1):
+        if p in primes:
             return INERTIA_CLASS_OF_INVARIANT[i]
     return InertiaClass.UNRAMIFIED
 

@@ -136,6 +136,14 @@ def L_product_row(facs: tuple[tuple[int, ...], ...],
     return row
 
 
+def _choice_index(delta: tuple[int, int], nu: tuple[int, int, int]) -> int:
+    """The position of (delta, nu) in CHOICES; a ValueError for any other pair."""
+    choice = (tuple(delta), tuple(nu))
+    if choice not in CHOICES:
+        raise ValueError(f"unknown (delta, nu) choice: {choice}")
+    return CHOICES.index(choice)
+
+
 def L_product(mp: tuple[int, int, int], delta: tuple[int, int],
               nu: tuple[int, int, int]) -> int:
     """The local product L(m', delta, nu) as an exact integer.
@@ -143,7 +151,8 @@ def L_product(mp: tuple[int, int, int], delta: tuple[int, int],
     Always 0 or tau(m1'm2'm3'); positive exactly when every odd prime
     dividing the triple satisfies its solubility condition.
     """
-    return L_product_row(_check_parts(mp), ((delta, nu),))[0]
+    facs = _check_parts(mp)
+    return L_product_row(facs, (CHOICES[_choice_index(delta, nu)],))[0]
 
 
 def _divisor_splits(primes: tuple[int, ...]):
@@ -201,10 +210,7 @@ def L_divisor_sum(mp: tuple[int, int, int], delta: tuple[int, int],
         u(k1,k2,k3) * (l1 / k2*k3) * (l2 / k1*k3) * (l3 / k1*k2).
     """
     facs = _check_parts(mp)
-    choice = (tuple(delta), tuple(nu))
-    if choice not in CHOICES:
-        raise ValueError(f"unknown (delta, nu) choice: {choice}")
-    return L_divisor_sum_row(facs)[CHOICES.index(choice)]
+    return L_divisor_sum_row(facs)[_choice_index(delta, nu)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .arith import (
     CapacityError,
     SignedSquarefreeTriple,
     build_sieve,
-    factor_small,
     load_sieve_cache,
     save_sieve_cache,
     _valid_triples,
@@ -39,7 +38,6 @@ from .asymptotic import (
     c_base,
     c_tilde,
     constant_identity,
-    dyadic_hom_count,
     leading_constant,
     lemma432_sums,
     per_prime_identity_fractions,
@@ -253,7 +251,7 @@ def cmd_constants(args) -> int:
     c1 = c_base(spec)
     ct = c_tilde(spec)
     lead = leading_constant(spec)
-    ident = constant_identity(spec)
+    residual = constant_identity(spec)
     tam = tamagawa_constant(spec)
     result = {
         "pmax": args.pmax,
@@ -262,7 +260,7 @@ def cmd_constants(args) -> int:
         "c_tilde": ct.value,
         "c_tilde_tail": ct.tail_bound,
         "leading_constant": lead.value,
-        "identity_residual": ident.residual,
+        "identity_residual": residual,
         "tamagawa": {
             "alpha_star": tam.parts.alpha_star,
             "tau_infty": tam.parts.tau_infty,
@@ -277,7 +275,7 @@ def cmd_constants(args) -> int:
         f"c(1)            = {c1.value:.12f}  (log-tail <= {c1.tail_bound:.2e})",
         f"c_tilde         = {ct.value:.12e}  (log-tail <= {ct.tail_bound:.2e})",
         f"leading const   = {lead.value:.12f}",
-        f"identity resid  = {ident.residual:.3e}",
+        f"identity resid  = {residual:.3e}",
         f"tamagawa parts  = |G|=8, alpha*=1/4, tau_inf=3/4, tau_2=9/4 "
         f"(hom count {tam.tau2_etale})",
         f"tamagawa value  = {tam.product:.12f}",
@@ -325,10 +323,9 @@ def cmd_classify(args) -> int:
     vec = invariants_of(triple, args.twist)  # validates the triple and the twist
     a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
     soluble = satisfies_local_conditions(triple)
-    # each invariant is factored on its own: a prime dividing the i-th one
-    # has its inertia class, and factoring their product would cost far more
+    # a prime dividing the i-th invariant has its inertia class
     ramified = {str(p): INERTIA_CLASS_OF_INVARIANT[i].value for p, i in sorted(
-        (p, i) for i, inv in enumerate(vec.as_tuple(), 1) for p in factor_small(inv))}
+        (p, i) for i, primes in enumerate(vec.primes, 1) for p in primes)}
     witness = find_conic_point(a, b, args.height) if soluble else None
     result = {
         "triple": list(triple.as_tuple()),
@@ -339,7 +336,7 @@ def cmd_classify(args) -> int:
         "ramified_primes": ramified,
     }
     if args.prime is not None:
-        cls = inertia_class(args.prime, triple, args.twist)
+        cls = inertia_class(args.prime, vec)
         result["queried_prime"] = {
             "p": args.prime,
             "inertia_class": cls.value,
@@ -513,18 +510,17 @@ def _suite_census_consistency(args) -> list[dict]:
 
 def _suite_constants(args) -> list[dict]:
     spec = EulerProductSpec(pmax=args.pmax)
-    ident = constant_identity(spec)
+    residual = constant_identity(spec)
     per_prime_bad = sum(lhs != rhs for lhs, rhs in
                         map(per_prime_identity_fractions, primes_up_to(100)[1:].tolist()))
     spec_small = EulerProductSpec(pmax=max(args.pmax // 2, 3))
-    ident_small = constant_identity(spec_small)
+    residual_small = constant_identity(spec_small)
     return [
         _check(f"identity_residual_below_{args.tol}",
-               {"residual_max": args.tol}, {"residual": ident.residual},
-               ok=ident.residual < args.tol),
+               {"residual_max": args.tol}, {"residual": residual},
+               ok=residual < args.tol),
         _check("per_prime_identity_exact_to_100", 0, per_prime_bad),
-        _check("residual_shrinks_with_pmax", True,
-               ident.residual <= ident_small.residual + args.tol),
+        _check("residual_shrinks_with_pmax", True, residual <= residual_small + args.tol),
     ]
 
 
@@ -533,8 +529,8 @@ def _suite_tamagawa(args) -> list[dict]:
     tam = tamagawa_constant(spec)
     head = tam.parts.rational_prefactor()
     return [
-        _check("dyadic_hom_count", "36", str(dyadic_hom_count())),
-        _check("rational_head_27_over_8", "27/8", str(head)),
+        _check("dyadic_hom_count", str(CONSTANTS["dyadic_hom_count"]), str(tam.tau2_etale)),
+        _check("rational_head_27_over_8", str(CONSTANTS["leading_prefactor"]), str(head)),
         _check(f"product_matches_leading_below_{args.tol}",
                {"difference_max": args.tol}, {"difference": tam.difference},
                ok=tam.difference < args.tol),

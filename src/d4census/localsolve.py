@@ -11,12 +11,19 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     sufficient for coefficients of valuation <= 1 -- for a whole column of
     pairs (a, b) at one place, in blocks over a cached table of the squares
     mod m.  padic_oracle is its one-row view.  A primitive solution has a
-    unit coordinate; dividing by it pins that coordinate to 1, and the search
-    runs the cases y = 1 and z = 1 only.  The case x = 1 adds nothing: if
-    (1, y, z) solves the conic mod m, then a*y^2 + b*z^2 = 1 mod p, so p
-    does not divide both y and z.  A unit y gives the solution
-    (1/y, 1, z/y), and a unit z gives (1/z, y/z, 1).  This holds for every
-    p, a and b.
+    unit coordinate; dividing by it pins that coordinate to 1.  The search
+    runs the case y = 1 at every p, and the case z = 1 at p = 2 only.
+    The case x = 1 adds nothing: if (1, y, z) solves the conic mod m, then
+    a*y^2 + b*z^2 = 1 mod p, so p does not divide both y and z.  A unit y
+    gives the solution (1/y, 1, z/y), and a unit z gives (1/z, y/z, 1).
+    This holds for every p, a and b.  At an odd p the case z = 1 adds
+    nothing either.  Take a solution (x, y, 1) mod p^3.
+      - If y is a unit, dividing by y gives (x/y, 1, 1/y).
+      - If p | y and b is a unit, then x^2 = b mod p, and Hensel's lemma
+        gives b = s^2 mod p^3.  Then x = (1 + a)/2, z = (a - 1)/(2s) solves
+        x^2 - b*z^2 = a, a solution with y = 1.
+      - If p | y and p | b, then x^2 = b mod p^2, so p | x and p^2 | b,
+        which a valuation of at most 1 forbids.
   * in_E_set: the mod-8 residue criterion at 2, stated operationally through
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
     cross-check (E_000_LITERAL / E_010_LITERAL below).
@@ -138,10 +145,10 @@ def _square_table(modulus: int) -> tuple[np.ndarray, np.ndarray]:
 def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
     """padic_oracle for every pair (a[i], b[i]) at one place, as a bool array.
 
-    The same exhaustive search, a block of rows at a time: aq = a*q and
-    bq = b*q (q the distinct squares mod m) are formed once per block, and
-    the y = 1 and z = 1 cases read the doubled squares mask at a + bq and
-    b + aq.
+    The same exhaustive search, a block of rows at a time: bq = b*q (q the
+    distinct squares mod m) is formed once per block, and the y = 1 case
+    reads the doubled squares mask at a + bq; at 2 the z = 1 case reads it
+    at b + a*q as well.
     """
     a, b = np.asarray(a), np.asarray(b)
     if ((a == 0) | (b == 0)).any():
@@ -162,10 +169,11 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
     step = max(1, _ORACLE_BLOCK_CELLS // modulus)
     for start in range(0, len(am), step):
         ab, bb = am[start:start + step, None], bm[start:start + step, None]
-        aq = (ab * q) % modulus
-        bq = (bb * q) % modulus
-        # y = 1: need x^2 - b*z^2 = a;  z = 1: need x^2 - a*y^2 = b
-        out[start:start + step] = sq[ab + bq].any(axis=1) | sq[bb + aq].any(axis=1)
+        # y = 1: need x^2 - b*z^2 = a
+        hit = sq[ab + (bb * q) % modulus].any(axis=1)
+        if p == 2:  # z = 1: need x^2 - a*y^2 = b
+            hit |= sq[bb + (ab * q) % modulus].any(axis=1)
+        out[start:start + step] = hit
     return out
 
 
@@ -177,12 +185,9 @@ def padic_oracle(a: int, b: int, v: Place) -> bool:
     completion by Hensel's lemma once the coefficient valuations are at most
     1, and any p-adic solution scales to such a residue.  A primitive solution
     has a unit coordinate, so dividing by it leaves one coordinate equal to 1.
-    The search runs the cases y = 1 and z = 1 exhaustively; they cover x = 1.
-    Suppose (1, y, z) solves the conic mod m.  Then a*y^2 + b*z^2 = 1 mod p,
-    so p cannot divide both y and z.  If y is a unit, (1/y, 1, z/y) solves
-    the case y = 1; if z is a unit, (1/z, y/z, 1) solves the case z = 1.
-    This holds for every p, a and b.  This is the one-row view of
-    padic_oracle_rows.
+    The search runs the case y = 1 exhaustively, and at 2 the case z = 1 as
+    well; the module docstring proves that these cover every primitive
+    solution.  This is the one-row view of padic_oracle_rows.
     """
     return bool(padic_oracle_rows([a], [b], v)[0])
 

@@ -14,6 +14,7 @@ from d4census.arith import (
     CapacityError,
     SignedSquarefreeTriple,
     build_sieve,
+    factor_small,
     kronecker,
     primes_up_to,
 )
@@ -533,17 +534,19 @@ def test_invariants_rejects_bad_twist():
 
 
 def test_inertia_class_examples():
-    assert inertia_class(7, SignedSquarefreeTriple(1, 2, 7), 1) == InertiaClass.RS
-    assert inertia_class(3, SignedSquarefreeTriple(3, 2, -1), 1) == InertiaClass.R
-    assert inertia_class(5, SignedSquarefreeTriple(1, 2, 7), 5) == InertiaClass.R2
-    assert inertia_class(11, SignedSquarefreeTriple(1, 2, 7), 1) == InertiaClass.UNRAMIFIED
+    vec = invariants_of(SignedSquarefreeTriple(1, 2, 7), 1)
+    assert inertia_class(7, vec) == InertiaClass.RS
+    assert inertia_class(11, vec) == InertiaClass.UNRAMIFIED
+    assert inertia_class(3, invariants_of(SignedSquarefreeTriple(3, 2, -1), 1)) == InertiaClass.R
+    assert inertia_class(5, invariants_of(SignedSquarefreeTriple(1, 2, 7), 5)) == InertiaClass.R2
 
 
 def test_inertia_class_rejects_two_and_composites():
+    vec = invariants_of(SignedSquarefreeTriple(1, 2, 7), 1)
     with pytest.raises(ValueError):
-        inertia_class(2, SignedSquarefreeTriple(1, 2, 7), 1)
+        inertia_class(2, vec)
     with pytest.raises(ValueError):
-        inertia_class(15, SignedSquarefreeTriple(1, 2, 7), 1)
+        inertia_class(15, vec)
 
 
 def test_invariant_primes_match_inertia_classes(tables_census):
@@ -559,15 +562,17 @@ def test_invariant_primes_match_inertia_classes(tables_census):
         for t in (1, 3, 7):
             if gcd(t, odd_product) != 1:
                 continue
-            vec = invariants_of(triple, t).as_tuple()
+            vec = invariants_of(triple, t)
+            coords = vec.as_tuple()
+            assert vec.primes == tuple(factor_small(coord) for coord in coords)
             for p in (3, 5, 7, 11, 13):
-                cls = inertia_class(p, triple, t)
+                cls = inertia_class(p, vec)
                 if cls is InertiaClass.UNRAMIFIED:
-                    assert all(coord % p != 0 for coord in vec)
+                    assert all(coord % p != 0 for coord in coords)
                 else:
                     idx = coordinate_of_class[cls]
-                    assert vec[idx] % p == 0
-                    assert all(vec[i] % p != 0 for i in range(4) if i != idx)
+                    assert coords[idx] % p == 0
+                    assert all(coords[i] % p != 0 for i in range(4) if i != idx)
 
 
 def test_splitting_rows():

@@ -111,10 +111,13 @@ def test_L_views_match_rows():
 
 
 def test_L_divisor_sum_rejects_unknown_choice():
-    with pytest.raises(ValueError, match="unknown"):
-        L_divisor_sum((3, 5, 7), (-1, -1), (0, 0, 0))
-    with pytest.raises(ValueError, match="unknown"):
-        L_divisor_sum((3, 5, 7), (1, 1), (1, 1, 0))
+    # both views refuse a (delta, nu) pair outside the 12 choices
+    for mp, delta, nu in (((3, 5, 7), (-1, -1), (0, 0, 0)), ((3, 5, 7), (1, 1), (1, 1, 0)),
+                          ((3, 5, 7), (5, 7), (0, 0, 0)), ((1, 3, 1), (5, 7), (0, 0, 0)),
+                          ((1, 1, 1), (-1, -1), (0, 0, 0))):
+        for L in (L_product, L_divisor_sum):
+            with pytest.raises(ValueError, match="unknown"):
+                L(mp, delta, nu)
 
 
 @pytest.mark.parametrize("raw", [(10, 10, 10, 10), (7, 3, 5, 9), (20, 12, 16, 9)])
@@ -184,6 +187,10 @@ def test_L_positive_iff_odd_conditions_hold():
         conds = conds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(dec.m2p))
         conds = conds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(dec.m3p))
         mp = (dec.m1p, dec.m2p, dec.m3p)
+        if dec.delta == (-1, -1):  # no real point, so not one of the 12 choices
+            with pytest.raises(ValueError, match="unknown"):
+                L_product(mp, dec.delta, dec.nu)
+            continue
         assert (L_product(mp, dec.delta, dec.nu) > 0) == conds, triple
 
 

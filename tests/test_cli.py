@@ -380,6 +380,22 @@ def test_verify_constants(capsys):
     assert payload["result"]["all_pass"] is True
 
 
+def test_leading_constant_mismatch_fails_the_suite(capsys, monkeypatch):
+    # the suite is the only judge of the two routes: a mismatch is a FAIL line
+    # and exit 1, and `constants` prints the product whatever it is
+    exact = asymptotic.leading_constant
+
+    def scaled(spec):
+        lead = exact(spec)
+        return asymptotic.EulerValue(1.01 * lead.value, lead.tail_bound)
+
+    monkeypatch.setattr(asymptotic, "leading_constant", scaled)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "tamagawa")
+    assert code == 1
+    assert "FAIL product_matches_leading_below_1e-08" in out
+    assert run_cli(capsys, "constants")[0] == 0
+
+
 def test_verify_census_consistency_custom_box(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "census-consistency",
                            "--x", "6", "6", "6", "6", "--format", "json")
@@ -594,7 +610,7 @@ def test_classify_invalid_triple_exit_two(capsys):
     ("--triple 1 -1000000000001 1", 2),
 ])
 def test_classify_large_inputs_end_quickly(capsys, argv, code):
-    # each invariant is factored on its own, and every input is bounded by 10^12
+    # each triple entry and the twist are factored once, and every input is bounded by 10^12
     start = time.perf_counter()
     got = run_cli(capsys, "classify", *argv.split())
     assert time.perf_counter() - start < 5

@@ -1,8 +1,10 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and some module
+reads each fixed value of asymptotic.CONSTANTS.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library: a name bound by an import must be read somewhere else in
-the module.  The package's __init__ re-exports names and is left out.
+the module, and a key of CONSTANTS must be subscripted somewhere in the
+package.  The package's __init__ re-exports names and is left out.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import d4census
+from d4census.asymptotic import CONSTANTS
 
 MODULES = sorted(p for p in Path(d4census.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -45,3 +48,20 @@ def test_module_reads_every_import(path):
 def test_unused_import_is_reported():
     source = "from math import gcd, prod\nimport os.path\n\nprint(prod([2]))\n"
     assert unused_imports(source) == ["gcd (line 1)", "os (line 2)"]
+
+
+def constant_keys_read(source: str) -> set:
+    """The string keys the source reads as CONSTANTS["key"]."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "CONSTANTS" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_constant_is_read():
+    read = set().union(*(constant_keys_read(p.read_text()) for p in MODULES))
+    assert sorted(set(CONSTANTS) - read) == []
+
+
+def test_constant_keys_read_finds_subscripts():
+    source = 'CONSTANTS = {"a": 1, "b": 2}\nprint(CONSTANTS["a"], OTHER["b"])\n'
+    assert constant_keys_read(source) == {"a"}
