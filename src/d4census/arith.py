@@ -107,10 +107,19 @@ class SieveTables:
     def odd_squarefree_upto(self, bound: float) -> list[int]:
         """All odd squarefree integers <= bound, increasing; CapacityError
         when bound is past the table."""
+        top = self._top(bound)
+        return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
+
+    def odd_squarefree_count(self, bound: float) -> int:
+        """len(odd_squarefree_upto(bound)), read off odd_sf_count without
+        building the list; the same CapacityError past the table."""
+        return int(self.odd_sf_count[self._top(bound)])
+
+    def _top(self, bound: float) -> int:
         top = max(int(bound), 0)
         if top > self.limit:
             raise CapacityError(f"sieve limit {self.limit} < required {top}")
-        return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
+        return top
 
     def count_odd_squarefree_coprime(self, bound: float, primes: tuple[int, ...]) -> int:
         """#{t <= bound : t odd, squarefree, p ∤ t for every p in primes}.

@@ -55,6 +55,9 @@ whole census (required_sieve_limit), however large X4 is.  The weighted sum
 is taken in Python integers.  The CSV breakdown (over the census's per-entry
 arrays) and enumerate_admissible_triples (per kernel block) expand the set
 bits of the masks in one numpy step, in (m1', m2', m3', delta, nu) order.
+exact_class_sums shares the product reduction (_twists_by_product) and adds
+each entry's twist count at its class: eps from (m1', m2', m3') mod 8, and
+(delta, nu) from each set bit of its mask.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
@@ -66,6 +69,8 @@ boxes are unaffected.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -76,11 +81,13 @@ import numpy as np
 
 from .arith import (
     CapacityError,
+    DecomposedTriple,
     SignedSquarefreeTriple,
     SieveTables,
     decompose_triple,
     factor_small,
     kronecker,
+    primes_up_to,
     _check_budget,
     _squarefree_factors,
 )
@@ -236,6 +243,17 @@ _PLANE_BYTES = 48
 _PAIR_BYTES = 2
 
 
+# 3, 3*5, 3*5*7, ...: the products of the first k odd primes, past 2^63
+_ODD_PRIMORIALS = tuple(itertools.accumulate(primes_up_to(60)[1:].tolist(), operator.mul))
+
+
+def _most_odd_primes(bound: int) -> int:
+    """The most primes of an odd squarefree value <= bound, which is the
+    width of SieveTables.prime_columns over all of them: the largest k whose
+    product of the first k odd primes is <= bound."""
+    return bisect_right(_ODD_PRIMORIALS, bound)
+
+
 def _symbols_at(values: np.ndarray, primes: np.ndarray):
     """A look-up p -> the Legendre symbols (values / p) as int8, for p in
     primes or an array of them; the pad prime 0 gives all 1.
@@ -265,21 +283,22 @@ def _mask_blocks(
     """The mask kernel: for each m1' <= bound1 in increasing order, yield
     (m1', m2', m3', masks) where the arrays m2' <= bound2 and m3' <= bound3
     hold the pairs that admit some choice, in row-major (m2', m3') order, and
-    masks their nonzero choice masks.  CapacityError, before anything of the
-    kernel's size is allocated, when the products may overflow int64 or the
-    kernel's tables do not fit arith.MEMORY_BUDGET."""
+    masks their nonzero choice masks.  CapacityError, in this order, when the
+    products may overflow int64, when a bound is past the sieve, or when the
+    kernel's tables do not fit arith.MEMORY_BUDGET: all three before any of
+    the kernel's inputs, the value lists and prime columns, is built."""
     tops = tuple(int(max(b, 0)) for b in (bound1, bound2, bound3))
     if tops[0] * tops[1] * tops[2] > _INT64_MAX:
         raise CapacityError(f"odd-part bounds {tops}: the product m1'*m2'*m3' may overflow int64")
-    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64) for b in tops)
-    p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
-    n1, n2, n3 = map(len, (v1, v2, v3))
-    k2, k3 = p2.shape[1], p3.shape[1]  # the most primes of an m2' and an m3'
+    n1, n2, n3 = map(tables.odd_squarefree_count, tops)
+    k2, k3 = map(_most_odd_primes, tops[1:])  # the most primes of an m2' and an m3'
     _check_budget(f"mask kernel of {n1} x {n2} x {n3} odd parts",
                   n2 * n3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES)
                   + n1 * (n2 * (k2 + _PAIR_BYTES) + n3 * (k3 + _PAIR_BYTES)))
     if not (n1 and n2 and n3):
         return
+    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64) for b in tops)
+    p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
     masks = _mask_tables()
     at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
                      _symbols_at(v3, np.append(p1, p2)))
@@ -345,6 +364,49 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
+def _twists_by_product(entries: list, m1_of_block: list, block_sizes: list, x4: float,
+                       tables: SieveTables):
+    """The census's product reduction: group the kernel entries by their
+    product n = m1'*m2'*m3' and twist-count each distinct n once.
+
+    entries holds per-entry arrays in kernel order: the products, the m2',
+    then whatever the caller reduces by product; m1' comes once per kernel
+    block of block_sizes entries.  The list is emptied and the products and
+    m2' freed here, so that while the twist counts run (they may grow the
+    recursion's memo) the only per-entry arrays alive are the caller's.
+
+    Returns (distinct, starts, twists, carried): the distinct products,
+    increasing; where each one's entries start in product order;
+    tau(n) * A(X4, n) for each as int64; the caller's arrays in product order.
+    """
+    products, m2s, *carried = entries
+    entries.clear()
+    # one sort groups the entries by product; any entry of a product gives its
+    # split n = m1' * m2' * m3', since the twist step reads only its primes
+    order = np.argsort(products)
+    ordered = products[order]
+    del products
+    first = np.ones(len(ordered), dtype=bool)  # the first entry of each product
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    distinct, entry = ordered[starts], order[starts]
+    del ordered, first
+    carried = [a[order] for a in carried]
+    del order
+    block = np.searchsorted(np.cumsum(block_sizes, dtype=np.int64), entry, side="right")
+    m1, m2 = np.array(m1_of_block, dtype=np.int64)[block], m2s[entry].astype(np.int64)
+    del m2s, entry, block
+    columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
+                             axis=1)
+    del m1, m2
+    # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
+    # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
+    # so tau * A < 2^14 * 5e14 fits int64
+    twists = ((1 << np.count_nonzero(columns, axis=1))
+              * tables.count_odd_squarefree_coprime_rows(x4, columns))
+    return distinct, starts, twists, carried
+
+
 def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
     """Exact count of pairs with invariants in the box, in integers only: the
     predicted main term and its ratio are the caller's (asymptotic.predicted_count).
@@ -367,49 +429,86 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
             masks.append(block_masks)
     products, counts, m2s, masks = map(np.concatenate, (products, counts, m2s, masks))
     triples_visited = int(counts.sum())
-    # one sort groups the entries by product; any entry of a product gives its
-    # split n = m1' * m2' * m3', since the twist step reads only its primes
-    order = np.argsort(products)
-    ordered = products[order]
-    first = np.ones(len(ordered), dtype=bool)  # the first entry of each product
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    distinct, entry = ordered[starts], order[starts]
-    del ordered, first  # reduceat casts its whole input to int64
-    weight = np.add.reduceat(counts[order], starts, dtype=np.int64)
-    m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(bound1))), block_sizes)
-    m1, m2 = (m[entry].astype(np.int64) for m in (m1s, m2s))
     if want_breakdown:
         # rows in the kernel's (m1', m2', m3') order; a row's entry gives its product
+        m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(bound1))), block_sizes)
         row_product, *signed = _signed_triples(
             m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
-        row_product = np.searchsorted(distinct, products[row_product])
-        signed = [m.tolist() for m in signed]
-    # the twist counts may grow the recursion's memo: hold no per-entry array
-    del products, counts, m2s, masks, m1s, entry, order, starts
-    columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
-                             axis=1)
-    del m1, m2
-    # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
-    # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
-    # so tau * A < 2^14 * 5e14 fits int64
-    twists = ((1 << np.count_nonzero(columns, axis=1))
-              * tables.count_odd_squarefree_coprime_rows(box.x4, columns))
+        row_product = products[row_product]
+        del m1s
+    entries = [products, m2s, counts]
+    del products, counts, m2s, masks
+    distinct, starts, twists, (counts,) = _twists_by_product(
+        entries, m1_of_block, block_sizes, box.x4, tables)
+    weight = np.add.reduceat(counts, starts, dtype=np.int64)
     twist_of = twists.tolist()
     total = sum(w * t for w, t in zip(weight.tolist(), twist_of))
     breakdown = None
     if want_breakdown:
+        # the rows become int objects only now, with no per-entry array alive;
         # one int object per distinct product; the cumulative may pass 2^63
-        row_twists = [twist_of[i] for i in row_product.tolist()]
+        signed = [m.tolist() for m in signed]
+        row_twists = [twist_of[i] for i in np.searchsorted(distinct, row_product).tolist()]
         del row_product
         breakdown = list(zip(*signed, row_twists, itertools.accumulate(row_twists)))
     return CensusReport(exact=4 * total, triples_visited=triples_visited, breakdown=breakdown)
 
 
-def invariants_of(triple: SignedSquarefreeTriple, t: int) -> InvariantVector:
+def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
+    """The exact census sum of every residue class (eps, delta, nu), read off
+    the mask kernel: the sum of tau(n) * A(X4, n), n = m1'*m2'*m3', over the
+    admissible signed triples of the box in the class.
+
+    Entry 12 * (16 i1 + 4 i2 + i3) + k belongs to eps = (UNIT_RESIDUES[i1],
+    UNIT_RESIDUES[i2], UNIT_RESIDUES[i3]), the odd parts mod 8, and to
+    (delta, nu) = CHOICES[k]: the order of charsum.all_class_keys.  Four times
+    the total is exact_census.  The kernel builds no class mask at 2; by
+    Hilbert reciprocity its triples fall in admissible classes only, so the
+    336 inadmissible entries are 0.
+
+    The twist counts come from the census's product reduction; each kernel
+    entry keeps its eps index as uint8 beside its 12-bit mask, and the twist of
+    its product is added at each (eps, mask).  The sum is in int64 while the
+    number of entries times the largest twist stays below 2^63, so that no
+    partial sum can overflow, and in Python ints otherwise.
+    """
+    bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
+    m2_type = np.min_scalar_type(int(bound2))
+    products, m2s = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=m2_type)]
+    eps, masks = [np.zeros(0, dtype=np.uint8)], [np.zeros(0, dtype=np.uint16)]
+    m1_of_block, block_sizes = [], []
+    for m1p, m2ps, m3ps, block_masks in _mask_blocks(bound1, bound2, bound3, tables):
+        products.append(m1p * m2ps * m3ps)
+        m2s.append(m2ps.astype(m2_type))
+        # the index of UNIT_RESIDUES at an odd m is (m % 8) >> 1
+        eps.append((16 * (m1p % 8 >> 1) + 4 * (m2ps % 8 >> 1) + (m3ps % 8 >> 1))
+                   .astype(np.uint8))
+        masks.append(block_masks)
+        m1_of_block.append(m1p)
+        block_sizes.append(len(m2ps))
+    entries = [np.concatenate(a) for a in (products, m2s, eps, masks)]
+    del products, m2s, eps, masks
+    _, starts, twists, (eps, masks) = _twists_by_product(
+        entries, m1_of_block, block_sizes, box.x4, tables)
+    twist = np.repeat(twists, np.diff(starts, append=len(eps)))  # per entry, in product order
+    exact = len(twist) * int(twists.max(initial=0)) <= _INT64_MAX
+    bits, classes = len(CHOICES), len(UNIT_RESIDUES) ** 3
+    sums = np.zeros(classes << bits, dtype=np.int64 if exact else object)  # by (eps, mask)
+    np.add.at(sums, eps.astype(np.intp) << bits | masks, twist if exact else twist.astype(object))
+    out = [0] * (classes * bits)
+    keys = np.flatnonzero(sums)
+    for key, value in zip(keys.tolist(), sums[keys].tolist()):
+        e, mask = divmod(key, 1 << bits)
+        for k in range(bits):
+            if mask >> k & 1:
+                out[bits * e + k] += value
+    return out
+
+
+def invariants_of(triple: SignedSquarefreeTriple | DecomposedTriple, t: int) -> InvariantVector:
     """Invariant vector (m2', m3', m1', t) of the octic labeled by triple and
-    twist t."""
-    dec = decompose_triple(triple)
+    twist t; a triple given already decomposed is not factored again."""
+    dec = triple if isinstance(triple, DecomposedTriple) else decompose_triple(triple)
     if t <= 0 or t % 2 == 0:
         raise ValueError(f"twist must be a positive odd integer, got {t}")
     t_primes = _squarefree_factors(t)

@@ -31,17 +31,20 @@ and both forms are computed a row at a time from one factorisation:
 
 L_product and L_divisor_sum are single-choice views of the rows.
 
-Class sums.  class_sums evaluates the per-class census sum exactly (no
-main-term substitution) for any set of keys: one walk per eps class, one
-product row and at most one twist count per triple, added to every key of that
-class.  T_direct and census_from_classes are views of it, and so are the
-per-class rows of `sweep --classes`, which the CLI writes.  It
-deliberately does not use the 12-bit mask kernel of census.exact_census: it
-walks the triples and evaluates L by its own code, so census_from_classes ==
-exact_census is an independent cross-check of the kernel.  Its twist counts
-come from the recursion SieveTables.count_odd_squarefree_coprime, while the
-census takes them from a divisor sum whenever X4 fits the sieve, so the
-check covers twist counting too.
+Class sums.  The per-class rows of `sweep --classes`, which the CLI writes,
+come from kernel_class_sums: census.exact_class_sums reduces the entries of
+the census's 12-bit mask kernel by (eps, delta, nu) and takes their twist
+counts from the census's product reduction.  class_sums is its independent
+oracle.  It evaluates the per-class census sum exactly (no main-term
+substitution) for any set of keys: one walk per eps class, one product row
+and at most one twist count per triple, added to every key of that class.
+T_direct and census_from_classes are views of it.  It walks the triples and
+evaluates L by its own code, so census_from_classes == exact_census (the
+census-consistency suite) and class_sums == kernel_class_sums (tier-1 tests)
+cross-check the kernel.  Its twist counts come from the recursion
+SieveTables.count_odd_squarefree_coprime, while the census takes them from a
+divisor sum whenever X4 fits the sieve, so the check covers twist counting
+too.
 
 T111_direct is the (k = 1) inner sum of squarefree f-weights, and
 character_sum_f the weighted character sums whose main terms carry c(r).
@@ -61,7 +64,7 @@ import numpy as np
 
 from .arith import SieveTables, SignedSquarefreeTriple, decompose_triple, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _is_degenerate
+from .census import CHOICES, BoundBox, _is_degenerate, exact_class_sums
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -166,6 +169,11 @@ def _divisor_splits(primes: tuple[int, ...]):
 def _residue_index(k: int) -> int:
     """0..3 for odd k = 1, 3, 5, 7 mod 8."""
     return (k % 8) >> 1
+
+
+def _eps_index(eps: tuple[int, int, int]) -> int:
+    """0..63: the position of eps mod 8 among the 64 odd residue triples."""
+    return 16 * _residue_index(eps[0]) + 4 * _residue_index(eps[1]) + _residue_index(eps[2])
 
 
 @cache
@@ -462,8 +470,19 @@ def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
     return class_sums(box, tables, [key])[key]
 
 
-def _admissible_keys() -> list[ClassKey]:
-    return [key for key in all_class_keys() if key.admissible]
+@cache
+def _admissible_keys() -> tuple[ClassKey, ...]:
+    """The 432 admissible keys in all_class_keys order, built once."""
+    return tuple(key for key in all_class_keys() if key.admissible)
+
+
+def kernel_class_sums(box: BoundBox, tables: SieveTables) -> dict[ClassKey, int]:
+    """The exact census sum of each admissible class, in _admissible_keys()
+    order, read off the census mask kernel (census.exact_class_sums).  Equal
+    to class_sums over the same keys, which stays as its oracle."""
+    sums = exact_class_sums(box, tables)
+    return {key: sums[len(CHOICES) * _eps_index(key.eps) + _choice_index(key.delta, key.nu)]
+            for key in _admissible_keys()}
 
 
 def census_from_classes(box: BoundBox, tables: SieveTables) -> int:

@@ -28,6 +28,7 @@ from .arith import (
     CapacityError,
     SignedSquarefreeTriple,
     build_sieve,
+    decompose_triple,
     load_sieve_cache,
     save_sieve_cache,
     _valid_triples,
@@ -60,8 +61,7 @@ from .charsum import (
     L_product_row,
     T_main_term,
     census_from_classes,
-    class_sums,
-    _admissible_keys,
+    kernel_class_sums,
 )
 from .localsolve import (
     ALL_DELTAS,
@@ -106,7 +106,7 @@ def class_csv_rows(box: BoundBox, tables, euler: EulerProductSpec) -> list[str]:
     key, the box, the exact class sum, its main term and their ratio."""
     x1, x2, x3, x4 = box.as_tuple()
     rows = []
-    for key, value in class_sums(box, tables, _admissible_keys()).items():
+    for key, value in kernel_class_sums(box, tables).items():
         main = T_main_term(key, box, euler)
         e1, e2, e3 = key.eps
         d2, d3 = key.delta
@@ -320,9 +320,10 @@ def cmd_sweep(args) -> int:
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     triple = SignedSquarefreeTriple(*args.triple)
-    vec = invariants_of(triple, args.twist)  # validates the triple and the twist
+    dec = decompose_triple(triple)  # validates the triple, factoring each entry once
+    vec = invariants_of(dec, args.twist)  # validates the twist
     a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-    soluble = satisfies_local_conditions(triple)
+    soluble = satisfies_local_conditions(dec)
     # a prime dividing the i-th invariant has its inertia class
     ramified = {str(p): INERTIA_CLASS_OF_INVARIANT[i].value for p, i in sorted(
         (p, i) for i, primes in enumerate(vec.primes, 1) for p in primes)}

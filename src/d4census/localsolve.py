@@ -43,6 +43,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .arith import (
+    DecomposedTriple,
     SignedSquarefreeTriple,
     _legendre,
     decompose_triple,
@@ -235,15 +236,16 @@ def e_set_literal_010(eps: tuple[int, int, int]) -> bool:
     return False
 
 
-def satisfies_local_conditions(triple: SignedSquarefreeTriple) -> bool:
+def satisfies_local_conditions(triple: SignedSquarefreeTriple | DecomposedTriple) -> bool:
     """Global solubility of x^2 - m1*m2*y^2 - m1*m3*z^2 = 0, by local tests.
 
     Conjunction of the odd-prime Legendre conditions, the real-place sign
     condition, and the mod-8 class condition at 2.  The Legendre conditions
-    run over the primes decompose_triple found while validating the triple.
+    run over the primes decompose_triple found while validating the triple;
+    a triple given already decomposed is not factored again.
     """
-    dec = decompose_triple(triple)
-    m1, m2, m3 = triple.as_tuple()
+    dec = triple if isinstance(triple, DecomposedTriple) else decompose_triple(triple)
+    m1, m2, m3 = dec.reconstruct().as_tuple()
     if m2 < 0 and m3 < 0:
         return False
     for arg, primes in zip((-m2 * m3, m1 * m3, m1 * m2), dec.primes):

@@ -23,13 +23,22 @@ from d4census.census import (
     InertiaClass,
     enumerate_admissible_triples,
     exact_census,
+    exact_class_sums,
     inertia_class,
     invariants_of,
     required_sieve_limit,
     splitting_rows,
     twist_count,
 )
-from d4census.charsum import ClassKey, T111_direct, census_from_classes, class_sums
+from d4census.charsum import (
+    ClassKey,
+    T111_direct,
+    all_class_keys,
+    census_from_classes,
+    class_sums,
+    kernel_class_sums,
+    _admissible_keys,
+)
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
@@ -309,11 +318,16 @@ def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
 def test_kernel_charge_column_widths_match_odd_primorials(tables_3000):
     # the kernel charges per prime column of m2' and m3'; the width of the
     # columns is the most primes of an odd squarefree value <= b, which the
-    # odd primorials 3, 3*5, 3*5*7, ... <= b count
+    # odd primorials 3, 3*5, 3*5*7, ... <= b count.  The charge reads the sizes
+    # and widths without building the values or their columns
     primorials = list(accumulate(primes_up_to(20)[1:].tolist(), mul))
     for b in range(3001):
-        width = tables_3000.prime_columns(tables_3000.odd_squarefree_upto(b)).shape[1]
-        assert width == sum(p <= b for p in primorials), b
+        values = tables_3000.odd_squarefree_upto(b)
+        width = tables_3000.prime_columns(values).shape[1]
+        assert width == sum(p <= b for p in primorials) == census._most_odd_primes(b), b
+        assert tables_3000.odd_squarefree_count(b) == len(values), b
+    with pytest.raises(CapacityError, match="^sieve limit 3000 < required 3001$"):
+        tables_3000.odd_squarefree_count(3001)
 
 
 def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):
@@ -329,6 +343,75 @@ def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch
     assert peak < 20_000
     # the charge grows with the plane: a thin box still fits
     assert exact_census(BoundBox(15, 15, 200, 15), tables_census).exact > 0
+
+
+def test_kernel_refused_before_its_inputs_are_built(tables_census, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the kernel built its inputs before the charge")
+
+    monkeypatch.setattr(arith.SieveTables, "prime_columns", unbuilt)
+    monkeypatch.setattr(arith.SieveTables, "odd_squarefree_upto", unbuilt)
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 1000)
+    with pytest.raises(CapacityError, match="^mask kernel of 81 x 81 x 81 odd parts needs "
+                                            "~538002 bytes, budget is 1000$"):
+        next(census._mask_blocks(200, 200, 200, tables_census))
+
+
+def test_kernel_refusals_keep_their_order(monkeypatch):
+    # the int64 overflow first, then the sieve's reach bound by bound, then the budget
+    short = build_sieve(30)
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 1000)
+    with pytest.raises(CapacityError, match="may overflow int64"):
+        next(census._mask_blocks(3e6, 3e6, 3e6, short))
+    with pytest.raises(CapacityError, match="^sieve limit 30 < required 40$"):
+        next(census._mask_blocks(40, 20, 50, short))
+    with pytest.raises(CapacityError, match="^mask kernel of 12 x 12 x 12 odd parts"):
+        next(census._mask_blocks(30, 30, 30, short))
+
+
+@pytest.mark.parametrize("raw", [
+    (1, 1, 1, 1), (10, 10, 10, 10), (40, 40, 40, 40),
+    (50, 20, 35, 40), (20, 50, 35, 40),  # asymmetric, and its X1 <-> X2 swap
+    (30, 30, 30, 1e5),  # X4 above the sieve: the twists come from the recursion
+])
+def test_kernel_class_sums_equal_class_sums(raw):
+    box = BoundBox(*raw)
+    tables = build_sieve(required_sieve_limit(box))
+    keys = list(all_class_keys())
+    oracle = class_sums(box, tables, keys)
+    sums = dict(zip(keys, exact_class_sums(box, tables)))
+    assert len(sums) == 768 and sums == oracle
+    # by Hilbert reciprocity the kernel puts no mass on the 336 inadmissible keys
+    assert len(_admissible_keys()) == 432
+    assert all(sums[key] == 0 for key in keys if not key.admissible)
+    via_cli = kernel_class_sums(box, tables)
+    assert list(via_cli) == list(_admissible_keys())
+    assert via_cli == {key: oracle[key] for key in _admissible_keys()}
+    assert 4 * sum(sums.values()) == exact_census(box, tables).exact
+    if raw[3] == 1e5:
+        assert tables.limit < box.x4
+
+
+def test_kernel_class_sums_past_the_int64_bound_sum_in_python_ints(tables_census, monkeypatch):
+    box = BoundBox(40, 40, 40, 400)
+    want = exact_class_sums(box, tables_census)
+    # entries * largest twist >= (sum of the twists over the entries) >= total / 12,
+    # so a bound of 40^3 sends the sum to Python ints; the kernel's own product
+    # check, 40^3 <= bound, still passes
+    assert sum(want) > 12 * 40**3
+    monkeypatch.setattr(census, "_INT64_MAX", 40**3)
+    assert exact_class_sums(box, tables_census) == want
+
+
+def test_kernel_class_sums_refuse_a_short_table_as_class_sums_does():
+    box, short = BoundBox(10, 10, 10, 10**6), build_sieve(20)  # isqrt(X4) = 1000
+    messages = []
+    for run in (lambda: exact_class_sums(box, short),
+                lambda: class_sums(box, short, _admissible_keys())):
+        with pytest.raises(CapacityError, match="needs a sieve limit of 1000, have 20") as err:
+            run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_count_path_peak_per_kernel_entry(tables_census):

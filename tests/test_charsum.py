@@ -6,6 +6,7 @@ from math import gcd, log, sqrt
 
 import pytest
 
+from d4census import charsum
 from d4census.arith import (
     CapacityError,
     _squarefree_factors,
@@ -31,6 +32,7 @@ from d4census.charsum import (
     census_from_classes,
     character_sum_f,
     class_sums,
+    _admissible_keys,
 )
 from d4census.localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, u_weight
 
@@ -140,6 +142,18 @@ def test_class_sums_need_sieve_over_odd_part_bounds():
     with pytest.raises(CapacityError):
         census_from_classes(box, build_sieve(19))
     assert class_sums(box, build_sieve(20), keys) == class_sums(box, build_sieve(40), keys)
+
+
+def test_admissible_keys_are_built_once(monkeypatch):
+    keys = _admissible_keys()
+    assert isinstance(keys, tuple) and len(keys) == 432
+    assert keys == tuple(key for key in all_class_keys() if key.admissible)
+
+    def no_in_E_set(*args):
+        raise AssertionError("the admissible keys were built again")
+
+    monkeypatch.setattr(charsum, "in_E_set", no_in_E_set)
+    assert _admissible_keys() is keys
 
 
 def test_class_key_validation():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from d4census import arith, asymptotic, census, cli
+from d4census import arith, asymptotic, census, charsum, cli, localsolve
 from d4census.cli import (
     BREAKDOWN_CSV_HEADER,
     CLASS_CSV_HEADER,
@@ -172,13 +172,39 @@ def test_sweep_classes_skips_an_over_budget_pmax_before_the_class_sums(capsys, m
     def no_class_sums(*args, **kwargs):
         raise AssertionError("the class sums ran before --pmax was checked")
 
-    monkeypatch.setattr(cli, "class_sums", no_class_sums)
+    monkeypatch.setattr(cli, "kernel_class_sums", no_class_sums)
     code, out, err = run_cli(capsys, *"sweep --min 10 --max 20 --classes --pmax 2000000000".split())
     assert code == 0 and out == CLASS_CSV_HEADER + "\n"
     lines = err.strip().split("\n")
     assert len(lines) == 2 and all(
         line.startswith("sweep: skipping ") and "prime table up to 2000000000 " in line
         for line in lines)
+
+
+def test_sweep_classes_reads_the_kernel_and_matches_class_sums(capsys, monkeypatch):
+    argv = "sweep --min 10 --max 40 --classes --fix-x4 100000".split()
+
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("sweep --classes walked the triples")
+
+    with monkeypatch.context() as m:
+        m.setattr(charsum, "class_sums", oracle_only)
+        m.setattr(charsum, "L_product_row", oracle_only)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    # the same rows built from the class-walk oracle, byte for byte; X4 = 1e5 is
+    # above the sieve of isqrt(X4) = 316 entries
+    monkeypatch.setattr(cli, "kernel_class_sums", lambda box, tables: charsum.class_sums(
+        box, tables, charsum._admissible_keys()))
+    assert run_cli(capsys, *argv) == (0, out, "")
+    assert len(out.splitlines()) == 1 + 3 * 432
+
+
+def test_sweep_classes_skips_a_twist_bound_past_the_sieve(capsys):
+    code, out, err = run_cli(capsys, *"sweep --min 10 --max 10 --classes --fix-x4 1e17".split())
+    assert code == 0 and out == CLASS_CSV_HEADER + "\n"
+    assert err == ("sweep: skipping (10.0, 10.0, 10.0, 1e+17): sieve of size 316227766 "
+                   "needs ~21503488088 bytes, budget is 2147483648\n")
 
 
 @pytest.mark.parametrize("bound", ["inf", "nan"])
@@ -590,6 +616,25 @@ def test_classify_output(capsys):
     assert payload["result"]["conic"]["witness"] == [3, 1, 1]
     assert payload["result"]["queried_prime"]["inertia_class"] == "rs"
     assert len(payload["result"]["queried_prime"]["splitting_rows"]) == 2
+
+
+def test_classify_factors_its_triple_once(capsys, monkeypatch):
+    calls = []
+    decompose = arith.decompose_triple
+
+    def counted(triple):
+        calls.append(triple)
+        return decompose(triple)
+
+    for module in (arith, census, localsolve, cli):
+        monkeypatch.setattr(module, "decompose_triple", counted)
+    code, out, _ = run_cli(capsys, *"classify --triple 15 -2 7 --twist 11 --prime 3".split())
+    assert code == 0 and len(calls) == 1
+    assert out == ("triple      = (15, -2, 7), twist = 11\n"
+                   "invariants  = (1, 7, 15, 11)\n"
+                   "conic       = x^2 - (-30)y^2 - (105)z^2, soluble: False, witness: None\n"
+                   "ramified    = {'3': 'r', '5': 'r', '7': 'rs', '11': 'r2'}\n"
+                   "prime 3 inertia class: r\n")
 
 
 def test_classify_invalid_triple_exit_two(capsys):
