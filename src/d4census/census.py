@@ -39,30 +39,33 @@ of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
 and m3' at it.  The planes and one block are charged against
 arith.MEMORY_BUDGET before any is built.
 
-The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
-to n}, depends only on n = m1'm2'm3'.  One argsort groups the kernel entries
-by n: their popcounts are summed per group, and a group's first entry, which
-keeps its m2', gives a split of n whose three parts the spf walk
-SieveTables.prime_columns factors into padded prime columns.  tau(n) is 2 to
-the number of primes, and the twist counters take the same columns and drop
-the primes above Y = X4.  One call of
+The census readers, exact_census and exact_class_sums, collect the kernel
+through one function, _kernel_entries: per entry its product n = m1'm2'm3',
+m2' and mask, in kernel order, and m1' per block.  The twist count
+tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime to n}, depends
+only on n.  One argsort groups the entries by n (_twists_by_product, the one
+product reduction), and a group's first entry gives a split of n whose three
+parts the spf walk SieveTables.prime_columns factors into padded prime
+columns.  tau(n) is 2 to the number of primes, and the twist counters take
+the same columns and drop the primes above Y = X4.  One call of
 SieveTables.count_odd_squarefree_coprime_rows counts them all: when Y fits
 the sieve, by one divisor sum A(Y, n) = sum over d | n of mu(d) * C(d) over a
 table C of counts of odd squarefree t <= Y divisible by d; above it, by the
 memoised recursion once per distinct product, which reads the sieve only up
 to isqrt(X4).  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
-whole census (required_sieve_limit), however large X4 is.  The weighted sum
-is taken in Python integers.  The CSV breakdown (over the census's per-entry
-arrays) and enumerate_admissible_triples (per kernel block) expand the set
-bits of the masks in one numpy step, in (m1', m2', m3', delta, nu) order.
-exact_class_sums shares the product reduction (_twists_by_product) and adds
-each entry's twist count at its class: eps from (m1', m2', m3') mod 8, and
-(delta, nu) from each set bit of its mask.
+whole census (required_sieve_limit), however large X4 is.
+
+exact_census weights each product by the popcounts of its entries, in Python
+integers; exact_class_sums adds its twist count at each entry's (eps, mask),
+eps read off n, m1' and m2' mod 8.  The CSV breakdown (over the collected
+arrays) and enumerate_admissible_triples (per kernel block, lazily) expand
+the set bits of the masks in one numpy step, in (m1', m2', m3', delta, nu)
+order.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
 X4 bounds the twist.  enumerate_admissible_triples takes positional bounds
-on (m1', m2', m3') instead; exact_census performs the mapping.  Symmetric
+on (m1', m2', m3') instead; _kernel_entries performs the mapping.  Symmetric
 boxes are unaffected.
 """
 
@@ -175,9 +178,8 @@ def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
 # CHOICES[k]; this is also the order in which rows and triples come out.
 CHOICES = tuple((delta, nu) for delta in ALL_DELTAS for nu in ALL_NUS)
 _ALL_CHOICES = (1 << len(CHOICES)) - 1
-# the bit of each choice, and the factors (2^mu, d2*2^alpha, d3*2^beta) that
-# take an odd triple to its signed triple, one column per choice
-_CHOICE_BITS = np.array([1 << k for k in range(len(CHOICES))], dtype=np.uint16)
+# the factors (2^mu, d2*2^alpha, d3*2^beta) that take an odd triple to its
+# signed triple, one column per choice
 _CHOICE_FACTORS = np.array([(1 << mu, d2 << alpha, d3 << beta)
                             for (d2, d3), (mu, alpha, beta) in CHOICES], dtype=np.int64).T
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -205,12 +207,12 @@ class _MaskTables:
         Legendre symbol at p of the other two odd parts is s; s = 0 means p
         divides them and allows no choice.  Row p % 8 = 0 allows every choice:
         it pads m3' = 1, which has no prime.
-    popcount[mask]: the number of choices of a mask.
+    choice_bits[mask, k]: 1 when the mask holds CHOICES[k], as uint8.
     """
 
     nondeg: np.ndarray
     sign: np.ndarray
-    popcount: np.ndarray
+    choice_bits: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +230,8 @@ def _mask_tables() -> _MaskTables:
     for i, r, s in itertools.product(range(3), UNIT_RESIDUES, (1, -1)):
         sign[i, r, s + 1] = _choice_mask(
             lambda delta, nu: kronecker(_required_symbols(delta, nu)[i], r) == s)
-    popcount = np.array([mask.bit_count() for mask in range(_ALL_CHOICES + 1)], dtype=np.uint8)
-    return _MaskTables(nondeg=nondeg, sign=sign, popcount=popcount)
+    choice_bits = (np.arange(_ALL_CHOICES + 1)[:, None] >> np.arange(len(CHOICES)) & 1)
+    return _MaskTables(nondeg=nondeg, sign=sign, choice_bits=choice_bits.astype(np.uint8))
 
 
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
@@ -329,7 +331,7 @@ def _mask_blocks(
 def _signed_triples(m1p, m2p, m3p, masks: np.ndarray):
     """(entry, m1, m2, m3) as int64 arrays, one row per choice set in masks[entry],
     in (entry, delta, nu) order; each odd part m_i' is one int or one per entry."""
-    entry, k = np.nonzero(masks[:, None] & _CHOICE_BITS)
+    entry, k = np.nonzero(_mask_tables().choice_bits[masks])
     return (entry, *(np.broadcast_to(m, masks.shape)[entry] * factor[k]
                      for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
 
@@ -364,16 +366,33 @@ def twist_count(m: int, bound: float, tables: SieveTables) -> int:
     return tau * tables.count_odd_squarefree_coprime(bound, primes)
 
 
+def _kernel_entries(box: BoundBox, tables: SieveTables):
+    """The kernel over box, collected once for a census reader: the list of
+    per-entry arrays in kernel order (the products m1'*m2'*m3' as int64, the
+    m2' in their smallest type, the masks as uint16), and the m1' and the
+    number of entries of each block."""
+    m2_type = np.min_scalar_type(int(box.x1))
+    entries = [[np.zeros(0, dtype=t)] for t in (np.int64, m2_type, np.uint16)]
+    m1_of_block, block_sizes = [], []
+    # X3 bounds m1', X1 bounds m2', X2 bounds m3'
+    for m1p, m2ps, m3ps, masks in _mask_blocks(box.x3, box.x1, box.x2, tables):
+        for blocks, a in zip(entries, (m1p * m2ps * m3ps, m2ps.astype(m2_type), masks)):
+            blocks.append(a)
+        m1_of_block.append(m1p)
+        block_sizes.append(len(m2ps))
+    return [np.concatenate(blocks) for blocks in entries], m1_of_block, block_sizes
+
+
 def _twists_by_product(entries: list, m1_of_block: list, block_sizes: list, x4: float,
                        tables: SieveTables):
     """The census's product reduction: group the kernel entries by their
     product n = m1'*m2'*m3' and twist-count each distinct n once.
 
-    entries holds per-entry arrays in kernel order: the products, the m2',
-    then whatever the caller reduces by product; m1' comes once per kernel
-    block of block_sizes entries.  The list is emptied and the products and
-    m2' freed here, so that while the twist counts run (they may grow the
-    recursion's memo) the only per-entry arrays alive are the caller's.
+    The arguments before x4 are _kernel_entries' output, the entries after
+    the m2' replaced by what the caller reduces by product.  The list is
+    emptied and the products and m2' freed here, so that while the twist
+    counts run (they may grow the recursion's memo) the only per-entry arrays
+    alive are the caller's.
 
     Returns (distinct, starts, twists, carried): the distinct products,
     increasing; where each one's entries start in product order;
@@ -414,30 +433,19 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     Deterministic: the kernel runs once, each distinct product m1'*m2'*m3' is
     twist-counted once, and the weighted sum is taken in Python integers.
     """
-    bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
-    popcount, m2_type = _mask_tables().popcount, np.min_scalar_type(int(bound2))
-    products, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
-    m2s, masks = [np.zeros(0, dtype=m2_type)], [np.zeros(0, dtype=np.uint16)]
-    m1_of_block, block_sizes = [], []
-    for m1p, m2ps, m3ps, block_masks in _mask_blocks(bound1, bound2, bound3, tables):
-        products.append(m1p * m2ps * m3ps)
-        counts.append(popcount[block_masks])
-        m2s.append(m2ps.astype(m2_type))
-        m1_of_block.append(m1p)
-        block_sizes.append(len(m2ps))
-        if want_breakdown:
-            masks.append(block_masks)
-    products, counts, m2s, masks = map(np.concatenate, (products, counts, m2s, masks))
+    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
+    products, m2s, masks = entries
+    counts = _mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)[masks]  # popcounts
     triples_visited = int(counts.sum())
     if want_breakdown:
         # rows in the kernel's (m1', m2', m3') order; a row's entry gives its product
-        m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(bound1))), block_sizes)
+        m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(box.x3))), block_sizes)
         row_product, *signed = _signed_triples(
             m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
         row_product = products[row_product]
         del m1s
-    entries = [products, m2s, counts]
-    del products, counts, m2s, masks
+    entries[2] = counts
+    del products, m2s, masks, counts
     distinct, starts, twists, (counts,) = _twists_by_product(
         entries, m1_of_block, block_sizes, box.x4, tables)
     weight = np.add.reduceat(counts, starts, dtype=np.int64)
@@ -466,43 +474,27 @@ def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     Hilbert reciprocity its triples fall in admissible classes only, so the
     336 inadmissible entries are 0.
 
-    The twist counts come from the census's product reduction; each kernel
-    entry keeps its eps index as uint8 beside its 12-bit mask, and the twist of
-    its product is added at each (eps, mask).  The sum is in int64 while the
-    number of entries times the largest twist stays below 2^63, so that no
-    partial sum can overflow, and in Python ints otherwise.
+    Each entry's twist count, from the census's product reduction, is added
+    at its (eps index, mask), and one product with the table of choice bits
+    spreads each mask over its choices.  The sum is in int64 while the number
+    of entries times the largest twist stays below 2^63, so that no partial
+    sum can overflow, and in Python ints otherwise.
     """
-    bound1, bound2, bound3 = box.x3, box.x1, box.x2  # positional odd-part bounds
-    m2_type = np.min_scalar_type(int(bound2))
-    products, m2s = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=m2_type)]
-    eps, masks = [np.zeros(0, dtype=np.uint8)], [np.zeros(0, dtype=np.uint16)]
-    m1_of_block, block_sizes = [], []
-    for m1p, m2ps, m3ps, block_masks in _mask_blocks(bound1, bound2, bound3, tables):
-        products.append(m1p * m2ps * m3ps)
-        m2s.append(m2ps.astype(m2_type))
-        # the index of UNIT_RESIDUES at an odd m is (m % 8) >> 1
-        eps.append((16 * (m1p % 8 >> 1) + 4 * (m2ps % 8 >> 1) + (m3ps % 8 >> 1))
-                   .astype(np.uint8))
-        masks.append(block_masks)
-        m1_of_block.append(m1p)
-        block_sizes.append(len(m2ps))
-    entries = [np.concatenate(a) for a in (products, m2s, eps, masks)]
-    del products, m2s, eps, masks
-    _, starts, twists, (eps, masks) = _twists_by_product(
+    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
+    # odd units mod 8 are their own inverses, so m3' = n * m1' * m2' (mod 8),
+    # which uint8 keeps as it wraps mod 256; m % 8 is UNIT_RESIDUES[(m & 6) >> 1]
+    m1s = np.repeat(np.array(m1_of_block).astype(np.uint8), block_sizes)
+    m2s = entries[1].astype(np.uint8)
+    m3s = entries[0].astype(np.uint8) * m1s * m2s
+    entries.append((m1s & 6) << 3 | (m2s & 6) << 1 | (m3s & 6) >> 1)
+    del m1s, m2s, m3s
+    _, starts, twists, (masks, eps) = _twists_by_product(
         entries, m1_of_block, block_sizes, box.x4, tables)
     twist = np.repeat(twists, np.diff(starts, append=len(eps)))  # per entry, in product order
     exact = len(twist) * int(twists.max(initial=0)) <= _INT64_MAX
-    bits, classes = len(CHOICES), len(UNIT_RESIDUES) ** 3
-    sums = np.zeros(classes << bits, dtype=np.int64 if exact else object)  # by (eps, mask)
-    np.add.at(sums, eps.astype(np.intp) << bits | masks, twist if exact else twist.astype(object))
-    out = [0] * (classes * bits)
-    keys = np.flatnonzero(sums)
-    for key, value in zip(keys.tolist(), sums[keys].tolist()):
-        e, mask = divmod(key, 1 << bits)
-        for k in range(bits):
-            if mask >> k & 1:
-                out[bits * e + k] += value
-    return out
+    sums = np.zeros((len(UNIT_RESIDUES) ** 3, _ALL_CHOICES + 1), np.int64 if exact else object)
+    np.add.at(sums, (eps, masks), twist if exact else twist.astype(object))
+    return (sums @ _mask_tables().choice_bits).ravel().tolist()
 
 
 def invariants_of(triple: SignedSquarefreeTriple | DecomposedTriple, t: int) -> InvariantVector:

@@ -32,9 +32,10 @@ and both forms are computed a row at a time from one factorisation:
 L_product and L_divisor_sum are single-choice views of the rows.
 
 Class sums.  The per-class rows of `sweep --classes`, which the CLI writes,
-come from kernel_class_sums: census.exact_class_sums reduces the entries of
-the census's 12-bit mask kernel by (eps, delta, nu) and takes their twist
-counts from the census's product reduction.  class_sums is its independent
+come from kernel_class_sums: census.exact_class_sums is a reader of the
+census's one kernel collection, whose entries it reduces by (eps, delta, nu)
+with their twist counts from the census's one product reduction, the same
+two steps exact_census takes.  class_sums is its independent
 oracle.  It evaluates the per-class census sum exactly (no main-term
 substitution) for any set of keys: one walk per eps class, one product row
 and at most one twist count per triple, added to every key of that class.
@@ -429,14 +430,12 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     keys only is what reproduces the census.
 
     Each eps class is walked once for all its keys: per triple a look-up of
-    its primes (one spf walk over all the values, SieveTables.prime_columns),
+    its primes (one spf walk, SieveTables.odd_squarefree_primes),
     one product row over the keys' non-degenerate choices and at most one
     twist count.  CapacityError when tables do not reach the odd-part bounds,
     or isqrt(X4) once a triple is twist-counted, as in exact_census.
     """
-    values = tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3))
-    primes_of = {m: tuple(p for p in row if p)
-                 for m, row in zip(values, tables.prime_columns(values).tolist())}
+    primes_of = tables.odd_squarefree_primes(max(box.x1, box.x2, box.x3))
     sums = {key: 0 for key in keys}
     by_eps: dict = {}
     for key in sums:

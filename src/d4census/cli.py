@@ -467,9 +467,8 @@ def _suite_esets(args) -> list[dict]:
 def _suite_divisor_identity(args) -> list[dict]:
     bound = 3000 if args.bound is None else args.bound
     tables = build_sieve(bound)
-    odd_sf = tables.odd_squarefree_upto(bound)
-    primes_of = {m: tuple(p for p in row if p)
-                 for m, row in zip(odd_sf, tables.prime_columns(odd_sf).tolist())}
+    primes_of = tables.odd_squarefree_primes(bound)
+    odd_sf = list(primes_of)
     bad = total = 0
     for m1 in odd_sf:
         for m2 in odd_sf:

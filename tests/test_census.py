@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, combinations, product
 from math import gcd, isqrt
 from operator import mul
@@ -18,6 +19,7 @@ from d4census.arith import (
     kronecker,
     primes_up_to,
 )
+from d4census.asymptotic import CONSTANTS
 from d4census.census import (
     BoundBox,
     InertiaClass,
@@ -276,8 +278,12 @@ def test_kernel_runs_once_per_census(tables_census, monkeypatch, x):
         return mask_blocks(*args)
 
     monkeypatch.setattr(census, "_mask_blocks", counted)
-    exact_census(BoundBox(x, x, x, x), tables_census, want_breakdown=True)
-    assert len(calls) == 1
+    box = BoundBox(x, x, x, x)
+    for reader in (lambda: exact_census(box, tables_census, want_breakdown=True),
+                   lambda: exact_class_sums(box, tables_census)):
+        calls.clear()
+        reader()
+        assert len(calls) == 1
 
 
 def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
@@ -392,6 +398,18 @@ def test_kernel_class_sums_equal_class_sums(raw):
         assert tables.limit < box.x4
 
 
+def test_kernel_class_sums_meet_the_class_tally_at_two(tables_census):
+    # at X = 40 every admissible key has a triple, and only those do: per
+    # delta the live keys tally 48, 32, 32, 32 over nu, as the paper's count
+    # of classes at 2 says (X = 20 reaches only 318 of the 432 keys)
+    sums = exact_class_sums(BoundBox(40, 40, 40, 40), tables_census)
+    live = [key for key, value in zip(all_class_keys(), sums) if value]
+    assert live == list(_admissible_keys())
+    tally = Counter((key.delta, key.nu) for key in live)
+    for delta in ALL_DELTAS:
+        assert tuple(tally[delta, nu] for nu in ALL_NUS) == CONSTANTS["class_tally"]
+
+
 def test_kernel_class_sums_past_the_int64_bound_sum_in_python_ints(tables_census, monkeypatch):
     box = BoundBox(40, 40, 40, 400)
     want = exact_class_sums(box, tables_census)
@@ -415,18 +433,22 @@ def test_kernel_class_sums_refuse_a_short_table_as_class_sums_does():
 
 
 def test_count_path_peak_per_kernel_entry(tables_census):
-    # one argsort groups the entries by product and reads 32.6 B/entry here;
-    # np.unique with its inverse array and the scatter of one entry per
-    # product read 53.3, and the sorted copy of the products kept alive
-    # through reduceat's int64 cast of the popcounts 41.6
+    # one argsort groups the entries by product and reads 27.2 B/entry here
+    # for the count and 29.2 for the class sums, which also carry the eps
+    # index and the mask; np.unique with its inverse array and the scatter of
+    # one entry per product read 53.3, and the sorted copy of the products
+    # kept alive through reduceat's int64 cast of the popcounts 41.6
+    box = BoundBox(300, 300, 300, 300)
     entries = sum(len(m2ps) for _, m2ps, _, _ in census._mask_blocks(300, 300, 300, tables_census))
-    tracemalloc.start()
-    try:
-        exact_census(BoundBox(300, 300, 300, 300), tables_census)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / entries < 40
+    for reader in (lambda: exact_census(box, tables_census),
+                   lambda: exact_class_sums(box, tables_census)):
+        tracemalloc.start()
+        try:
+            reader()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / entries < 40
 
 
 @pytest.mark.parametrize("raw, exact, triples", [

@@ -1,13 +1,17 @@
-"""Every module of the package reads each name it imports, and some module
-reads each fixed value of asymptotic.CONSTANTS.
+"""Every module of the package reads each name it imports, some module
+reads each fixed value of asymptotic.CONSTANTS, and something reads each
+function the package defines.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library: a name bound by an import must be read somewhere else in
-the module, and a key of CONSTANTS must be subscripted somewhere in the
-package.  The package's __init__ re-exports names and is left out.
+the module, a key of CONSTANTS must be subscripted somewhere in the
+package, and a module-level function or method must be read by name, as a
+name or an attribute, by the package or the tests outside its own body.
+The package's __init__ re-exports names and is left out.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from d4census.asymptotic import CONSTANTS
 
 MODULES = sorted(p for p in Path(d4census.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("test_*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,3 +70,46 @@ def test_every_constant_is_read():
 def test_constant_keys_read_finds_subscripts():
     source = 'CONSTANTS = {"a": 1, "b": 2}\nprint(CONSTANTS["a"], OTHER["b"])\n'
     assert constant_keys_read(source) == {"a"}
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often the tree reads each name, as a name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unread_functions(defining: dict, readers: list) -> list[str]:
+    """The module-level functions and methods of the defining sources
+    (module name -> source) that neither they nor the reader sources read by
+    name outside their own bodies; dunder methods are called implicitly and
+    are left out."""
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    read = sum(map(names_read, [*trees.values(), *map(ast.parse, readers)]), Counter())
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(module, f) for f in body
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (f.name.startswith("__") and f.name.endswith("__"))]
+    for _, f in defs:  # a function that only calls itself is read by nothing else
+        read[f.name] -= names_read(f)[f.name]
+    return sorted(f"{module}.{f.name} (line {f.lineno})" for module, f in defs
+                  if read[f.name] <= 0)
+
+
+def test_every_function_is_read():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    assert unread_functions(defining, [p.read_text() for p in TESTS]) == []
+
+
+def test_unread_function_is_reported():
+    source = ("def used():\n    return 1\n\n"
+              "def orphan(n):\n    return orphan(n - 1) if n else used()\n\n"
+              "class Box:\n    def __init__(self):\n        self.size = 0\n\n"
+              "    def grow(self):\n        return self.size\n\n"
+              "    def shrink(self):\n        return self.size\n")
+    assert unread_functions({"m": source}, ["Box().grow()\n"]) == [
+        "m.orphan (line 4)", "m.shrink (line 14)"]
