@@ -32,7 +32,6 @@ from .census import (
     CensusReport,
     InertiaClass,
     InvariantVector,
-    enumerate_admissible_triples,
     exact_census,
     inertia_class,
     invariants_of,
@@ -42,10 +41,7 @@ from .census import (
 from .charsum import (
     CharacterSpec,
     ClassKey,
-    L_divisor_sum,
-    L_product,
     T111_direct,
-    T_direct,
     bilinear_sum,
     census_from_classes,
     character_sum_f,
@@ -57,7 +53,6 @@ from .localsolve import (
     find_conic_point,
     hilbert_symbol,
     in_E_set,
-    padic_oracle,
     padic_oracle_rows,
     satisfies_local_conditions,
     u_weight,

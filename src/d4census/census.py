@@ -39,15 +39,17 @@ of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
 and m3' at it.  The planes and one block are charged against
 arith.MEMORY_BUDGET before any is built.
 
-The census readers, exact_census and exact_class_sums, collect the kernel
-through one function, _kernel_entries: per entry its product n = m1'm2'm3',
-m2' and mask, in kernel order, and m1' per block.  The twist count
-tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime to n}, depends
-only on n.  One argsort groups the entries by n (_twists_by_product, the one
-product reduction), and a group's first entry gives a split of n whose three
-parts the spf walk SieveTables.prime_columns factors into padded prime
-columns.  tau(n) is 2 to the number of primes, and the twist counters take
-the same columns and drop the primes above Y = X4.  One call of
+Three readers take the census off the kernel: exact_census (the count),
+exact_class_sums (the per-class sums) and census_rows (the CSV breakdown).
+Each collects the kernel through one function, _kernel_entries: per entry
+its product n = m1'm2'm3', m2' and mask, in kernel order, and m1' per block.
+The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
+to n}, depends only on n.  One argsort groups the entries by n
+(_twists_by_product, the one product reduction), and a group's first entry
+gives a split of n whose three parts the spf walk SieveTables.prime_columns
+factors into padded prime columns.  tau(n) is 2 to the number of primes,
+and the twist counters take the same columns and drop the primes above
+Y = X4.  One call of
 SieveTables.count_odd_squarefree_coprime_rows counts them all: when Y fits
 the sieve, by one divisor sum A(Y, n) = sum over d | n of mu(d) * C(d) over a
 table C of counts of odd squarefree t <= Y divisible by d; above it, by the
@@ -55,18 +57,18 @@ memoised recursion once per distinct product, which reads the sieve only up
 to isqrt(X4).  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
 whole census (required_sieve_limit), however large X4 is.
 
-exact_census weights each product by the popcounts of its entries, in Python
-integers; exact_class_sums adds its twist count at each entry's (eps, mask),
-eps read off n, m1' and m2' mod 8.  The CSV breakdown (over the collected
-arrays) and enumerate_admissible_triples (per kernel block, lazily) expand
-the set bits of the masks in one numpy step, in (m1', m2', m3', delta, nu)
-order.
+exact_census weights each product by the popcounts of its entries, in
+Python integers; exact_class_sums adds its twist count at each entry's
+(eps, mask), eps read off n, m1' and m2' mod 8; census_rows expands the set
+bits of the masks in one numpy step (_signed_triples) into the signed
+triples, in (m1', m2', m3', delta, nu) order, each with the twist count of
+its product.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
-X4 bounds the twist.  enumerate_admissible_triples takes positional bounds
-on (m1', m2', m3') instead; _kernel_entries performs the mapping.  Symmetric
-boxes are unaffected.
+X4 bounds the twist.  _kernel_entries performs the mapping onto the
+kernel's positional bounds on (m1', m2', m3').  Symmetric boxes are
+unaffected.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isfinite, isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -154,7 +156,6 @@ INERTIA_CLASS_OF_INVARIANT = {
 class CensusReport:
     exact: int
     triples_visited: int
-    breakdown: Optional[list] = None
 
 
 def required_sieve_limit(box: BoundBox) -> int:
@@ -328,27 +329,11 @@ def _mask_blocks(
             yield m1p, v2[j2], v3[j3], block[j2, j3]
 
 
-def _signed_triples(m1p, m2p, m3p, masks: np.ndarray):
+def _signed_triples(m1p: np.ndarray, m2p: np.ndarray, m3p: np.ndarray, masks: np.ndarray):
     """(entry, m1, m2, m3) as int64 arrays, one row per choice set in masks[entry],
-    in (entry, delta, nu) order; each odd part m_i' is one int or one per entry."""
+    in (entry, delta, nu) order; the odd parts m_i' hold one value per entry."""
     entry, k = np.nonzero(_mask_tables().choice_bits[masks])
-    return (entry, *(np.broadcast_to(m, masks.shape)[entry] * factor[k]
-                     for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
-
-
-def enumerate_admissible_triples(
-    bound1: float, bound2: float, bound3: float, tables: SieveTables,
-) -> Iterator[SignedSquarefreeTriple]:
-    """Yield the admissible triples with odd parts m1' <= bound1, m2' <= bound2,
-    m3' <= bound3, in (m1', m2', m3', delta, nu) order.
-
-    Admissible means: pairwise coprime squarefree with m1 > 0, the governing
-    conic locally (hence globally) soluble, and non-degenerate (no product of
-    two entries a perfect square, so the biquadratic field is genuine).
-    """
-    for block in _mask_blocks(bound1, bound2, bound3, tables):
-        _, *signed = _signed_triples(*block)
-        yield from map(SignedSquarefreeTriple, *(m.tolist() for m in signed))
+    return (entry, *(m[entry] * factor[k] for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
 
 
 def twist_count(m: int, bound: float, tables: SieveTables) -> int:
@@ -426,7 +411,7 @@ def _twists_by_product(entries: list, m1_of_block: list, block_sizes: list, x4: 
     return distinct, starts, twists, carried
 
 
-def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = False) -> CensusReport:
+def exact_census(box: BoundBox, tables: SieveTables) -> CensusReport:
     """Exact count of pairs with invariants in the box, in integers only: the
     predicted main term and its ratio are the caller's (asymptotic.predicted_count).
 
@@ -437,29 +422,40 @@ def exact_census(box: BoundBox, tables: SieveTables, want_breakdown: bool = Fals
     products, m2s, masks = entries
     counts = _mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)[masks]  # popcounts
     triples_visited = int(counts.sum())
-    if want_breakdown:
-        # rows in the kernel's (m1', m2', m3') order; a row's entry gives its product
-        m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(box.x3))), block_sizes)
-        row_product, *signed = _signed_triples(
-            m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
-        row_product = products[row_product]
-        del m1s
     entries[2] = counts
     del products, m2s, masks, counts
-    distinct, starts, twists, (counts,) = _twists_by_product(
+    _, starts, twists, (counts,) = _twists_by_product(
         entries, m1_of_block, block_sizes, box.x4, tables)
     weight = np.add.reduceat(counts, starts, dtype=np.int64)
-    twist_of = twists.tolist()
-    total = sum(w * t for w, t in zip(weight.tolist(), twist_of))
-    breakdown = None
-    if want_breakdown:
-        # the rows become int objects only now, with no per-entry array alive;
-        # one int object per distinct product; the cumulative may pass 2^63
-        signed = [m.tolist() for m in signed]
-        row_twists = [twist_of[i] for i in np.searchsorted(distinct, row_product).tolist()]
-        del row_product
-        breakdown = list(zip(*signed, row_twists, itertools.accumulate(row_twists)))
-    return CensusReport(exact=4 * total, triples_visited=triples_visited, breakdown=breakdown)
+    total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
+    return CensusReport(exact=4 * total, triples_visited=triples_visited)
+
+
+def census_rows(box: BoundBox, tables: SieveTables,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The admissible signed triples of the box and their twist counts: the
+    rows of the CSV breakdown, in kernel order, (m1', m2', m3', delta, nu).
+
+    Admissible means: pairwise coprime squarefree with m1 > 0, the governing
+    conic locally (hence globally) soluble, and non-degenerate (no product of
+    two entries a perfect square, so the biquadratic field is genuine).
+
+    Returns (m1, m2, m3, twists): the triples as int64 columns, and
+    tau(n) * A(X4, n), n = m1'*m2'*m3', per row as a list of Python ints, one
+    int object per distinct product.  Four times the sum of the twists is
+    exact_census(box, tables).exact.
+    """
+    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
+    products, m2s, masks = entries
+    m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(box.x3))), block_sizes)
+    row_entry, *signed = _signed_triples(
+        m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
+    row_product = products[row_entry]
+    del entries[2], products, m2s, masks, m1s, row_entry
+    distinct, _, twists, _ = _twists_by_product(entries, m1_of_block, block_sizes, box.x4, tables)
+    # a row's product finds its twist count; the object array shares the ints
+    twist_of = twists.astype(object)[np.searchsorted(distinct, row_product)]
+    return (*signed, twist_of.tolist())
 
 
 def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:

@@ -29,23 +29,21 @@ and both forms are computed a row at a time from one factorisation:
     Its moduli are products of the primes, so it calls arith.kronecker (the
     reciprocity loop): the two forms share no symbol code.
 
-L_product and L_divisor_sum are single-choice views of the rows.
-
 Class sums.  The per-class rows of `sweep --classes`, which the CLI writes,
 come from kernel_class_sums: census.exact_class_sums is a reader of the
 census's one kernel collection, whose entries it reduces by (eps, delta, nu)
 with their twist counts from the census's one product reduction, the same
-two steps exact_census takes.  class_sums is its independent
-oracle.  It evaluates the per-class census sum exactly (no main-term
-substitution) for any set of keys: one walk per eps class, one product row
-and at most one twist count per triple, added to every key of that class.
-T_direct and census_from_classes are views of it.  It walks the triples and
-evaluates L by its own code, so census_from_classes == exact_census (the
-census-consistency suite) and class_sums == kernel_class_sums (tier-1 tests)
-cross-check the kernel.  Its twist counts come from the recursion
-SieveTables.count_odd_squarefree_coprime, while the census takes them from a
-divisor sum whenever X4 fits the sieve, so the check covers twist counting
-too.
+two steps exact_census takes.  class_sums is its independent oracle.  It
+evaluates the per-class census sum exactly (no main-term substitution) for
+any set of keys: one walk per eps class, one product row and at most one
+twist count per triple, added to every key of that class.
+census_from_classes is four times its sum over the admissible classes.
+class_sums walks the triples and evaluates L by its own code, so
+census_from_classes == exact_census (the census-consistency suite) and
+class_sums == kernel_class_sums (tier-1 tests) cross-check the kernel.  Its
+twist counts come from the recursion SieveTables.count_odd_squarefree_coprime,
+while the census takes them from a divisor sum whenever X4 fits the sieve, so
+the check covers twist counting too.
 
 T111_direct is the (k = 1) inner sum of squarefree f-weights, and
 character_sum_f the weighted character sums whose main terms carry c(r).
@@ -63,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .arith import SieveTables, SignedSquarefreeTriple, decompose_triple, factor_small, kronecker
+from .arith import SieveTables, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import CHOICES, BoundBox, _is_degenerate, exact_class_sums
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
@@ -100,14 +98,6 @@ def all_class_keys():
                         yield ClassKey((e1, e2, e3), delta, nu)
 
 
-def _check_parts(mp: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
-    """The primes of odd positive parts m1', m2', m3'; decompose_triple
-    raises a ValueError unless they are squarefree and pairwise coprime."""
-    if min(mp) < 1 or any(m % 2 == 0 for m in mp):
-        raise ValueError(f"odd positive parts required: {mp}")
-    return decompose_triple(SignedSquarefreeTriple(*mp)).primes
-
-
 def _local_product(args: tuple[int, int, int], facs: tuple[tuple[int, ...], ...]) -> int:
     """prod over i and p | m_i' of (1 + (args[i] / p)), 0 at the first
     vanishing factor.
@@ -138,25 +128,6 @@ def L_product_row(facs: tuple[tuple[int, ...], ...],
                 d2 * (1 << (mu + alpha)) * m1p * m2p)
         row.append(_local_product(args, facs))
     return row
-
-
-def _choice_index(delta: tuple[int, int], nu: tuple[int, int, int]) -> int:
-    """The position of (delta, nu) in CHOICES; a ValueError for any other pair."""
-    choice = (tuple(delta), tuple(nu))
-    if choice not in CHOICES:
-        raise ValueError(f"unknown (delta, nu) choice: {choice}")
-    return CHOICES.index(choice)
-
-
-def L_product(mp: tuple[int, int, int], delta: tuple[int, int],
-              nu: tuple[int, int, int]) -> int:
-    """The local product L(m', delta, nu) as an exact integer.
-
-    Always 0 or tau(m1'm2'm3'); positive exactly when every odd prime
-    dividing the triple satisfies its solubility condition.
-    """
-    facs = _check_parts(mp)
-    return L_product_row(facs, (CHOICES[_choice_index(delta, nu)],))[0]
 
 
 def _divisor_splits(primes: tuple[int, ...]):
@@ -209,17 +180,6 @@ def L_divisor_sum_row(facs: tuple[tuple[int, ...], ...]) -> list[int]:
             for c, u in enumerate(weights):
                 row[c] += u * s
     return row
-
-
-def L_divisor_sum(mp: tuple[int, int, int], delta: tuple[int, int],
-                  nu: tuple[int, int, int]) -> int:
-    """The same local product, computed from the reciprocity-expanded form:
-
-    sum over k_i * l_i = m_i' of
-        u(k1,k2,k3) * (l1 / k2*k3) * (l2 / k1*k3) * (l3 / k1*k2).
-    """
-    facs = _check_parts(mp)
-    return L_divisor_sum_row(facs)[_choice_index(delta, nu)]
 
 
 @dataclass(frozen=True)
@@ -323,17 +283,15 @@ def character_sum_f(
 
     The attached main term is c(m*q*q0) * x / phi(q0) for principal chi
     (phi(q0) = 1 without a residue class) and 0 otherwise; the deviation
-    field records |S - main| normalized by sqrt(x) log x.
+    field records |S - main| normalized by sqrt(x) log x.  CapacityError
+    when x passes the sieve, as for every reader of the tables.
     """
-    top = int(x)
-    if top > tables.limit:
-        raise ValueError(f"x = {x} exceeds sieve limit {tables.limit}")
+    top = tables._top(x)
     a, q0 = (residue if residue is not None else (0, 1))
     if q0 < 1 or (residue is not None and gcd(a, q0) != 1):
         raise ValueError(f"residue class must have gcd(a, q0) = 1: {residue}")
     if residue is not None and gcd(q0, spec.q) != 1:
         raise ValueError(f"residue modulus {q0} must be coprime to character modulus {spec.q}")
-    top = max(top, 0)
     # index i of these masks and rows stands for n = i + 1
     keep = tables.mu[1 : top + 1] != 0
     for p in factor_small(spec.m):
@@ -464,11 +422,6 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     return sums
 
 
-def T_direct(key: ClassKey, box: BoundBox, tables: SieveTables) -> int:
-    """The exact census sum of one class; see class_sums."""
-    return class_sums(box, tables, [key])[key]
-
-
 @cache
 def _admissible_keys() -> tuple[ClassKey, ...]:
     """The 432 admissible keys in all_class_keys order, built once."""
@@ -480,7 +433,7 @@ def kernel_class_sums(box: BoundBox, tables: SieveTables) -> dict[ClassKey, int]
     order, read off the census mask kernel (census.exact_class_sums).  Equal
     to class_sums over the same keys, which stays as its oracle."""
     sums = exact_class_sums(box, tables)
-    return {key: sums[len(CHOICES) * _eps_index(key.eps) + _choice_index(key.delta, key.nu)]
+    return {key: sums[len(CHOICES) * _eps_index(key.eps) + CHOICES.index((key.delta, key.nu))]
             for key in _admissible_keys()}
 
 
@@ -504,7 +457,8 @@ def T111_direct(
 
 
 def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:
-    """Asymptotic main term of T_direct for the class.
+    """Asymptotic main term of the exact census sum of the class (class_sums,
+    kernel_class_sums).
 
     (1 + u(eps)) / 2 * prod_{p>2}(1 - 1/p^2) * c_tilde * X1 X2 X3 X4: the
     inner sums contribute u(1,1,1) + u(eps) halves, which cancel exactly on

@@ -19,6 +19,7 @@ import time
 from array import array
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isfinite, log
 
 import numpy as np
@@ -50,6 +51,7 @@ from .census import (
     INERTIA_CLASS_OF_INVARIANT,
     BoundBox,
     InertiaClass,
+    census_rows,
     exact_census,
     inertia_class,
     invariants_of,
@@ -148,13 +150,14 @@ def canonical_json(obj) -> str:
 
 
 def _emit(text: str, out_path) -> None:
+    """Write text, ending in a newline, to the --out file or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
@@ -201,13 +204,14 @@ def cmd_count(args) -> int:
     # an over-budget --pmax exits 3 before the census
     predicted = None if csv else predicted_count(box, EulerProductSpec(pmax=args.pmax))
     tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
-    report = exact_census(box, tables, want_breakdown=csv)
     if csv:
-        lines = [BREAKDOWN_CSV_HEADER]
-        for m1, m2, m3, twists, cumulative in report.breakdown:
-            lines.append(f"{m1},{m2},{m3},{twists},{cumulative}")
-        _emit("\n".join(lines) + "\n", args.out)
+        m1, m2, m3, twists = census_rows(box, tables)
+        # the cumulative may pass 2^63, so it is summed in Python ints
+        lines = map("{},{},{},{},{}".format, m1.tolist(), m2.tolist(), m3.tolist(),
+                    twists, accumulate(twists))
+        _emit("\n".join((BREAKDOWN_CSV_HEADER, *lines)) + "\n", args.out)
         return 0
+    report = exact_census(box, tables)
     result = {
         "box": list(box.as_tuple()),
         "exact": report.exact,

@@ -10,9 +10,9 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     for primitive solutions modulo m = p^3 (odd p) resp. 2^6 -- Hensel-
     sufficient for coefficients of valuation <= 1 -- for a whole column of
     pairs (a, b) at one place, in blocks over a cached table of the squares
-    mod m.  padic_oracle is its one-row view.  A primitive solution has a
-    unit coordinate; dividing by it pins that coordinate to 1.  The search
-    runs the case y = 1 at every p, and the case z = 1 at p = 2 only.
+    mod m.  A primitive solution has a unit coordinate; dividing by it pins
+    that coordinate to 1.  The search runs the case y = 1 at every p, and
+    the case z = 1 at p = 2 only.
     The case x = 1 adds nothing: if (1, y, z) solves the conic mod m, then
     a*y^2 + b*z^2 = 1 mod p, so p does not divide both y and z.  A unit y
     gives the solution (1/y, 1, z/y), and a unit z gives (1/z, y/z, 1).
@@ -144,12 +144,21 @@ def _square_table(modulus: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
-    """padic_oracle for every pair (a[i], b[i]) at one place, as a bool array.
+    """Ground truth for hilbert_symbol by finite search, no symbol formulas:
+    for every pair (a[i], b[i]), whether x^2 - a*y^2 - b*z^2 = 0 is soluble
+    at v, as a bool array.
 
-    The same exhaustive search, a block of rows at a time: bq = b*q (q the
-    distinct squares mod m) is formed once per block, and the y = 1 case
-    reads the doubled squares mask at a + bq; at 2 the z = 1 case reads it
-    at b + a*q as well.
+    Real place: sign check.  At an odd p (resp. at 2) a primitive solution
+    modulo m = p^3 (resp. 2^6) lifts to the completion by Hensel's lemma
+    once the coefficient valuations are at most 1, and any p-adic solution
+    scales to such a residue.  A primitive solution has a unit coordinate,
+    so dividing by it leaves one coordinate equal to 1.  The search runs the
+    case y = 1 exhaustively, and at 2 the case z = 1 as well; the module
+    docstring proves that these cover every primitive solution.
+
+    It runs a block of rows at a time: bq = b*q (q the distinct squares mod
+    m) is formed once per block, and the y = 1 case reads the doubled
+    squares mask at a + bq; at 2 the z = 1 case reads it at b + a*q as well.
     """
     a, b = np.asarray(a), np.asarray(b)
     if ((a == 0) | (b == 0)).any():
@@ -176,21 +185,6 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
             hit |= sq[bb + (ab * q) % modulus].any(axis=1)
         out[start:start + step] = hit
     return out
-
-
-def padic_oracle(a: int, b: int, v: Place) -> bool:
-    """Ground truth for hilbert_symbol by finite search, no symbol formulas.
-
-    Real place: sign check.  At an odd p (resp. at 2) a primitive solution of
-    x^2 - a*y^2 - b*z^2 = 0 modulo m = p^3 (resp. 2^6) lifts to the
-    completion by Hensel's lemma once the coefficient valuations are at most
-    1, and any p-adic solution scales to such a residue.  A primitive solution
-    has a unit coordinate, so dividing by it leaves one coordinate equal to 1.
-    The search runs the case y = 1 exhaustively, and at 2 the case z = 1 as
-    well; the module docstring proves that these cover every primitive
-    solution.  This is the one-row view of padic_oracle_rows.
-    """
-    return bool(padic_oracle_rows([a], [b], v)[0])
 
 
 def in_E_set(eps: tuple[int, int, int], nu: tuple[int, int, int],

@@ -23,7 +23,7 @@ from d4census.asymptotic import CONSTANTS
 from d4census.census import (
     BoundBox,
     InertiaClass,
-    enumerate_admissible_triples,
+    census_rows,
     exact_census,
     exact_class_sums,
     inertia_class,
@@ -33,10 +33,12 @@ from d4census.census import (
     twist_count,
 )
 from d4census.charsum import (
+    CharacterSpec,
     ClassKey,
     T111_direct,
     all_class_keys,
     census_from_classes,
+    character_sum_f,
     class_sums,
     kernel_class_sums,
     _admissible_keys,
@@ -46,7 +48,7 @@ from d4census.localsolve import (
     ALL_NUS,
     UNIT_RESIDUES,
     in_E_set,
-    padic_oracle,
+    padic_oracle_rows,
     relevant_places,
     satisfies_local_conditions,
 )
@@ -94,7 +96,7 @@ def brute_census(x1, x2, x3, x4):
                     continue
                 triple = SignedSquarefreeTriple(m1, m2, m3)
                 a, b = m1 * m2, m1 * m3
-                if not all(padic_oracle(a, b, v) for v in relevant_places(triple)):
+                if not all(padic_oracle_rows([a], [b], v)[0] for v in relevant_places(triple)):
                     continue
                 m = brute_odd_part(m1) * brute_odd_part(m2) * brute_odd_part(m3)
                 tau = sum(1 for d in range(1, m + 1) if m % d == 0)
@@ -107,21 +109,28 @@ def brute_census(x1, x2, x3, x4):
     return 4 * total
 
 
+def admissible_triples(bound1, bound2, bound3, tables):
+    """The admissible triples with m1' <= bound1, m2' <= bound2 and
+    m3' <= bound3, in kernel order: the first three columns of census_rows."""
+    m1, m2, m3, _ = census_rows(BoundBox(bound2, bound3, bound1, 0), tables)
+    return list(zip(m1.tolist(), m2.tolist(), m3.tolist()))
+
+
 def test_enumerate_unit_bounds(tables_census):
-    got = sorted(t.as_tuple() for t in enumerate_admissible_triples(1, 1, 1, tables_census))
+    got = sorted(admissible_triples(1, 1, 1, tables_census))
     assert got == sorted([(1, -1, 2), (1, 2, -1), (2, 1, -1), (2, -1, 1)])
 
 
 def test_enumerate_zero_bound_is_empty(tables_census):
-    assert list(enumerate_admissible_triples(0, 1, 1, tables_census)) == []
+    assert admissible_triples(0, 1, 1, tables_census) == []
 
 
 def test_enumerate_yield_passes_local_conditions(tables_census):
-    for triple in enumerate_admissible_triples(6, 6, 6, tables_census):
-        assert satisfies_local_conditions(triple), triple
-        assert not is_perfect_square(triple.m1 * triple.m2)
-        assert not is_perfect_square(triple.m1 * triple.m3)
-        assert not is_perfect_square(triple.m2 * triple.m3)
+    for m1, m2, m3 in admissible_triples(6, 6, 6, tables_census):
+        assert satisfies_local_conditions(SignedSquarefreeTriple(m1, m2, m3)), (m1, m2, m3)
+        assert not is_perfect_square(m1 * m2)
+        assert not is_perfect_square(m1 * m3)
+        assert not is_perfect_square(m2 * m3)
 
 
 def reference_triples(bound1, bound2, bound3):
@@ -150,31 +159,31 @@ def reference_triples(bound1, bound2, bound3):
 def test_enumerate_and_breakdown_order_match_reference(tables_census):
     box = BoundBox(7, 9, 11, 9)  # m2' <= 7, m3' <= 9, m1' <= 11
     expected = reference_triples(11, 7, 9)
-    got = [t.as_tuple() for t in enumerate_admissible_triples(11, 7, 9, tables_census)]
-    assert got == expected
-    rows, cumulative = [], 0
+    assert admissible_triples(11, 7, 9, tables_census) == expected
+    expected_twists = []
     for m1, m2, m3 in expected:
         m = brute_odd_part(m1 * m2 * m3)
         tau = sum(1 for d in range(1, m + 1) if m % d == 0)
-        twists = tau * sum(1 for t in range(1, 10, 2) if brute_squarefree(t) and gcd(t, m) == 1)
-        cumulative += twists
-        rows.append((m1, m2, m3, twists, cumulative))
-    report = exact_census(box, tables_census, want_breakdown=True)
-    assert report.breakdown == rows
-    assert report.exact == 4 * cumulative and report.triples_visited == len(rows)
+        expected_twists.append(
+            tau * sum(1 for t in range(1, 10, 2) if brute_squarefree(t) and gcd(t, m) == 1))
+    *columns, twists = census_rows(box, tables_census)
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    assert twists == expected_twists
+    report = exact_census(box, tables_census)
+    assert report.exact == 4 * sum(twists) and report.triples_visited == len(twists)
 
 
 def test_enumerate_rejects_bounds_whose_product_overflows(tables_census):
     with pytest.raises(CapacityError, match="overflow int64"):
-        list(enumerate_admissible_triples(3e6, 3e6, 3e6, tables_census))
+        admissible_triples(3e6, 3e6, 3e6, tables_census)
 
 
 def test_enumerate_requires_big_enough_sieve():
     with pytest.raises(CapacityError):
-        list(enumerate_admissible_triples(20, 20, 20, build_sieve(19)))
+        admissible_triples(20, 20, 20, build_sieve(19))
     # the largest odd-part bound suffices: nothing reads the sieve above it
-    assert (list(enumerate_admissible_triples(20, 20, 20, build_sieve(20)))
-            == list(enumerate_admissible_triples(20, 20, 20, build_sieve(40))))
+    assert (admissible_triples(20, 20, 20, build_sieve(20))
+            == admissible_triples(20, 20, 20, build_sieve(40)))
 
 
 _SHORT = build_sieve(30)
@@ -182,13 +191,14 @@ _KEY = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
 
 
 @pytest.mark.parametrize("read, required", [
-    pytest.param(lambda t: list(enumerate_admissible_triples(20, 40, 20, t)), 40,
-                 id="enumerate"),
+    pytest.param(lambda t: census_rows(BoundBox(40, 20, 20, 5), t), 40, id="enumerate"),
     pytest.param(lambda t: exact_census(BoundBox(5, 5, 31, 5), t), 31, id="census-odd-part"),
     # a nonempty kernel with X4 past the table's square
     pytest.param(lambda t: exact_census(BoundBox(5, 5, 5, 31 * 31), t), None, id="census-x4"),
     pytest.param(lambda t: class_sums(BoundBox(40, 5, 5, 5), t, [_KEY]), 40, id="class_sums"),
     pytest.param(lambda t: T111_direct(60, 60, 60, _KEY, t), 60, id="T111_direct"),
+    pytest.param(lambda t: character_sum_f(40, CharacterSpec.principal(1), t), 40,
+                 id="character_sum_f"),
 ])
 def test_every_reader_refuses_a_short_table(read, required):
     # each reader raises rather than return a value computed from the table's
@@ -279,7 +289,8 @@ def test_kernel_runs_once_per_census(tables_census, monkeypatch, x):
 
     monkeypatch.setattr(census, "_mask_blocks", counted)
     box = BoundBox(x, x, x, x)
-    for reader in (lambda: exact_census(box, tables_census, want_breakdown=True),
+    for reader in (lambda: exact_census(box, tables_census),
+                   lambda: census_rows(box, tables_census),
                    lambda: exact_class_sums(box, tables_census)):
         calls.clear()
         reader()
@@ -310,10 +321,10 @@ def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
         distinct = {m1p * m2p * m3p
                     for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables)
                     for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
-        for want_breakdown in (False, True):
+        for reader in (exact_census, census_rows):
             calls.clear()
             batches.clear()
-            exact_census(box, tables, want_breakdown=want_breakdown)
+            reader(box, tables)
             assert batches == [len(distinct)]
             if box is above:
                 assert tables.limit < box.x4 and len(calls) == len(distinct)
@@ -451,6 +462,21 @@ def test_count_path_peak_per_kernel_entry(tables_census):
         assert peak / entries < 40
 
 
+def test_census_rows_peak_per_row(tables_census):
+    # the breakdown's rows, as int64 columns and one list of twist counts
+    # that shares one int object per distinct product, read 196.5 B/row when
+    # exact_census also built them from per-row tuples
+    box = BoundBox(300, 300, 300, 300)
+    tracemalloc.start()
+    try:
+        m1, _, _, twists = census_rows(box, tables_census)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(twists) == len(m1) == 1_053_692  # triples_visited at X = 300
+    assert peak / len(twists) < 120
+
+
 @pytest.mark.parametrize("raw, exact, triples", [
     ((200, 200, 200, 200), 1_151_510_048, 357_016),
     ((50, 100, 200, 100), 69_552_784, 53_629),
@@ -543,15 +569,14 @@ def test_symbols_at_match_kronecker(tables_100k):
 
 def test_signed_triples_expand_every_mask_in_choice_order():
     """All 4096 masks, one entry each: the rows of an entry are the signed
-    triples of its set bits, in CHOICES order, and the odd parts may be one
-    int or one value per entry."""
+    triples of its set bits, in CHOICES order."""
     masks = np.arange(census._ALL_CHOICES + 1, dtype=np.uint16)
-    fives = np.full(len(masks), 5, dtype=np.uint16)
+    threes, fives, sevens = (np.full(len(masks), m, dtype=np.uint16) for m in (3, 5, 7))
     expected = [(mask, (1 << mu) * 3, d2 * (1 << alpha) * 5, d3 * (1 << beta) * 7)
                 for mask in range(len(masks))
                 for k, ((d2, d3), (mu, alpha, beta)) in enumerate(census.CHOICES)
                 if mask >> k & 1]
-    columns = census._signed_triples(3, fives, 7, masks)
+    columns = census._signed_triples(threes, fives, sevens, masks)
     assert all(c.dtype == np.int64 for c in columns[1:])
     assert list(zip(*(c.tolist() for c in columns))) == expected
 
@@ -561,16 +586,17 @@ def test_signed_triples_expand_every_mask_in_choice_order():
 @given(x1=st.integers(0, 40), x2=st.integers(0, 40), x3=st.integers(0, 40),
        x4=st.one_of(st.just(0), st.integers(1, 100_000), st.integers(100_001, 10**9)))
 def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
-    """The breakdown against enumerate_admissible_triples and twist_count,
+    """The breakdown rows against the brute reference_triples and twist_count,
     with X4 inside the table (the divisor sum) and above it (the recursion)."""
-    report = exact_census(BoundBox(x1, x2, x3, x4), tables_100k, want_breakdown=True)
-    rows = report.breakdown
-    assert [row[:3] for row in rows] == [
-        t.as_tuple() for t in enumerate_admissible_triples(x3, x1, x2, tables_100k)]
+    box = BoundBox(x1, x2, x3, x4)
+    *columns, row_twists = census_rows(box, tables_100k)
+    rows = list(zip(*(c.tolist() for c in columns), row_twists))
+    assert [row[:3] for row in rows] == reference_triples(x3, x1, x2)
+    report = exact_census(box, tables_100k)
     assert len(rows) == report.triples_visited
-    assert 4 * (rows[-1][4] if rows else 0) == report.exact
+    assert 4 * sum(row_twists) == report.exact
     twist_of = {}
-    for m1, m2, m3, twists, _ in rows:
+    for m1, m2, m3, twists in rows:
         n = brute_odd_part(m1 * m2 * m3)
         if n not in twist_of:
             twist_of[n] = twist_count(n, x4, tables_100k)
@@ -578,15 +604,12 @@ def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
 
 
 def test_breakdown_rows(tables_census):
-    report = exact_census(BoundBox(4, 4, 4, 4), tables_census, want_breakdown=True)
-    rows = report.breakdown
-    assert rows
-    running = 0
-    for m1, m2, m3, twists, cumulative in rows:
-        running += twists
-        assert cumulative == running
-        assert satisfies_local_conditions(SignedSquarefreeTriple(m1, m2, m3))
-    assert 4 * running == report.exact
+    box = BoundBox(4, 4, 4, 4)
+    m1, m2, m3, twists = census_rows(box, tables_census)
+    assert twists and all(c.dtype == np.int64 and len(c) == len(twists) for c in (m1, m2, m3))
+    for triple in zip(m1.tolist(), m2.tolist(), m3.tolist()):
+        assert satisfies_local_conditions(SignedSquarefreeTriple(*triple))
+    assert 4 * sum(twists) == exact_census(box, tables_census).exact
 
 
 def test_required_sieve_limit():
@@ -595,8 +618,10 @@ def test_required_sieve_limit():
     assert required_sieve_limit(BoundBox(1, 1, 1, 90)) == 9
 
 
-def census_result(report):
-    return report.exact, report.triples_visited, report.breakdown
+def census_result(box, tables):
+    report = exact_census(box, tables)
+    m1, m2, m3, twists = census_rows(box, tables)
+    return report.exact, report.triples_visited, (m1.tolist(), m2.tolist(), m3.tolist(), twists)
 
 
 @pytest.mark.parametrize("raw", [(20, 20, 20, 5000), (7, 3, 5, 2000), (15, 9, 12, 300)])
@@ -604,10 +629,8 @@ def test_sqrt_table_census_equals_full_table_census(raw):
     box = BoundBox(*raw)
     small, full = build_sieve(required_sieve_limit(box)), build_sieve(int(box.x4))
     assert small.limit < box.x4
-    for want_breakdown in (False, True):
-        got, expected = (census_result(exact_census(box, t, want_breakdown=want_breakdown))
-                         for t in (small, full))
-        assert got == expected, want_breakdown
+    got, expected = (census_result(box, t) for t in (small, full))
+    assert got == expected
     exact = got[0]
     assert census_from_classes(box, small) == census_from_classes(box, full) == exact
 
@@ -661,8 +684,8 @@ def test_invariant_primes_match_inertia_classes(tables_census):
         InertiaClass.R: 2,
         InertiaClass.R2: 3,
     }
-    for triple in enumerate_admissible_triples(5, 5, 5, tables_census):
-        m = triple.as_tuple()
+    for m in admissible_triples(5, 5, 5, tables_census):
+        triple = SignedSquarefreeTriple(*m)
         odd_product = brute_odd_part(m[0] * m[1] * m[2])
         for t in (1, 3, 7):
             if gcd(t, odd_product) != 1:

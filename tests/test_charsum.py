@@ -20,12 +20,9 @@ from d4census.census import CHOICES, BoundBox, _is_degenerate, exact_census
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
-    L_divisor_sum,
     L_divisor_sum_row,
-    L_product,
     L_product_row,
     T111_direct,
-    T_direct,
     all_class_keys,
     bilinear_sum,
     _kronecker_row,
@@ -34,7 +31,7 @@ from d4census.charsum import (
     class_sums,
     _admissible_keys,
 )
-from d4census.localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, u_weight
+from d4census.localsolve import UNIT_RESIDUES, u_weight
 
 
 # --- reference forms ------------------------------------------------------------
@@ -104,24 +101,6 @@ def test_rows_match_literal_divisor_sum():
         assert L_divisor_sum_row(facs) == expected, mp
 
 
-def test_L_views_match_rows():
-    mp = (15, 7, 11)
-    facs = ((3, 5), (7,), (11,))
-    for c, (delta, nu) in enumerate(CHOICES):
-        assert L_product(mp, delta, nu) == L_product_row(facs)[c]
-        assert L_divisor_sum(mp, delta, nu) == L_divisor_sum_row(facs)[c]
-
-
-def test_L_divisor_sum_rejects_unknown_choice():
-    # both views refuse a (delta, nu) pair outside the 12 choices
-    for mp, delta, nu in (((3, 5, 7), (-1, -1), (0, 0, 0)), ((3, 5, 7), (1, 1), (1, 1, 0)),
-                          ((3, 5, 7), (5, 7), (0, 0, 0)), ((1, 3, 1), (5, 7), (0, 0, 0)),
-                          ((1, 1, 1), (-1, -1), (0, 0, 0))):
-        for L in (L_product, L_divisor_sum):
-            with pytest.raises(ValueError, match="unknown"):
-                L(mp, delta, nu)
-
-
 @pytest.mark.parametrize("raw", [(10, 10, 10, 10), (7, 3, 5, 9), (20, 12, 16, 9)])
 def test_class_sums_match_per_key_walk(tables_census, raw):
     box = BoundBox(*raw)
@@ -166,31 +145,19 @@ def test_class_key_validation():
         ClassKey((1, 1, 1), (1, 1), (1, 1, 0))
 
 
+_TRIVIAL = CHOICES.index(((1, 1), (0, 0, 0)))
+
+
 def test_L_product_examples():
-    for delta in ALL_DELTAS:
-        for nu in ALL_NUS:
-            assert L_product((1, 1, 1), delta, nu) == 1  # empty product
-    assert L_product((1, 1, 3), (1, 1), (0, 0, 0)) == 2  # 1 + (1/3)
-    assert L_product((7, 1, 1), (1, 1), (0, 0, 0)) == 0  # 1 + (-1/7)
+    assert L_product_row(((), (), ())) == [1] * len(CHOICES)  # empty product
+    assert L_product_row(((), (), (3,)))[_TRIVIAL] == 2  # 1 + (1/3)
+    assert L_product_row(((7,), (), ()))[_TRIVIAL] == 0  # 1 + (-1/7)
 
 
 def test_L_divisor_sum_examples():
-    assert L_divisor_sum((1, 1, 3), (1, 1), (0, 0, 0)) == 2
-    assert L_divisor_sum((1, 1, 1), (1, 1), (0, 0, 0)) == 1
-    assert L_divisor_sum((7, 1, 1), (1, 1), (0, 0, 0)) == 0
-
-
-def test_L_rejects_bad_parts():
-    bad_parts = [
-        (2, 1, 1), (1, 1, 6),  # even
-        (0, 1, 1), (1, -3, 1),  # not positive
-        (9, 1, 1), (1, 1, 75),  # not squarefree
-        (3, 3, 1), (1, 15, 5),  # not pairwise coprime
-    ]
-    for mp in bad_parts:
-        for L in (L_product, L_divisor_sum):
-            with pytest.raises(ValueError):
-                L(mp, (1, 1), (0, 0, 0))
+    assert L_divisor_sum_row(((), (), (3,)))[_TRIVIAL] == 2
+    assert L_divisor_sum_row(((), (), ()))[_TRIVIAL] == 1
+    assert L_divisor_sum_row(((7,), (), ()))[_TRIVIAL] == 0
 
 
 def test_L_positive_iff_odd_conditions_hold():
@@ -200,12 +167,11 @@ def test_L_positive_iff_odd_conditions_hold():
         conds = all(kronecker(-m2 * m3, p) == 1 for p in factor_small(dec.m1p))
         conds = conds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(dec.m2p))
         conds = conds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(dec.m3p))
-        mp = (dec.m1p, dec.m2p, dec.m3p)
         if dec.delta == (-1, -1):  # no real point, so not one of the 12 choices
-            with pytest.raises(ValueError, match="unknown"):
-                L_product(mp, dec.delta, dec.nu)
+            assert (dec.delta, dec.nu) not in CHOICES
             continue
-        assert (L_product(mp, dec.delta, dec.nu) > 0) == conds, triple
+        row = L_product_row(dec.primes)
+        assert (row[CHOICES.index((dec.delta, dec.nu))] > 0) == conds, triple
 
 
 # --- character sums -----------------------------------------------------------
@@ -334,7 +300,7 @@ def test_character_sum_residue_class(tables_census):
 def test_character_sum_validation(tables_census):
     with pytest.raises(ValueError):
         character_sum_f(10, CharacterSpec.principal(1), tables_census, residue=(2, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(CapacityError, match="sieve limit"):
         character_sum_f(10**7, CharacterSpec.principal(1), tables_census)
 
 
@@ -369,13 +335,8 @@ def test_character_sum_deviation_bounded_at_1e6():
 
 def test_T_direct_unit_box(tables_census):
     box = BoundBox(1, 1, 1, 1)
-    contributions = {}
-    for key in all_class_keys():
-        if not key.admissible:
-            continue
-        v = T_direct(key, box, tables_census)
-        if v:
-            contributions[(key.eps, key.delta, key.nu)] = v
+    sums = class_sums(box, tables_census, _admissible_keys())
+    contributions = {(key.eps, key.delta, key.nu): v for key, v in sums.items() if v}
     assert sum(contributions.values()) == 4  # four classes contribute 1 each
     assert all(v == 1 for v in contributions.values())
     assert census_from_classes(box, tables_census) == 16
@@ -384,16 +345,13 @@ def test_T_direct_unit_box(tables_census):
 def test_T_direct_vanishes_on_inadmissible_classes(tables_census):
     # reciprocity: odd-prime conditions plus the sign condition force the
     # dyadic symbol, so classes outside the mod-8 sets carry no triples
-    box = BoundBox(10, 10, 10, 10)
-    for key in all_class_keys():
-        if not key.admissible:
-            assert T_direct(key, box, tables_census) == 0
+    keys = [key for key in all_class_keys() if not key.admissible]
+    assert set(class_sums(BoundBox(10, 10, 10, 10), tables_census, keys).values()) == {0}
 
 
 def test_T_direct_empty_twist_range(tables_census):
-    box = BoundBox(1, 1, 1, 0.5)
-    for key in list(all_class_keys())[:24]:
-        assert T_direct(key, box, tables_census) == 0
+    keys = list(all_class_keys())[:24]
+    assert set(class_sums(BoundBox(1, 1, 1, 0.5), tables_census, keys).values()) == {0}
 
 
 def test_census_consistency_small_boxes(tables_census):

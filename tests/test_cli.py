@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -151,6 +152,47 @@ def test_count_csv_bytes_pinned(capsys):
     assert code == 0 and out.count("\n") == 53630
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "905c12b1554f316b7c04398cfa7c5b4b203557982cb4a4188e7ef277d4b9f330")
+
+
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+_PINNED = ("count --x 200 200 200 200",
+           *(f"count --x {a} {b} {c} 100 --format csv"
+             for a, b, c in itertools.permutations((50, 100, 200))),
+           "sweep --min 10 --max 80 --classes",
+           "verify --suite census-consistency")
+
+
+@pytest.mark.parametrize("argv", _PINNED)
+def test_benchmark_pinned_bytes(capsys, argv):
+    # the exit code and stdout sha256 the benchmark's expected.json records
+    expected = json.loads(_EXPECTED.read_text())[argv]
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == expected["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("argv", ["count --x 2 2 2 2", "count --x 2 2 2 2 --format json",
+                                  "count --x 2 2 2 2 --format csv",
+                                  "verify --suite lemma432 --format json"])
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out.endswith("\n")
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv.split(), "--out", str(path)) == (code, "", "")
+    written = path.read_bytes()
+    if "json" not in argv:
+        assert written == out.encode()
+        return
+    # the envelope also records the run's time and its --out; nothing else differs
+    assert written.endswith(b"}\n") and written.count(b"\n") == 1
+
+    def run_fields_dropped(text):
+        env = json.loads(text)
+        del env["elapsed_seconds"]
+        env["config"].pop("out", None)
+        return env
+
+    assert run_fields_dropped(written) == run_fields_dropped(out)
 
 
 def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypatch):

@@ -23,7 +23,6 @@ from d4census.localsolve import (
     find_conic_point,
     hilbert_symbol,
     in_E_set,
-    padic_oracle,
     padic_oracle_rows,
     satisfies_local_conditions,
     u_weight,
@@ -59,17 +58,16 @@ def test_hilbert_strips_valuations():
 
 
 def test_oracle_examples():
-    assert padic_oracle(2, 7, Place(7)) is True  # global point (3, 1, 1)
-    assert padic_oracle(2, 3, Place(3)) is False
-    assert padic_oracle(-1, -1, REAL_PLACE) is False
-    assert padic_oracle(-1, -1, TWO_PLACE) is False
+    got = [padic_oracle_rows([a], [b], v)[0] for a, b, v in
+           ((2, 7, Place(7)), (2, 3, Place(3)), (-1, -1, REAL_PLACE), (-1, -1, TWO_PLACE))]
+    assert got == [True, False, False, False]  # (3, 1, 1) solves the first globally
 
 
 def test_oracle_rejects_high_valuation():
     with pytest.raises(ValueError):
-        padic_oracle(9, 1, Place(3))
+        padic_oracle_rows([9], [1], Place(3))
     with pytest.raises(ValueError):
-        padic_oracle(3, 8, TWO_PLACE)
+        padic_oracle_rows([3], [8], TWO_PLACE)
 
 
 
@@ -145,8 +143,6 @@ def test_oracle_rows_equal_the_scalar_search(batch):
     assert got.dtype == bool and got.shape == (len(pairs),)
     expected = {pair: reference_oracle(*pair, v) for pair in set(pairs)}
     assert got.tolist() == [expected[pair] for pair in pairs]
-    for pair in list(expected)[:3]:
-        assert padic_oracle(*pair, v) is expected[pair]
 
 
 @pytest.mark.parametrize("a, b, v, message", [
@@ -158,10 +154,9 @@ def test_oracle_rows_equal_the_scalar_search(batch):
     (-12, 40, TWO_PLACE, "padic_oracle: valuation of -12 at 2 exceeds 1"),
 ])
 def test_oracle_rows_raise_the_scalar_messages(a, b, v, message):
-    for oracle in (reference_oracle, padic_oracle):
-        with pytest.raises(ValueError) as err:
-            oracle(a, b, v)
-        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        reference_oracle(a, b, v)
+    assert str(err.value) == message
     # a bad pair anywhere in a batch refuses the whole batch, naming that pair
     with pytest.raises(ValueError) as err:
         padic_oracle_rows(np.array([1, a, 4 * a + 1]), np.array([1, b, 1]), v)
@@ -169,7 +164,7 @@ def test_oracle_rows_raise_the_scalar_messages(a, b, v, message):
 
 
 def residues_of_low_valuation(p):
-    """The modulus of padic_oracle at p and the residues of valuation <= 1."""
+    """The modulus of padic_oracle_rows at p and the residues of valuation <= 1."""
     modulus = 64 if p == 2 else p**3
     return modulus, np.array([r for r in range(1, modulus) if r % (p * p)], dtype=np.int64)
 
@@ -217,8 +212,8 @@ def test_x_one_solutions_have_a_unit_y_or_z(p):
 def test_oracle_view_keeps_python_ints():
     # pairs past int64 are reduced before the search, as the scalar search did
     a, b = 3 * 10**30 + 2, -(7 * 10**25) + 1
-    for v in ORACLE_PLACES:
-        assert padic_oracle(a, b, v) is reference_oracle(a, b, v)
+    got = [padic_oracle_rows([a, 5], [b, 3], v).tolist() for v in ORACLE_PLACES]
+    assert got == [[reference_oracle(a, b, v), reference_oracle(5, 3, v)] for v in ORACLE_PLACES]
 
 def test_oracle_agrees_with_symbol_up_to_30():
     values = squarefree_values(30)
@@ -232,7 +227,7 @@ def test_oracle_agrees_with_symbol_up_to_30():
                 if key in seen:
                     continue
                 seen[key] = True
-                assert (hilbert_symbol(a, b, v) == 1) == padic_oracle(a, b, v), key
+                assert (hilbert_symbol(a, b, v) == 1) == padic_oracle_rows([a], [b], v)[0], key
 
 
 def test_in_E_set_examples():
