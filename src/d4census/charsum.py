@@ -13,21 +13,29 @@ hold and 0 otherwise.  Expanding each factor over divisor pairs k_i*l_i = m_i'
 and applying quadratic reciprocity turns L into a signed divisor sum weighted
 by u(k).  Both forms are computed as exact integers and must agree everywhere.
 
-Rows.  One odd triple carries L for all 12 (delta, nu) choices (census.CHOICES),
-and both forms are computed a row at a time from one factorisation:
+Rows.  One odd triple carries L for all 12 (delta, nu) choices (census.CHOICES).
+Both forms take an (n, 3) int64 array of triples and return their (n, 12)
+int64 rows, read the primes off SieveTables.prime_columns, and walk the
+triples in blocks of _L_BLOCK_ROWS rows, which bounds their temporaries:
 
-  * L_product_row evaluates the Legendre symbols of the three arguments,
-    only for the choices asked for, and stops at the first zero factor.  At a
-    prime of m_j' the arguments other than the j-th are 0 mod p, so their
-    factors are 1 and are not evaluated.  Every modulus is an odd prime, so
-    each factor 1 + (a/p) is read off Euler's criterion, (a^((p-1)/2) + 1)
-    mod p.
-  * L_divisor_sum_row sums the Jacobi factor (l1/k2k3)(l2/k1k3)(l3/k1k2),
-    which does not depend on (delta, nu), once per split into 64 buckets by
-    (k1, k2, k3) mod 8, and dots the buckets with a 64 x 12 table of u_weight
-    values (u depends on k only mod 8).  The table is built on first use.
-    Its moduli are products of the primes, so it calls arith.kronecker (the
-    reciprocity loop): the two forms share no symbol code.
+  * L_product_rows evaluates the Legendre symbols of the three arguments at
+    every row's primes, one prime column at a time.  At a prime of m_j' the
+    arguments other than the j-th are 0 mod p, so their factors are 1 and are
+    not evaluated.  Every modulus is an odd prime, so each factor 1 + (a/p)
+    is read off Euler's criterion, (a^((p-1)/2) + 1) mod p, by repeated
+    squaring for all 12 choices at once.
+  * L_divisor_sum_rows enumerates each row's 2^omega splits k_i * l_i = m_i'
+    from a bitmask over its primes and sums the Jacobi factor
+    (l1/k2k3)(l2/k1k3)(l3/k1k2), which does not depend on (delta, nu), into
+    64 buckets by (k1, k2, k3) mod 8; the buckets times the 64 x 12 table of
+    u_weight values (u depends on k only mod 8) give the row.  Its moduli are
+    products of primes, so it runs its own vectorised reciprocity loop
+    (_jacobi): the two forms share no symbol code.
+
+No int64 product overflows: every m_i' is at most the sieve limit, which the
+memory budget keeps below 2^31.  Euler's criterion multiplies two residues
+mod p < 2^31, and a modulus k_i * k_j of the divisor sum is at most
+m_i' * m_j' < 2^62; the reciprocity loop only reduces and halves.
 
 Class sums.  The per-class rows of `sweep --classes`, which the CLI writes,
 come from kernel_class_sums: census.exact_class_sums is a reader of the
@@ -35,8 +43,9 @@ census's one kernel collection, whose entries it reduces by (eps, delta, nu)
 with their twist counts from the census's one product reduction, the same
 two steps exact_census takes.  class_sums is its independent oracle.  It
 evaluates the per-class census sum exactly (no main-term substitution) for
-any set of keys: one walk per eps class, one product row and at most one
-twist count per triple, added to every key of that class.
+any set of keys: one walk per eps class, one L_product_rows call over the
+triples of the box, and at most one twist count per triple, added to every
+key of that class.
 census_from_classes is four times its sum over the admissible classes.
 class_sums walks the triples and evaluates L by its own code, so
 census_from_classes == exact_census (the census-consistency suite) and
@@ -53,17 +62,18 @@ formats no output (the CLI owns every CSV format).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, log, pi, prod, sqrt
-from typing import Callable, Optional, Sequence
+from math import gcd, log, pi, sqrt
+from typing import Callable, Optional
 
 import numpy as np
 
 from .arith import SieveTables, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _is_degenerate, exact_class_sums
+from .census import CHOICES, BoundBox, _is_degenerate, _required_symbols, exact_class_sums
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -98,47 +108,77 @@ def all_class_keys():
                         yield ClassKey((e1, e2, e3), delta, nu)
 
 
-def _local_product(args: tuple[int, int, int], facs: tuple[tuple[int, ...], ...]) -> int:
-    """prod over i and p | m_i' of (1 + (args[i] / p)), 0 at the first
-    vanishing factor.
+# rows of m' per block of L_product_rows and L_divisor_sum_rows, to bound
+# their int64 temporaries (a block of the divisor sum holds up to 2^omega
+# splits per row)
+_L_BLOCK_ROWS = 1 << 10
+# At p | m_i' the factor of each choice is 1 + (a_i * (product of the other
+# two m_j') / p), with a_i from census._required_symbols.  Over the 12
+# choices each a_i takes the 4 values in _SIGN_VALUES, and row i of
+# _SIGN_SPREAD takes their 4 columns to the 12 choices.
+_SIGN_VALUES = (-2, -1, 1, 2)
+_SIGN_SPREAD = np.array([[_SIGN_VALUES.index(_required_symbols(delta, nu)[i])
+                          for delta, nu in CHOICES] for i in range(3)])
 
-    A prime of m_j' (j != i) divides args[i], so its factor there is 1 + 0.
-    Each factor comes from Euler's criterion: (a^((p-1)/2) + 1) mod p.
+
+def _blocks(m: np.ndarray):
+    """(start, stop) of each block of _L_BLOCK_ROWS rows of m."""
+    return ((start, min(start + _L_BLOCK_ROWS, len(m)))
+            for start in range(0, len(m), _L_BLOCK_ROWS))
+
+
+def L_product_rows(m: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """L(m', delta, nu) over CHOICES, one row per row (m1', m2', m3') of the
+    (n, 3) int64 array m of pairwise coprime odd squarefree values, from the
+    literal Legendre-symbol product; (n, 12) int64.
+
+    One pass per prime column of each m_i': Euler's criterion, by repeated
+    squaring, for the arguments of all 12 choices of every row at once.
     """
-    total = 1
-    for arg, primes in zip(args, facs):
-        for p in primes:
-            factor = (pow(arg, (p - 1) >> 1, p) + 1) % p
-            if not factor:
-                return 0
-            total *= factor
-    return total
+    out = np.ones((len(m), len(CHOICES)), dtype=np.int64)
+    signs = np.array(_SIGN_VALUES, dtype=np.int64)
+    for start, stop in _blocks(m):
+        block = m[start:stop]
+        for i in range(3):
+            others = np.delete(block, i, axis=1)
+            for col in tables.prime_columns(block[:, i]).T:
+                rows = np.flatnonzero(col)
+                p = col[rows, None].astype(np.int64)
+                rest = others[rows] % p
+                base = rest[:, :1] * rest[:, 1:] % p * (signs % p) % p
+                e = (p - 1) >> 1
+                power = np.ones_like(base)
+                while e.any():
+                    power = np.where(e & 1, power * base % p, power)
+                    base, e = base * base % p, e >> 1
+                # 1 + (a / p) is 0 or 2: p divides none of the arguments
+                out[start + rows] *= ((power + 1) % p)[:, _SIGN_SPREAD[i]]
+    return out
 
 
-def L_product_row(facs: tuple[tuple[int, ...], ...],
-                  choices: Sequence[tuple[tuple[int, int], tuple[int, int, int]]] = CHOICES,
-                  ) -> list[int]:
-    """L(m', delta, nu) for each (delta, nu) in choices, from the literal
-    Legendre-symbol product; facs holds the primes of m1', m2', m3'."""
-    m1p, m2p, m3p = (prod(f) for f in facs)
-    row = []
-    for (d2, d3), (mu, alpha, beta) in choices:
-        args = (-d2 * d3 * (1 << (alpha + beta)) * m2p * m3p,
-                d3 * (1 << (mu + beta)) * m1p * m3p,
-                d2 * (1 << (mu + alpha)) * m1p * m2p)
-        row.append(_local_product(args, facs))
-    return row
+def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Jacobi symbol (a / n) elementwise, for a >= 0 and odd n >= 1, as
+    int64: the reciprocity loop of arith.kronecker on arrays, over the pairs
+    not yet done, with all factors of 2 of a stripped in one step."""
+    a = a % n
+    out = (n == 1).astype(np.int64)  # (0 / n) = [n == 1]
+    at = np.flatnonzero(a)
+    a, n = a[at], n[at]
+    sign = np.ones_like(a)
+    while len(at):
+        twos = a & -a  # the largest power of 2 dividing a
+        a //= twos
+        # 2^t = 2 mod 3 exactly when t is odd; (2 / n) = -1 for n = 3, 5 mod 8
+        sign[(twos % 3 == 2) & ((n & 7 == 3) | (n & 7 == 5))] *= -1
+        sign[(a & 3 == 3) & (n & 3 == 3)] *= -1
+        a, n = n % a, a
+        done = a == 0
+        out[at[done]] = np.where(n[done] == 1, sign[done], 0)
+        at, a, n, sign = at[~done], a[~done], n[~done], sign[~done]
+    return out
 
 
-def _divisor_splits(primes: tuple[int, ...]):
-    """All (k, l) with k*l = prod(primes), k squarefree from these primes."""
-    splits = [(1, 1)]
-    for p in primes:
-        splits = [(k * p, l) for k, l in splits] + [(k, l * p) for k, l in splits]
-    return splits
-
-
-def _residue_index(k: int) -> int:
+def _residue_index(k):
     """0..3 for odd k = 1, 3, 5, 7 mod 8."""
     return (k % 8) >> 1
 
@@ -149,37 +189,55 @@ def _eps_index(eps: tuple[int, int, int]) -> int:
 
 
 @cache
-def _u_table() -> tuple[tuple[int, ...], ...]:
+def _u_table() -> np.ndarray:
     """u_weight on the 64 odd residue triples mod 8 (row 16*i1 + 4*i2 + i3
-    for k_j = UNIT_RESIDUES[i_j]) times the 12 CHOICES (column)."""
-    return tuple(tuple(u_weight(k1, k2, k3, delta, nu) for delta, nu in CHOICES)
-                 for k1 in UNIT_RESIDUES for k2 in UNIT_RESIDUES for k3 in UNIT_RESIDUES)
+    for k_j = UNIT_RESIDUES[i_j]) times the 12 CHOICES (column), as int64."""
+    table = np.array([[u_weight(k1, k2, k3, delta, nu) for delta, nu in CHOICES]
+                      for k1 in UNIT_RESIDUES for k2 in UNIT_RESIDUES for k3 in UNIT_RESIDUES],
+                     dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
-def L_divisor_sum_row(facs: tuple[tuple[int, ...], ...]) -> list[int]:
-    """L(m', delta, nu) for all 12 CHOICES, from the reciprocity-expanded
-    divisor sum; facs holds the primes of m1', m2', m3'.
+def L_divisor_sum_rows(m: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """L(m', delta, nu) over CHOICES, one row per row (m1', m2', m3') of the
+    (n, 3) int64 array m of pairwise coprime odd squarefree values, from the
+    reciprocity-expanded divisor sum; (n, 12) int64.
 
-    The Jacobi factor of each split does not depend on (delta, nu) and u
-    depends on k only mod 8, so the factors are summed once per split into
-    64 buckets by (k1, k2, k3) mod 8 and dotted with the u table.
+    The primes of each row, owner by owner and padding last, are the bits of
+    its 2^omega splits k_i * l_i = m_i'.  The Jacobi factor of a split does
+    not depend on (delta, nu) and u depends on k only mod 8, so the factors
+    are summed into 64 buckets by (k1, k2, k3) mod 8, and the buckets are
+    multiplied by the 64 x 12 u table.
     """
-    splits1, splits2, splits3 = (_divisor_splits(f) for f in facs)
-    buckets = [0] * 64
-    for k1, l1 in splits1:
-        r1 = 16 * _residue_index(k1)
-        for k2, l2 in splits2:
-            r12 = r1 + 4 * _residue_index(k2)
-            k1k2 = k1 * k2
-            for k3, l3 in splits3:
-                buckets[r12 + _residue_index(k3)] += (
-                    kronecker(l1, k2 * k3) * kronecker(l2, k1 * k3) * kronecker(l3, k1k2))
-    row = [0] * len(CHOICES)
-    for weights, s in zip(_u_table(), buckets):
-        if s:
-            for c, u in enumerate(weights):
-                row[c] += u * s
-    return row
+    out = np.zeros((len(m), len(CHOICES)), dtype=np.int64)
+    for start, stop in _blocks(m):
+        block = m[start:stop]
+        columns = [tables.prime_columns(block[:, i]) for i in range(3)]
+        primes = np.concatenate(columns, axis=1).astype(np.int64)
+        owner = np.repeat(np.arange(3), [c.shape[1] for c in columns])
+        order = np.argsort(primes == 0, axis=1, kind="stable")  # padding last
+        primes = np.take_along_axis(primes, order, axis=1)
+        owner = owner[order]
+        omega = np.count_nonzero(primes, axis=1)
+        width = int(omega.max(initial=0))
+        primes[primes == 0] = 1  # a pad stays in l_i, as the factor 1
+        # every (row, split) with split < 2^omega of the row; bit j of the
+        # split sends the j-th prime to k_i, else to l_i, for its owner i
+        row, split = np.nonzero(np.arange(1 << width) < (1 << omega)[:, None])
+        kl = np.ones((6, len(row)), dtype=np.int64)  # k1, k2, k3, l1, l2, l3
+        at = np.arange(len(row))
+        for j in range(width):
+            to_l = 3 * (1 - (split >> j & 1))
+            kl[owner[row, j] + to_l, at] *= primes[row, j]
+        k, l = kl[:3], kl[3:]
+        factor = (_jacobi(l[0], k[1] * k[2]) * _jacobi(l[1], k[0] * k[2])
+                  * _jacobi(l[2], k[0] * k[1]))
+        bucket = 16 * _residue_index(k[0]) + 4 * _residue_index(k[1]) + _residue_index(k[2])
+        # float64 sums of factors 0 and +-1, exact: each is at most 2^omega
+        sums = np.bincount(row * 64 + bucket, weights=factor, minlength=64 * (stop - start))
+        out[start:stop] = sums.astype(np.int64).reshape(-1, 64) @ _u_table()
+    return out
 
 
 @dataclass(frozen=True)
@@ -387,38 +445,47 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     and sign conditions live on the key, not here: aggregating over admissible
     keys only is what reproduces the census.
 
-    Each eps class is walked once for all its keys: per triple a look-up of
-    its primes (one spf walk, SieveTables.odd_squarefree_primes),
-    one product row over the keys' non-degenerate choices and at most one
-    twist count.  CapacityError when tables do not reach the odd-part bounds,
-    or isqrt(X4) once a triple is twist-counted, as in exact_census.
+    Each eps class is walked once for all its keys, and one L_product_rows
+    call gives the rows of every triple of the box.  Per triple: a look-up of
+    its primes (one spf walk, SieveTables.odd_squarefree_primes), and at most
+    one twist count.  CapacityError when tables do not reach the odd-part
+    bounds, or isqrt(X4) once a triple is twist-counted, as in exact_census.
     """
     primes_of = tables.odd_squarefree_primes(max(box.x1, box.x2, box.x3))
     sums = {key: 0 for key in keys}
     by_eps: dict = {}
     for key in sums:
         by_eps.setdefault(key.eps, []).append(key)
-    for eps, eps_keys in by_eps.items():
+    # int64 columns: lists of Python ints would leave their objects on the heap
+    flat = array("q")
+    ends = []
+    for eps in by_eps:
+        for mp in _class_triples((box.x3, box.x1, box.x2), eps, tables):
+            flat.extend(mp)
+        ends.append(len(flat) // 3)
+    triples = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    rows = L_product_rows(triples, tables)
+    start = 0
+    for eps_keys, stop in zip(by_eps.values(), ends):
         # non-degeneracy depends on m' only through which m_i' equal 1
         live_by_ones: dict = {}
-        for mp in _class_triples((box.x3, box.x1, box.x2), eps, tables):
+        for mp, row in zip(triples[start:stop].tolist(), rows[start:stop].tolist()):
             m1p, m2p, m3p = mp
             ones = (m1p == 1, m2p == 1, m3p == 1)
             if ones not in live_by_ones:
-                live = [key for key in eps_keys if not _is_degenerate(
-                    (1 << key.nu[0]) * m1p, key.delta[0] * (1 << key.nu[1]) * m2p,
-                    key.delta[1] * (1 << key.nu[2]) * m3p)]
-                live_by_ones[ones] = live, [(key.delta, key.nu) for key in live]
-            live, choices = live_by_ones[ones]
-            facs = (primes_of[m1p], primes_of[m2p], primes_of[m3p])
-            row = L_product_row(facs, choices)
+                live_by_ones[ones] = [
+                    (key, CHOICES.index((key.delta, key.nu))) for key in eps_keys
+                    if not _is_degenerate(
+                        (1 << key.nu[0]) * m1p, key.delta[0] * (1 << key.nu[1]) * m2p,
+                        key.delta[1] * (1 << key.nu[2]) * m3p)]
             twists = None
-            for key, lv in zip(live, row):
-                if lv:
+            for key, c in live_by_ones[ones]:
+                if row[c]:
                     if twists is None:
                         twists = tables.count_odd_squarefree_coprime(
-                            box.x4, facs[0] + facs[1] + facs[2])
-                    sums[key] += lv * twists
+                            box.x4, primes_of[m1p] + primes_of[m2p] + primes_of[m3p])
+                    sums[key] += row[c] * twists
+        start = stop
     return sums
 
 

@@ -59,8 +59,8 @@ from .census import (
     splitting_rows,
 )
 from .charsum import (
-    L_divisor_sum_row,
-    L_product_row,
+    L_divisor_sum_rows,
+    L_product_rows,
     T_main_term,
     census_from_classes,
     kernel_class_sums,
@@ -407,9 +407,10 @@ def _suite_lemma41(args) -> list[dict]:
     rows_at = defaultdict(lambda: array("q"))  # place -> indices of its triples
     for i, triple in enumerate(_valid_triples(bound)):
         a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        places = relevant_places(triple)
+        dec = decompose_triple(triple)
+        places = relevant_places(dec)
         plus = all(hilbert_symbol(a, b, v) == 1 for v in places)
-        if satisfies_local_conditions(triple) != plus:
+        if satisfies_local_conditions(dec) != plus:
             equiv_bad += 1
         col_a.append(a)
         col_b.append(b)
@@ -471,9 +472,9 @@ def _suite_esets(args) -> list[dict]:
 def _suite_divisor_identity(args) -> list[dict]:
     bound = 3000 if args.bound is None else args.bound
     tables = build_sieve(bound)
-    primes_of = tables.odd_squarefree_primes(bound)
-    odd_sf = list(primes_of)
-    bad = total = 0
+    odd_sf = tables.odd_squarefree_upto(bound)
+    # int64 columns: lists of Python ints would leave their objects on the heap
+    flat = array("q")
     for m1 in odd_sf:
         for m2 in odd_sf:
             if m1 * m2 > bound:
@@ -484,14 +485,13 @@ def _suite_divisor_identity(args) -> list[dict]:
             for m3 in odd_sf:
                 if m12 * m3 > bound:
                     break
-                if gcd(m12, m3) != 1:
-                    continue
-                facs = (primes_of[m1], primes_of[m2], primes_of[m3])
-                tau = 1 << sum(map(len, facs))  # m1 * m2 * m3 is squarefree
-                for lp, ls in zip(L_product_row(facs), L_divisor_sum_row(facs)):
-                    total += 1
-                    if lp != ls or lp not in (0, tau):
-                        bad += 1
+                if gcd(m12, m3) == 1:
+                    flat.extend((m1, m2, m3))
+    triples = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
+    lp, ls = L_product_rows(triples, tables), L_divisor_sum_rows(triples, tables)
+    tau = tables.tau[triples.prod(axis=1)][:, None]  # m1 * m2 * m3 <= bound
+    bad = int(np.count_nonzero((lp != ls) | ((lp != 0) & (lp != tau))))
+    total = lp.size
     return [_check(f"product_equals_divisor_sum_upto_{bound}",
                    {"cases": total, "failures": 0}, {"cases": total, "failures": bad})]
 
@@ -542,7 +542,7 @@ def _suite_tamagawa(args) -> list[dict]:
 
 
 # Each suite's runner, the verify options it reads and the caps on its --bound
-# or --x values (each ran 2-8 s at its caps on a 2-vCPU VM); giving a suite any
+# or --x values (each ran 1-5 s at its caps on a 2-vCPU VM); giving a suite any
 # other of --tol, --bound, --x and --pmax, or a larger value, is a usage error.
 _SUITES = {
     "lemma432": (_suite_lemma432, (), ()),

@@ -254,14 +254,17 @@ def _odd_place(p: int) -> Place:
     return Place(p)
 
 
-def relevant_places(triple: SignedSquarefreeTriple) -> list[Place]:
-    """Real, 2, and the odd primes dividing m1*m2*m3; symbols elsewhere are +1."""
-    places = [REAL_PLACE, TWO_PLACE]
-    m1, m2, m3 = triple.as_tuple()
-    for p in factor_small(m1 * m2 * m3):
-        if p != 2:
-            places.append(_odd_place(p))
-    return places
+def relevant_places(triple: SignedSquarefreeTriple | DecomposedTriple) -> list[Place]:
+    """Real, 2, and the odd primes dividing m1*m2*m3, ascending; symbols
+    elsewhere are +1.  A decomposed triple gives the primes decompose_triple
+    kept, so it is not factored again; a plain one is factored once, as the
+    product m1*m2*m3, without the validation of decompose_triple."""
+    if isinstance(triple, DecomposedTriple):
+        odd = sorted(sum(triple.primes, ()))
+    else:
+        m1, m2, m3 = triple.as_tuple()
+        odd = [p for p in factor_small(m1 * m2 * m3) if p != 2]
+    return [REAL_PLACE, TWO_PLACE] + [_odd_place(p) for p in odd]
 
 
 def find_conic_point(a: int, b: int, height: int):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd, log, sqrt
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from d4census import charsum
 from d4census.arith import (
@@ -20,8 +23,8 @@ from d4census.census import CHOICES, BoundBox, _is_degenerate, exact_census
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
-    L_divisor_sum_row,
-    L_product_row,
+    L_divisor_sum_rows,
+    L_product_rows,
     T111_direct,
     all_class_keys,
     bilinear_sum,
@@ -30,12 +33,13 @@ from d4census.charsum import (
     character_sum_f,
     class_sums,
     _admissible_keys,
+    _jacobi,
 )
 from d4census.localsolve import UNIT_RESIDUES, u_weight
 
 
 # --- reference forms ------------------------------------------------------------
-# Reference forms for the row functions and class_sums: u on the full k and
+# Reference forms for the batch forms of L and class_sums: u on the full k and
 # one (delta, nu) choice per divisor sum, and one walk per class key.
 
 
@@ -87,18 +91,54 @@ def per_key_walk(key, box):
 _BY_RESIDUE = {1: (1, 1, 1), 3: (3, 11, 19), 5: (5, 13, 29), 7: (7, 23, 31)}
 
 
-def test_rows_match_literal_divisor_sum():
+def test_rows_match_literal_divisor_sum(tables_census):
     odd_sf = [m for m in range(1, 316, 2) if _squarefree_factors(m) is not None]
     small = [(m1, m2, m3) for m1 in odd_sf for m2 in odd_sf for m3 in odd_sf
              if m1 * m2 * m3 <= 315 and gcd(m1, m2) == 1 and gcd(m1 * m2, m3) == 1]
     assert len(small) == 895
     by_residue = [tuple(_BY_RESIDUE[r][i] for i, r in enumerate(rs))
                   for rs in itertools.product(UNIT_RESIDUES, repeat=3)]
-    for mp in small + by_residue:
-        facs = tuple(factor_small(m) for m in mp)
-        expected = [literal_divisor_sum(mp, delta, nu) for delta, nu in CHOICES]
-        assert L_product_row(facs) == expected, mp
-        assert L_divisor_sum_row(facs) == expected, mp
+    rows = small + by_residue
+    expected = [[literal_divisor_sum(mp, delta, nu) for delta, nu in CHOICES] for mp in rows]
+    m = np.array(rows, dtype=np.int64)
+    assert L_product_rows(m, tables_census).tolist() == expected
+    assert L_divisor_sum_rows(m, tables_census).tolist() == expected
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_rows_do_not_depend_on_the_block_size(tables_3000, monkeypatch, block):
+    odd_sf = tables_3000.odd_squarefree_upto(3000)
+    rows = [(m1, m2, m3) for m1, m2, m3 in itertools.product(odd_sf[:12], odd_sf[:12], odd_sf)
+            if gcd(m1, m2) == 1 and gcd(m1 * m2, m3) == 1][::37]
+    m = np.array(rows, dtype=np.int64)
+    whole = L_product_rows(m, tables_3000), L_divisor_sum_rows(m, tables_3000)
+    assert (whole[0] == whole[1]).all()
+    monkeypatch.setattr(charsum, "_L_BLOCK_ROWS", block)
+    assert (L_product_rows(m, tables_3000) == whole[0]).all()
+    assert (L_divisor_sum_rows(m, tables_3000) == whole[1]).all()
+
+
+def test_rows_of_no_triples(tables_census):
+    empty = np.zeros((0, 3), dtype=np.int64)
+    for form in (L_product_rows, L_divisor_sum_rows):
+        out = form(empty, tables_census)
+        assert out.shape == (0, len(CHOICES)) and out.dtype == np.int64
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 10**6)),
+                min_size=1, max_size=50))
+def test_jacobi_is_the_symbol(pairs):
+    # odd n >= 1 with n = 1 included, and a multiple of n among the a's
+    a = np.array([x for x, _ in pairs] + [3 * (2 * y + 1) for _, y in pairs], dtype=np.int64)
+    n = np.array([2 * y + 1 for _, y in pairs] * 2, dtype=np.int64)
+    assert _jacobi(a, n).tolist() == [kronecker(x, y) for x, y in zip(a.tolist(), n.tolist())]
+
+
+def test_jacobi_edge_cases():
+    a = np.array([0, 0, 5, 15, 1, 2, 2, 8, 1 << 40], dtype=np.int64)
+    n = np.array([1, 3, 1, 15, 7, 7, 3, 5, 9], dtype=np.int64)
+    assert _jacobi(a, n).tolist() == [kronecker(x, y) for x, y in zip(a.tolist(), n.tolist())]
+    assert _jacobi(a, n).tolist() == [1, 0, 1, 0, 1, 1, -1, -1, 1]
 
 
 @pytest.mark.parametrize("raw", [(10, 10, 10, 10), (7, 3, 5, 9), (20, 12, 16, 9)])
@@ -148,30 +188,34 @@ def test_class_key_validation():
 _TRIVIAL = CHOICES.index(((1, 1), (0, 0, 0)))
 
 
-def test_L_product_examples():
-    assert L_product_row(((), (), ())) == [1] * len(CHOICES)  # empty product
-    assert L_product_row(((), (), (3,)))[_TRIVIAL] == 2  # 1 + (1/3)
-    assert L_product_row(((7,), (), ()))[_TRIVIAL] == 0  # 1 + (-1/7)
+def test_L_product_examples(tables_census):
+    rows = L_product_rows(np.array([(1, 1, 1), (1, 1, 3), (7, 1, 1)]), tables_census)
+    assert rows[0].tolist() == [1] * len(CHOICES)  # empty product
+    assert rows[1:, _TRIVIAL].tolist() == [2, 0]  # 1 + (1/3), 1 + (-1/7)
 
 
-def test_L_divisor_sum_examples():
-    assert L_divisor_sum_row(((), (), (3,)))[_TRIVIAL] == 2
-    assert L_divisor_sum_row(((), (), ()))[_TRIVIAL] == 1
-    assert L_divisor_sum_row(((7,), (), ()))[_TRIVIAL] == 0
+def test_L_divisor_sum_examples(tables_census):
+    rows = L_divisor_sum_rows(np.array([(1, 1, 3), (1, 1, 1), (7, 1, 1)]), tables_census)
+    assert rows[:, _TRIVIAL].tolist() == [2, 1, 0]
 
 
-def test_L_positive_iff_odd_conditions_hold():
+def test_L_positive_iff_odd_conditions_hold(tables_census):
+    triples, conds = [], []
     for triple in _valid_triples(30):
         m1, m2, m3 = triple.as_tuple()
         dec = decompose_triple(triple)
-        conds = all(kronecker(-m2 * m3, p) == 1 for p in factor_small(dec.m1p))
-        conds = conds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(dec.m2p))
-        conds = conds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(dec.m3p))
         if dec.delta == (-1, -1):  # no real point, so not one of the 12 choices
             assert (dec.delta, dec.nu) not in CHOICES
             continue
-        row = L_product_row(dec.primes)
-        assert (row[CHOICES.index((dec.delta, dec.nu))] > 0) == conds, triple
+        holds = all(kronecker(-m2 * m3, p) == 1 for p in factor_small(dec.m1p))
+        holds = holds and all(kronecker(m1 * m3, p) == 1 for p in factor_small(dec.m2p))
+        holds = holds and all(kronecker(m1 * m2, p) == 1 for p in factor_small(dec.m3p))
+        triples.append(dec)
+        conds.append(holds)
+    rows = L_product_rows(np.array([(d.m1p, d.m2p, d.m3p) for d in triples]), tables_census)
+    cols = [CHOICES.index((d.delta, d.nu)) for d in triples]
+    assert len(triples) > 5000
+    assert (rows[np.arange(len(cols)), cols] > 0).tolist() == conds
 
 
 # --- character sums -----------------------------------------------------------

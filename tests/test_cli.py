@@ -231,7 +231,7 @@ def test_sweep_classes_reads_the_kernel_and_matches_class_sums(capsys, monkeypat
 
     with monkeypatch.context() as m:
         m.setattr(charsum, "class_sums", oracle_only)
-        m.setattr(charsum, "L_product_row", oracle_only)
+        m.setattr(charsum, "L_product_rows", oracle_only)
         code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     # the same rows built from the class-walk oracle, byte for byte; X4 = 1e5 is
@@ -476,6 +476,32 @@ def test_verify_divisor_identity_small(capsys):
                            "--bound", "315")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_verify_divisor_identity_does_not_depend_on_the_block_size(capsys, monkeypatch, block):
+    argv = "verify --suite divisor-identity --bound 600 --format json".split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(charsum, "_L_BLOCK_ROWS", block)
+    code, blocked, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = [json.loads(text)["checks"] for text in (out, blocked)]
+    assert checks[0] == checks[1]
+    assert checks[0][0]["actual"] == {"cases": 12 * 1882, "failures": 0}
+
+
+def test_verify_divisor_identity_peak_memory_is_bounded(capsys):
+    # the default run traced 5.2 MB at its peak with 1024-row blocks and 28.1 MB
+    # in one block: the bound fails if the forms stop walking their rows in blocks
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--suite", "divisor-identity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "{'cases': 147216, 'failures': 0}" in out
+    assert peak < 10 * 10**6
 
 
 @pytest.mark.parametrize("suite", ["hasse", "lemma41", "divisor-identity"])

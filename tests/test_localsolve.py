@@ -10,6 +10,7 @@ from d4census.arith import (
     SignedSquarefreeTriple,
     _squarefree_factors,
     _valid_triples,
+    decompose_triple,
     factor_small,
 )
 from d4census import localsolve
@@ -24,6 +25,7 @@ from d4census.localsolve import (
     hilbert_symbol,
     in_E_set,
     padic_oracle_rows,
+    relevant_places,
     satisfies_local_conditions,
     u_weight,
 )
@@ -32,6 +34,17 @@ from d4census.localsolve import (
 def squarefree_values(bound):
     return [s * n for n in range(1, bound + 1) if _squarefree_factors(n) is not None
             for s in (1, -1)]
+
+
+def test_relevant_places_of_a_decomposed_triple():
+    # the same places in the same order (real, 2, odd p ascending), whether
+    # read off the decomposition's primes or factored from m1*m2*m3
+    for triple in _valid_triples(15):
+        places = relevant_places(decompose_triple(triple))
+        assert places == relevant_places(triple), triple
+        assert places[:2] == [REAL_PLACE, TWO_PLACE]
+        assert [v.p for v in places[2:]] == [p for p in factor_small(
+            triple.m1 * triple.m2 * triple.m3) if p != 2]
 
 
 def test_place_validation():
