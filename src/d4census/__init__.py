@@ -52,7 +52,9 @@ from .localsolve import (
     TWO_PLACE,
     find_conic_point,
     hilbert_symbol,
+    hilbert_symbol_rows,
     in_E_set,
+    local_conditions_rows,
     padic_oracle_rows,
     satisfies_local_conditions,
     u_weight,

@@ -407,6 +407,19 @@ def _legendre(a: int, p: int) -> int:
     return (pow(a, (p - 1) >> 1, p) + 1) % p - 1
 
 
+def _legendre_rows(values: np.ndarray, p) -> np.ndarray:
+    """_legendre(values, p) elementwise as int8, for int64 values and p an odd
+    prime or an int64 array of them broadcast against values; a p of 1 gives
+    1.  Euler's criterion by repeated squaring, about log2(p) passes.  p must
+    be below 2^31, so that no int64 product overflows."""
+    base, e = values % p, (p - 1) >> 1
+    power = np.ones_like(base)
+    while np.any(e):
+        power = np.where(e & 1, power * base % p, power)
+        base, e = base * base % p, e >> 1
+    return np.where(power == p - 1, -1, power).astype(np.int8)  # 0, 1 or p - 1
+
+
 @dataclass(frozen=True)
 class SignedSquarefreeTriple:
     """Pairwise coprime squarefree (m1, m2, m3) with m1 > 0.
@@ -423,19 +436,17 @@ class SignedSquarefreeTriple:
         return (self.m1, self.m2, self.m3)
 
 
-def _valid_triples(bound: int):
-    """Every SignedSquarefreeTriple with |m1|, |m2|, |m3| <= bound: m1
-    increasing, m2 and m3 through the squarefree 1, -1, 2, -2, 3, -3, 5, ..."""
-    sf = [n for n in range(1, bound + 1) if _squarefree_factors(n) is not None]
-    signed = [s * n for n in sf for s in (1, -1)]
-    for m1 in sf:
-        for m2 in signed:
-            if gcd(m1, m2) != 1:
-                continue
-            for m3 in signed:
-                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
-                    continue
-                yield SignedSquarefreeTriple(m1, m2, m3)
+def _valid_triples(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int64 columns (m1, m2, m3) of every SignedSquarefreeTriple with
+    |m1|, |m2|, |m3| <= bound: m1 increasing, then m2 and m3 through the
+    squarefree 1, -1, 2, -2, 3, -3, 5, ...; the pairs are kept by np.gcd."""
+    n = np.arange(1, max(bound, 0) + 1, dtype=np.int64)
+    sf = n[(n[:, None] % np.arange(2, isqrt(len(n)) + 1) ** 2 != 0).all(axis=1)]
+    signed = np.stack([sf, -sf], axis=1).ravel()
+    with_m1 = np.gcd.outer(sf, signed) == 1
+    i, j = np.nonzero(with_m1)  # the coprime (m1, m2), in order
+    r, k = np.nonzero(with_m1[i] & (np.gcd.outer(signed, signed) == 1)[j])
+    return sf[i[r]], signed[j[r]], signed[k]
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,7 @@ from .arith import (
     kronecker,
     primes_up_to,
     _check_budget,
+    _legendre_rows,
     _squarefree_factors,
 )
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES
@@ -261,22 +262,15 @@ def _symbols_at(values: np.ndarray, primes: np.ndarray):
     """A look-up p -> the Legendre symbols (values / p) as int8, for p in
     primes or an array of them; the pad prime 0 gives all 1.
 
-    Euler's criterion: values^((p-1)/2) mod p by repeated squaring, about
-    len(values) * log p work per odd prime, for a block of primes at a time.
-    p is below the sieve limit, which the memory budget keeps under 2^31, so
-    no int64 product overflows.
+    Euler's criterion (arith._legendre_rows), about len(values) * log p work
+    per odd prime, for a block of primes at a time.  p is below the sieve
+    limit, which the memory budget keeps under 2^31.
     """
     distinct = np.array(sorted(set(primes.ravel().tolist()) | {0}), dtype=np.int64)
     rows = np.ones((len(distinct), len(values)), dtype=np.int8)
     step = max(1, _SYMBOL_BLOCK // max(len(values), 1))
     for start in range(1, len(distinct), step):
-        p = distinct[start:start + step, None]
-        base, e = values % p, (p - 1) // 2
-        power = np.ones_like(base)
-        while e.any():
-            power = np.where(e & 1, power * base % p, power)
-            base, e = base * base % p, e >> 1
-        rows[start:start + step] = np.where(power == p - 1, -1, power)  # 0, 1 or p - 1
+        rows[start:start + step] = _legendre_rows(values, distinct[start:start + step, None])
     return lambda p: rows[np.searchsorted(distinct, p)]
 
 

@@ -71,7 +71,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import SieveTables, factor_small, kronecker
+from .arith import SieveTables, _legendre_rows, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import CHOICES, BoundBox, _is_degenerate, _required_symbols, exact_class_sums
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
@@ -145,14 +145,9 @@ def L_product_rows(m: np.ndarray, tables: SieveTables) -> np.ndarray:
                 rows = np.flatnonzero(col)
                 p = col[rows, None].astype(np.int64)
                 rest = others[rows] % p
-                base = rest[:, :1] * rest[:, 1:] % p * (signs % p) % p
-                e = (p - 1) >> 1
-                power = np.ones_like(base)
-                while e.any():
-                    power = np.where(e & 1, power * base % p, power)
-                    base, e = base * base % p, e >> 1
+                base = rest[:, :1] * rest[:, 1:] % p * (signs % p)
                 # 1 + (a / p) is 0 or 2: p divides none of the arguments
-                out[start + rows] *= ((power + 1) % p)[:, _SIGN_SPREAD[i]]
+                out[start + rows] *= 1 + _legendre_rows(base, p)[:, _SIGN_SPREAD[i]]
     return out
 
 

@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from array import array
-from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isfinite, log
@@ -62,21 +61,25 @@ from .charsum import (
     L_divisor_sum_rows,
     L_product_rows,
     T_main_term,
+    _blocks,
     census_from_classes,
     kernel_class_sums,
 )
 from .localsolve import (
     ALL_DELTAS,
     ALL_NUS,
+    REAL_PLACE,
     TWO_PLACE,
     UNIT_RESIDUES,
+    Place,
     e_set_literal_000,
     e_set_literal_010,
     find_conic_point,
     hilbert_symbol,
+    hilbert_symbol_rows,
     in_E_set,
+    local_conditions_rows,
     padic_oracle_rows,
-    relevant_places,
     satisfies_local_conditions,
     u_weight,
 )
@@ -383,50 +386,46 @@ def _suite_lemma432(args) -> list[dict]:
     return checks
 
 
+def _places_rows(a: np.ndarray, b: np.ndarray, bound: int):
+    """The places of the triples with |m1|, |m2|, |m3| <= bound in ascending
+    order (real, 2, then each odd p <= bound), each with the rows of the
+    columns a = m1*m2, b = m1*m3 where its symbol may differ from +1: every
+    row at the real place and at 2, the rows with p | m1*m2*m3 at an odd p."""
+    every = np.arange(len(a))
+    yield REAL_PLACE, every
+    yield TWO_PLACE, every
+    for p in primes_up_to(bound)[1:].tolist():
+        yield Place(p), np.flatnonzero((a % p == 0) | (b % p == 0))
+
+
 def _suite_hasse(args) -> list[dict]:
     bound = 30 if args.bound is None else args.bound
-    bad = 0
-    total = 0
-    for triple in _valid_triples(bound):
-        a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        prod = 1
-        for v in relevant_places(triple):
-            prod *= hilbert_symbol(a, b, v)
-        total += 1
-        if prod != 1:
-            bad += 1
+    m1, m2, m3 = _valid_triples(bound)
+    a, b = m1 * m2, m1 * m3
+    product = np.ones(len(a), dtype=np.int8)
+    for v, rows in _places_rows(a, b, bound):
+        product[rows] *= hilbert_symbol_rows(a[rows], b[rows], v)
+    total, bad = len(a), int(np.count_nonzero(product != 1))
     return [_check(f"hasse_product_bound_{bound}", {"cases": total, "failures": 0},
                    {"cases": total, "failures": bad})]
 
 
 def _suite_lemma41(args) -> list[dict]:
     bound = 30 if args.bound is None else args.bound
-    equiv_bad = 0
-    # int64 columns: lists of Python ints would leave their objects on the heap
-    col_a, col_b, col_plus = array("q"), array("q"), array("q")
-    rows_at = defaultdict(lambda: array("q"))  # place -> indices of its triples
-    for i, triple in enumerate(_valid_triples(bound)):
-        a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
-        dec = decompose_triple(triple)
-        places = relevant_places(dec)
-        plus = all(hilbert_symbol(a, b, v) == 1 for v in places)
-        if satisfies_local_conditions(dec) != plus:
-            equiv_bad += 1
-        col_a.append(a)
-        col_b.append(b)
-        col_plus.append(plus)
-        for v in places:
-            rows_at[v].append(i)
-    a, b, all_plus = (np.frombuffer(c, dtype=np.int64) for c in (col_a, col_b, col_plus))
+    m1, m2, m3 = _valid_triples(bound)
+    a, b = m1 * m2, m1 * m3
     total = len(a)
-    # one place at a time (real, then p ascending: each triple's own order),
-    # over the triples no earlier place refuted
+    plus = np.ones(total, dtype=bool)
+    # the oracle runs one place at a time (real, then p ascending: each
+    # triple's own order), over the triples no earlier place refuted
     alive = np.ones(total, dtype=bool)
-    for v in sorted(rows_at, key=lambda v: v.p):
-        rows = np.frombuffer(rows_at[v], dtype=np.int64)
+    for v, rows in _places_rows(a, b, bound):
+        plus[rows] &= hilbert_symbol_rows(a[rows], b[rows], v) == 1
         rows = rows[alive[rows]]
         alive[rows] = padic_oracle_rows(a[rows], b[rows], v)
-    oracle_bad = int(np.count_nonzero(alive != all_plus.astype(bool)))
+    equiv_bad = int(np.count_nonzero(local_conditions_rows(m1, m2, m3, build_sieve(bound))
+                                     != plus))
+    oracle_bad = int(np.count_nonzero(alive != plus))
     return [
         _check(f"local_conditions_vs_symbols_bound_{bound}",
                {"cases": total, "failures": 0}, {"cases": total, "failures": equiv_bad}),
@@ -488,10 +487,14 @@ def _suite_divisor_identity(args) -> list[dict]:
                 if gcd(m12, m3) == 1:
                     flat.extend((m1, m2, m3))
     triples = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
-    lp, ls = L_product_rows(triples, tables), L_divisor_sum_rows(triples, tables)
-    tau = tables.tau[triples.prod(axis=1)][:, None]  # m1 * m2 * m3 <= bound
-    bad = int(np.count_nonzero((lp != ls) | ((lp != 0) & (lp != tau))))
-    total = lp.size
+    bad = total = 0
+    for start, stop in _blocks(triples):  # one block's (rows, 12) results at a time
+        block = triples[start:stop]
+        lp, ls = L_product_rows(block, tables), L_divisor_sum_rows(block, tables)
+        # m1 * m2 * m3 <= bound is squarefree: tau is 2 to its number of primes
+        tau = 1 << np.count_nonzero(tables.prime_columns(block.prod(axis=1)), axis=1)[:, None]
+        bad += int(np.count_nonzero((lp != ls) | ((lp != 0) & (lp != tau))))
+        total += lp.size
     return [_check(f"product_equals_divisor_sum_upto_{bound}",
                    {"cases": total, "failures": 0}, {"cases": total, "failures": bad})]
 
@@ -542,8 +545,9 @@ def _suite_tamagawa(args) -> list[dict]:
 
 
 # Each suite's runner, the verify options it reads and the caps on its --bound
-# or --x values (each ran 1-5 s at its caps on a 2-vCPU VM); giving a suite any
-# other of --tol, --bound, --x and --pmax, or a larger value, is a usage error.
+# or --x values (at its caps each ran in 0.4-5 s per process on a 2-vCPU VM,
+# hasse and lemma41 under 0.6 s); giving a suite any other of --tol, --bound,
+# --x and --pmax, or a larger value, is a usage error.
 _SUITES = {
     "lemma432": (_suite_lemma432, (), ()),
     "hasse": (_suite_hasse, ("bound",), (80,)),

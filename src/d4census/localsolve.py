@@ -5,7 +5,9 @@ has a rational point.  By the Hasse principle that reduces to local checks:
 
   * hilbert_symbol: closed-form (a, b)_v at the real place, at 2, and at odd
     primes (valuations stripped mod 2, epsilon(p) = (p-1)/2 exponent formula,
-    Legendre symbols of the unit parts by Euler's criterion).
+    Legendre symbols of the unit parts by Euler's criterion), on Python ints
+    of any size.  hilbert_symbol_rows is the same formula for every pair of
+    two int64 columns at one place.
   * padic_oracle_rows: an independent ground truth that searches exhaustively
     for primitive solutions modulo m = p^3 (odd p) resp. 2^6 -- Hensel-
     sufficient for coefficients of valuation <= 1 -- for a whole column of
@@ -29,7 +31,9 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     cross-check (E_000_LITERAL / E_010_LITERAL below).
   * satisfies_local_conditions: the full bundle (odd-prime Legendre
     conditions by Euler's criterion at the primes decompose_triple keeps,
-    real-place sign condition, the mod-8 set).
+    real-place sign condition, the mod-8 set).  local_conditions_rows is the
+    same bundle for int64 columns of triples, with the primes read off
+    SieveTables.prime_columns.
   * u_weight: the +-1 weight collecting quadratic-reciprocity signs in the
     character-sum expansion; it coincides with a 2-adic Hilbert symbol.
 """
@@ -44,8 +48,10 @@ import numpy as np
 
 from .arith import (
     DecomposedTriple,
+    SieveTables,
     SignedSquarefreeTriple,
     _legendre,
+    _legendre_rows,
     decompose_triple,
     factor_small,
     kronecker,
@@ -80,14 +86,15 @@ REAL_PLACE = Place(0)
 TWO_PLACE = Place(2)
 
 
-def _eta(u: int) -> int:
-    """Parity of (u - 1)/2 for odd u: 0 if u = 1 mod 4, 1 if u = 3 mod 4."""
+def _eta(u):
+    """Parity of (u - 1)/2 for odd u: 0 if u = 1 mod 4, 1 if u = 3 mod 4.
+    u is an int or an int64 array, as for _omega."""
     return (u % 4) // 2
 
 
-def _omega(u: int) -> int:
+def _omega(u):
     """Parity of (u^2 - 1)/8 for odd u: 1 exactly when u = 3, 5 mod 8."""
-    return 1 if u % 8 in (3, 5) else 0
+    return (u % 8 + 1) // 4 % 2
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
@@ -121,6 +128,42 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     if s:
         sign *= _legendre(w, p)
     return sign
+
+
+def _strip_rows(n: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_strip of every entry of a nonzero int64 column: (valuation mod 2 as
+    bool, unit part), one division pass per power of p."""
+    parity = np.zeros(len(n), dtype=bool)
+    divisible = n % p == 0
+    while divisible.any():
+        n = np.where(divisible, n // p, n)
+        parity ^= divisible
+        divisible = n % p == 0
+    return parity, n
+
+
+def hilbert_symbol_rows(a, b, v: Place) -> np.ndarray:
+    """hilbert_symbol(a[i], b[i], v) for every pair of the int64 columns a
+    and b, as int8: the same formulas, with the valuations stripped by
+    repeated division and the Legendre symbols by Euler's criterion on the
+    whole column (arith._legendre_rows, so an odd p must be below 2^31)."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if ((a == 0) | (b == 0)).any():
+        raise ValueError("hilbert_symbol needs nonzero arguments")
+    if v.is_real:
+        return np.where((a < 0) & (b < 0), -1, 1).astype(np.int8)
+    p = 2 if v.is_two else v.p
+    if p >= 1 << 31:
+        raise ValueError(f"hilbert_symbol_rows needs p < 2^31, not {p}")
+    s, u = _strip_rows(a, p)
+    t, w = _strip_rows(b, p)
+    if v.is_two:
+        odd = (_eta(u) * _eta(w) + s * _omega(w) + t * _omega(u)) % 2 == 1
+    else:
+        odd = s & t & bool((p - 1) // 2 % 2)
+        odd ^= t & (_legendre_rows(u, p) < 0)
+        odd ^= s & (_legendre_rows(w, p) < 0)
+    return np.where(odd, -1, 1).astype(np.int8)
 
 
 # Each block of padic_oracle_rows takes as many rows as fit this many cells of
@@ -249,22 +292,28 @@ def satisfies_local_conditions(triple: SignedSquarefreeTriple | DecomposedTriple
     return in_E_set(dec.eps, dec.nu, dec.delta)
 
 
-@lru_cache(maxsize=256)
-def _odd_place(p: int) -> Place:
-    return Place(p)
+def local_conditions_rows(m1, m2, m3, tables: SieveTables) -> np.ndarray:
+    """satisfies_local_conditions of every triple (m1[i], m2[i], m3[i]) of
+    three int64 columns, as bool.  The triples must be valid, with odd parts
+    m1', m2', m3' at most tables.limit; they are not checked.
 
-
-def relevant_places(triple: SignedSquarefreeTriple | DecomposedTriple) -> list[Place]:
-    """Real, 2, and the odd primes dividing m1*m2*m3, ascending; symbols
-    elsewhere are +1.  A decomposed triple gives the primes decompose_triple
-    kept, so it is not factored again; a plain one is factored once, as the
-    product m1*m2*m3, without the validation of decompose_triple."""
-    if isinstance(triple, DecomposedTriple):
-        odd = sorted(sum(triple.primes, ()))
-    else:
-        m1, m2, m3 = triple.as_tuple()
-        odd = [p for p in factor_small(m1 * m2 * m3) if p != 2]
-    return [REAL_PLACE, TWO_PLACE] + [_odd_place(p) for p in odd]
+    The same three tests: the real sign; the Legendre conditions at the odd
+    primes of m1', m2' and m3', read off tables.prime_columns, one prime
+    column at a time; and the mod-8 class at 2, on the representatives
+    in_E_set forms, through hilbert_symbol_rows.
+    """
+    m = [np.asarray(c, dtype=np.int64) for c in (m1, m2, m3)]
+    nu = [1 - c % 2 for c in m]  # mu, alpha, beta
+    odd = [abs(c) >> k for c, k in zip(m, nu)]
+    ok = ~((m[1] < 0) & (m[2] < 0))
+    for i, x, y in ((0, -m[1], m[2]), (1, m[0], m[2]), (2, m[0], m[1])):
+        for p in tables.prime_columns(odd[i]).T.astype(np.int64):
+            p = np.maximum(p, 1)  # a pad, 0, becomes 1, whose symbol is 1
+            ok &= _legendre_rows(x % p * (y % p), p) == 1
+    eps = [c % 8 for c in odd]
+    a = (1 << (nu[0] + nu[1])) * np.sign(m[1]) * eps[0] * eps[1]
+    b = (1 << (nu[0] + nu[2])) * np.sign(m[2]) * eps[0] * eps[2]
+    return ok & (hilbert_symbol_rows(a, b, TWO_PLACE) == 1)
 
 
 def find_conic_point(a: int, b: int, height: int):

@@ -16,6 +16,7 @@ from d4census.arith import (
     InvalidTripleError,
     SignedSquarefreeTriple,
     _legendre,
+    _legendre_rows,
     _spf_sieve,
     _squarefree_factors,
     _tables_from_spf,
@@ -384,6 +385,19 @@ def test_legendre_equals_kronecker_at_odd_primes():
             assert _legendre(a, p) == kronecker(a, p), (a, p)
 
 
+def test_legendre_rows_equal_the_scalar_symbol():
+    primes = primes_up_to(500)[1:]
+    a = np.arange(-600, 1200, dtype=np.int64)
+    for p in primes.tolist():
+        got = _legendre_rows(a, p)
+        assert got.dtype == np.int8
+        assert got.tolist() == [_legendre(x, p) for x in a.tolist()], p
+    # a column of primes, one per value, with 1 for a pad
+    p = np.resize(np.append(primes, 1), len(a))
+    want = [_legendre(x, q) if q > 1 else 1 for x, q in zip(a.tolist(), p.tolist())]
+    assert _legendre_rows(a, p).tolist() == want
+
+
 @settings(max_examples=200)
 @given(n=st.integers(min_value=2, max_value=10**12 - 100),
        a=st.integers(min_value=-10**13, max_value=10**13))
@@ -482,9 +496,31 @@ def test_decompose_names_the_first_failure(bad, message):
     assert str(err.value) == f"{triple}: {message}"
 
 
+def reference_valid_triples(bound):
+    """The nested-loop generator _valid_triples replaced, kept as the
+    reference for its order: m1 increasing, m2 and m3 through 1, -1, 2, ..."""
+    sf = [n for n in range(1, bound + 1) if _squarefree_factors(n) is not None]
+    signed = [s * n for n in sf for s in (1, -1)]
+    for m1 in sf:
+        for m2 in signed:
+            if gcd(m1, m2) != 1:
+                continue
+            for m3 in signed:
+                if gcd(m1, m3) != 1 or gcd(m2, m3) != 1:
+                    continue
+                yield (m1, m2, m3)
+
+
+@pytest.mark.parametrize("bound", range(31))
+def test_valid_triples_match_the_nested_loops(bound):
+    columns = _valid_triples(bound)
+    assert all(c.dtype == np.int64 for c in columns)
+    assert list(zip(*(c.tolist() for c in columns))) == list(reference_valid_triples(bound))
+
+
 def test_decompose_keeps_the_odd_primes():
     count = 0
-    for triple in _valid_triples(12):
+    for triple in map(SignedSquarefreeTriple, *(c.tolist() for c in _valid_triples(12))):
         expected = tuple(tuple(p for p in factor_small(m) if p != 2)
                          for m in triple.as_tuple())
         assert decompose_triple(triple).primes == expected, triple

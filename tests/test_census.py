@@ -46,10 +46,12 @@ from d4census.charsum import (
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
+    REAL_PLACE,
+    TWO_PLACE,
     UNIT_RESIDUES,
+    Place,
     in_E_set,
     padic_oracle_rows,
-    relevant_places,
     satisfies_local_conditions,
 )
 
@@ -94,9 +96,11 @@ def brute_census(x1, x2, x3, x4):
                     or is_perfect_square(m2 * m3)
                 ):
                     continue
-                triple = SignedSquarefreeTriple(m1, m2, m3)
                 a, b = m1 * m2, m1 * m3
-                if not all(padic_oracle_rows([a], [b], v)[0] for v in relevant_places(triple)):
+                # every other place has the symbol +1
+                places = [REAL_PLACE, TWO_PLACE] + [
+                    Place(p) for p in factor_small(m1 * m2 * m3) if p != 2]
+                if not all(padic_oracle_rows([a], [b], v)[0] for v in places):
                     continue
                 m = brute_odd_part(m1) * brute_odd_part(m2) * brute_odd_part(m3)
                 tau = sum(1 for d in range(1, m + 1) if m % d == 0)

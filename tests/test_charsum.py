@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from d4census import charsum
 from d4census.arith import (
     CapacityError,
+    SignedSquarefreeTriple,
     _squarefree_factors,
     _valid_triples,
     build_sieve,
@@ -201,9 +202,8 @@ def test_L_divisor_sum_examples(tables_census):
 
 def test_L_positive_iff_odd_conditions_hold(tables_census):
     triples, conds = [], []
-    for triple in _valid_triples(30):
-        m1, m2, m3 = triple.as_tuple()
-        dec = decompose_triple(triple)
+    for m1, m2, m3 in zip(*(c.tolist() for c in _valid_triples(30))):
+        dec = decompose_triple(SignedSquarefreeTriple(m1, m2, m3))
         if dec.delta == (-1, -1):  # no real point, so not one of the 12 choices
             assert (dec.delta, dec.nu) not in CHOICES
             continue

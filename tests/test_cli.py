@@ -537,6 +537,34 @@ def test_verify_hasse_and_lemma41_small(capsys):
     assert run_cli(capsys, "verify", "--suite", "lemma41", "--bound", "8")[0] == 0
 
 
+@pytest.mark.parametrize("suite, cap, cases", [("hasse", 80, 240_712), ("lemma41", 40, 30_064)])
+def test_verify_hasse_and_lemma41_at_their_caps(capsys, suite, cap, cases):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--bound", str(cap))
+    assert code == 0
+    assert out.count(f"actual {{'cases': {cases}, 'failures': 0}}") == (1 if suite == "hasse" else 2)
+
+
+@pytest.mark.parametrize("suite", ["hasse", "lemma41"])
+def test_one_flipped_hilbert_symbol_is_one_failure(capsys, monkeypatch, suite):
+    symbols = cli.hilbert_symbol_rows
+    calls = []
+
+    def flipped(a, b, v):
+        out = symbols(a, b, v)
+        if not calls:
+            out[0] = -out[0]
+        calls.append(v)
+        return out
+
+    monkeypatch.setattr(cli, "hilbert_symbol_rows", flipped)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1 and calls
+    # lemma41 compares the symbols with the local conditions and the oracle
+    lines = out.splitlines()[:-1]
+    assert len(lines) == (1 if suite == "hasse" else 2)
+    assert all(line.startswith("FAIL") and line.endswith(
+        "actual {'cases': 11908, 'failures': 1}") for line in lines)
+
 
 def count_oracle_rows(monkeypatch, flip_first=False):
     """Wrap the oracle the lemma41 suite calls: count its (triple, place)
@@ -557,7 +585,8 @@ def count_oracle_rows(monkeypatch, flip_first=False):
 
 def test_lemma41_oracle_rows(capsys, monkeypatch):
     # the place-by-place pass evaluates exactly the (triple, place) pairs a
-    # per-triple all() over relevant_places would: real first, then p ascending
+    # per-triple all() over its places would (real, 2, then each odd p | m1*m2*m3,
+    # ascending), with no pair after the first refuted one
     seen = count_oracle_rows(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma41")
     assert code == 0 and sum(seen) == 29_422

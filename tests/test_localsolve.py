@@ -10,8 +10,9 @@ from d4census.arith import (
     SignedSquarefreeTriple,
     _squarefree_factors,
     _valid_triples,
-    decompose_triple,
+    build_sieve,
     factor_small,
+    primes_up_to,
 )
 from d4census import localsolve
 from d4census.localsolve import (
@@ -23,9 +24,10 @@ from d4census.localsolve import (
     Place,
     find_conic_point,
     hilbert_symbol,
+    hilbert_symbol_rows,
     in_E_set,
+    local_conditions_rows,
     padic_oracle_rows,
-    relevant_places,
     satisfies_local_conditions,
     u_weight,
 )
@@ -36,15 +38,51 @@ def squarefree_values(bound):
             for s in (1, -1)]
 
 
-def test_relevant_places_of_a_decomposed_triple():
-    # the same places in the same order (real, 2, odd p ascending), whether
-    # read off the decomposition's primes or factored from m1*m2*m3
-    for triple in _valid_triples(15):
-        places = relevant_places(decompose_triple(triple))
-        assert places == relevant_places(triple), triple
-        assert places[:2] == [REAL_PLACE, TWO_PLACE]
-        assert [v.p for v in places[2:]] == [p for p in factor_small(
-            triple.m1 * triple.m2 * triple.m3) if p != 2]
+SYMBOL_PLACES = [REAL_PLACE, TWO_PLACE] + [Place(p) for p in primes_up_to(97)[1:].tolist()]
+
+
+def signed_values(q):
+    """Nonzero values of both signs up to 10^12 in absolute value, divisible
+    by q^k for a drawn k <= 4, so that valuations of 2 and more are common."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.integers(1, 10**12 // q**k).map(lambda u: u * q**k)).flatmap(
+        lambda n: st.sampled_from((n, -n)))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_hilbert_symbol_rows_equal_the_scalar_symbol(data):
+    v = data.draw(st.sampled_from(SYMBOL_PLACES))
+    value = signed_values(v.p or data.draw(st.sampled_from((2, 3))))
+    pairs = data.draw(st.lists(st.tuples(value, value), max_size=30))
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    got = hilbert_symbol_rows(a, b, v)
+    assert got.dtype == np.int8
+    assert got.tolist() == [hilbert_symbol(x, y, v) for x, y in pairs]
+
+
+def test_hilbert_symbol_rows_of_empty_and_zero_columns():
+    for v in SYMBOL_PLACES:
+        assert hilbert_symbol_rows([], [], v).tolist() == []
+        for a, b in (([5, 0], [3, 3]), ([5, 3], [3, 0])):
+            with pytest.raises(ValueError) as scalar:
+                hilbert_symbol(0, 3, v)
+            with pytest.raises(ValueError) as rows:
+                hilbert_symbol_rows(a, b, v)
+            assert str(rows.value) == str(scalar.value)
+    with pytest.raises(ValueError, match="p < 2"):
+        hilbert_symbol_rows([3], [5], Place(2**31 + 11))  # Euler's criterion would overflow
+
+
+def test_local_conditions_rows_equal_the_scalar_conditions():
+    m1, m2, m3 = _valid_triples(30)
+    got = local_conditions_rows(m1, m2, m3, build_sieve(30))
+    want = [satisfies_local_conditions(SignedSquarefreeTriple(*t))
+            for t in zip(m1.tolist(), m2.tolist(), m3.tolist())]
+    assert got.dtype == bool and len(got) == 11_908
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
 
 
 def test_place_validation():
@@ -331,7 +369,7 @@ def test_find_conic_point_holds_no_table_of_squares():
 
 
 def test_witness_exists_for_soluble_triples():
-    for triple in _valid_triples(6):
+    for triple in map(SignedSquarefreeTriple, *(c.tolist() for c in _valid_triples(6))):
         if satisfies_local_conditions(triple):
             a, b = triple.m1 * triple.m2, triple.m1 * triple.m3
             assert find_conic_point(a, b, 200) is not None, triple
