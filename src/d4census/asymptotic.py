@@ -16,14 +16,16 @@ and `tamagawa`:
     alpha* = 1/4, tau_infty = 3/4, and tau_2 = 9/4 from an explicit count of
     36 dyadic homomorphism classes times the convergence factor (1/2)^4.
 
-Euler products are evaluated as exponentials of summed logarithms in
-descending-p order; each truncation reports a log-scale tail bound obtained
-from |log(1 + x)| <= 2|x| (valid for |x| <= 1/2) and sum_{p > P} p^(-2) < 1/P.
+Euler products are evaluated as exponentials of summed logarithms, the sum
+correctly rounded, in blocks; each truncation reports a log-scale tail bound
+obtained from |log(1 + x)| <= 2|x| (valid for |x| <= 1/2) and
+sum_{p > P} p^(-2) < 1/P.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,27 +83,88 @@ class EulerValue(NamedTuple):
     tail_bound: float
 
 
-def _product_over(factors: np.ndarray, dev_coeff: float, pmax: int) -> EulerValue:
-    if np.any(factors <= 0):
-        raise ValueError("Euler factors must be positive")
-    logs = np.log(factors)
-    value = math.exp(math.fsum(logs[::-1]))  # descending p: small terms first
-    return EulerValue(value, 2.0 * dev_coeff / pmax)
+# Primes per block of an Euler product: its temporaries are a few arrays of
+# this length, never one as long as the prime table.
+_EULER_BLOCK = 1 << 15
+# np.frexp splits a finite float64 into m * 2^e with 2^53 m an integer and
+# e >= -1073, so 2^(53 + 1073) times any float64 is an integer.
+_SUM_SHIFT = 53 + 1073
+# the integer mantissas are summed as two halves below 2^27 in magnitude, so
+# no int64 group sum over a block of fewer than 2^36 values can overflow
+_HALF_BITS = 26
+
+
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The sum of every float64 in the blocks, correctly rounded.
+
+    Each value is an integer mantissa times a power of two; the mantissas are
+    grouped by exponent, summed in int64 halves, and added into one Python int
+    scaled by 2^_SUM_SHIFT.  One int division rounds the total, so the result
+    equals math.fsum of the values in any order and any blocking.
+    """
+    total = 0
+    for values in blocks:
+        mant, exp = np.frexp(values)
+        mant *= 2.0**53
+        ints = mant.astype(np.int64)
+        del mant
+        # a product's logs are monotone in p, and the stable sort is near-linear
+        # on their already ordered exponents
+        order = np.argsort(exp, kind="stable")
+        exp = exp[order]
+        ints = ints[order]
+        del order
+        starts = np.flatnonzero(np.diff(exp, prepend=exp[:1] - 1))
+        high = np.add.reduceat(ints >> _HALF_BITS, starts).tolist()
+        low = np.add.reduceat(ints & ((1 << _HALF_BITS) - 1), starts).tolist()
+        for h, lo, e in zip(high, low, exp[starts].tolist()):
+            total += ((h << _HALF_BITS) + lo) << (e - 53 + _SUM_SHIFT)
+    return total / (1 << _SUM_SHIFT)
+
+
+def _product_over(factor: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
+                  dev_coeff: float, pmax: int) -> EulerValue:
+    """prod factor(p) over the primes p, as exp of the exactly summed logs.
+
+    The factors are evaluated and logged one block of primes at a time.
+    """
+    def logs():
+        for start in range(0, len(p), _EULER_BLOCK):
+            factors = factor(p[start : start + _EULER_BLOCK])
+            if np.any(factors <= 0):
+                raise ValueError("Euler factors must be positive")
+            yield np.log(factors, out=factors)
+
+    return EulerValue(math.exp(_exact_sum(logs())), 2.0 * dev_coeff / pmax)
+
+
+@lru_cache(maxsize=1)
+def _last_table() -> list:
+    """[pmax, primes] of the last prime table sieved, one mutable slot that
+    cache_clear empties along with the other caches."""
+    return [0, np.zeros(0)]
 
 
 @lru_cache(maxsize=1)
 def _primes(pmax: int) -> np.ndarray:
-    """The primes <= pmax as a read-only float64 table, shared by the Euler products."""
-    p = primes_up_to(pmax).astype(np.float64)
-    p.setflags(write=False)
-    return p
+    """The primes <= pmax as a read-only float64 table, shared by the Euler products.
+
+    A pmax no larger than that of the last table sieved is served as a prefix
+    of that table, without sieving again.
+    """
+    slot = _last_table()
+    top, table = slot
+    if pmax > top:
+        table = primes_up_to(pmax).astype(np.float64)
+        table.setflags(write=False)
+        slot[:] = pmax, table
+    return table[: np.searchsorted(table, pmax, side="right")]
 
 
 @lru_cache(maxsize=32)
 def c_base(spec: EulerProductSpec) -> EulerValue:
     """c(1) = prod_p (1 - 2/(p(p+1))), truncated at pmax."""
-    p = _primes(spec.pmax)
-    return _product_over(1.0 - 2.0 / (p * (p + 1.0)), 2.0, spec.pmax)
+    return _product_over(lambda p: 1.0 - 2.0 / (p * (p + 1.0)), _primes(spec.pmax), 2.0, spec.pmax)
 
 
 @dataclass(frozen=True)
@@ -140,9 +203,12 @@ def c_constant(r: int, spec: EulerProductSpec) -> CConstant:
 def c_tilde(spec: EulerProductSpec) -> EulerValue:
     """(3/16)^3 * c(1)^3 * prod_{p>2} (1 - 3/(p+2)^2 + 2/(p+2)^3)."""
     c1 = c_base(spec)
-    p = _primes(spec.pmax)[1:]  # the odd primes
-    q = p + 2.0
-    odd = _product_over(1.0 - 3.0 / (q * q) + 2.0 / (q * q * q), 3.0, spec.pmax)
+
+    def factor(p):
+        q = p + 2.0
+        return 1.0 - 3.0 / (q * q) + 2.0 / (q * q * q)
+
+    odd = _product_over(factor, _primes(spec.pmax)[1:], 3.0, spec.pmax)  # the odd primes
     value = (3.0 / 16.0) ** 3 * c1.value**3 * odd.value
     return EulerValue(value, 3.0 * c1.tail_bound + odd.tail_bound)
 
@@ -155,9 +221,8 @@ def leading_constant(spec: EulerProductSpec) -> EulerValue:
     + 4/p^5 (identical algebraically; a different rounding path than the
     Tamagawa product, which makes the cross-check meaningful).
     """
-    p = _primes(spec.pmax)[1:]  # the odd primes
-    factors = 1.0 - 10.0 / p**2 + 20.0 / p**3 - 15.0 / p**4 + 4.0 / p**5
-    bare = _product_over(factors, 10.0, spec.pmax)
+    bare = _product_over(lambda p: 1.0 - 10.0 / p**2 + 20.0 / p**3 - 15.0 / p**4 + 4.0 / p**5,
+                         _primes(spec.pmax)[1:], 10.0, spec.pmax)  # the odd primes
     return EulerValue(float(CONSTANTS["leading_prefactor"]) * bare.value, bare.tail_bound)
 
 
@@ -168,8 +233,8 @@ def constant_identity(spec: EulerProductSpec) -> float:
     The two sides agree factor by factor, so the residual measures rounding
     only.
     """
-    p = _primes(spec.pmax)[1:]  # the odd primes
-    zeta_part = _product_over(1.0 - 1.0 / (p * p), 1.0, spec.pmax)
+    zeta_part = _product_over(lambda p: 1.0 - 1.0 / (p * p), _primes(spec.pmax)[1:], 1.0,
+                              spec.pmax)  # the odd primes
     return abs(1728.0 * c_tilde(spec).value * zeta_part.value - leading_constant(spec).value)
 
 
@@ -261,8 +326,8 @@ def tamagawa_constant(spec: EulerProductSpec) -> TamagawaReport:
         tau_two=tau2_etale * Fraction(1, 2) ** 4,
         group_order=CONSTANTS["group_order"],
     )
-    p = _primes(spec.pmax)[1:]  # the odd primes
-    bare = _product_over((1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p), 10.0, spec.pmax)
+    bare = _product_over(lambda p: (1.0 - 1.0 / p) ** 4 * (1.0 + 4.0 / p),
+                         _primes(spec.pmax)[1:], 10.0, spec.pmax)  # the odd primes
     product = float(parts.rational_prefactor()) * bare.value
     return TamagawaReport(parts, tau2_etale, product, abs(product - leading_constant(spec).value))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import nextprime
+from sympy import nextprime, primerange
 from sympy.functions.combinatorial.numbers import kronecker_symbol, legendre_symbol
 
 from d4census.arith import (
@@ -353,6 +353,10 @@ def test_squarefree_factors_brute():
 def test_primes_up_to():
     assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(primes_up_to(1)) == 0
+    for n in [*range(-2, 300), 99_991, 100_000]:
+        primes = primes_up_to(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == list(primerange(n + 1)), n
 
 
 # --- Kronecker symbol ------------------------------------------------------

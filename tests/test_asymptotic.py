@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from d4census import asymptotic, cli
 from d4census.arith import primes_up_to
 from d4census.asymptotic import (
+    _EULER_BLOCK,
     CONSTANTS,
     EulerProductSpec,
+    _exact_sum,
+    _primes,
     c_base,
     c_constant,
     c_tilde,
@@ -160,3 +166,109 @@ def test_twist_main_term_values():
     # 0.5 * prod_{p>2}(1 - 1/p^2) = 4 / pi^2
     assert twist_main_term(1, 100) == pytest.approx(400 / math.pi**2)
     assert twist_main_term(3, 100) == pytest.approx((3 / 4) * 400 / math.pi**2)
+
+
+# --- exact sums and blocked Euler products ----------------------------------
+
+B = _EULER_BLOCK
+
+
+def _spread_values(n, seed, cancel):
+    """n floats of both signs, from 1e-300 to 1e300, every fifth subnormal;
+    with cancel, a third of them are the negations of others."""
+    rng = np.random.default_rng(seed)
+    m = n - n // 3 if cancel else n
+    x = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-300, 300, m)
+    x[::5] = rng.choice([-1.0, 1.0], x[::5].size) * rng.integers(1, 1 << 52, x[::5].size) * 5e-324
+    if cancel:
+        x = rng.permutation(np.concatenate([x, -x[: n // 3]]))
+    assert x.size == n
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("cancel", [False, True])
+def test_exact_sum_equals_fsum(n, cancel):
+    for seed in range(3):
+        x = _spread_values(n, seed, cancel)
+        expected = math.fsum(x)
+        assert _exact_sum(x[s : s + B] for s in range(0, n, B)) == expected
+        assert _exact_sum([x[::-1]]) == expected
+        assert _exact_sum(x[s : s + 1000] for s in range(0, n, 1000)) == expected
+
+
+def test_exact_sum_of_subnormals_and_zeros():
+    tiny = np.array([5e-324, -5e-324, 2.5e-323, 0.0, -0.0, 1e-310, -3e-310])
+    assert _exact_sum([tiny]) == math.fsum(tiny)
+    assert _exact_sum([np.zeros(5)]) == 0.0
+    assert _exact_sum([]) == 0.0
+
+
+def _fsum_product(factors):
+    # the full-array evaluation the blocked products replace
+    return math.exp(math.fsum(np.log(factors)[::-1]))
+
+
+@pytest.mark.parametrize("pmax", [10**3, 10**5, 10**6])
+def test_blocked_products_equal_full_array_fsum(pmax):
+    spec = EulerProductSpec(pmax=pmax)
+    p = primes_up_to(pmax).astype(np.float64)
+    odd = p[1:]
+    base = _fsum_product(1.0 - 2.0 / (p * (p + 1.0)))
+    q = odd + 2.0
+    ct = (3.0 / 16.0) ** 3 * base**3 * _fsum_product(1.0 - 3.0 / (q * q) + 2.0 / (q * q * q))
+    lead = 27 / 8 * _fsum_product(1.0 - 10.0 / odd**2 + 20.0 / odd**3 - 15.0 / odd**4
+                                  + 4.0 / odd**5)
+    zeta = _fsum_product(1.0 - 1.0 / (odd * odd))
+    tam = 27 / 8 * _fsum_product((1.0 - 1.0 / odd) ** 4 * (1.0 + 4.0 / odd))
+    assert c_base(spec).value == base
+    assert c_tilde(spec).value == ct
+    assert leading_constant(spec).value == lead
+    assert constant_identity(spec) == abs(1728.0 * ct * zeta - lead)
+    report = tamagawa_constant(spec)
+    assert (report.product, report.difference) == (tam, abs(tam - lead))
+
+
+def test_euler_products_stay_below_one_prime_table():
+    # with the table cached, a product allocates a block at a time (1.7 MB of
+    # 2^15-prime temporaries at peak), never a full-length float64 array
+    spec = EulerProductSpec(pmax=10**7)
+    table_bytes = _primes(spec.pmax).nbytes
+    assert table_bytes > 5_000_000
+    for product in (c_base.__wrapped__, c_tilde.__wrapped__, leading_constant.__wrapped__,
+                    constant_identity, tamagawa_constant):
+        tracemalloc.start()
+        try:
+            product(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2, product
+
+
+def test_smaller_pmax_reads_a_prefix_of_the_last_table():
+    large = _primes(10**6)
+    small = _primes(10**5)
+    assert np.array_equal(small, primes_up_to(10**5).astype(np.float64))
+    assert np.shares_memory(small, large)
+    assert not small.flags.writeable
+
+
+def test_constants_suite_sieves_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(asymptotic, "primes_up_to", counting)
+    for cached in (asymptotic._last_table, _primes, c_base, c_tilde, leading_constant):
+        cached.cache_clear()
+    assert cli.main(["verify", "--suite", "constants", "--pmax", "54321"]) == 0
+    assert calls == [54321]
+    capsys.readouterr()
+
+
+def test_nonpositive_factor_is_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        asymptotic._product_over(lambda p: 1.0 - 4.0 / p, _primes(100)[1:], 1.0, 100)

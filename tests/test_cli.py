@@ -159,7 +159,8 @@ _PINNED = ("count --x 200 200 200 200",
            *(f"count --x {a} {b} {c} 100 --format csv"
              for a, b, c in itertools.permutations((50, 100, 200))),
            "sweep --min 10 --max 80 --classes",
-           "verify --suite census-consistency")
+           "verify --suite census-consistency",
+           "constants --pmax 10000000")
 
 
 @pytest.mark.parametrize("argv", _PINNED)
