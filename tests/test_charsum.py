@@ -1,12 +1,17 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd, log, sqrt
+from functools import cache
+from math import gcd, isqrt, log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d4census import charsum
@@ -34,7 +39,10 @@ from d4census.charsum import (
     character_sum_f,
     class_sums,
     _admissible_keys,
+    _fraction_sum,
     _jacobi,
+    _large_primes,
+    _reduced_sum,
 )
 from d4census.localsolve import UNIT_RESIDUES, u_weight
 
@@ -372,6 +380,91 @@ def test_character_sum_deviation_bounded_at_1e6():
     ):
         rep = character_sum_f(1_000_000, spec, tables)
         assert rep.deviation < 100
+
+
+@cache
+def _small_tables(limit):
+    return build_sieve(limit)
+
+
+# primes above isqrt(4000): each such denominator is its own large prime
+_BIG_PRIMES = [p for p in range(64, 4001) if factor_small(p) == (p,)]
+_TERMS = st.lists(st.tuples(st.integers(-10**6, 10**6),
+                            st.one_of(st.integers(1, 4000), st.sampled_from(_BIG_PRIMES))),
+                  max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(limit=st.sampled_from((1, 2, 3, 1000)), terms=_TERMS, cancelled=_TERMS)
+@example(limit=1, terms=[], cancelled=[])
+@example(limit=2, terms=[(-3, 3989)], cancelled=[])
+@example(limit=3, terms=[], cancelled=[(5, 12), (7, 3989)])
+@example(limit=1000, terms=[(1, 999), (-2, 1001), (3, 3989), (4, 2 * 1999)], cancelled=[])
+def test_fraction_sum_is_the_exact_sum(limit, terms, cancelled):
+    # every cancelled term also comes negated, so some denominators sum to 0;
+    # denominators fall below and above the table's limit
+    pairs = terms + cancelled + [(-a, d) for a, d in cancelled]
+    num = np.array([a for a, _ in pairs], dtype=np.int64)
+    den = np.array([d for _, d in pairs], dtype=np.int64)
+    expected = sum((Fraction(a, d) for a, d in pairs), Fraction(0))
+    assert _fraction_sum(num, den, _small_tables(limit)) == expected
+
+
+@settings(deadline=None)
+@given(limit=st.sampled_from((1, 2, 3, 1000)),
+       d=st.sets(st.one_of(st.integers(1, 4000), st.sampled_from(_BIG_PRIMES)), min_size=1))
+def test_large_primes_are_the_factors_above_the_root(limit, d):
+    d = sorted(d)
+    root = isqrt(d[-1])
+    expected = [max((p for p in factor_small(v) if p > root), default=1) for v in d]
+    assert _large_primes(np.array(d, dtype=np.int64), _small_tables(limit)).tolist() == expected
+
+
+@pytest.mark.parametrize("spec", [CharacterSpec.principal(1), CharacterSpec.principal(15),
+                                  CharacterSpec.quadratic(-43), CharacterSpec.quadratic(40)],
+                         ids=lambda s: f"{s.kind}-q{s.q}-D{s.disc}")
+def test_character_sum_equals_the_pairwise_sum_of_its_terms(spec, tables_100k):
+    # one term per n, added by _reduced_sum, which shares no code with _fraction_sum
+    nums, dens = [], []
+    rows = zip(tables_100k.mu.tolist(), tables_100k.f_num.tolist(), tables_100k.f_den.tolist())
+    for n, (mu, f_num, f_den) in enumerate(rows):
+        if n and mu and spec.chi(n):
+            nums.append(spec.chi(n) * f_num)
+            dens.append(f_den)
+    rep = character_sum_f(100_000, spec, tables_100k)
+    assert (rep.value, rep.terms) == (_reduced_sum(nums, dens), len(nums))
+
+
+@pytest.fixture(scope="module")
+def tables_200k():
+    return build_sieve(200_000)
+
+
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("disc", [1, 41])
+def test_benchmark_pinned_character_sums(disc, tables_200k):
+    # the terms and fraction sha256 the benchmark's expected.json records,
+    # formed as its charsum op forms them
+    expected = json.loads(_EXPECTED.read_text())[f"character_sum_f x=200000 disc={disc}"]
+    spec = CharacterSpec.principal(1) if disc == 1 else CharacterSpec.quadratic(disc)
+    rep = character_sum_f(200_000, spec, tables_200k)
+    value = f"{rep.value.numerator:x}/{rep.value.denominator:x}"
+    assert rep.terms == expected["terms"]
+    assert hashlib.sha256(value.encode()).hexdigest() == expected["fraction_sha256"]
+
+
+def test_character_sum_peak_memory(tables_200k):
+    spec = CharacterSpec.principal(1)
+    character_sum_f(200_000, spec, tables_200k)  # the main term's Euler product is cached
+    tracemalloc.start()
+    try:
+        character_sum_f(200_000, spec, tables_200k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6  # 5.8 MB measured, 5.0 MB of it in _fraction_sum
 
 
 # --- class sums ----------------------------------------------------------------
