@@ -36,13 +36,10 @@ from .census import (
     inertia_class,
     invariants_of,
     splitting_rows,
-    twist_count,
 )
 from .charsum import (
     CharacterSpec,
     ClassKey,
-    T111_direct,
-    bilinear_sum,
     census_from_classes,
     character_sum_f,
 )

@@ -67,7 +67,7 @@ class SieveTables:
     spf[n] is the least prime divisor of n (spf[1] = 1), mu is the Moebius
     function, tau the divisor count, and f_num[n]/f_den[n] the reduced rational
     f(n) = prod_{p|n} p/(p+1).  odd_sf_count[n] counts odd squarefree integers
-    <= n.  prime_columns and odd_squarefree_primes read primes off spf.
+    <= n.  prime_columns reads primes off spf.
     With mu it backs the exact coprime twist counting: the recursion
     count_odd_squarefree_coprime for bounds up to N^2, whose memo is the one
     mutable part, and the batch count_odd_squarefree_coprime_rows, a divisor
@@ -110,13 +110,6 @@ class SieveTables:
         when bound is past the table."""
         top = self._top(bound)
         return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
-
-    def odd_squarefree_primes(self, bound: float) -> dict[int, tuple[int, ...]]:
-        """Each odd squarefree m <= bound, increasing, mapped to its primes,
-        increasing: one prime_columns walk over odd_squarefree_upto(bound)."""
-        values = self.odd_squarefree_upto(bound)
-        return {m: tuple(p for p in row if p)
-                for m, row in zip(values, self.prime_columns(values).tolist())}
 
     def odd_squarefree_count(self, bound: float) -> int:
         """len(odd_squarefree_upto(bound)), read off odd_sf_count without

@@ -330,21 +330,6 @@ def _signed_triples(m1p: np.ndarray, m2p: np.ndarray, m3p: np.ndarray, masks: np
     return (entry, *(m[entry] * factor[k] for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
 
 
-def twist_count(m: int, bound: float, tables: SieveTables) -> int:
-    """Number of octics over a fixed labeled biquadratic with twist <= bound.
-
-    Equals tau(m) * #{t <= bound : t odd squarefree coprime to m} for the odd
-    squarefree product m = m1'*m2'*m3'.
-    """
-    if m <= 0 or m % 2 == 0:
-        raise ValueError(f"need positive odd m, got {m}")
-    primes = _squarefree_factors(m)
-    if primes is None:
-        raise ValueError(f"{m} is not squarefree")
-    tau = 1 << len(primes)
-    return tau * tables.count_odd_squarefree_coprime(bound, primes)
-
-
 def _kernel_entries(box: BoundBox, tables: SieveTables):
     """The kernel over box, collected once for a census reader: the list of
     per-entry arrays in kernel order (the products m1'*m2'*m3' as int64, the

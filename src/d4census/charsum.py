@@ -43,32 +43,33 @@ census's one kernel collection, whose entries it reduces by (eps, delta, nu)
 with their twist counts from the census's one product reduction, the same
 two steps exact_census takes.  class_sums is its independent oracle.  It
 evaluates the per-class census sum exactly (no main-term substitution) for
-any set of keys: one walk per eps class, one L_product_rows call over the
-triples of the box, and at most one twist count per triple, added to every
-key of that class.
+any set of keys: one walk over the box, one block per m1', with one
+L_product_rows call per block and at most one twist count per triple,
+added to a 64 x 12 table by (eps, choice) that every key reads.
 census_from_classes is four times its sum over the admissible classes.
-class_sums walks the triples and evaluates L by its own code, so
+class_sums walks the triples and evaluates L and non-degeneracy by its own
+code, calling none of the census's mask code, so
 census_from_classes == exact_census (the census-consistency suite) and
 class_sums == kernel_class_sums (tier-1 tests) cross-check the kernel.  Its
 twist counts come from the recursion SieveTables.count_odd_squarefree_coprime,
 while the census takes them from a divisor sum whenever X4 fits the sieve, so
 the check covers twist counting too.
 
-T111_direct is the (k = 1) inner sum of squarefree f-weights, and
-character_sum_f the weighted character sums whose main terms carry c(r).
-All class sums are exact; floats appear only in main terms, and the module
-formats no output (the CLI owns every CSV format).
+character_sum_f evaluates the weighted character sums whose main terms
+carry c(r).  All class sums are exact; floats appear only in main terms, and
+the module formats no output (the CLI owns every CSV format).
 """
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm, log, pi, sqrt
 from operator import mul
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -284,38 +285,6 @@ class CharacterSpec:
         return kronecker(self.disc, n)
 
 
-def _reduced_sum(nums: list[int], dens: list[int]) -> Fraction:
-    """sum_i nums[i] / dens[i] by balanced pairwise summation, for positive
-    denominators; the final Fraction reduces the result.
-
-    Each pair is added the way Fraction adds (Henrici: divide out
-    g = gcd(b, d) first, then gcd(numerator, g), which leaves a reduced pair
-    when both terms are reduced), on plain integer pairs, so no Fraction is
-    built per term.
-    """
-    if not nums:
-        return Fraction(0)
-    while len(nums) > 1:
-        nxt_nums, nxt_dens = [], []
-        for i in range(0, len(nums) - 1, 2):
-            a, b, c, d = nums[i], dens[i], nums[i + 1], dens[i + 1]
-            g = gcd(b, d)
-            if g == 1:
-                nxt_nums.append(a * d + c * b)
-                nxt_dens.append(b * d)
-                continue
-            s = b // g
-            t = a * (d // g) + c * s
-            g2 = gcd(t, g)
-            nxt_nums.append(t // g2)
-            nxt_dens.append(s * (d // g2))
-        if len(nums) % 2:
-            nxt_nums.append(nums[-1])
-            nxt_dens.append(dens[-1])
-        nums, dens = nxt_nums, nxt_dens
-    return Fraction(nums[0], dens[0])
-
-
 @dataclass(frozen=True)
 class CharacterSumReport:
     value: Fraction
@@ -492,21 +461,21 @@ def _phi(n: int) -> int:
     return out
 
 
-def _class_triples(bounds: tuple[float, float, float], eps: tuple[int, int, int],
-                   tables: SieveTables):
-    """Pairwise coprime odd squarefree (m1', m2', m3') with m_i' <= bounds[i]
-    and m_i' = eps[i] mod 8, in increasing (m1', m2', m3') order."""
-    vals1, vals2, vals3 = (
-        [v for v in tables.odd_squarefree_upto(b) if v % 8 == e] for b, e in zip(bounds, eps)
-    )
-    for m1p in vals1:
-        for m2p in vals2:
-            if gcd(m1p, m2p) != 1:
-                continue
-            m12 = m1p * m2p
-            for m3p in vals3:
-                if gcd(m12, m3p) == 1:
-                    yield m1p, m2p, m3p
+@cache
+def _live_choices() -> np.ndarray:
+    """1 where the signed triple of a choice is non-degenerate, else 0, by
+    which odd parts equal 1 (row 4*[m1' = 1] + 2*[m2' = 1] + [m3' = 1]) and
+    choice (column, CHOICES order), as int64."""
+    rows = []
+    for o1, o2, o3 in itertools.product((0, 1), repeat=3):
+        # an odd part other than 1 stands in as a prime of its own
+        p1, p2, p3 = (1 if o1 else 3), (1 if o2 else 5), (1 if o3 else 7)
+        rows.append([not _is_degenerate((1 << mu) * p1, d2 * (1 << alpha) * p2,
+                                        d3 * (1 << beta) * p3)
+                     for (d2, d3), (mu, alpha, beta) in CHOICES])
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
@@ -522,48 +491,32 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
     and sign conditions live on the key, not here: aggregating over admissible
     keys only is what reproduces the census.
 
-    Each eps class is walked once for all its keys, and one L_product_rows
-    call gives the rows of every triple of the box.  Per triple: a look-up of
-    its primes (one spf walk, SieveTables.odd_squarefree_primes), and at most
-    one twist count.  CapacityError when tables do not reach the odd-part
-    bounds, or isqrt(X4) once a triple is twist-counted, as in exact_census.
+    One walk over the box, one block per m1': the m2' coprime to m1' and the
+    m3' coprime to m1'm2' by np.gcd, one L_product_rows call, non-degeneracy
+    from which m_i' equal 1 (_live_choices), and one twist count per triple
+    with a nonzero row, by the recursion SieveTables.count_odd_squarefree_coprime.
+    L times the twist count is added, in Python ints, to a 64 x 12 table by
+    (eps, choice), which every key reads.  CapacityError when tables do not
+    reach the odd-part bounds, or isqrt(X4) once a triple is twist-counted,
+    as in exact_census; the walk covers every class whatever the keys, so
+    that triple may lie in a class outside them.
     """
-    primes_of = tables.odd_squarefree_primes(max(box.x1, box.x2, box.x3))
-    sums = {key: 0 for key in keys}
-    by_eps: dict = {}
-    for key in sums:
-        by_eps.setdefault(key.eps, []).append(key)
-    # int64 columns: lists of Python ints would leave their objects on the heap
-    flat = array("q")
-    ends = []
-    for eps in by_eps:
-        for mp in _class_triples((box.x3, box.x1, box.x2), eps, tables):
-            flat.extend(mp)
-        ends.append(len(flat) // 3)
-    triples = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
-    rows = L_product_rows(triples, tables)
-    start = 0
-    for eps_keys, stop in zip(by_eps.values(), ends):
-        # non-degeneracy depends on m' only through which m_i' equal 1
-        live_by_ones: dict = {}
-        for mp, row in zip(triples[start:stop].tolist(), rows[start:stop].tolist()):
-            m1p, m2p, m3p = mp
-            ones = (m1p == 1, m2p == 1, m3p == 1)
-            if ones not in live_by_ones:
-                live_by_ones[ones] = [
-                    (key, CHOICES.index((key.delta, key.nu))) for key in eps_keys
-                    if not _is_degenerate(
-                        (1 << key.nu[0]) * m1p, key.delta[0] * (1 << key.nu[1]) * m2p,
-                        key.delta[1] * (1 << key.nu[2]) * m3p)]
-            twists = None
-            for key, c in live_by_ones[ones]:
-                if row[c]:
-                    if twists is None:
-                        twists = tables.count_odd_squarefree_coprime(
-                            box.x4, primes_of[m1p] + primes_of[m2p] + primes_of[m3p])
-                    sums[key] += row[c] * twists
-        start = stop
-    return sums
+    vals = np.array(tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3)), dtype=np.int64)
+    v2, v3 = vals[vals <= box.x1], vals[vals <= box.x2]
+    sums = np.zeros((64, len(CHOICES)), dtype=object)
+    for m1p in vals[vals <= box.x3].tolist():
+        m2p = v2[np.gcd(v2, m1p) == 1]
+        i, j = np.nonzero(np.gcd.outer(m1p * m2p, v3) == 1)
+        m = np.column_stack([np.full(len(i), m1p), m2p[i], v3[j]])
+        rows = L_product_rows(m, tables) * _live_choices()[(m == 1) @ [4, 2, 1]]
+        kept = np.flatnonzero(rows.any(axis=1))
+        m, rows = m[kept], rows[kept]
+        primes = np.concatenate([tables.prime_columns(m[:, k]) for k in range(3)], axis=1)
+        twists = [tables.count_odd_squarefree_coprime(box.x4, tuple(filter(None, row)))
+                  for row in primes.tolist()]
+        np.add.at(sums, _eps_index(m.T),
+                  rows.astype(object) * np.array(twists, dtype=object)[:, None])
+    return {key: sums[_eps_index(key.eps), CHOICES.index((key.delta, key.nu))] for key in keys}
 
 
 @cache
@@ -587,19 +540,6 @@ def census_from_classes(box: BoundBox, tables: SieveTables) -> int:
     return 4 * sum(class_sums(box, tables, _admissible_keys()).values())
 
 
-def T111_direct(
-    x1: float, x2: float, x3: float, key: ClassKey, tables: SieveTables
-) -> Fraction:
-    """Exact inner sum at trivial divisor part: over coprime odd squarefree
-    l_i <= x_i with l_i = eps_i mod 8, sum of f(l1) f(l2) f(l3)."""
-    vals = tables.odd_squarefree_upto(max(x1, x2, x3))
-    num = {v: int(tables.f_num[v]) for v in vals}
-    den = {v: int(tables.f_den[v]) for v in vals}
-    triples = list(_class_triples((x1, x2, x3), key.eps, tables))
-    return _reduced_sum([num[l1] * num[l2] * num[l3] for l1, l2, l3 in triples],
-                        [den[l1] * den[l2] * den[l3] for l1, l2, l3 in triples])
-
-
 def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:
     """Asymptotic main term of the exact census sum of the class (class_sums,
     kernel_class_sums).
@@ -616,39 +556,3 @@ def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] 
     # prod_{p>2} (1 - 1/p^2) = 8 / pi^2
     return 8.0 / pi**2 * c_tilde(euler or EulerProductSpec()).value * x1 * x2 * x3 * x4
 
-
-class BilinearReport:
-    def __init__(self, value, bound: float):
-        self.value = value
-        self.bound = bound
-        self.ratio = abs(value) / bound
-
-    def __repr__(self):
-        return f"BilinearReport(value={self.value}, ratio={self.ratio})"
-
-
-def bilinear_sum(
-    m_bound: int, n_bound: int,
-    alpha: Callable[[int], complex], beta: Callable[[int], complex],
-) -> BilinearReport:
-    """sum_{m <= M odd} sum_{n <= N odd} alpha_m beta_n (m / n), with the
-    ratio to (M N^(5/6) + M^(5/6) N) (log 3MN)^(7/6).
-
-    Observational only: the bilinear bound is an upper estimate with an
-    unspecified constant, so the ratio is reported, not asserted sharp.
-    """
-    total = 0
-    for m in range(1, m_bound + 1, 2):
-        am = alpha(m)
-        if am == 0:
-            continue
-        row = 0
-        for n in range(1, n_bound + 1, 2):
-            bn = beta(n)
-            if bn == 0:
-                continue
-            row += bn * kronecker(m, n)
-        total += am * row
-    mb, nb = float(m_bound), float(n_bound)
-    bound = (mb * nb ** (5 / 6) + mb ** (5 / 6) * nb) * log(3 * mb * nb) ** (7 / 6)
-    return BilinearReport(total, bound)

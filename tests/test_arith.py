@@ -172,16 +172,6 @@ def test_prime_columns_match_factor_small():
     assert t.prime_columns(np.zeros(0, dtype=np.int64)).shape == (0, 0)
 
 
-def test_odd_squarefree_primes_match_factor_small():
-    t = build_sieve(3000)
-    primes_of = t.odd_squarefree_primes(2500)
-    assert list(primes_of) == t.odd_squarefree_upto(2500)
-    assert all(primes == factor_small(m) for m, primes in primes_of.items())
-    assert t.odd_squarefree_primes(0) == {}
-    with pytest.raises(CapacityError, match="^sieve limit 3000 < required 3001$"):
-        t.odd_squarefree_primes(3001)
-
-
 def test_odd_squarefree_prefix_counts():
     t = build_sieve(200)
     for bound in (0, 1, 2, 17, 200):

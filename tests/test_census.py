@@ -30,12 +30,10 @@ from d4census.census import (
     invariants_of,
     required_sieve_limit,
     splitting_rows,
-    twist_count,
 )
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
-    T111_direct,
     all_class_keys,
     census_from_classes,
     character_sum_f,
@@ -200,7 +198,6 @@ _KEY = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
     # a nonempty kernel with X4 past the table's square
     pytest.param(lambda t: exact_census(BoundBox(5, 5, 5, 31 * 31), t), None, id="census-x4"),
     pytest.param(lambda t: class_sums(BoundBox(40, 5, 5, 5), t, [_KEY]), 40, id="class_sums"),
-    pytest.param(lambda t: T111_direct(60, 60, 60, _KEY, t), 60, id="T111_direct"),
     pytest.param(lambda t: character_sum_f(40, CharacterSpec.principal(1), t), 40,
                  id="character_sum_f"),
 ])
@@ -215,28 +212,27 @@ def test_every_reader_refuses_a_short_table(read, required):
 
 
 def test_twist_count_examples(tables_census):
-    assert twist_count(1, 1, tables_census) == 1
-    assert twist_count(7, 10, tables_census) == 6   # tau(7)=2, t in {1, 3, 5}
-    assert twist_count(15, 1, tables_census) == 4   # tau(15)=4, t = 1
+    # the octics over the biquadratic of m with twist <= bound:
+    # tau(m) * #{t <= bound : t odd squarefree coprime to m}
+    for m, bound, expected in [(1, 1, 1),
+                               (7, 10, 6),   # tau(7)=2, t in {1, 3, 5}
+                               (15, 1, 4)]:  # tau(15)=4, t = 1
+        p = factor_small(m)
+        assert (1 << len(p)) * tables_census.count_odd_squarefree_coprime(bound, p) == expected
 
 
 def test_twist_count_brute(tables_census):
     for m in tables_census.odd_squarefree_upto(45):
         tau = sum(1 for d in range(1, m + 1) if m % d == 0)
+        p = factor_small(m)
         for bound in (0, 1, 7, 33, 60):
             expected = tau * sum(
                 1
                 for t in range(1, bound + 1, 2)
                 if brute_squarefree(t) and gcd(t, m) == 1
             )
-            assert twist_count(m, bound, tables_census) == expected, (m, bound)
-
-
-def test_twist_count_rejects_bad_m(tables_census):
-    with pytest.raises(ValueError):
-        twist_count(6, 10, tables_census)
-    with pytest.raises(ValueError):
-        twist_count(9, 10, tables_census)
+            got = (1 << len(p)) * tables_census.count_odd_squarefree_coprime(bound, p)
+            assert got == expected, (m, bound)
 
 
 def test_exact_census_unit_box(tables_census):
@@ -590,8 +586,9 @@ def test_signed_triples_expand_every_mask_in_choice_order():
 @given(x1=st.integers(0, 40), x2=st.integers(0, 40), x3=st.integers(0, 40),
        x4=st.one_of(st.just(0), st.integers(1, 100_000), st.integers(100_001, 10**9)))
 def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
-    """The breakdown rows against the brute reference_triples and twist_count,
-    with X4 inside the table (the divisor sum) and above it (the recursion)."""
+    """The breakdown rows against the brute reference_triples and the scalar
+    twist counter, with X4 inside the table (the divisor sum) and above it
+    (the recursion)."""
     box = BoundBox(x1, x2, x3, x4)
     *columns, row_twists = census_rows(box, tables_100k)
     rows = list(zip(*(c.tolist() for c in columns), row_twists))
@@ -603,7 +600,8 @@ def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
     for m1, m2, m3, twists in rows:
         n = brute_odd_part(m1 * m2 * m3)
         if n not in twist_of:
-            twist_of[n] = twist_count(n, x4, tables_100k)
+            p = factor_small(n)
+            twist_of[n] = (1 << len(p)) * tables_100k.count_odd_squarefree_coprime(x4, p)
         assert twists == twist_of[n]
 
 

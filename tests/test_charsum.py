@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -14,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d4census import charsum
+from d4census import census, charsum
 from d4census.arith import (
     CapacityError,
+    SieveTables,
     SignedSquarefreeTriple,
     _squarefree_factors,
     _valid_triples,
@@ -25,15 +25,14 @@ from d4census.arith import (
     factor_small,
     kronecker,
 )
-from d4census.census import CHOICES, BoundBox, _is_degenerate, exact_census
+from d4census.census import (
+    CHOICES, BoundBox, _is_degenerate, exact_census, required_sieve_limit)
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
     L_divisor_sum_rows,
     L_product_rows,
-    T111_direct,
     all_class_keys,
-    bilinear_sum,
     _kronecker_row,
     census_from_classes,
     character_sum_f,
@@ -42,14 +41,14 @@ from d4census.charsum import (
     _fraction_sum,
     _jacobi,
     _large_primes,
-    _reduced_sum,
 )
 from d4census.localsolve import UNIT_RESIDUES, u_weight
 
 
 # --- reference forms ------------------------------------------------------------
 # Reference forms for the batch forms of L and class_sums: u on the full k and
-# one (delta, nu) choice per divisor sum, and one walk per class key.
+# one (delta, nu) choice per divisor sum, and one walk per class key; and for
+# the exact character sums, a pairwise sum of their terms.
 
 
 def _splits(n):
@@ -93,6 +92,39 @@ def per_key_walk(key, box):
                 if lv:
                     total += lv * sum(1 for t in twists if gcd(t, m1p * m2p * m3p) == 1)
     return total
+
+
+def _reduced_sum(nums: list[int], dens: list[int]) -> Fraction:
+    """sum_i nums[i] / dens[i] by balanced pairwise summation, for positive
+    denominators; the final Fraction reduces the result.  The reference form
+    of charsum._fraction_sum, with which it shares no code.
+
+    Each pair is added the way Fraction adds (Henrici: divide out
+    g = gcd(b, d) first, then gcd(numerator, g), which leaves a reduced pair
+    when both terms are reduced), on plain integer pairs, so no Fraction is
+    built per term.
+    """
+    if not nums:
+        return Fraction(0)
+    while len(nums) > 1:
+        nxt_nums, nxt_dens = [], []
+        for i in range(0, len(nums) - 1, 2):
+            a, b, c, d = nums[i], dens[i], nums[i + 1], dens[i + 1]
+            g = gcd(b, d)
+            if g == 1:
+                nxt_nums.append(a * d + c * b)
+                nxt_dens.append(b * d)
+                continue
+            s = b // g
+            t = a * (d // g) + c * s
+            g2 = gcd(t, g)
+            nxt_nums.append(t // g2)
+            nxt_dens.append(s * (d // g2))
+        if len(nums) % 2:
+            nxt_nums.append(nums[-1])
+            nxt_dens.append(dens[-1])
+        nums, dens = nxt_nums, nxt_dens
+    return Fraction(nums[0], dens[0])
 
 
 # m_i' for each residue mod 8 at position i: pairwise coprime, so the 64
@@ -498,15 +530,38 @@ def test_census_consistency_small_boxes(tables_census):
         assert census_from_classes(box, tables_census) == exact, raw
 
 
-def test_T111_examples(tables_census):
-    key = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
-    assert T111_direct(1, 1, 1, key, tables_census) == 1
-    key3 = ClassKey((3, 1, 1), (1, 1), (0, 0, 0))
-    assert T111_direct(3, 1, 1, key3, tables_census) == Fraction(3, 4)
-    # a table of exactly the bound reads all it needs (a shorter one raises:
-    # test_census.py::test_every_reader_refuses_a_short_table)
-    assert (T111_direct(60, 60, 60, key, build_sieve(60))
-            == T111_direct(60, 60, 60, key, build_sieve(180)) == Fraction(1413, 35))
+def test_class_sums_stay_independent_of_the_kernel(monkeypatch):
+    # the oracle evaluates L, non-degeneracy and the twists by its own code: with
+    # the kernel's masks and the batch divisor sum refused it still meets the census
+    boxes = [BoundBox(20, 12, 16, 9), BoundBox(30, 30, 30, 1e9)]
+    tables = [build_sieve(required_sieve_limit(box)) for box in boxes]
+    exact = [exact_census(box, t).exact for box, t in zip(boxes, tables)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class-sum oracle reached the census kernel")
+
+    monkeypatch.setattr(census, "_mask_blocks", refuse)
+    monkeypatch.setattr(census, "_mask_tables", refuse)
+    monkeypatch.setattr(SieveTables, "count_odd_squarefree_coprime_rows", refuse)
+    with pytest.raises(AssertionError):
+        exact_census(boxes[0], tables[0])
+    for box, t, want in zip(boxes, tables, exact):
+        assert census_from_classes(box, t) == want, box
+
+
+def test_class_sums_peak_memory():
+    box = BoundBox(150, 150, 150, 150)
+    tables = build_sieve(required_sieve_limit(box))
+    _admissible_keys()
+    tracemalloc.start()
+    try:
+        census_from_classes(box, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.8 MB measured, the twist memo included; one walk per eps class over
+    # lists of triples peaked at 20.5 MB
+    assert peak < 8e6
 
 
 def test_class_main_terms_recover_leading_constant():
@@ -528,37 +583,3 @@ def test_class_sums_csv_shape(tables_census):
     assert all(len(row.split(",")) == len(CLASS_CSV_HEADER.split(",")) for row in rows)
     values = [int(row.split(",")[12]) for row in rows]
     assert sum(values) * 4 == 16
-
-
-def test_T111_convergence_band(tables_3000):
-    from d4census.asymptotic import EulerProductSpec, c_tilde
-
-    key = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
-    value = float(T111_direct(500, 500, 500, key, tables_3000))
-    ct = c_tilde(EulerProductSpec(pmax=100_000))
-    ratio = value / (ct.value * 500**3)
-    assert 0 < ratio < 2
-
-
-# --- bilinear sums --------------------------------------------------------------
-
-
-def test_bilinear_trivial():
-    rep = bilinear_sum(1, 1, lambda m: 1, lambda n: 1)
-    assert rep.value == 1
-    assert rep.ratio > 0
-
-
-def test_bilinear_single_column():
-    alpha = lambda m: 1
-    beta = lambda n: 1 if n == 1 else 0
-    rep = bilinear_sum(9, 9, alpha, beta)
-    assert rep.value == 5  # (m/1) = 1 for the five odd m <= 9
-
-
-def test_bilinear_random_signs_soft_bound():
-    rng = random.Random(20240817)
-    signs_a = {m: rng.choice((-1, 1)) for m in range(1, 513, 2)}
-    signs_b = {n: rng.choice((-1, 1)) for n in range(1, 513, 2)}
-    rep = bilinear_sum(512, 512, signs_a.get, signs_b.get)
-    assert rep.ratio < 10
