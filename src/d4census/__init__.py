@@ -40,7 +40,6 @@ from .census import (
 from .charsum import (
     CharacterSpec,
     ClassKey,
-    census_from_classes,
     character_sum_f,
 )
 from .localsolve import (

@@ -22,7 +22,6 @@ import tempfile
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -87,10 +86,6 @@ class SieveTables:
     f_den: np.ndarray
     odd_sf_count: np.ndarray
     _coprime_cache: dict = field(default_factory=dict, repr=False)
-
-    def f(self, n: int) -> Fraction:
-        """f(n) = prod_{p | n} (1 + 1/p)^(-1) as an exact fraction."""
-        return Fraction(int(self.f_num[n]), int(self.f_den[n]))
 
     def prime_columns(self, values: np.ndarray) -> np.ndarray:
         """The primes of each squarefree value in [1, limit], increasing along

@@ -64,6 +64,12 @@ bits of the masks in one numpy step (_signed_triples) into the signed
 triples, in (m1', m2', m3', delta, nu) order, each with the twist count of
 its product.
 
+The class table.  The per-class sums have one layout: a list of 768 sums,
+entry 12 * _eps_index(m1', m2', m3') + k for the class of eps = the odd
+parts mod 8 and (delta, nu) = CHOICES[k], which is the order of
+charsum.all_class_keys.  exact_class_sums and its independent oracle,
+charsum.class_sums, both return it, and readers take a class by its index.
+
 Index convention (documented on the CLI as well): the box coordinate X_i
 bounds the i-th invariant, so X1 bounds m2', X2 bounds m3', X3 bounds m1',
 X4 bounds the twist.  _kernel_entries performs the mapping onto the
@@ -217,14 +223,34 @@ class _MaskTables:
     choice_bits: np.ndarray
 
 
+def _eps_index(m1, m2, m3):
+    """0..63: the place of (m1, m2, m3) mod 8 among the 64 odd residue
+    triples, 16 i1 + 4 i2 + i3 for m_j = UNIT_RESIDUES[i_j] mod 8, since
+    m % 8 is UNIT_RESIDUES[(m & 6) >> 1].  For odd ints of any sign and for
+    int arrays, uint8 ones too: their wrap mod 256 keeps m mod 8."""
+    return (m1 & 6) << 3 | (m2 & 6) << 1 | (m3 & 6) >> 1
+
+
 @lru_cache(maxsize=None)
-def _mask_tables() -> _MaskTables:
-    nondeg = np.zeros((2, 2, 2), dtype=np.uint16)
+def _live_choices() -> np.ndarray:
+    """1 where the signed triple of a choice is non-degenerate, else 0, by
+    which odd parts equal 1 (row 4*[m1' = 1] + 2*[m2' = 1] + [m3' = 1]) and
+    choice (column, CHOICES order), as int64."""
+    rows = []
     for o1, o2, o3 in itertools.product((0, 1), repeat=3):
         # an odd part other than 1 stands in as a prime of its own
         p1, p2, p3 = (1 if o1 else 3), (1 if o2 else 5), (1 if o3 else 7)
-        nondeg[o1, o2, o3] = _choice_mask(lambda delta, nu: not _is_degenerate(
-            (1 << nu[0]) * p1, delta[0] * (1 << nu[1]) * p2, delta[1] * (1 << nu[2]) * p3))
+        rows.append([not _is_degenerate((1 << mu) * p1, d2 * (1 << alpha) * p2,
+                                        d3 * (1 << beta) * p3)
+                     for (d2, d3), (mu, alpha, beta) in CHOICES])
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _mask_tables() -> _MaskTables:
+    nondeg = (_live_choices() << np.arange(len(CHOICES))).sum(axis=1).reshape(2, 2, 2)
     # (a / p) for a in {+-1, +-2} depends on p mod 8 only: it is the Jacobi
     # symbol (a / r) with r = p mod 8
     sign = np.zeros((3, 8, 3), dtype=np.uint16)
@@ -233,7 +259,8 @@ def _mask_tables() -> _MaskTables:
         sign[i, r, s + 1] = _choice_mask(
             lambda delta, nu: kronecker(_required_symbols(delta, nu)[i], r) == s)
     choice_bits = (np.arange(_ALL_CHOICES + 1)[:, None] >> np.arange(len(CHOICES)) & 1)
-    return _MaskTables(nondeg=nondeg, sign=sign, choice_bits=choice_bits.astype(np.uint8))
+    return _MaskTables(nondeg=nondeg.astype(np.uint16), sign=sign,
+                       choice_bits=choice_bits.astype(np.uint8))
 
 
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
@@ -442,10 +469,10 @@ def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     the mask kernel: the sum of tau(n) * A(X4, n), n = m1'*m2'*m3', over the
     admissible signed triples of the box in the class.
 
-    Entry 12 * (16 i1 + 4 i2 + i3) + k belongs to eps = (UNIT_RESIDUES[i1],
-    UNIT_RESIDUES[i2], UNIT_RESIDUES[i3]), the odd parts mod 8, and to
-    (delta, nu) = CHOICES[k]: the order of charsum.all_class_keys.  Four times
-    the total is exact_census.  The kernel builds no class mask at 2; by
+    The sums come in the layout of the class table (module docstring):
+    entry 12 * _eps_index(m1', m2', m3') + k for (delta, nu) = CHOICES[k],
+    equal to charsum.class_sums entry by entry.  Four times the total is
+    exact_census.  The kernel builds no class mask at 2; by
     Hilbert reciprocity its triples fall in admissible classes only, so the
     336 inadmissible entries are 0.
 
@@ -457,12 +484,11 @@ def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     """
     entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
     # odd units mod 8 are their own inverses, so m3' = n * m1' * m2' (mod 8),
-    # which uint8 keeps as it wraps mod 256; m % 8 is UNIT_RESIDUES[(m & 6) >> 1]
+    # which uint8 keeps as it wraps mod 256
     m1s = np.repeat(np.array(m1_of_block).astype(np.uint8), block_sizes)
     m2s = entries[1].astype(np.uint8)
-    m3s = entries[0].astype(np.uint8) * m1s * m2s
-    entries.append((m1s & 6) << 3 | (m2s & 6) << 1 | (m3s & 6) >> 1)
-    del m1s, m2s, m3s
+    entries.append(_eps_index(m1s, m2s, entries[0].astype(np.uint8) * m1s * m2s))
+    del m1s, m2s
     _, starts, twists, (masks, eps) = _twists_by_product(
         entries, m1_of_block, block_sizes, box.x4, tables)
     twist = np.repeat(twists, np.diff(starts, append=len(eps)))  # per entry, in product order

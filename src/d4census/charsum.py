@@ -37,23 +37,23 @@ memory budget keeps below 2^31.  Euler's criterion multiplies two residues
 mod p < 2^31, and a modulus k_i * k_j of the divisor sum is at most
 m_i' * m_j' < 2^62; the reciprocity loop only reduces and halves.
 
-Class sums.  The per-class rows of `sweep --classes`, which the CLI writes,
-come from kernel_class_sums: census.exact_class_sums is a reader of the
-census's one kernel collection, whose entries it reduces by (eps, delta, nu)
-with their twist counts from the census's one product reduction, the same
-two steps exact_census takes.  class_sums is its independent oracle.  It
-evaluates the per-class census sum exactly (no main-term substitution) for
-any set of keys: one walk over the box, one block per m1', with one
-L_product_rows call per block and at most one twist count per triple,
-added to a 64 x 12 table by (eps, choice) that every key reads.
-census_from_classes is four times its sum over the admissible classes.
-class_sums walks the triples and evaluates L and non-degeneracy by its own
-code, calling none of the census's mask code, so
-census_from_classes == exact_census (the census-consistency suite) and
-class_sums == kernel_class_sums (tier-1 tests) cross-check the kernel.  Its
-twist counts come from the recursion SieveTables.count_odd_squarefree_coprime,
-while the census takes them from a divisor sum whenever X4 fits the sieve, so
-the check covers twist counting too.
+Class sums.  The per-class sums come in one layout, the class table of
+census: 768 exact sums, entry 12 * eps index + k for the class (eps,
+CHOICES[k]), the order of all_class_keys.  The rows of `sweep --classes`,
+which the CLI writes, read census.exact_class_sums, which reduces the
+census's one kernel collection by (eps, delta, nu) with the twist counts of
+the census's one product reduction, the same two steps exact_census takes;
+_admissible_keys gives each admissible key with its index.  class_sums is
+its independent oracle and returns the same list: one walk over the box,
+one block per m1', with one L_product_rows call per block and one twist
+count per distinct product m1'm2'm3'.  It walks the triples and evaluates L
+and non-degeneracy by its own code, calling none of the census's mask code,
+so four times its sum over the admissible classes == exact_census (the
+census-consistency suite) and class_sums == exact_class_sums (tier-1 tests)
+cross-check the kernel.  Its twist counts come from the recursion
+SieveTables.count_odd_squarefree_coprime, while the census takes them from a
+divisor sum whenever X4 fits the sieve, so the check covers twist counting
+too.  Every admissible class has the same main term, T_main_term.
 
 character_sum_f evaluates the weighted character sums whose main terms
 carry c(r).  All class sums are exact; floats appear only in main terms, and
@@ -62,7 +62,6 @@ the module formats no output (the CLI owns every CSV format).
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +74,7 @@ import numpy as np
 
 from .arith import SieveTables, _legendre_rows, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _is_degenerate, _required_symbols, exact_class_sums
+from .census import CHOICES, BoundBox, _eps_index, _live_choices, _required_symbols
 from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
 
 
@@ -175,20 +174,10 @@ def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residue_index(k):
-    """0..3 for odd k = 1, 3, 5, 7 mod 8."""
-    return (k % 8) >> 1
-
-
-def _eps_index(eps: tuple[int, int, int]) -> int:
-    """0..63: the position of eps mod 8 among the 64 odd residue triples."""
-    return 16 * _residue_index(eps[0]) + 4 * _residue_index(eps[1]) + _residue_index(eps[2])
-
-
 @cache
 def _u_table() -> np.ndarray:
-    """u_weight on the 64 odd residue triples mod 8 (row 16*i1 + 4*i2 + i3
-    for k_j = UNIT_RESIDUES[i_j]) times the 12 CHOICES (column), as int64."""
+    """u_weight on the 64 odd residue triples mod 8 (row _eps_index(k1, k2,
+    k3)) times the 12 CHOICES (column), as int64."""
     table = np.array([[u_weight(k1, k2, k3, delta, nu) for delta, nu in CHOICES]
                       for k1 in UNIT_RESIDUES for k2 in UNIT_RESIDUES for k3 in UNIT_RESIDUES],
                      dtype=np.int64)
@@ -230,7 +219,7 @@ def L_divisor_sum_rows(m: np.ndarray, tables: SieveTables) -> np.ndarray:
         k, l = kl[:3], kl[3:]
         factor = (_jacobi(l[0], k[1] * k[2]) * _jacobi(l[1], k[0] * k[2])
                   * _jacobi(l[2], k[0] * k[1]))
-        bucket = 16 * _residue_index(k[0]) + 4 * _residue_index(k[1]) + _residue_index(k[2])
+        bucket = _eps_index(*k)
         # float64 sums of factors 0 and +-1, exact: each is at most 2^omega
         sums = np.bincount(row * 64 + bucket, weights=factor, minlength=64 * (stop - start))
         out[start:stop] = sums.astype(np.int64).reshape(-1, 64) @ _u_table()
@@ -461,49 +450,34 @@ def _phi(n: int) -> int:
     return out
 
 
-@cache
-def _live_choices() -> np.ndarray:
-    """1 where the signed triple of a choice is non-degenerate, else 0, by
-    which odd parts equal 1 (row 4*[m1' = 1] + 2*[m2' = 1] + [m3' = 1]) and
-    choice (column, CHOICES order), as int64."""
-    rows = []
-    for o1, o2, o3 in itertools.product((0, 1), repeat=3):
-        # an odd part other than 1 stands in as a prime of its own
-        p1, p2, p3 = (1 if o1 else 3), (1 if o2 else 5), (1 if o3 else 7)
-        rows.append([not _is_degenerate((1 << mu) * p1, d2 * (1 << alpha) * p2,
-                                        d3 * (1 << beta) * p3)
-                     for (d2, d3), (mu, alpha, beta) in CHOICES])
-    table = np.array(rows, dtype=np.int64)
-    table.setflags(write=False)
-    return table
-
-
-def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
-    """Exact census sum of each class in keys: over coprime odd squarefree
-    triples with m1' <= X3, m2' <= X1, m3' <= X2 (invariant bounds) and
-    m_i' = eps_i mod 8,
+def class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
+    """The exact census sum of every class (eps, delta, nu), in the layout of
+    census.exact_class_sums (entry 12 * _eps_index(eps) + k for
+    (delta, nu) = CHOICES[k]): over coprime odd squarefree triples with
+    m1' <= X3, m2' <= X1, m3' <= X2 (invariant bounds) and m_i' = eps_i mod 8,
 
         L(m', delta, nu) * #{t <= X4 : t odd squarefree coprime to m'}
                          * [reconstructed signed triple non-degenerate].
 
     L vanishes unless the odd-prime conditions hold, and equals tau(m') when
     they do, so this is the per-class slice of the exact count.  The mod-8
-    and sign conditions live on the key, not here: aggregating over admissible
-    keys only is what reproduces the census.
+    and sign conditions live on the class, not here: four times the sum over
+    the admissible classes is the census, and by Hilbert reciprocity the
+    other 336 entries are 0.
 
     One walk over the box, one block per m1': the m2' coprime to m1' and the
     m3' coprime to m1'm2' by np.gcd, one L_product_rows call, non-degeneracy
-    from which m_i' equal 1 (_live_choices), and one twist count per triple
-    with a nonzero row, by the recursion SieveTables.count_odd_squarefree_coprime.
+    from which m_i' equal 1 (census._live_choices), and one twist count per
+    distinct product m1'm2'm3' with a nonzero row, by the recursion
+    SieveTables.count_odd_squarefree_coprime, kept for the rest of the walk.
     L times the twist count is added, in Python ints, to a 64 x 12 table by
-    (eps, choice), which every key reads.  CapacityError when tables do not
-    reach the odd-part bounds, or isqrt(X4) once a triple is twist-counted,
-    as in exact_census; the walk covers every class whatever the keys, so
-    that triple may lie in a class outside them.
+    (eps, choice).  CapacityError when tables do not reach the odd-part
+    bounds, or isqrt(X4) once a triple is twist-counted, as in exact_census.
     """
     vals = np.array(tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3)), dtype=np.int64)
     v2, v3 = vals[vals <= box.x1], vals[vals <= box.x2]
     sums = np.zeros((64, len(CHOICES)), dtype=object)
+    twist_of = {}  # product m1'm2'm3' -> its twist count
     for m1p in vals[vals <= box.x3].tolist():
         m2p = v2[np.gcd(v2, m1p) == 1]
         i, j = np.nonzero(np.gcd.outer(m1p * m2p, v3) == 1)
@@ -511,47 +485,33 @@ def class_sums(box: BoundBox, tables: SieveTables, keys) -> dict[ClassKey, int]:
         rows = L_product_rows(m, tables) * _live_choices()[(m == 1) @ [4, 2, 1]]
         kept = np.flatnonzero(rows.any(axis=1))
         m, rows = m[kept], rows[kept]
-        primes = np.concatenate([tables.prime_columns(m[:, k]) for k in range(3)], axis=1)
-        twists = [tables.count_odd_squarefree_coprime(box.x4, tuple(filter(None, row)))
-                  for row in primes.tolist()]
-        np.add.at(sums, _eps_index(m.T),
-                  rows.astype(object) * np.array(twists, dtype=object)[:, None])
-    return {key: sums[_eps_index(key.eps), CHOICES.index((key.delta, key.nu))] for key in keys}
+        products = [m1 * m2 * m3 for m1, m2, m3 in m.tolist()]
+        new = {n: k for k, n in enumerate(products) if n not in twist_of}  # n -> a row of it
+        at = list(new.values())
+        primes = np.concatenate([tables.prime_columns(m[at, c]) for c in range(3)], axis=1)
+        for n, row in zip(new, primes.tolist()):
+            twist_of[n] = tables.count_odd_squarefree_coprime(box.x4, tuple(filter(None, row)))
+        np.add.at(sums, _eps_index(*m.T), rows.astype(object)
+                  * np.array([twist_of[n] for n in products], dtype=object)[:, None])
+    return sums.ravel().tolist()
 
 
 @cache
-def _admissible_keys() -> tuple[ClassKey, ...]:
-    """The 432 admissible keys in all_class_keys order, built once."""
-    return tuple(key for key in all_class_keys() if key.admissible)
+def _admissible_keys() -> tuple[tuple[int, ClassKey], ...]:
+    """(index, key) of the 432 admissible keys, in all_class_keys order,
+    built once; index is the key's entry in the class table."""
+    return tuple((index, key) for index, key in enumerate(all_class_keys()) if key.admissible)
 
 
-def kernel_class_sums(box: BoundBox, tables: SieveTables) -> dict[ClassKey, int]:
-    """The exact census sum of each admissible class, in _admissible_keys()
-    order, read off the census mask kernel (census.exact_class_sums).  Equal
-    to class_sums over the same keys, which stays as its oracle."""
-    sums = exact_class_sums(box, tables)
-    return {key: sums[len(CHOICES) * _eps_index(key.eps) + CHOICES.index((key.delta, key.nu))]
-            for key in _admissible_keys()}
-
-
-def census_from_classes(box: BoundBox, tables: SieveTables) -> int:
-    """4 * sum of the class sums over the admissible classes; must equal the
-    exact census of the same box."""
-    return 4 * sum(class_sums(box, tables, _admissible_keys()).values())
-
-
-def T_main_term(key: ClassKey, box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:
-    """Asymptotic main term of the exact census sum of the class (class_sums,
-    kernel_class_sums).
+def T_main_term(box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:
+    """Asymptotic main term of the exact census sum of each admissible class
+    (an entry of class_sums or census.exact_class_sums).
 
     (1 + u(eps)) / 2 * prod_{p>2}(1 - 1/p^2) * c_tilde * X1 X2 X3 X4: the
-    inner sums contribute u(1,1,1) + u(eps) halves, which cancel exactly on
-    the inadmissible classes.  Summed over the 432 admissible classes and
-    multiplied by 4 this reproduces the leading constant.
+    inner sums contribute u(1,1,1) + u(eps) halves, and u(eps) = +1 on every
+    admissible class (the esets suite checks it), so all 432 share one main
+    term.  Four times 432 of it reproduces the leading constant.
     """
-    u_eps = u_weight(*key.eps, key.delta, key.nu)
-    if u_eps == -1:
-        return 0.0
     x1, x2, x3, x4 = box.as_tuple()
     # prod_{p>2} (1 - 1/p^2) = 8 / pi^2
     return 8.0 / pi**2 * c_tilde(euler or EulerProductSpec()).value * x1 * x2 * x3 * x4

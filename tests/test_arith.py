@@ -113,19 +113,24 @@ def test_load_matches_build(tmp_path):
     assert_tables_equal(loaded, {name: getattr(built, name) for name in TABLE_FIELDS})
 
 
+def _f(t, n):
+    """f(n) = f_num[n] / f_den[n] as an exact fraction."""
+    return Fraction(int(t.f_num[n]), int(t.f_den[n]))
+
+
 def test_sieve_trivial_limit():
     t = build_sieve(1)
-    assert t.mu[1] == 1 and t.tau[1] == 1 and t.f(1) == 1
+    assert t.mu[1] == 1 and t.tau[1] == 1 and _f(t, 1) == 1
 
 
 def test_sieve_examples():
     t = build_sieve(12)
     assert t.mu[12] == 0
     assert t.mu[10] == 1
-    assert t.f(10) == Fraction(5, 9)  # (2/3)(5/6)
+    assert _f(t, 10) == Fraction(5, 9)  # (2/3)(5/6)
     t7 = build_sieve(7)
     assert t7.tau[6] == 4  # divisors 1, 2, 3, 6
-    assert t7.f(6) == Fraction(1, 2)
+    assert _f(t7, 6) == Fraction(1, 2)
 
 
 def test_sieve_invariants():
@@ -154,7 +159,7 @@ def test_f_is_exact_product_over_primes():
         expected = Fraction(1)
         for p in factor_small(n):
             expected *= Fraction(p, p + 1)
-        assert t.f(n) == expected
+        assert _f(t, n) == expected
         assert gcd(int(t.f_num[n]), int(t.f_den[n])) == 1
 
 

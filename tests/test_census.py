@@ -33,12 +33,9 @@ from d4census.census import (
 )
 from d4census.charsum import (
     CharacterSpec,
-    ClassKey,
     all_class_keys,
-    census_from_classes,
     character_sum_f,
     class_sums,
-    kernel_class_sums,
     _admissible_keys,
 )
 from d4census.localsolve import (
@@ -189,7 +186,6 @@ def test_enumerate_requires_big_enough_sieve():
 
 
 _SHORT = build_sieve(30)
-_KEY = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
 
 
 @pytest.mark.parametrize("read, required", [
@@ -197,7 +193,7 @@ _KEY = ClassKey((1, 1, 1), (1, 1), (0, 0, 0))
     pytest.param(lambda t: exact_census(BoundBox(5, 5, 31, 5), t), 31, id="census-odd-part"),
     # a nonempty kernel with X4 past the table's square
     pytest.param(lambda t: exact_census(BoundBox(5, 5, 5, 31 * 31), t), None, id="census-x4"),
-    pytest.param(lambda t: class_sums(BoundBox(40, 5, 5, 5), t, [_KEY]), 40, id="class_sums"),
+    pytest.param(lambda t: class_sums(BoundBox(40, 5, 5, 5), t), 40, id="class_sums"),
     pytest.param(lambda t: character_sum_f(40, CharacterSpec.principal(1), t), 40,
                  id="character_sum_f"),
 ])
@@ -394,19 +390,44 @@ def test_kernel_refusals_keep_their_order(monkeypatch):
 def test_kernel_class_sums_equal_class_sums(raw):
     box = BoundBox(*raw)
     tables = build_sieve(required_sieve_limit(box))
-    keys = list(all_class_keys())
-    oracle = class_sums(box, tables, keys)
-    sums = dict(zip(keys, exact_class_sums(box, tables)))
-    assert len(sums) == 768 and sums == oracle
+    sums = exact_class_sums(box, tables)
+    assert len(sums) == 768 and sums == class_sums(box, tables)
     # by Hilbert reciprocity the kernel puts no mass on the 336 inadmissible keys
-    assert len(_admissible_keys()) == 432
-    assert all(sums[key] == 0 for key in keys if not key.admissible)
-    via_cli = kernel_class_sums(box, tables)
-    assert list(via_cli) == list(_admissible_keys())
-    assert via_cli == {key: oracle[key] for key in _admissible_keys()}
-    assert 4 * sum(sums.values()) == exact_census(box, tables).exact
+    admissible = dict(_admissible_keys())
+    assert len(admissible) == 432
+    assert all(sums[i] == 0 for i in range(768) if i not in admissible)
+    assert 4 * sum(sums) == exact_census(box, tables).exact
     if raw[3] == 1e5:
         assert tables.limit < box.x4
+
+
+def _residue_place(m1, m2, m3):
+    """16 i1 + 4 i2 + i3 for m_j = UNIT_RESIDUES[i_j] mod 8, by m % 8."""
+    return 16 * ((m1 % 8) >> 1) + 4 * ((m2 % 8) >> 1) + ((m3 % 8) >> 1)
+
+
+_ODD = st.integers(-2**19, 2**19).map(lambda n: 2 * n + 1)
+
+
+@given(st.tuples(_ODD, _ODD, _ODD))
+def test_eps_index_reads_the_residues_mod_8(m):
+    want = _residue_place(*m)
+    assert census._eps_index(*m) == want
+    columns = np.array([m], dtype=np.int64).T
+    assert census._eps_index(*columns).tolist() == [want]
+    # uint8 columns wrap mod 256, as exact_class_sums takes m3' = n * m1' * m2'
+    m1, m2, n = (np.array([v], dtype=np.int64).astype(np.uint8)
+                 for v in (m[0], m[1], m[0] * m[1] * m[2]))
+    assert census._eps_index(m1, m2, n * m1 * m2).tolist() == [want]
+
+
+def test_eps_index_orders_the_class_table():
+    # entry 12 * eps index + k of the class table is the key's place in all_class_keys
+    keys = list(all_class_keys())
+    assert len(keys) == 768
+    for index, key in enumerate(keys):
+        assert census._eps_index(*key.eps) == index // 12
+        assert census.CHOICES[index % 12] == (key.delta, key.nu)
 
 
 def test_kernel_class_sums_meet_the_class_tally_at_two(tables_census):
@@ -415,7 +436,7 @@ def test_kernel_class_sums_meet_the_class_tally_at_two(tables_census):
     # of classes at 2 says (X = 20 reaches only 318 of the 432 keys)
     sums = exact_class_sums(BoundBox(40, 40, 40, 40), tables_census)
     live = [key for key, value in zip(all_class_keys(), sums) if value]
-    assert live == list(_admissible_keys())
+    assert live == [key for _, key in _admissible_keys()]
     tally = Counter((key.delta, key.nu) for key in live)
     for delta in ALL_DELTAS:
         assert tuple(tally[delta, nu] for nu in ALL_NUS) == CONSTANTS["class_tally"]
@@ -436,7 +457,7 @@ def test_kernel_class_sums_refuse_a_short_table_as_class_sums_does():
     box, short = BoundBox(10, 10, 10, 10**6), build_sieve(20)  # isqrt(X4) = 1000
     messages = []
     for run in (lambda: exact_class_sums(box, short),
-                lambda: class_sums(box, short, _admissible_keys())):
+                lambda: class_sums(box, short)):
         with pytest.raises(CapacityError, match="needs a sieve limit of 1000, have 20") as err:
             run()
         messages.append(str(err.value))
@@ -494,7 +515,7 @@ def test_kernel_pinned_above_fifty(tables_census, raw, exact, triples):
     (400, 18_036_061_248, 2_315_144),
 ])
 def test_kernel_pinned_at_300_and_400(tables_census, x, exact, triples):
-    # the exact counts were checked once against census_from_classes, which
+    # the exact counts were checked once against the class-sum oracle, which
     # walks the triples by its own code and twist-counts by the recursion
     # (41 s at X = 300 and 96 s at X = 400 on a 2-vCPU VM, too slow for here)
     report = exact_census(BoundBox(x, x, x, x), tables_census)
@@ -634,7 +655,9 @@ def test_sqrt_table_census_equals_full_table_census(raw):
     got, expected = (census_result(box, t) for t in (small, full))
     assert got == expected
     exact = got[0]
-    assert census_from_classes(box, small) == census_from_classes(box, full) == exact
+    via_small = class_sums(box, small)
+    assert via_small == class_sums(box, full)
+    assert 4 * sum(via_small) == exact
 
 
 def test_sqrt_table_census_against_brute_oracle():

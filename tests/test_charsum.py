@@ -26,7 +26,7 @@ from d4census.arith import (
     kronecker,
 )
 from d4census.census import (
-    CHOICES, BoundBox, _is_degenerate, exact_census, required_sieve_limit)
+    CHOICES, BoundBox, _is_degenerate, exact_census, exact_class_sums, required_sieve_limit)
 from d4census.charsum import (
     CharacterSpec,
     ClassKey,
@@ -34,7 +34,6 @@ from d4census.charsum import (
     L_product_rows,
     all_class_keys,
     _kronecker_row,
-    census_from_classes,
     character_sum_f,
     class_sums,
     _admissible_keys,
@@ -187,27 +186,24 @@ def test_class_sums_match_per_key_walk(tables_census, raw):
     box = BoundBox(*raw)
     keys = list(all_class_keys())
     assert len(keys) == 768
-    sums = class_sums(box, tables_census, keys)
-    assert list(sums) == keys
-    assert sums == {key: per_key_walk(key, box) for key in keys}
-    assert any(sums.values())
+    sums = class_sums(box, tables_census)
+    assert sums == [per_key_walk(key, box) for key in keys]
+    assert any(sums)
 
 
 def test_class_sums_need_sieve_over_odd_part_bounds():
     # with a small X4 the twist counter never reaches the table's end, so the
     # walk itself must refuse a table below X1 rather than stop at its limit
-    box, keys = BoundBox(20, 20, 20, 5), list(all_class_keys())
+    box = BoundBox(20, 20, 20, 5)
     with pytest.raises(CapacityError):
-        class_sums(box, build_sieve(19), keys)
-    with pytest.raises(CapacityError):
-        census_from_classes(box, build_sieve(19))
-    assert class_sums(box, build_sieve(20), keys) == class_sums(box, build_sieve(40), keys)
+        class_sums(box, build_sieve(19))
+    assert class_sums(box, build_sieve(20)) == class_sums(box, build_sieve(40))
 
 
 def test_admissible_keys_are_built_once(monkeypatch):
     keys = _admissible_keys()
     assert isinstance(keys, tuple) and len(keys) == 432
-    assert keys == tuple(key for key in all_class_keys() if key.admissible)
+    assert keys == tuple((i, key) for i, key in enumerate(all_class_keys()) if key.admissible)
 
     def no_in_E_set(*args):
         raise AssertionError("the admissible keys were built again")
@@ -372,7 +368,8 @@ def test_character_sum_residue_class(tables_census):
         40, CharacterSpec.principal(1), tables_census, residue=(3, 8)
     )
     expected = sum(
-        (tables_census.f(n) for n in (3, 11, 19, 35)), Fraction(0)
+        (Fraction(int(tables_census.f_num[n]), int(tables_census.f_den[n]))
+         for n in (3, 11, 19, 35)), Fraction(0)
     )  # squarefree n = 3 mod 8 up to 40: 3, 11, 19, 35
     assert rep.value == expected
     # main term c(8) x / phi(8): the modulus folds into c and the class
@@ -504,30 +501,31 @@ def test_character_sum_peak_memory(tables_200k):
 
 def test_T_direct_unit_box(tables_census):
     box = BoundBox(1, 1, 1, 1)
-    sums = class_sums(box, tables_census, _admissible_keys())
-    contributions = {(key.eps, key.delta, key.nu): v for key, v in sums.items() if v}
+    sums = class_sums(box, tables_census)
+    contributions = {key: sums[i] for i, key in _admissible_keys() if sums[i]}
     assert sum(contributions.values()) == 4  # four classes contribute 1 each
     assert all(v == 1 for v in contributions.values())
-    assert census_from_classes(box, tables_census) == 16
+    assert 4 * sum(sums) == 16
 
 
 def test_T_direct_vanishes_on_inadmissible_classes(tables_census):
     # reciprocity: odd-prime conditions plus the sign condition force the
     # dyadic symbol, so classes outside the mod-8 sets carry no triples
-    keys = [key for key in all_class_keys() if not key.admissible]
-    assert set(class_sums(BoundBox(10, 10, 10, 10), tables_census, keys).values()) == {0}
+    sums = class_sums(BoundBox(10, 10, 10, 10), tables_census)
+    assert {v for v, key in zip(sums, all_class_keys()) if not key.admissible} == {0}
 
 
 def test_T_direct_empty_twist_range(tables_census):
-    keys = list(all_class_keys())[:24]
-    assert set(class_sums(BoundBox(1, 1, 1, 0.5), tables_census, keys).values()) == {0}
+    assert set(class_sums(BoundBox(1, 1, 1, 0.5), tables_census)) == {0}
 
 
 def test_census_consistency_small_boxes(tables_census):
     for raw in [(1, 1, 1, 1), (6, 6, 6, 6), (10, 10, 10, 10), (7, 3, 5, 9)]:
         box = BoundBox(*raw)
         exact = exact_census(box, tables_census).exact
-        assert census_from_classes(box, tables_census) == exact, raw
+        sums = class_sums(box, tables_census)
+        assert sums == exact_class_sums(box, tables_census), raw
+        assert 4 * sum(sums) == exact, raw
 
 
 def test_class_sums_stay_independent_of_the_kernel(monkeypatch):
@@ -535,7 +533,8 @@ def test_class_sums_stay_independent_of_the_kernel(monkeypatch):
     # the kernel's masks and the batch divisor sum refused it still meets the census
     boxes = [BoundBox(20, 12, 16, 9), BoundBox(30, 30, 30, 1e9)]
     tables = [build_sieve(required_sieve_limit(box)) for box in boxes]
-    exact = [exact_census(box, t).exact for box, t in zip(boxes, tables)]
+    want = [(exact_census(box, t).exact, exact_class_sums(box, t))
+            for box, t in zip(boxes, tables)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the class-sum oracle reached the census kernel")
@@ -545,22 +544,23 @@ def test_class_sums_stay_independent_of_the_kernel(monkeypatch):
     monkeypatch.setattr(SieveTables, "count_odd_squarefree_coprime_rows", refuse)
     with pytest.raises(AssertionError):
         exact_census(boxes[0], tables[0])
-    for box, t, want in zip(boxes, tables, exact):
-        assert census_from_classes(box, t) == want, box
+    for box, t, (exact, sums) in zip(boxes, tables, want):
+        got = class_sums(box, t)
+        assert got == sums, box
+        assert 4 * sum(got) == exact, box
 
 
 def test_class_sums_peak_memory():
     box = BoundBox(150, 150, 150, 150)
     tables = build_sieve(required_sieve_limit(box))
-    _admissible_keys()
     tracemalloc.start()
     try:
-        census_from_classes(box, tables)
+        class_sums(box, tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.8 MB measured, the twist memo included; one walk per eps class over
-    # lists of triples peaked at 20.5 MB
+    # 3.6 MB measured, the twist memo and the twists by product included; one
+    # walk per eps class over lists of triples peaked at 20.5 MB
     assert peak < 8e6
 
 
@@ -570,7 +570,8 @@ def test_class_main_terms_recover_leading_constant():
 
     spec = EulerProductSpec(pmax=100_000)
     box = BoundBox(1, 1, 1, 1)
-    total = sum(4 * T_main_term(k, box, spec) for k in all_class_keys() if k.admissible)
+    assert len(_admissible_keys()) == 432
+    total = 4 * 432 * T_main_term(box, spec)
     assert total == pytest.approx(leading_constant(spec).value, rel=1e-4)
 
 

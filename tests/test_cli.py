@@ -215,7 +215,7 @@ def test_sweep_classes_skips_an_over_budget_pmax_before_the_class_sums(capsys, m
     def no_class_sums(*args, **kwargs):
         raise AssertionError("the class sums ran before --pmax was checked")
 
-    monkeypatch.setattr(cli, "kernel_class_sums", no_class_sums)
+    monkeypatch.setattr(cli, "exact_class_sums", no_class_sums)
     code, out, err = run_cli(capsys, *"sweep --min 10 --max 20 --classes --pmax 2000000000".split())
     assert code == 0 and out == CLASS_CSV_HEADER + "\n"
     lines = err.strip().split("\n")
@@ -232,13 +232,13 @@ def test_sweep_classes_reads_the_kernel_and_matches_class_sums(capsys, monkeypat
 
     with monkeypatch.context() as m:
         m.setattr(charsum, "class_sums", oracle_only)
+        m.setattr(cli, "class_sums", oracle_only)
         m.setattr(charsum, "L_product_rows", oracle_only)
         code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     # the same rows built from the class-walk oracle, byte for byte; X4 = 1e5 is
     # above the sieve of isqrt(X4) = 316 entries
-    monkeypatch.setattr(cli, "kernel_class_sums", lambda box, tables: charsum.class_sums(
-        box, tables, charsum._admissible_keys()))
+    monkeypatch.setattr(cli, "exact_class_sums", charsum.class_sums)
     assert run_cli(capsys, *argv) == (0, out, "")
     assert len(out.splitlines()) == 1 + 3 * 432
 

@@ -5,8 +5,9 @@ function the package defines, outside the tests too.
 No linter is installed, so this walks each module's syntax tree with the
 standard library: a name bound by an import must be read somewhere else in
 the module, a key of CONSTANTS must be subscripted somewhere in the
-package, and a module-level function or method must be read by name, as a
-name or an attribute, by the package or the tests outside its own body.
+package, and a module-level function must be read by name, as a name or an
+attribute, and a method as an attribute, by the package or the tests outside
+its own body.
 The package's __init__ re-exports names and is left out.  A function that
 only the tests read is reported as well: the package or the benchmark's
 scripts must read it, or it is named in ONLY_TESTS_READ with its reason.
@@ -28,8 +29,10 @@ TESTS = sorted(Path(__file__).parent.glob("test_*.py"))
 # character_sum_f on CharacterSpec.principal and quadratic)
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 # asymptotic.twist_main_term is the per-product limit of the twist count,
-# which the twist-free limit of the ratio (ROADMAP item 10) reads next
-ONLY_TESTS_READ = {"asymptotic.twist_main_term"}
+# which the twist-free limit of the ratio (ROADMAP item 10) reads next;
+# charsum.CharacterSpec.chi is the reference character, which the tests check
+# character_sum_f against
+ONLY_TESTS_READ = {"asymptotic.twist_main_term", "charsum.CharacterSpec.chi"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,32 +83,36 @@ def test_constant_keys_read_finds_subscripts():
     assert constant_keys_read(source) == {"a"}
 
 
-def names_read(tree: ast.AST) -> Counter:
-    """How often the tree reads each name, as a name or as an attribute."""
+def names_read(tree: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often the tree reads each name, as a name or as an attribute, or
+    as an attribute only."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute))
-                   and isinstance(node.ctx, ast.Load))
+                   if isinstance(node, kinds) and isinstance(node.ctx, ast.Load))
 
 
 def unread_functions(defining: dict, readers: list) -> list[str]:
     """The module-level functions and methods of the defining sources
     (module name -> source) that neither they nor the reader sources read by
-    name outside their own bodies; dunder methods are called implicitly and
-    are left out."""
-    trees = {name: ast.parse(source) for name, source in defining.items()}
-    read = sum(map(names_read, [*trees.values(), *map(ast.parse, readers)]), Counter())
-    defs = []
-    for module, tree in trees.items():
+    name outside their own bodies.  A method counts as read only through an
+    attribute, since a bare name of it is some other binding.  Dunder methods
+    are called implicitly and are left out."""
+    trees = [*(ast.parse(source) for source in defining.values()), *map(ast.parse, readers)]
+    # by whether the function is a method: its reads as a name or attribute, or as an attribute
+    read = {method: sum((names_read(tree, method) for tree in trees), Counter())
+            for method in (False, True)}
+    defs = []  # (module or module.class, function, whether it is a method)
+    for module, tree in zip(defining, trees):
         for node in tree.body:
-            body = node.body if isinstance(node, ast.ClassDef) else [node]
-            defs += [(module, f) for f in body
+            method = isinstance(node, ast.ClassDef)
+            defs += [(f"{module}.{node.name}" if method else module, f, method)
+                     for f in (node.body if method else [node])
                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                      and not (f.name.startswith("__") and f.name.endswith("__"))]
-    for _, f in defs:  # a function that only calls itself is read by nothing else
-        read[f.name] -= names_read(f)[f.name]
-    return sorted(f"{module}.{f.name} (line {f.lineno})" for module, f in defs
-                  if read[f.name] <= 0)
+    # a function that only calls itself is read by nothing else
+    return sorted(f"{owner}.{f.name} (line {f.lineno})" for owner, f, method in defs
+                  if read[method][f.name] - names_read(f, method)[f.name] <= 0)
 
 
 def test_every_function_is_read():
@@ -126,4 +133,7 @@ def test_unread_function_is_reported():
               "    def grow(self):\n        return self.size\n\n"
               "    def shrink(self):\n        return self.size\n")
     assert unread_functions({"m": source}, ["Box().grow()\n"]) == [
-        "m.orphan (line 4)", "m.shrink (line 14)"]
+        "m.Box.shrink (line 14)", "m.orphan (line 4)"]
+    # a bare name reads a module-level function, but no method of that name
+    assert unread_functions({"m": source}, ["Box().grow()\nshrink = orphan = 0\n"
+                                            "print(shrink, orphan)\n"]) == ["m.Box.shrink (line 14)"]
