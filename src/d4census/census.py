@@ -41,10 +41,10 @@ arith.MEMORY_BUDGET before any is built.
 
 Three readers take the census off the kernel: exact_census (the count),
 exact_class_sums (the per-class sums) and census_rows (the CSV breakdown).
-Each collects the kernel through one function, _kernel_entries: per entry
-its product n = m1'm2'm3', m2' and mask, in kernel order, and m1' per block.
+Each collects the kernel through one function, _kernel_entries: four
+per-entry columns in kernel order, m1', m2', m3' and the mask.
 The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
-to n}, depends only on n.  One argsort groups the entries by n
+to n}, depends only on n = m1'm2'm3'.  One argsort groups the entries by n
 (_twists_by_product, the one product reduction), and a group's first entry
 gives a split of n whose three parts the spf walk SieveTables.prime_columns
 factors into padded prime columns.  tau(n) is 2 to the number of primes,
@@ -59,10 +59,10 @@ whole census (required_sieve_limit), however large X4 is.
 
 exact_census weights each product by the popcounts of its entries, in
 Python integers; exact_class_sums adds its twist count at each entry's
-(eps, mask), eps read off n, m1' and m2' mod 8; census_rows expands the set
-bits of the masks in one numpy step (_signed_triples) into the signed
-triples, in (m1', m2', m3', delta, nu) order, each with the twist count of
-its product.
+(eps, mask), eps read off the three columns mod 8; census_rows expands the
+set bits of the masks in one numpy step (_signed_triples) into the signed
+triples, in (m1', m2', m3', delta, nu) order, and gives each the twist count
+of its entry's product group.
 
 The class table.  The per-class sums have one layout: a list of 768 sums,
 entry 12 * _eps_index(m1', m2', m3') + k for the class of eps = the odd
@@ -227,7 +227,7 @@ def _eps_index(m1, m2, m3):
     """0..63: the place of (m1, m2, m3) mod 8 among the 64 odd residue
     triples, 16 i1 + 4 i2 + i3 for m_j = UNIT_RESIDUES[i_j] mod 8, since
     m % 8 is UNIT_RESIDUES[(m & 6) >> 1].  For odd ints of any sign and for
-    int arrays, uint8 ones too: their wrap mod 256 keeps m mod 8."""
+    signed or unsigned int arrays of any width."""
     return (m1 & 6) << 3 | (m2 & 6) << 1 | (m3 & 6) >> 1
 
 
@@ -358,63 +358,53 @@ def _signed_triples(m1p: np.ndarray, m2p: np.ndarray, m3p: np.ndarray, masks: np
 
 
 def _kernel_entries(box: BoundBox, tables: SieveTables):
-    """The kernel over box, collected once for a census reader: the list of
-    per-entry arrays in kernel order (the products m1'*m2'*m3' as int64, the
-    m2' in their smallest type, the masks as uint16), and the m1' and the
-    number of entries of each block."""
-    m2_type = np.min_scalar_type(int(box.x1))
-    entries = [[np.zeros(0, dtype=t)] for t in (np.int64, m2_type, np.uint16)]
-    m1_of_block, block_sizes = [], []
+    """The kernel over box, collected once for a census reader: per entry, in
+    kernel order, the columns m1', m2' and m3', each in the smallest unsigned
+    type that holds its bound, and the masks as uint16."""
     # X3 bounds m1', X1 bounds m2', X2 bounds m3'
-    for m1p, m2ps, m3ps, masks in _mask_blocks(box.x3, box.x1, box.x2, tables):
-        for blocks, a in zip(entries, (m1p * m2ps * m3ps, m2ps.astype(m2_type), masks)):
-            blocks.append(a)
+    bounds = (box.x3, box.x1, box.x2)
+    m1_type, *types = [np.min_scalar_type(int(b)) for b in bounds] + [np.uint16]
+    m1_of_block, block_sizes = [], []
+    blocks = [[np.zeros(0, dtype=t)] for t in types]
+    for m1p, *columns in _mask_blocks(*bounds, tables):
         m1_of_block.append(m1p)
-        block_sizes.append(len(m2ps))
-    return [np.concatenate(blocks) for blocks in entries], m1_of_block, block_sizes
+        block_sizes.append(len(columns[0]))
+        for parts, column, t in zip(blocks, columns, types):
+            parts.append(column.astype(t, copy=False))
+    m1 = np.repeat(np.array(m1_of_block, dtype=m1_type), block_sizes)
+    return (m1, *(np.concatenate(parts) for parts in blocks))
 
 
-def _twists_by_product(entries: list, m1_of_block: list, block_sizes: list, x4: float,
+def _twists_by_product(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray, x4: float,
                        tables: SieveTables):
-    """The census's product reduction: group the kernel entries by their
-    product n = m1'*m2'*m3' and twist-count each distinct n once.
+    """The census's product reduction: group the kernel entries, given by
+    their columns m1', m2' and m3', by their product n = m1'*m2'*m3' and
+    twist-count each distinct n once.
 
-    The arguments before x4 are _kernel_entries' output, the entries after
-    the m2' replaced by what the caller reduces by product.  The list is
-    emptied and the products and m2' freed here, so that while the twist
-    counts run (they may grow the recursion's memo) the only per-entry arrays
-    alive are the caller's.
-
-    Returns (distinct, starts, twists, carried): the distinct products,
-    increasing; where each one's entries start in product order;
-    tau(n) * A(X4, n) for each as int64; the caller's arrays in product order.
+    Returns (order, starts, twists): the entries in product order; where each
+    distinct product's entries start in that order; tau(n) * A(X4, n) for
+    each distinct n, increasing, as int64.
     """
-    products, m2s, *carried = entries
-    entries.clear()
+    products = m1.astype(np.int64)
+    products *= m2
+    products *= m3
     # one sort groups the entries by product; any entry of a product gives its
     # split n = m1' * m2' * m3', since the twist step reads only its primes
     order = np.argsort(products)
-    ordered = products[order]
-    del products
-    first = np.ones(len(ordered), dtype=bool)  # the first entry of each product
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    products.sort()  # in place: the products in that order, with no gathered copy
+    first = np.ones(len(products), dtype=bool)  # the first entry of each product
+    np.not_equal(products[1:], products[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    distinct, entry = ordered[starts], order[starts]
-    del ordered, first
-    carried = [a[order] for a in carried]
-    del order
-    block = np.searchsorted(np.cumsum(block_sizes, dtype=np.int64), entry, side="right")
-    m1, m2 = np.array(m1_of_block, dtype=np.int64)[block], m2s[entry].astype(np.int64)
-    del m2s, entry, block
-    columns = np.concatenate([tables.prime_columns(m) for m in (m1, m2, distinct // (m1 * m2))],
-                             axis=1)
-    del m1, m2
+    del products, first
+    head = order[starts]
+    columns = np.concatenate([tables.prime_columns(m[head]) for m in (m1, m2, m3)], axis=1)
+    del head
     # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
     # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
     # so tau * A < 2^14 * 5e14 fits int64
     twists = ((1 << np.count_nonzero(columns, axis=1))
               * tables.count_odd_squarefree_coprime_rows(x4, columns))
-    return distinct, starts, twists, carried
+    return order, starts, twists
 
 
 def exact_census(box: BoundBox, tables: SieveTables) -> CensusReport:
@@ -424,15 +414,13 @@ def exact_census(box: BoundBox, tables: SieveTables) -> CensusReport:
     Deterministic: the kernel runs once, each distinct product m1'*m2'*m3' is
     twist-counted once, and the weighted sum is taken in Python integers.
     """
-    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
-    products, m2s, masks = entries
+    m1, m2, m3, masks = _kernel_entries(box, tables)
     counts = _mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)[masks]  # popcounts
+    del masks
     triples_visited = int(counts.sum())
-    entries[2] = counts
-    del products, m2s, masks, counts
-    _, starts, twists, (counts,) = _twists_by_product(
-        entries, m1_of_block, block_sizes, box.x4, tables)
-    weight = np.add.reduceat(counts, starts, dtype=np.int64)
+    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
+    del m1, m2, m3
+    weight = np.add.reduceat(counts[order], starts, dtype=np.int64)
     total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
     return CensusReport(exact=4 * total, triples_visited=triples_visited)
 
@@ -451,16 +439,19 @@ def census_rows(box: BoundBox, tables: SieveTables,
     int object per distinct product.  Four times the sum of the twists is
     exact_census(box, tables).exact.
     """
-    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
-    products, m2s, masks = entries
-    m1s = np.repeat(np.array(m1_of_block, dtype=np.min_scalar_type(int(box.x3))), block_sizes)
-    row_entry, *signed = _signed_triples(
-        m1s, m2s, products // (m1s.astype(np.int64) * m2s), masks)
-    row_product = products[row_entry]
-    del entries[2], products, m2s, masks, m1s, row_entry
-    distinct, _, twists, _ = _twists_by_product(entries, m1_of_block, block_sizes, box.x4, tables)
-    # a row's product finds its twist count; the object array shares the ints
-    twist_of = twists.astype(object)[np.searchsorted(distinct, row_product)]
+    m1, m2, m3, masks = _kernel_entries(box, tables)
+    row_entry, *signed = _signed_triples(m1, m2, m3, masks)
+    del masks
+    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
+    del m1, m2, m3
+    # each entry's group, the place of its product among the distinct ones
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    del order, starts
+    row_group = group[row_entry]
+    del row_entry, group
+    # a row's group finds its twist count; the object array shares the ints
+    twist_of = twists.astype(object)[row_group]
     return (*signed, twist_of.tolist())
 
 
@@ -482,15 +473,12 @@ def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     of entries times the largest twist stays below 2^63, so that no partial
     sum can overflow, and in Python ints otherwise.
     """
-    entries, m1_of_block, block_sizes = _kernel_entries(box, tables)
-    # odd units mod 8 are their own inverses, so m3' = n * m1' * m2' (mod 8),
-    # which uint8 keeps as it wraps mod 256
-    m1s = np.repeat(np.array(m1_of_block).astype(np.uint8), block_sizes)
-    m2s = entries[1].astype(np.uint8)
-    entries.append(_eps_index(m1s, m2s, entries[0].astype(np.uint8) * m1s * m2s))
-    del m1s, m2s
-    _, starts, twists, (masks, eps) = _twists_by_product(
-        entries, m1_of_block, block_sizes, box.x4, tables)
+    m1, m2, m3, masks = _kernel_entries(box, tables)
+    eps = _eps_index(m1, m2, m3).astype(np.uint8, copy=False)
+    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
+    del m1, m2, m3
+    eps, masks = eps[order], masks[order]  # in product order
+    del order
     twist = np.repeat(twists, np.diff(starts, append=len(eps)))  # per entry, in product order
     exact = len(twist) * int(twists.max(initial=0)) <= _INT64_MAX
     sums = np.zeros((len(UNIT_RESIDUES) ** 3, _ALL_CHOICES + 1), np.int64 if exact else object)

@@ -317,7 +317,7 @@ def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
         distinct = {m1p * m2p * m3p
                     for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables)
                     for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
-        for reader in (exact_census, census_rows):
+        for reader in (exact_census, census_rows, exact_class_sums):
             calls.clear()
             batches.clear()
             reader(box, tables)
@@ -415,10 +415,9 @@ def test_eps_index_reads_the_residues_mod_8(m):
     assert census._eps_index(*m) == want
     columns = np.array([m], dtype=np.int64).T
     assert census._eps_index(*columns).tolist() == [want]
-    # uint8 columns wrap mod 256, as exact_class_sums takes m3' = n * m1' * m2'
-    m1, m2, n = (np.array([v], dtype=np.int64).astype(np.uint8)
-                 for v in (m[0], m[1], m[0] * m[1] * m[2]))
-    assert census._eps_index(m1, m2, n * m1 * m2).tolist() == [want]
+    # the kernel's unsigned columns; the cast wraps mod 2^bits, which keeps m mod 8
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        assert census._eps_index(*columns.astype(dtype)).tolist() == [want]
 
 
 def test_eps_index_orders_the_class_table():
@@ -465,9 +464,10 @@ def test_kernel_class_sums_refuse_a_short_table_as_class_sums_does():
 
 
 def test_count_path_peak_per_kernel_entry(tables_census):
-    # one argsort groups the entries by product and reads 27.2 B/entry here
-    # for the count and 29.2 for the class sums, which also carry the eps
-    # index and the mask; np.unique with its inverse array and the scatter of
+    # one argsort groups the entries by product and reads 29.9 B/entry here
+    # for the count and 31.9 for the class sums, which also carry the eps
+    # index and the mask; the three uint16 columns m1', m2', m3' stay alive
+    # through the sort.  np.unique with its inverse array and the scatter of
     # one entry per product read 53.3, and the sorted copy of the products
     # kept alive through reduceat's int64 cast of the popcounts 41.6
     box = BoundBox(300, 300, 300, 300)
@@ -485,8 +485,8 @@ def test_count_path_peak_per_kernel_entry(tables_census):
 
 def test_census_rows_peak_per_row(tables_census):
     # the breakdown's rows, as int64 columns and one list of twist counts
-    # that shares one int object per distinct product, read 196.5 B/row when
-    # exact_census also built them from per-row tuples
+    # that shares one int object per distinct product, read 56.3 B/row here,
+    # and 196.5 B/row when exact_census also built them from per-row tuples
     box = BoundBox(300, 300, 300, 300)
     tracemalloc.start()
     try:
@@ -520,6 +520,23 @@ def test_kernel_pinned_at_300_and_400(tables_census, x, exact, triples):
     # (41 s at X = 300 and 96 s at X = 400 on a 2-vCPU VM, too slow for here)
     report = exact_census(BoundBox(x, x, x, x), tables_census)
     assert (report.exact, report.triples_visited) == (exact, triples)
+
+
+@pytest.mark.parametrize("raw, types", [
+    ((5, 70000, 30, 50), (np.uint8, np.uint8, np.uint32)),
+    ((70000, 5, 30, 50), (np.uint8, np.uint32, np.uint8)),
+])
+def test_readers_agree_on_columns_of_mixed_types(tables_100k, raw, types):
+    # X3 bounds m1', X1 bounds m2', X2 bounds m3': each column takes the
+    # smallest unsigned type of its bound; the counts were recorded with the
+    # earlier entry format of int64 products, m2' and m1' per block
+    box = BoundBox(*raw)
+    columns = census._kernel_entries(box, tables_100k)
+    assert [c.dtype for c in columns] == [*map(np.dtype, types), np.dtype(np.uint16)]
+    report = exact_census(box, tables_100k)
+    assert (report.exact, report.triples_visited) == (473_236_176, 905_981)
+    assert report.exact == 4 * sum(exact_class_sums(box, tables_100k))
+    assert report.exact == 4 * sum(census_rows(box, tables_100k)[3])
 
 
 @settings(max_examples=25, deadline=None,

@@ -396,7 +396,6 @@ def test_character_sum_nonprincipal_cancellation(tables_100k):
     assert abs(float(rep.value)) < 100 * sqrt(43 * 50_000) * log(43) * log(50_000)
 
 
-@pytest.mark.slow
 def test_character_sum_deviation_bounded_at_1e6():
     from d4census.arith import build_sieve
 

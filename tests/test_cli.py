@@ -110,6 +110,23 @@ def test_census_consistency_at_large_twist_bound(capsys):
     assert "expected 15269227515440, actual 15269227515440" in out
 
 
+def test_census_consistency_oracle_reads_no_census_memo(capsys, monkeypatch):
+    # X4 above the sieve: both sides twist-count by the memoised recursion, so
+    # a memo the census leaves wrong must not reach the oracle's counts
+    census_of = cli.exact_census
+
+    def poisoned(box, tables):
+        report = census_of(box, tables)
+        for key in tables._coprime_cache:
+            tables._coprime_cache[key] += 1
+        return report
+
+    monkeypatch.setattr(cli, "exact_census", poisoned)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "census-consistency",
+                           "--x", "30", "30", "30", "1e6")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_prime_table_over_budget_exits_three(capsys, monkeypatch):
     # the Euler products keep their values and prime tables, so clear them first
     for cached in vars(asymptotic).values():
