@@ -316,7 +316,8 @@ def save_sieve_cache(tables: SieveTables, path) -> None:
 
 
 def load_sieve_cache(path) -> SieveTables:
-    """Read a cache file; ValueError if it is not an intact version-2 file."""
+    """Read a cache file; ValueError if it is not an intact version-2 file,
+    and CapacityError, as from build_sieve, if its tables pass the budget."""
     with open(path, "rb") as fh:
         header = fh.read(_CACHE_HEADER.size)
         if header[:4] != SIEVE_CACHE_MAGIC:
@@ -326,6 +327,8 @@ def load_sieve_cache(path) -> SieveTables:
         _, version, limit, checksum = _CACHE_HEADER.unpack(header)
         if version != SIEVE_CACHE_VERSION:
             raise ValueError(f"unsupported sieve cache version {version}")
+        # the tables it rebuilds are charged as build_sieve's, before the payload is read
+        _check_budget(f"sieve of size {limit}", limit * _BYTES_PER_ENTRY)
         size = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
         if size < 4 * limit:
             raise ValueError("truncated sieve cache")
@@ -448,45 +451,28 @@ def _valid_triples(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DecomposedTriple:
-    """Sign / 2-part / odd-part data of a SignedSquarefreeTriple.
+    """Sign / 2-part / odd-part data of a SignedSquarefreeTriple, with its
+    residue class (eps, delta, nu) as the tuples of localsolve.CLASSES.
 
-    m1 = 2^mu * m1p, m2 = delta2 * 2^alpha * m2p, m3 = delta3 * 2^beta * m3p
-    with m1p, m2p, m3p positive odd; eps_i = m_ip mod 8.  Pairwise coprimality
-    forces mu + alpha + beta <= 1.  primes holds the primes of m1p, m2p and
-    m3p, each tuple increasing.
+    m1 = 2^mu * m1p, m2 = d2 * 2^alpha * m2p, m3 = d3 * 2^beta * m3p with
+    m1p, m2p, m3p positive odd, delta = (d2, d3), nu = (mu, alpha, beta) and
+    eps = (m1p, m2p, m3p) mod 8.  Pairwise coprimality forces
+    mu + alpha + beta <= 1.  primes holds the primes of m1p, m2p and m3p,
+    each tuple increasing.
     """
 
     m1p: int
     m2p: int
     m3p: int
-    delta2: int
-    delta3: int
-    mu: int
-    alpha: int
-    beta: int
-    eps1: int
-    eps2: int
-    eps3: int
+    eps: tuple[int, int, int]
+    delta: tuple[int, int]
+    nu: tuple[int, int, int]
     primes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    @property
-    def nu(self) -> tuple[int, int, int]:
-        return (self.mu, self.alpha, self.beta)
-
-    @property
-    def eps(self) -> tuple[int, int, int]:
-        return (self.eps1, self.eps2, self.eps3)
-
-    @property
-    def delta(self) -> tuple[int, int]:
-        return (self.delta2, self.delta3)
-
     def reconstruct(self) -> SignedSquarefreeTriple:
+        (d2, d3), (mu, alpha, beta) = self.delta, self.nu
         return SignedSquarefreeTriple(
-            (1 << self.mu) * self.m1p,
-            self.delta2 * (1 << self.alpha) * self.m2p,
-            self.delta3 * (1 << self.beta) * self.m3p,
-        )
+            (1 << mu) * self.m1p, d2 * (1 << alpha) * self.m2p, d3 * (1 << beta) * self.m3p)
 
 
 def decompose_triple(triple: SignedSquarefreeTriple) -> DecomposedTriple:
@@ -507,16 +493,13 @@ def decompose_triple(triple: SignedSquarefreeTriple) -> DecomposedTriple:
         for j in range(i + 1, 3):
             if gcd(vals[i], vals[j]) != 1:
                 raise InvalidTripleError(f"{triple}: entries {i+1},{j+1} share a factor")
-    mu, alpha, beta = 1 - m1 % 2, 1 - m2 % 2, 1 - m3 % 2
-    m1p, m2p, m3p = m1 >> mu, abs(m2) >> alpha, abs(m3) >> beta
+    nu = tuple(1 - v % 2 for v in vals)
+    m1p, m2p, m3p = (abs(v) >> k for v, k in zip(vals, nu))
     return DecomposedTriple(
-        m1p=m1p, m2p=m2p, m3p=m3p,
-        delta2=1 if m2 > 0 else -1,
-        delta3=1 if m3 > 0 else -1,
-        mu=mu, alpha=alpha, beta=beta,
-        eps1=m1p % 8, eps2=m2p % 8, eps3=m3p % 8,
+        m1p=m1p, m2p=m2p, m3p=m3p, eps=(m1p % 8, m2p % 8, m3p % 8),
+        delta=(1 if m2 > 0 else -1, 1 if m3 > 0 else -1), nu=nu,
         # an even entry's primes start with 2, and its 2-exponent is 1
-        primes=(facs[0][mu:], facs[1][alpha:], facs[2][beta:]),
+        primes=tuple(f[k:] for f, k in zip(facs, nu)),
     )
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import _squarefree_factors, factor_small, primes_up_to
-from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
+from .localsolve import CHOICES, CLASSES, in_E_set, u_weight
 
 # The fixed rational data of the leading constant, collected in one place so
 # every consumer reads the same values.
@@ -267,21 +267,13 @@ def lemma432_sums() -> ClassSums:
     its 2-part pattern; the first sum weights every class by u(1,1,1), the
     second by u(e1,e2,e3).  Both come out to 432 = 3 * (48+32+32+32).
     """
-    first = 0
-    second = 0
-    tally: dict = {}
-    for delta in ALL_DELTAS:
-        for nu in ALL_NUS:
-            count = 0
-            for e1 in UNIT_RESIDUES:
-                for e2 in UNIT_RESIDUES:
-                    for e3 in UNIT_RESIDUES:
-                        if not in_E_set((e1, e2, e3), nu, delta):
-                            continue
-                        count += 1
-                        first += u_weight(1, 1, 1, delta, nu)
-                        second += u_weight(e1, e2, e3, delta, nu)
-            tally[(delta, nu)] = count
+    first = second = 0
+    tally = dict.fromkeys(CHOICES, 0)
+    for eps, delta, nu in CLASSES:
+        if in_E_set(eps, nu, delta):
+            tally[delta, nu] += 1
+            first += u_weight(1, 1, 1, delta, nu)
+            second += u_weight(*eps, delta, nu)
     return ClassSums(first, second, tally)
 
 

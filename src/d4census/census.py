@@ -16,7 +16,7 @@ The mask kernel.  A signed triple is an odd triple (m1', m2', m3') of
 pairwise coprime odd squarefree parts plus one of 12 choices (delta, nu) of
 signs and 2-part, m1 = 2^mu*m1', m2 = d2*2^a*m2', m3 = d3*2^b*m3'.  Each
 condition on a signed triple allows a set of choices, kept as a 12-bit mask
-(bit k is CHOICES[k], the order ALL_DELTAS x ALL_NUS):
+(bit k is localsolve.CHOICES[k], the order ALL_DELTAS x ALL_NUS):
 
   * none for the mod-8 class at 2: by Hilbert reciprocity it follows from the
     real place (no choice has d2 = d3 = -1) and the odd-prime masks below;
@@ -65,9 +65,9 @@ triples, in (m1', m2', m3', delta, nu) order, and gives each the twist count
 of its entry's product group.
 
 The class table.  The per-class sums have one layout: a list of 768 sums,
-entry 12 * _eps_index(m1', m2', m3') + k for the class of eps = the odd
-parts mod 8 and (delta, nu) = CHOICES[k], which is the order of
-charsum.all_class_keys.  exact_class_sums and its independent oracle,
+one per class of localsolve.CLASSES in its order, so entry
+12 * _eps_index(m1', m2', m3') + k holds eps = the odd parts mod 8 and
+(delta, nu) = CHOICES[k].  exact_class_sums and its independent oracle,
 charsum.class_sums, both return it, and readers take a class by its index.
 
 Index convention (documented on the CLI as well): the box coordinate X_i
@@ -103,7 +103,7 @@ from .arith import (
     _legendre_rows,
     _squarefree_factors,
 )
-from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES
+from .localsolve import CHOICES, UNIT_RESIDUES, _eps_index
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,8 @@ def _is_degenerate(m1: int, m2: int, m3: int) -> bool:
     return (m1 == 1 and (m2 == 1 or m3 == 1)) or m2 * m3 == 1
 
 
-# The 12 (delta, nu) choices over one odd triple.  Bit k of a mask stands for
-# CHOICES[k]; this is also the order in which rows and triples come out.
-CHOICES = tuple((delta, nu) for delta in ALL_DELTAS for nu in ALL_NUS)
+# Bit k of a mask stands for CHOICES[k], the k-th (delta, nu) choice over one
+# odd triple; this is also the order in which rows and triples come out.
 _ALL_CHOICES = (1 << len(CHOICES)) - 1
 # the factors (2^mu, d2*2^alpha, d3*2^beta) that take an odd triple to its
 # signed triple, one column per choice
@@ -221,14 +220,6 @@ class _MaskTables:
     nondeg: np.ndarray
     sign: np.ndarray
     choice_bits: np.ndarray
-
-
-def _eps_index(m1, m2, m3):
-    """0..63: the place of (m1, m2, m3) mod 8 among the 64 odd residue
-    triples, 16 i1 + 4 i2 + i3 for m_j = UNIT_RESIDUES[i_j] mod 8, since
-    m % 8 is UNIT_RESIDUES[(m & 6) >> 1].  For odd ints of any sign and for
-    signed or unsigned int arrays of any width."""
-    return (m1 & 6) << 3 | (m2 & 6) << 1 | (m3 & 6) >> 1
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ hold and 0 otherwise.  Expanding each factor over divisor pairs k_i*l_i = m_i'
 and applying quadratic reciprocity turns L into a signed divisor sum weighted
 by u(k).  Both forms are computed as exact integers and must agree everywhere.
 
-Rows.  One odd triple carries L for all 12 (delta, nu) choices (census.CHOICES).
+Rows.  One odd triple carries L for all 12 (delta, nu) choices (localsolve.CHOICES).
 Both forms take an (n, 3) int64 array of triples and return their (n, 12)
 int64 rows, read the primes off SieveTables.prime_columns, and walk the
 triples in blocks of _L_BLOCK_ROWS rows, which bounds their temporaries:
@@ -37,17 +37,18 @@ memory budget keeps below 2^31.  Euler's criterion multiplies two residues
 mod p < 2^31, and a modulus k_i * k_j of the divisor sum is at most
 m_i' * m_j' < 2^62; the reciprocity loop only reduces and halves.
 
-Class sums.  The per-class sums come in one layout, the class table of
-census: 768 exact sums, entry 12 * eps index + k for the class (eps,
-CHOICES[k]), the order of all_class_keys.  The rows of `sweep --classes`,
-which the CLI writes, read census.exact_class_sums, which reduces the
-census's one kernel collection by (eps, delta, nu) with the twist counts of
-the census's one product reduction, the same two steps exact_census takes;
-_admissible_keys gives each admissible key with its index.  class_sums is
-its independent oracle and returns the same list: one walk over the box,
-one block per m1', with one L_product_rows call per block and one twist
-count per distinct product m1'm2'm3'.  It walks the triples and evaluates L
-and non-degeneracy by its own code, calling none of the census's mask code,
+Class sums.  The per-class sums come in one layout, the class table: 768
+exact sums, one per class of localsolve.CLASSES and in its order, entry
+12 * _eps_index(*eps) + k for the class (eps, *CHOICES[k]); all_class_keys
+gives the keys in that order.  The rows of `sweep --classes`, which the CLI
+writes, read census.exact_class_sums, which reduces the census's one kernel
+collection by (eps, delta, nu) with the twist counts of the census's one
+product reduction, the same two steps exact_census takes; _admissible_keys
+gives each admissible key with its index.  class_sums is its independent
+oracle and returns the same list: one walk over the box, one block per m1',
+with one L_product_rows call per block and one twist count per distinct
+product m1'm2'm3'.  It walks the triples and evaluates L and
+non-degeneracy by its own code, calling none of the census's mask code,
 so four times its sum over the admissible classes == exact_census (the
 census-consistency suite) and class_sums == exact_class_sums (tier-1 tests)
 cross-check the kernel.  Its twist counts come from the recursion
@@ -74,8 +75,8 @@ import numpy as np
 
 from .arith import SieveTables, _legendre_rows, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
-from .census import CHOICES, BoundBox, _eps_index, _live_choices, _required_symbols
-from .localsolve import ALL_DELTAS, ALL_NUS, UNIT_RESIDUES, in_E_set, u_weight
+from .census import BoundBox, _live_choices, _required_symbols
+from .localsolve import CHOICES, CLASSES, _eps_index, in_E_set, u_weight
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,8 @@ class ClassKey:
 
 
 def all_class_keys():
-    for e1 in UNIT_RESIDUES:
-        for e2 in UNIT_RESIDUES:
-            for e3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        yield ClassKey((e1, e2, e3), delta, nu)
+    """A ClassKey per class of CLASSES, in the order of the class table."""
+    return (ClassKey(*c) for c in CLASSES)
 
 
 # rows of m' per block of L_product_rows and L_divisor_sum_rows, to bound
@@ -177,10 +174,10 @@ def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 @cache
 def _u_table() -> np.ndarray:
     """u_weight on the 64 odd residue triples mod 8 (row _eps_index(k1, k2,
-    k3)) times the 12 CHOICES (column), as int64."""
-    table = np.array([[u_weight(k1, k2, k3, delta, nu) for delta, nu in CHOICES]
-                      for k1 in UNIT_RESIDUES for k2 in UNIT_RESIDUES for k3 in UNIT_RESIDUES],
-                     dtype=np.int64)
+    k3)) times the 12 CHOICES (column), as int64: u of each class of
+    CLASSES, in its order."""
+    table = np.array([u_weight(*eps, delta, nu) for eps, delta, nu in CLASSES],
+                     dtype=np.int64).reshape(-1, len(CHOICES))
     table.setflags(write=False)
     return table
 

@@ -18,7 +18,7 @@ import sys
 import time
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, isfinite, log
 
 import numpy as np
@@ -69,6 +69,7 @@ from .charsum import (
 from .localsolve import (
     ALL_DELTAS,
     ALL_NUS,
+    CLASSES,
     REAL_PLACE,
     TWO_PLACE,
     UNIT_RESIDUES,
@@ -437,32 +438,17 @@ def _suite_lemma41(args) -> list[dict]:
 
 
 def _suite_esets(args) -> list[dict]:
-    ident_bad = positive_bad = 0
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                for delta in ALL_DELTAS:
-                    for nu in ALL_NUS:
-                        mu, al, be = nu
-                        u = u_weight(a1, a2, a3, delta, nu)
-                        sym = hilbert_symbol(
-                            (1 << (mu + al)) * delta[0] * a1 * a2,
-                            (1 << (mu + be)) * delta[1] * a1 * a3,
-                            TWO_PLACE,
-                        )
-                        if u != sym:
-                            ident_bad += 1
-                        if in_E_set((a1, a2, a3), nu, delta) and u != 1:
-                            positive_bad += 1
-    literal_bad = 0
-    for a1 in UNIT_RESIDUES:
-        for a2 in UNIT_RESIDUES:
-            for a3 in UNIT_RESIDUES:
-                eps = (a1, a2, a3)
-                if e_set_literal_000(eps) != in_E_set(eps, (0, 0, 0)):
-                    literal_bad += 1
-                if e_set_literal_010(eps) != in_E_set(eps, (0, 1, 0)):
-                    literal_bad += 1
+    ident_bad = positive_bad = literal_bad = 0
+    for eps, delta, nu in CLASSES:
+        (a1, a2, a3), (d2, d3), (mu, al, be) = eps, delta, nu
+        u = u_weight(*eps, delta, nu)
+        sym = hilbert_symbol((1 << (mu + al)) * d2 * a1 * a2, (1 << (mu + be)) * d3 * a1 * a3,
+                             TWO_PLACE)
+        ident_bad += u != sym
+        positive_bad += in_E_set(eps, nu, delta) and u != 1
+    for eps in product(UNIT_RESIDUES, repeat=3):
+        literal_bad += e_set_literal_000(eps) != in_E_set(eps, (0, 0, 0))
+        literal_bad += e_set_literal_010(eps) != in_E_set(eps, (0, 1, 0))
     return [
         _check("u_equals_dyadic_symbol_768_cases", 0, ident_bad),
         _check("u_positive_on_admissible_classes", 0, positive_bad),
@@ -549,9 +535,10 @@ def _suite_tamagawa(args) -> list[dict]:
 
 
 # Each suite's runner, the verify options it reads and the caps on its --bound
-# or --x values (at its caps each ran in 0.4-5 s per process on a 2-vCPU VM,
-# hasse and lemma41 under 0.6 s); giving a suite any other of --tol, --bound,
-# --x and --pmax, or a larger value, is a usage error.
+# or --x values (at its caps each ran in 0.2-9 s per process on a 2-vCPU VM:
+# census-consistency 5.9-8.9 s, hasse and lemma41 under 0.8 s); giving a suite
+# any other of --tol, --bound, --x and --pmax, or a larger value, is a usage
+# error.
 _SUITES = {
     "lemma432": (_suite_lemma432, (), ()),
     "hasse": (_suite_hasse, ("bound",), (80,)),
@@ -590,25 +577,22 @@ class _NoteGiven(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+# argparse names a type in its usage errors by __name__ ("invalid integer
+# value: 'x'"), so each type below is named for the user
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
-    return value
+def _number(kind: type, above: int | None = None):
+    """An argparse type: an int (kind int) or a finite float (kind float),
+    and > above unless above is None."""
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        if above is not None and value <= above:
+            raise argparse.ArgumentTypeError(f"{text!r} is not > {above}")
+        return value
+    parse.__name__ = "integer" if kind is int else "number"
+    return parse
 
 
 def _pmax(text: str) -> int:
@@ -620,6 +604,9 @@ def _pmax(text: str) -> int:
     return value
 
 
+_pmax.__name__ = "integer"
+
+
 def _int_in(low: int, high: int, outside: str):
     """An argparse type: an int in [low, high]; errors say the text is outside."""
     def parse(text: str) -> int:
@@ -627,14 +614,8 @@ def _int_in(low: int, high: int, outside: str):
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"{text!r} is {outside}")
         return value
+    parse.__name__ = "integer"
     return parse
-
-
-def _growth_factor(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 1")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -679,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     # each suite reads some of these four; main rejects the others (_SUITES)
-    p_verify.add_argument("--tol", type=_positive_float, default=1e-8, action=_NoteGiven)
-    p_verify.add_argument("--bound", type=_positive_int, default=None, action=_NoteGiven,
+    p_verify.add_argument("--tol", type=_number(float, 0), default=1e-8, action=_NoteGiven)
+    p_verify.add_argument("--bound", type=_number(int, 0), default=None, action=_NoteGiven,
                           help="case bound for exhaustive suites")
     add_shared(p_verify, "--x", "--pmax", action=_NoteGiven)
     add_shared(p_verify, "--format", "--out")
@@ -704,10 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the grid grows from --min by --factor until it passes --max, so these
     # must be finite, positive and growing for the sweep to end (and cmd_sweep
     # caps the number of boxes)
-    p_sweep.add_argument("--min", type=_positive_float, default=10.0)
-    p_sweep.add_argument("--max", type=_finite_float, default=80.0)
-    p_sweep.add_argument("--factor", type=_growth_factor, default=2.0)
-    p_sweep.add_argument("--fix-x4", type=_finite_float, default=None,
+    p_sweep.add_argument("--min", type=_number(float, 0), default=10.0)
+    p_sweep.add_argument("--max", type=_number(float), default=80.0)
+    p_sweep.add_argument("--factor", type=_number(float, 1), default=2.0)
+    p_sweep.add_argument("--fix-x4", type=_number(float), default=None,
                          help="hold X4 at this value instead of the symmetric bound")
     p_sweep.add_argument("--classes", action="store_true",
                          help="emit per-residue-class rows instead of the aggregate")

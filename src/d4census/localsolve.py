@@ -36,12 +36,20 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     SieveTables.prime_columns.
   * u_weight: the +-1 weight collecting quadratic-reciprocity signs in the
     character-sum expansion; it coincides with a 2-adic Hilbert symbol.
+  * the residue classes (eps, delta, nu): eps the odd parts mod 8
+    (UNIT_RESIDUES), delta the signs (ALL_DELTAS), nu the 2-part
+    (ALL_NUS).  CHOICES lists the 12 (delta, nu) of one odd triple, and
+    CLASSES the 768 classes in the one order of the class table, which
+    census.exact_class_sums and charsum.class_sums return: entry
+    12 * _eps_index(*eps) + k is (eps, *CHOICES[k]).  Every class loop of
+    the package walks CLASSES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -367,3 +375,14 @@ def u_weight(a1: int, a2: int, a3: int, delta: tuple[int, int],
 ALL_DELTAS = ((1, 1), (1, -1), (-1, 1))
 ALL_NUS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 UNIT_RESIDUES = (1, 3, 5, 7)
+# the residue classes in the class table's order (module docstring)
+CHOICES = tuple(product(ALL_DELTAS, ALL_NUS))
+CLASSES = tuple((eps, *choice) for eps in product(UNIT_RESIDUES, repeat=3) for choice in CHOICES)
+
+
+def _eps_index(m1, m2, m3):
+    """0..63: the place of (m1, m2, m3) mod 8 among the 64 odd residue
+    triples, 16 i1 + 4 i2 + i3 for m_j = UNIT_RESIDUES[i_j] mod 8, since
+    m % 8 is UNIT_RESIDUES[(m & 6) >> 1].  For odd ints of any sign and for
+    signed or unsigned int arrays of any width."""
+    return (m1 & 6) << 3 | (m2 & 6) << 1 | (m3 & 6) >> 1

@@ -449,19 +449,19 @@ def test_kronecker_matches_sympy(a, n):
 def test_decompose_examples():
     d = decompose_triple(SignedSquarefreeTriple(1, 2, 7))
     assert (d.m1p, d.m2p, d.m3p) == (1, 1, 7)
-    assert (d.delta2, d.delta3) == (1, 1)
+    assert d.delta == (1, 1)
     assert d.nu == (0, 1, 0)
     assert d.eps == (1, 1, 7)
 
     d = decompose_triple(SignedSquarefreeTriple(2, 1, -1))
     assert (d.m1p, d.m2p, d.m3p) == (1, 1, 1)
-    assert (d.delta2, d.delta3) == (1, -1)
+    assert d.delta == (1, -1)
     assert d.nu == (1, 0, 0)
     assert d.eps == (1, 1, 1)
 
     d = decompose_triple(SignedSquarefreeTriple(15, -2, 7))
     assert (d.m1p, d.m2p, d.m3p) == (15, 1, 7)
-    assert (d.delta2, d.delta3) == (-1, 1)
+    assert d.delta == (-1, 1)
     assert d.nu == (0, 1, 0)
     assert d.eps == (7, 1, 7)  # 15 mod 8 = 7
 
@@ -545,9 +545,9 @@ def test_decompose_roundtrip(m1, m2, m3):
         return
     triple = SignedSquarefreeTriple(m1, m2, m3)
     dec = decompose_triple(triple)
-    assert dec.mu + dec.alpha + dec.beta <= 1
+    assert sum(dec.nu) <= 1
     assert dec.reconstruct() == triple
-    for e, mp in ((dec.eps1, dec.m1p), (dec.eps2, dec.m2p), (dec.eps3, dec.m3p)):
+    for e, mp in zip(dec.eps, (dec.m1p, dec.m2p, dec.m3p)):
         assert e % 2 == 1 and e == mp % 8
 
 

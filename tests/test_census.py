@@ -15,6 +15,7 @@ from d4census.arith import (
     CapacityError,
     SignedSquarefreeTriple,
     build_sieve,
+    decompose_triple,
     factor_small,
     kronecker,
     primes_up_to,
@@ -33,6 +34,7 @@ from d4census.census import (
 )
 from d4census.charsum import (
     CharacterSpec,
+    ClassKey,
     all_class_keys,
     character_sum_f,
     class_sums,
@@ -41,6 +43,7 @@ from d4census.charsum import (
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
+    CLASSES,
     REAL_PLACE,
     TWO_PLACE,
     UNIT_RESIDUES,
@@ -420,13 +423,32 @@ def test_eps_index_reads_the_residues_mod_8(m):
         assert census._eps_index(*columns.astype(dtype)).tolist() == [want]
 
 
+def _class_index(eps, delta, nu):
+    """The entry of the class table that holds the class (eps, delta, nu)."""
+    return 12 * census._eps_index(*eps) + census.CHOICES.index((delta, nu))
+
+
 def test_eps_index_orders_the_class_table():
-    # entry 12 * eps index + k of the class table is the key's place in all_class_keys
-    keys = list(all_class_keys())
-    assert len(keys) == 768
-    for index, key in enumerate(keys):
-        assert census._eps_index(*key.eps) == index // 12
-        assert census.CHOICES[index % 12] == (key.delta, key.nu)
+    # CLASSES lists each of the 768 classes once, at its entry of the class table
+    assert len(set(CLASSES)) == len(CLASSES) == 768
+    for index, c in enumerate(CLASSES):
+        assert _class_index(*c) == index
+    assert list(all_class_keys()) == [ClassKey(*c) for c in CLASSES]
+
+
+# every valid signed triple with entries up to 40 in absolute value
+_VALID_TRIPLES = list(zip(*(column.tolist() for column in arith._valid_triples(40))))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_VALID_TRIPLES))
+def test_decomposed_class_is_its_entry_of_the_class_table(m):
+    dec = decompose_triple(SignedSquarefreeTriple(*m))
+    key = (dec.eps, dec.delta, dec.nu)
+    if dec.delta == (-1, -1):  # m2, m3 < 0: insoluble at the real place, in no class
+        assert key not in CLASSES
+    else:
+        assert CLASSES[_class_index(*key)] == key
 
 
 def test_kernel_class_sums_meet_the_class_tally_at_two(tables_census):

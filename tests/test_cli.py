@@ -360,6 +360,20 @@ def test_pmax_below_three_is_a_usage_error_before_any_census(capsys, monkeypatch
     assert_one_usage_error(*run_cli(capsys, *argv.split()), "--pmax")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("classify --triple x 1 1", "--triple"),
+    ("verify --suite hasse --bound x", "--bound"),
+    ("sweep --factor x", "--factor"),
+    ("count --x 1 1 1 1 --pmax x", "--pmax"),
+])
+def test_usage_errors_name_the_number_type_for_the_user(capsys, argv, flag):
+    # argparse names the type function in the message: no helper of the CLI's own
+    code, out, err = run_cli(capsys, *argv.split())
+    assert_one_usage_error(code, out, err, flag)
+    assert re.search(r"invalid (integer|number) value: 'x'", err)
+    assert "parse" not in err and not re.search(r"invalid _\w* value", err)
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("suite", ["constants", "tamagawa"])
 def test_verify_tol_must_be_finite_and_positive(capsys, suite, tol):
@@ -697,6 +711,19 @@ def test_damaged_sieve_cache_exit_three(capsys, tmp_path, damage):
                              "--sieve-cache", str(cache))
     assert code == 3
     assert out == "" and "sieve cache" in err
+
+
+def test_sieve_cache_over_budget_exits_three(capsys, tmp_path, monkeypatch):
+    # a cache is charged as build_sieve charges its limit, before its payload is read
+    cache = tmp_path / "sieve.bin"
+    arith.save_sieve_cache(arith.build_sieve(20_000), cache)
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 10**6)
+    with pytest.raises(arith.CapacityError) as built:
+        arith.build_sieve(20_000)
+    code, out, err = run_cli(capsys, "count", "--x", "5", "5", "5", "5",
+                             "--sieve-cache", str(cache))
+    assert code == 3 and out == ""
+    assert err == f"capacity error: {built.value}\n"
 
 
 # numpy.ma costs 14-34 ms to import, and a bare np.unique(a) imports it

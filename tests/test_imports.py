@@ -1,6 +1,7 @@
 """Every module of the package reads each name it imports, some module
 reads each fixed value of asymptotic.CONSTANTS, and something reads each
-function the package defines, outside the tests too.
+function and each module-level name the package defines, outside the tests
+too.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library: a name bound by an import must be read somewhere else in
@@ -11,6 +12,8 @@ its own body.
 The package's __init__ re-exports names and is left out.  A function that
 only the tests read is reported as well: the package or the benchmark's
 scripts must read it, or it is named in ONLY_TESTS_READ with its reason.
+A name a module assigns at its top level must be read, as a name or an
+attribute, by the package or the benchmark's scripts outside that assignment.
 """
 
 import ast
@@ -137,3 +140,35 @@ def test_unread_function_is_reported():
     # a bare name reads a module-level function, but no method of that name
     assert unread_functions({"m": source}, ["Box().grow()\nshrink = orphan = 0\n"
                                             "print(shrink, orphan)\n"]) == ["m.Box.shrink (line 14)"]
+
+
+def unread_assignments(defining: dict, readers: list) -> list[str]:
+    """The names the defining sources (module name -> source) assign at their
+    top level, by = or an annotated =, that neither they nor the reader
+    sources read, as a name or an attribute, outside the assignment itself."""
+    trees = [*(ast.parse(source) for source in defining.values()), *map(ast.parse, readers)]
+    read = sum((names_read(tree) for tree in trees), Counter())
+    found = []
+    for module, tree in zip(defining, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{module}.{name.id} (line {node.lineno})"
+                          for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                          and read[name.id] - names_read(node)[name.id] <= 0]
+    return sorted(found)
+
+
+def test_every_assigned_name_is_read_outside_the_tests():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    assert unread_assignments(defining, [p.read_text() for p in PERFBENCH]) == []
+
+
+def test_unread_assignment_is_reported():
+    source = "LIMIT = 10\nA, B = 1, 2\nCOUNT: int = LIMIT + A\nLOOP = [LOOP]\n"
+    assert unread_assignments({"m": source}, []) == [
+        "m.B (line 2)", "m.COUNT (line 3)", "m.LOOP (line 4)"]
+    # an attribute of the module reads the name too
+    assert unread_assignments({"m": source}, ["import m\nprint(m.COUNT)\n"]) == [
+        "m.B (line 2)", "m.LOOP (line 4)"]
