@@ -62,7 +62,7 @@ Python integers; exact_class_sums adds its twist count at each entry's
 (eps, mask), eps read off the three columns mod 8; census_rows expands the
 set bits of the masks in one numpy step (_signed_triples) into the signed
 triples, in (m1', m2', m3', delta, nu) order, and gives each the twist count
-of its entry's product group.
+of its entry's product group, as one more int64 column.
 
 The class table.  The per-class sums have one layout: a list of 768 sums,
 one per class of localsolve.CLASSES in its order, so entry
@@ -417,7 +417,7 @@ def exact_census(box: BoundBox, tables: SieveTables) -> CensusReport:
 
 
 def census_rows(box: BoundBox, tables: SieveTables,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The admissible signed triples of the box and their twist counts: the
     rows of the CSV breakdown, in kernel order, (m1', m2', m3', delta, nu).
 
@@ -425,10 +425,10 @@ def census_rows(box: BoundBox, tables: SieveTables,
     conic locally (hence globally) soluble, and non-degenerate (no product of
     two entries a perfect square, so the biquadratic field is genuine).
 
-    Returns (m1, m2, m3, twists): the triples as int64 columns, and
-    tau(n) * A(X4, n), n = m1'*m2'*m3', per row as a list of Python ints, one
-    int object per distinct product.  Four times the sum of the twists is
-    exact_census(box, tables).exact.
+    Returns (m1, m2, m3, twists): the triples and tau(n) * A(X4, n),
+    n = m1'*m2'*m3', per row, as int64 columns.  Four times the sum of the
+    twists is exact_census(box, tables).exact; the sum itself may pass 2^63,
+    so the CLI's writer carries it in two limbs (cli.breakdown_csv).
     """
     m1, m2, m3, masks = _kernel_entries(box, tables)
     row_entry, *signed = _signed_triples(m1, m2, m3, masks)
@@ -441,9 +441,7 @@ def census_rows(box: BoundBox, tables: SieveTables,
     del order, starts
     row_group = group[row_entry]
     del row_entry, group
-    # a row's group finds its twist count; the object array shares the ints
-    twist_of = twists.astype(object)[row_group]
-    return (*signed, twist_of.tolist())
+    return (*signed, twists[row_group])
 
 
 def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:

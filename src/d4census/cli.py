@@ -18,8 +18,9 @@ import sys
 import time
 from array import array
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import gcd, isfinite, log
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,6 +90,14 @@ from .localsolve import (
 SWEEP_CSV_HEADER = "x1,x2,x3,x4,exact,predicted,ratio"
 CLASS_CSV_HEADER = "e1,e2,e3,d2,d3,mu,alpha,beta,x1,x2,x3,x4,value,main,ratio"
 BREAKDOWN_CSV_HEADER = "m1,m2,m3,twists,cumulative"
+# the breakdown is formatted and written this many rows at a time
+_CSV_BLOCK = 1 << 14
+# its cumulative is carried as hi * _LIMB + lo, 0 <= lo < _LIMB, in int64s;
+# a row moves hi by at most 2^63 / _LIMB + 2, so hi fits int64 up to this many rows
+_LIMB = 10**9
+_CSV_MAX_ROWS = (2**63 - 1) // ((2**63 - 1) // _LIMB + 2)
+# the three ASCII digits of each of 0..999: column v holds v, one row per place
+_DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
 # a sweep of more boxes is refused before it starts: it would not end in practice
 SWEEP_MAX_BOXES = 10_000
 # classify factors each input by trial division: at most 5 * 10^5 odd divisors
@@ -155,19 +164,96 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(text: str, out_path) -> None:
-    """Write text, ending in a newline, to the --out file or to stdout."""
-    if not text.endswith("\n"):
-        text += "\n"
+def _digits(magnitudes: np.ndarray, places: int | None = None) -> np.ndarray:
+    """The decimal digits of nonnegative integers as ASCII bytes, one row per
+    place, most significant first: zero-padded to places (a multiple of 3), by
+    default the fewest that hold the largest."""
+    if places is None:
+        places = -(-len(str(int(magnitudes.max()))) // 3) * 3
+    out = np.empty((places // 3, 3, len(magnitudes)), dtype=np.uint8)
+    for group in reversed(range(places // 3)):
+        magnitudes, low = np.divmod(magnitudes, 1000)
+        out[group] = _DIGITS.take(low, axis=1)
+    return out.reshape(places, -1)
+
+
+def _csv_text(fields) -> str:
+    """The text of a block of CSV rows from each column's (negative, digits):
+    a '-' where negative, the digits from the first nonzero one (or the last
+    alone), then ',' or, after the last column, a newline.
+
+    The block is laid out transposed, one row of bytes per character position
+    of a row, and one boolean compress reads off the kept bytes row by row.
+    """
+    grid, keep = [], []
+    for i, (negative, digits) in enumerate(fields):
+        significant = digits != ord("0")
+        for place in range(1, len(significant)):
+            significant[place] |= significant[place - 1]
+        significant[-1] = True
+        end = "\n" if i == len(fields) - 1 else ","
+        grid += [np.full((1, len(negative)), ord("-"), np.uint8), digits,
+                 np.full((1, len(negative)), ord(end), np.uint8)]
+        keep += [negative[None], significant, np.ones((1, len(negative)), bool)]
+    grid, keep = np.concatenate(grid), np.concatenate(keep)
+    return grid.T[keep.T].tobytes().decode("ascii")
+
+
+def breakdown_csv(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray,
+                  twists: np.ndarray) -> Iterator[str]:
+    """The CSV breakdown of int64 columns as text pieces: BREAKDOWN_CSV_HEADER,
+    then the rows m1,m2,m3,twists,cumulative in blocks of _CSV_BLOCK rows, the
+    bytes "{},{},{},{},{}".format gives with the running sum of the twists.
+
+    The cumulative may pass 2^63, so it is carried exactly from block to
+    block as two int64 limbs in base 10^9.  They hold the sum of up to
+    _CSV_MAX_ROWS = 999,999,999 rows of any int64 twists; more rows raise
+    CapacityError here, before any piece is made.
+    """
+    if len(twists) > _CSV_MAX_ROWS:
+        raise CapacityError(f"{len(twists)} breakdown rows: the cumulative column "
+                            f"holds at most {_CSV_MAX_ROWS}")
+
+    def pieces():
+        yield BREAKDOWN_CSV_HEADER + "\n"
+        carry_hi = carry_lo = 0
+        for start in range(0, len(twists), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            hi, lo = np.divmod(twists[rows], _LIMB)
+            lo = np.cumsum(lo)
+            lo += carry_lo
+            hi = np.cumsum(hi)
+            hi += carry_hi
+            hi += lo // _LIMB
+            lo %= _LIMB
+            carry_hi, carry_lo = int(hi[-1]), int(lo[-1])
+            # the magnitude of a negative hi * 10^9 + lo borrows from hi when lo > 0
+            negative = hi < 0
+            borrow = negative & (lo > 0)
+            hi, lo = np.where(negative, -hi - borrow, hi), np.where(borrow, _LIMB - lo, lo)
+            cumulative = (np.concatenate((_digits(hi), _digits(lo, 9))) if hi.any()
+                          else _digits(lo))
+            # abs(-2^63) wraps to -2^63, whose uint64 view is 2^63
+            yield _csv_text([*((column[rows] < 0, _digits(np.abs(column[rows]).view(np.uint64)))
+                               for column in (m1, m2, m3, twists)),
+                             (negative, cumulative)])
+    return pieces()
+
+
+def _emit(pieces: Iterable[str], out_path) -> None:
+    """Write the pieces of text in order, the last ending in a newline, to the
+    --out file or to stdout.  The file is opened here, once the result is
+    computed, so a run that fails before leaves none."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
-    """Write the canonical JSON envelope under --format json, else the text."""
+    """Write the canonical JSON envelope under --format json, else the text,
+    which ends in a newline."""
     if args.format == "json":
         env = {
             "tool": "d4census",
@@ -181,8 +267,8 @@ def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
         }
         if checks is not None:
             env["checks"] = checks
-        text = canonical_json(env)
-    _emit(text, args.out)
+        text = canonical_json(env) + "\n"
+    _emit((text,), args.out)
 
 
 def _load_tables(limit: int, cache_path):
@@ -211,11 +297,8 @@ def cmd_count(args) -> int:
     predicted = None if csv else predicted_count(box, EulerProductSpec(pmax=args.pmax))
     tables = _load_tables(required_sieve_limit(box), args.sieve_cache)
     if csv:
-        m1, m2, m3, twists = census_rows(box, tables)
-        # the cumulative may pass 2^63, so it is summed in Python ints
-        lines = map("{},{},{},{},{}".format, m1.tolist(), m2.tolist(), m3.tolist(),
-                    twists, accumulate(twists))
-        _emit("\n".join((BREAKDOWN_CSV_HEADER, *lines)) + "\n", args.out)
+        # the rows are streamed to stdout or --out, opened only once they are counted
+        _emit(breakdown_csv(*census_rows(box, tables)), args.out)
         return 0
     report = exact_census(box, tables)
     result = {
@@ -323,7 +406,7 @@ def cmd_sweep(args) -> int:
             print(f"sweep: skipping {box.as_tuple()}: {err}", file=sys.stderr)
             continue
         lines.extend(rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 

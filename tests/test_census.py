@@ -170,7 +170,7 @@ def test_enumerate_and_breakdown_order_match_reference(tables_census):
             tau * sum(1 for t in range(1, 10, 2) if brute_squarefree(t) and gcd(t, m) == 1))
     *columns, twists = census_rows(box, tables_census)
     assert list(zip(*(c.tolist() for c in columns))) == expected
-    assert twists == expected_twists
+    assert twists.dtype == np.int64 and twists.tolist() == expected_twists
     report = exact_census(box, tables_census)
     assert report.exact == 4 * sum(twists) and report.triples_visited == len(twists)
 
@@ -506,9 +506,10 @@ def test_count_path_peak_per_kernel_entry(tables_census):
 
 
 def test_census_rows_peak_per_row(tables_census):
-    # the breakdown's rows, as int64 columns and one list of twist counts
-    # that shares one int object per distinct product, read 56.3 B/row here,
-    # and 196.5 B/row when exact_census also built them from per-row tuples
+    # the breakdown's rows, as four int64 columns, read 56.3 B/row here with
+    # a list of twist counts in place of the fourth (one int object per
+    # distinct product), and 196.5 B/row when exact_census also built them
+    # from per-row tuples
     box = BoundBox(300, 300, 300, 300)
     tracemalloc.start()
     try:
@@ -668,7 +669,8 @@ def test_breakdown_rows_on_random_boxes(tables_100k, x1, x2, x3, x4):
 def test_breakdown_rows(tables_census):
     box = BoundBox(4, 4, 4, 4)
     m1, m2, m3, twists = census_rows(box, tables_census)
-    assert twists and all(c.dtype == np.int64 and len(c) == len(twists) for c in (m1, m2, m3))
+    assert twists.tolist() and all(c.dtype == np.int64 and len(c) == len(twists)
+                                   for c in (m1, m2, m3, twists))
     for triple in zip(m1.tolist(), m2.tolist(), m3.tolist()):
         assert satisfies_local_conditions(SignedSquarefreeTriple(*triple))
     assert 4 * sum(twists) == exact_census(box, tables_census).exact
@@ -683,7 +685,9 @@ def test_required_sieve_limit():
 def census_result(box, tables):
     report = exact_census(box, tables)
     m1, m2, m3, twists = census_rows(box, tables)
-    return report.exact, report.triples_visited, (m1.tolist(), m2.tolist(), m3.tolist(), twists)
+    assert twists.dtype == np.int64
+    return (report.exact, report.triples_visited,
+            (m1.tolist(), m2.tolist(), m3.tolist(), twists.tolist()))
 
 
 @pytest.mark.parametrize("raw", [(20, 20, 20, 5000), (7, 3, 5, 2000), (15, 9, 12, 300)])

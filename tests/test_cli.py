@@ -10,7 +10,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d4census import arith, asymptotic, census, charsum, cli, localsolve
 from d4census.cli import (
@@ -18,6 +21,7 @@ from d4census.cli import (
     CLASS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     VERIFY_SUITES,
+    breakdown_csv,
     canonical_json,
     main,
 )
@@ -69,6 +73,97 @@ def test_count_csv_breakdown(capsys):
     assert lines[0] == BREAKDOWN_CSV_HEADER
     assert len(lines) == 5  # four admissible triples
     assert lines[-1].endswith(",4")  # cumulative twist total
+
+
+def reference_breakdown(m1, m2, m3, twists) -> str:
+    """The breakdown as str.format writes it, the cumulative summed in Python ints."""
+    twists = twists.tolist()
+    lines = map("{},{},{},{},{}".format, m1.tolist(), m2.tolist(), m3.tolist(),
+                twists, itertools.accumulate(twists))
+    return "\n".join((BREAKDOWN_CSV_HEADER, *lines)) + "\n"
+
+
+_BLOCK = cli._CSV_BLOCK
+_INT64_MAX = 2**63 - 1
+_EDGE_VALUES = np.array([0, 1, -1, 9, -10, 999, 1000, 10**9 - 1, 10**9, -10**9,
+                         _INT64_MAX, -_INT64_MAX], dtype=np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(0, 2 * _BLOCK),
+       digits=st.lists(st.integers(1, 19), min_size=4, max_size=4),
+       near_2_62=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_breakdown_csv_matches_format_and_accumulate(rows, digits, near_2_62, seed):
+    # int64 columns of up to the given number of digits, of either sign, with
+    # 0, +-(2^63 - 1) and the limb and digit-group edges mixed in; twists
+    # near 2^62 pass 2^63 in their running sum, so the limb carry runs
+    rng = np.random.default_rng(seed)
+    columns = []
+    for width in digits:
+        bound = min(10**width - 1, _INT64_MAX)
+        column = rng.integers(-bound, bound, rows, dtype=np.int64, endpoint=True)
+        edge = rng.random(rows) < 0.1
+        column[edge] = rng.choice(_EDGE_VALUES, int(edge.sum()))
+        columns.append(column)
+    if near_2_62:
+        columns[3] = rng.integers(2**62 - 2**40, 2**62 + 2**40, rows, dtype=np.int64)
+    got, expected = "".join(breakdown_csv(*columns)), reference_breakdown(*columns)
+    # the first line that differs, if any: pytest's diff of two texts this
+    # long would take minutes
+    lines = itertools.zip_longest(got.split("\n"), expected.split("\n"))
+    assert next(((row, a, b) for row, (a, b) in enumerate(lines) if a != b), None) is None
+
+
+@pytest.mark.parametrize("twists", [
+    [10**9, 5, 10**9 - 5],  # a low limb of 0 and of 5 under a high limb: zero-padded
+    [-1, -10**9, 10**9 + 1, -(10**9)],  # negative sums borrow from the high limb
+    [_INT64_MAX] * 3 + [-_INT64_MAX] * 5,  # past 2^63, back, and past -2^63
+])
+def test_breakdown_csv_cumulative_limb_edges(twists):
+    twists = np.array(twists, dtype=np.int64)
+    zeros = np.zeros(len(twists), dtype=np.int64)
+    assert "".join(breakdown_csv(zeros, zeros, zeros, twists)) == reference_breakdown(
+        zeros, zeros, zeros, twists)
+
+
+def test_breakdown_csv_refuses_more_rows_than_its_limbs_hold(monkeypatch):
+    # a row moves the high limb by at most 2^63 / 10^9 + 2, so it stays in int64
+    assert cli._CSV_MAX_ROWS == 999_999_999
+    assert cli._CSV_MAX_ROWS * (_INT64_MAX // 10**9 + 2) <= _INT64_MAX
+    monkeypatch.setattr(cli, "_CSV_MAX_ROWS", 2)
+    column = np.zeros(3, dtype=np.int64)
+    with pytest.raises(arith.CapacityError, match="3 breakdown rows"):
+        breakdown_csv(column, column, column, column)  # raised before any piece is read
+    assert "".join(breakdown_csv(*(column[:2],) * 4)) == reference_breakdown(*(column[:2],) * 4)
+
+
+@pytest.mark.parametrize("x, rows", [("0", 0), ("3", 14)])
+def test_count_csv_of_empty_and_zero_twist_boxes(capsys, x, rows):
+    # no row at all, and rows whose twists and cumulative are all 0
+    code, out, _ = run_cli(capsys, *f"count --x {x} {x} {x} 0 --format csv".split())
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == BREAKDOWN_CSV_HEADER and len(lines) == rows + 1
+    assert all(line.endswith(",0,0") for line in lines[1:])
+    box = census.BoundBox(*(float(x),) * 3, 0)
+    columns = census.census_rows(box, arith.build_sieve(census.required_sieve_limit(box)))
+    assert out == reference_breakdown(*columns)
+
+
+def test_count_csv_to_a_file_peak_per_row(capsys, tmp_path):
+    # the rows are formatted in blocks and streamed to the file, so the peak
+    # is census_rows' own: 58.6 B/row here, and 180.2 B/row when the whole
+    # file was first built as one string from per-row Python ints
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *"count --x 200 200 200 200 --format csv --out".split(),
+                               str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = path.read_bytes().count(b"\n") - 1
+    assert code == 0 and out == "" and rows == 357_016  # triples_visited at X = 200
+    assert peak / rows < 70
 
 
 def test_count_capacity_exit_code(capsys):
@@ -191,6 +286,8 @@ def test_benchmark_pinned_bytes(capsys, argv):
 
 @pytest.mark.parametrize("argv", ["count --x 2 2 2 2", "count --x 2 2 2 2 --format json",
                                   "count --x 2 2 2 2 --format csv",
+                                  # 53,629 rows: several blocks of the writer
+                                  "count --x 50 100 200 100 --format csv",
                                   "verify --suite lemma432 --format json"])
 def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, *argv.split())
@@ -213,7 +310,7 @@ def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
     assert run_fields_dropped(written) == run_fields_dropped(out)
 
 
-def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypatch):
+def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypatch, tmp_path):
     # the sieve of 201 entries fits; the 81 x 81 mask plane needs ~538 kB
     monkeypatch.setattr(arith, "MEMORY_BUDGET", 200_000)
     tracemalloc.start()
@@ -226,6 +323,11 @@ def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypat
     assert err == ("capacity error: mask kernel of 81 x 81 x 81 odd parts needs ~538002 "
                    "bytes, budget is 200000\n")
     assert peak < 200_000
+    # the --out file is opened only once the rows are counted
+    path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, *"count --x 200 200 200 100 --format csv --out".split(),
+                           str(path))
+    assert code == 3 and out == "" and not path.exists()
 
 
 def test_sweep_classes_skips_an_over_budget_pmax_before_the_class_sums(capsys, monkeypatch):
@@ -425,6 +527,7 @@ def test_verify_names_every_unread_option(capsys):
 
 @pytest.mark.parametrize("argv", [
     "count --x 1 1 1 1 --out {missing}/x",
+    "count --x 200 200 200 100 --format csv --out {missing}/x",
     "sweep --max 10 --out {missing}/x",
     "count --x 1 1 1 1 --sieve-cache {missing}/x",
     "count --x 1 1 1 1 --sieve-cache {directory}",
