@@ -30,14 +30,18 @@ condition on a signed triple allows a set of choices, kept as a 12-bit mask
     coprimality test.
 
 The AND of these masks is the set of admissible choices over the odd triple,
-and its popcount the number of admissible signed triples.  For each m1' the
-masks of every pair (m2', m3') are computed at once, as one numpy block in
-row-major order.  Each odd squarefree value's primes sit in columns padded
-with 0, and the pad allows every choice.  A prime of m2' or m3' reads two
-(m2', m3') planes built once per census, one per sign of the Legendre symbol
-of m1' at it; a prime of m1' reads the outer product of the symbols of m2'
-and m3' at it.  The planes and one block are charged against
-arith.MEMORY_BUDGET before any is built.
+and its popcount the number of admissible signed triples.  The masks of
+every (m1', m2', m3') are computed a block at a time, in row-major order: a
+block takes as many consecutive m1' as fit in _BATCH_CELLS cells, and at
+least one.  Each odd squarefree value's primes sit in columns padded with 0,
+and the pad allows every choice.  The primes of m2' (and of m3') are read two
+columns at a time: once per census, each pair of columns gets four (m2', m3')
+planes, the AND of the two columns' planes for each pair of signs of the
+Legendre symbols of m1' at their primes, and a uint8 code per (m1', value)
+picks one, so a block takes one row gather per pair; a lone last column gets
+two planes.  A prime of m1' reads the outer product of the symbols of m2' and
+m3' at it.  The planes and one block are charged against arith.MEMORY_BUDGET
+before any is built.
 
 Three readers take the census off the kernel: exact_census (the count),
 exact_class_sums (the per-class sums) and census_rows (the CSV breakdown).
@@ -192,6 +196,13 @@ _CHOICE_FACTORS = np.array([(1 << mu, d2 << alpha, d3 << beta)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # (prime, value) entries per block of _symbols_at, to bound its int64 temporaries
 _SYMBOL_BLOCK = 1 << 16
+# (m1', m2', m3') cells per block of the mask kernel: a block takes as many
+# consecutive m1' as fit, and at least one.  Larger blocks save no time at
+# X = 200 and hold more: on kernel bounds (200, 50, 100) the collected
+# kernel peaked at 1.7 MB (tracemalloc) with 2^16 cells, 0.6 MB with 2^14
+_BATCH_CELLS = 1 << 14
+# the Legendre symbols -1, 0, +1, as a column
+_SYMBOLS = np.array([[-1], [0], [1]], dtype=np.int8)
 
 
 def _choice_mask(allowed) -> int:
@@ -255,11 +266,13 @@ def _mask_tables() -> _MaskTables:
 
 
 # The kernel's peak in bytes.  Per (m2', m3') plane entry: 4 per prime column
-# of m2' or m3' (a uint16 plane for each sign of the symbol of m1'), plus 48
-# for the non-degeneracy planes and one m1' block with its temporaries.  Per
-# (m1', m2') or (m1', m3') entry: 1 per prime column for the symbols of m1',
-# plus 2.  tracemalloc at X = 100 to 2000 read 75-90% of this charge; the 48
-# is kept although less would do, so that the boxes refused with exit 3 stay.
+# of m2' or m3' (a pair of columns holds four uint16 planes, one per pair of
+# signs of the symbols of m1', and a lone column two).  Per cell of one block,
+# the plane times the m1' a block takes: 48 for the non-degeneracy planes and
+# the block with its temporaries.  Per (m1', m2') or (m1', m3') entry: 1 per
+# prime column for the symbols and codes of m1', plus 2.  tracemalloc at
+# X = 100 to 2000 read 47-74% of this charge; the 48 is kept although less
+# would do, so that the boxes refused with exit 3 stay.
 _PLANE_BYTES_PER_COLUMN = 4
 _PLANE_BYTES = 48
 _PAIR_BYTES = 2
@@ -292,23 +305,71 @@ def _symbols_at(values: np.ndarray, primes: np.ndarray):
     return lambda p: rows[np.searchsorted(distinct, p)]
 
 
+def _paired_planes(sign: np.ndarray, primes: np.ndarray, symbols, width: int, at1, n1: int):
+    """The sign planes of one odd part, precombined over its prime columns two
+    at a time (the last alone when their number is odd).
+
+    primes holds the part's n values' prime columns, and symbols(p) the
+    Legendre symbols at each p of the other part's width values.  Each group
+    of w columns gives (planes, codes).  planes is (2^w, n, width) uint16:
+    row [c, j] holds the choices at the group's primes of value j, for
+    the symbols of m1' read off c: bit w - 1 - i of c is set when the symbol
+    of m1' at the group's i-th prime is +1, clear when -1 or 0.  codes is
+    (n1, n) uint8, the c of each m1' and value.  Each column is folded into
+    its group's planes as it is built, so a pair holds the bytes of the four
+    planes, two per sign of each column, that it replaces.
+    """
+    n = len(primes)
+    for k in range(0, primes.shape[1], 2):
+        group = primes[:, k:k + 2].T
+        planes = np.empty((2,) * len(group) + (n, width), dtype=np.uint16)
+        codes = np.zeros((n1, n), dtype=np.uint8)
+        for i, p in enumerate(group):
+            s = symbols(p)
+            for bit in (0, 1):
+                plane = sign[p[:, None] % 8, (2 * bit - 1) * s + 1]
+                if i:
+                    planes[:, bit] &= plane
+                else:
+                    planes[bit] = plane
+            codes <<= 1
+            codes |= at1(p).T > 0
+        yield planes.reshape(-1, n, width), codes
+
+
+def _block_entries(block: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray):
+    """(m1', m2', m3', masks) of the nonzero cells of a kernel block
+    [m1', m2', m3'] over the values v1, v2 and v3, in row-major order."""
+    # flatnonzero of a bool array runs without branches, of the uint16 block not
+    j3 = np.flatnonzero(block != 0)
+    masks = block.ravel()[j3]
+    j2 = j3 // len(v3)
+    j3 -= j2 * len(v3)  # in place, as below: a cell's indices take 8 bytes each
+    m3 = v3[j3]
+    del j3
+    i1 = j2 // len(v2)
+    j2 -= i1 * len(v2)
+    return v1[i1], v2[j2], m3, masks
+
+
 def _mask_blocks(
     bound1: float, bound2: float, bound3: float, tables: SieveTables,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """The mask kernel: for each m1' <= bound1 in increasing order, yield
-    (m1', m2', m3', masks) where the arrays m2' <= bound2 and m3' <= bound3
-    hold the pairs that admit some choice, in row-major (m2', m3') order, and
-    masks their nonzero choice masks.  CapacityError, in this order, when the
-    products may overflow int64, when a bound is past the sieve, or when the
-    kernel's tables do not fit arith.MEMORY_BUDGET: all three before any of
-    the kernel's inputs, the value lists and prime columns, is built."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The mask kernel: yield (m1', m2', m3', masks), the triples of
+    m1' <= bound1, m2' <= bound2 and m3' <= bound3 that admit some choice,
+    in row-major (m1', m2', m3') order, and their nonzero choice masks, a
+    block of consecutive m1' at a time.  CapacityError, in this order, when
+    the products may overflow int64, when a bound is past the sieve, or when
+    the kernel's tables do not fit arith.MEMORY_BUDGET: all three before any
+    of the kernel's inputs, the value lists and prime columns, is built."""
     tops = tuple(int(max(b, 0)) for b in (bound1, bound2, bound3))
     if tops[0] * tops[1] * tops[2] > _INT64_MAX:
         raise CapacityError(f"odd-part bounds {tops}: the product m1'*m2'*m3' may overflow int64")
     n1, n2, n3 = map(tables.odd_squarefree_count, tops)
     k2, k3 = map(_most_odd_primes, tops[1:])  # the most primes of an m2' and an m3'
+    batch = max(1, _BATCH_CELLS // max(n2 * n3, 1))  # the m1' of one block
     _check_budget(f"mask kernel of {n1} x {n2} x {n3} odd parts",
-                  n2 * n3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES)
+                  n2 * n3 * (_PLANE_BYTES_PER_COLUMN * (k2 + k3) + _PLANE_BYTES * min(batch, n1))
                   + n1 * (n2 * (k2 + _PAIR_BYTES) + n3 * (k3 + _PAIR_BYTES)))
     if not (n1 and n2 and n3):
         return
@@ -317,34 +378,39 @@ def _mask_blocks(
     masks = _mask_tables()
     at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
                      _symbols_at(v3, np.append(p1, p2)))
-    # p | m2' in the k-th prime column: the (m2', m3') planes of choices when
-    # the symbol of m1' at p is -1 and +1; likewise for p | m3'
-    plane2 = [[masks.sign[1][p2[:, k, None] % 8, s * at3(p2[:, k]) + 1] for s in (-1, 1)]
-              for k in range(p2.shape[1])]
-    plane3 = [[masks.sign[2][p3[:, k] % 8, s * at2(p3[:, k]).T + 1] for s in (-1, 1)]
-              for k in range(p3.shape[1])]
-    sym2, sym3 = at1(p2), at1(p3)  # [m2' or m3', k, m1']
+    # the groups of m2' read rows (m2', m3'); those of m3' read rows (m3', m2')
+    groups2 = list(_paired_planes(masks.sign[1], p2, at3, n3, at1, n1))
+    groups3 = list(_paired_planes(masks.sign[2], p3, at2, n2, at1, n1))
     one2, one3 = (v2[:, None] == 1).astype(np.intp), (v3 == 1).astype(np.intp)
-    nondeg = [masks.nondeg[o][one2, one3] for o in (0, 1)]
-    for i, m1p in enumerate(v1.tolist()):
-        block = nondeg[int(m1p == 1)].copy()
-        for k, (minus, plus) in enumerate(plane2):
-            block &= np.where(sym2[:, k, i, None] > 0, plus, minus)
-        for k, (minus, plus) in enumerate(plane3):
-            block &= np.where(sym3[:, k, i] > 0, plus, minus)
-        for p in p1[i][p1[i] > 0].tolist():
+    nondeg = np.stack([masks.nondeg[o][one2, one3] for o in (0, 1)])
+    one1 = (v1 == 1).astype(np.intp)
+    rows2, rows3 = np.arange(n2), np.arange(n3)
+    for start in range(0, n1, batch):
+        stop = min(start + batch, n1)
+        block = nondeg[one1[start:stop]]  # [m1', m2', m3']
+        for planes, codes in groups2:
+            block &= planes[codes[start:stop], rows2]
+        for planes, codes in groups3:
+            block &= planes[codes[start:stop], rows3].transpose(0, 2, 1)
+        for p in p1[start:stop].T:
+            if not p.any():
+                break  # a value's primes come first in its row, then the pad 0
             # the choices at p over m3', one row per symbol -1, 0, +1 of m2'
-            rows = masks.sign[0][p % 8][np.multiply.outer((-1, 0, 1), at3(p)) + 1]
-            block &= rows[at2(p) + 1]
-        j2, j3 = np.nonzero(block)
-        if j2.size:
-            yield m1p, v2[j2], v3[j3], block[j2, j3]
+            rows = masks.sign[0][p[:, None, None] % 8, at3(p)[:, None] * _SYMBOLS + 1]
+            block &= rows[np.arange(len(p))[:, None], at2(p) + 1]
+        if block.any():
+            yield _block_entries(block, v1[start:stop], v2, v3)
 
 
 def _signed_triples(m1p: np.ndarray, m2p: np.ndarray, m3p: np.ndarray, masks: np.ndarray):
     """(entry, m1, m2, m3) as int64 arrays, one row per choice set in masks[entry],
     in (entry, delta, nu) order; the odd parts m_i' hold one value per entry."""
-    entry, k = np.nonzero(_mask_tables().choice_bits[masks])
+    # flat, so that entry and k are two arrays and not views of one (rows, 2)
+    # buffer, and k is freed on return; the bits are 0 or 1, so a bool view
+    # lets flatnonzero run without branches
+    k = np.flatnonzero(_mask_tables().choice_bits[masks].view(bool))
+    entry = k // len(CHOICES)
+    k -= entry * len(CHOICES)
     return (entry, *(m[entry] * factor[k] for m, factor in zip((m1p, m2p, m3p), _CHOICE_FACTORS)))
 
 
@@ -354,16 +420,13 @@ def _kernel_entries(box: BoundBox, tables: SieveTables):
     type that holds its bound, and the masks as uint16."""
     # X3 bounds m1', X1 bounds m2', X2 bounds m3'
     bounds = (box.x3, box.x1, box.x2)
-    m1_type, *types = [np.min_scalar_type(int(b)) for b in bounds] + [np.uint16]
-    m1_of_block, block_sizes = [], []
-    blocks = [[np.zeros(0, dtype=t)] for t in types]
-    for m1p, *columns in _mask_blocks(*bounds, tables):
-        m1_of_block.append(m1p)
-        block_sizes.append(len(columns[0]))
-        for parts, column, t in zip(blocks, columns, types):
-            parts.append(column.astype(t, copy=False))
-    m1 = np.repeat(np.array(m1_of_block, dtype=m1_type), block_sizes)
-    return (m1, *(np.concatenate(parts) for parts in blocks))
+    types = [np.min_scalar_type(int(b)) for b in bounds] + [np.uint16]
+    parts = [[np.zeros(0, dtype=t)] for t in types]
+    for columns in _mask_blocks(*bounds, tables):
+        for column_parts, column, t in zip(parts, columns, types):
+            column_parts.append(column.astype(t, copy=False))
+    # one column at a time, its parts freed before the next is joined
+    return tuple(np.concatenate(parts.pop(0)) for _ in types)
 
 
 def _twists_by_product(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray, x4: float,

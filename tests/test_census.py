@@ -318,8 +318,8 @@ def test_each_distinct_product_twist_counted_once(tables_census, monkeypatch):
     for box, tables in ((BoundBox(15, 15, 15, 15), tables_census),
                         (above, build_sieve(required_sieve_limit(above)))):
         distinct = {m1p * m2p * m3p
-                    for m1p, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables)
-                    for m2p, m3p in zip(m2ps.tolist(), m3ps.tolist())}
+                    for m1ps, m2ps, m3ps, _ in census._mask_blocks(15, 15, 15, tables)
+                    for m1p, m2p, m3p in zip(m1ps.tolist(), m2ps.tolist(), m3ps.tolist())}
         for reader in (exact_census, census_rows, exact_class_sums):
             calls.clear()
             batches.clear()
@@ -347,7 +347,7 @@ def test_kernel_charge_column_widths_match_odd_primorials(tables_3000):
 
 
 def test_over_budget_kernel_refused_before_allocating(tables_census, monkeypatch):
-    # the 81 x 81 (m2', m3') plane of X = 200 is charged ~538 kB
+    # the 81 x 81 (m2', m3') plane of X = 200, in blocks of two m1', is charged ~853 kB
     monkeypatch.setattr(arith, "MEMORY_BUDGET", 200_000)
     tracemalloc.start()
     try:
@@ -369,7 +369,7 @@ def test_kernel_refused_before_its_inputs_are_built(tables_census, monkeypatch):
     monkeypatch.setattr(arith.SieveTables, "odd_squarefree_upto", unbuilt)
     monkeypatch.setattr(arith, "MEMORY_BUDGET", 1000)
     with pytest.raises(CapacityError, match="^mask kernel of 81 x 81 x 81 odd parts needs "
-                                            "~538002 bytes, budget is 1000$"):
+                                            "~852930 bytes, budget is 1000$"):
         next(census._mask_blocks(200, 200, 200, tables_census))
 
 
@@ -562,6 +562,75 @@ def test_readers_agree_on_columns_of_mixed_types(tables_100k, raw, types):
     assert report.exact == 4 * sum(census_rows(box, tables_100k)[3])
 
 
+def assert_blocks_do_not_change_the_entries(box, tables):
+    # a block of one m1' at a time, as the kernel took before it took several,
+    # against the default: the same columns, values, dtypes and order
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(census, "_BATCH_CELLS", 1)
+        single = census._kernel_entries(box, tables)
+    default = census._kernel_entries(box, tables)
+    assert [c.dtype for c in single] == [c.dtype for c in default]
+    assert all(np.array_equal(a, b) for a, b in zip(single, default, strict=True))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x1=st.integers(0, 300), x2=st.integers(0, 300), x3=st.integers(0, 300))
+def test_kernel_entries_do_not_depend_on_the_block_size(tables_census, x1, x2, x3):
+    assert_blocks_do_not_change_the_entries(BoundBox(x1, x2, x3, 1), tables_census)
+
+
+@pytest.mark.parametrize("kernel_bounds", [
+    (100000, 1, 1), (1, 1, 100000),
+    (5, 20000, 5),  # an m2' with 5 primes: a pair of columns twice, then one alone
+    (0, 300, 300), (300, 0, 300), (300, 300, 0),
+])
+def test_kernel_entries_do_not_depend_on_the_block_size_on_thin_boxes(tables_100k,
+                                                                      kernel_bounds):
+    b1, b2, b3 = kernel_bounds  # X3 bounds m1', X1 bounds m2', X2 bounds m3'
+    assert_blocks_do_not_change_the_entries(BoundBox(b2, b3, b1, 1), tables_100k)
+
+
+@pytest.mark.parametrize("raw, exact, triples", [
+    ((1, 1, 100000, 1), 4_070_592, 214_846),
+    ((1, 1, 20000, 50), 12_219_824, 43_718),
+    ((3, 5, 20000, 100), 54_658_288, 83_074),
+])
+def test_thin_boxes_pinned(tables_100k, raw, exact, triples):
+    # recorded with the kernel of one block per m1'
+    report = exact_census(BoundBox(*raw), tables_100k)
+    assert (report.exact, report.triples_visited) == (exact, triples)
+
+
+def test_a_thin_plane_takes_many_m1_per_block(tables_100k):
+    # the 1 x 1 plane of kernel bounds (100000, 1, 1) took 40,527 blocks, one
+    # per m1' with an entry
+    n1 = tables_100k.odd_squarefree_count(100000)
+    blocks = sum(1 for _ in census._mask_blocks(100000, 1, 1, tables_100k))
+    assert 0 < blocks <= -(-n1 // census._BATCH_CELLS)
+
+
+def test_kernel_peak_stays_under_its_charge(monkeypatch):
+    tables = build_sieve(1000)
+    charges = []
+    check_budget = census._check_budget
+
+    def charged(table, nbytes):
+        charges.append(nbytes)
+        check_budget(table, nbytes)
+
+    monkeypatch.setattr(census, "_check_budget", charged)
+    census._mask_tables()  # cached for the process, not the kernel's
+    tracemalloc.start()
+    try:
+        for _ in census._mask_blocks(1000, 1000, 1000, tables):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and peak < charges[0]
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(x1=st.integers(0, 60), x2=st.integers(0, 60), x3=st.integers(0, 60),
@@ -579,8 +648,9 @@ def test_choice_swap_maps_masks_onto_swapped_triples(tables_census, bounds):
     (m1', m2', m3') onto those of (m1', m3', m2')."""
     def masks_of(b1, b2, b3):
         return {(m1p, m2p, m3p): mask
-                for m1p, m2ps, m3ps, block in census._mask_blocks(b1, b2, b3, tables_census)
-                for m2p, m3p, mask in zip(m2ps.tolist(), m3ps.tolist(), block.tolist())}
+                for m1ps, m2ps, m3ps, block in census._mask_blocks(b1, b2, b3, tables_census)
+                for m1p, m2p, m3p, mask in zip(m1ps.tolist(), m2ps.tolist(), m3ps.tolist(),
+                                               block.tolist())}
 
     index = {choice: k for k, choice in enumerate(census.CHOICES)}
     image = [index[(d3, d2), (mu, beta, alpha)]

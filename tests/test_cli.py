@@ -311,7 +311,8 @@ def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv):
 
 
 def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypatch, tmp_path):
-    # the sieve of 201 entries fits; the 81 x 81 mask plane needs ~538 kB
+    # the sieve of 201 entries fits; the 81 x 81 mask plane, in blocks of two
+    # m1', needs ~853 kB
     monkeypatch.setattr(arith, "MEMORY_BUDGET", 200_000)
     tracemalloc.start()
     try:
@@ -320,7 +321,7 @@ def test_mask_kernel_over_budget_exits_three_before_allocating(capsys, monkeypat
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
-    assert err == ("capacity error: mask kernel of 81 x 81 x 81 odd parts needs ~538002 "
+    assert err == ("capacity error: mask kernel of 81 x 81 x 81 odd parts needs ~852930 "
                    "bytes, budget is 200000\n")
     assert peak < 200_000
     # the --out file is opened only once the rows are counted
