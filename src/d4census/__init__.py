@@ -39,10 +39,10 @@ from .census import (
 )
 from .charsum import (
     CharacterSpec,
-    ClassKey,
     character_sum_f,
 )
 from .localsolve import (
+    ClassKey,
     Place,
     REAL_PLACE,
     TWO_PLACE,

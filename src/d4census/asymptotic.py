@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import _squarefree_factors, factor_small, primes_up_to
-from .localsolve import CHOICES, CLASSES, in_E_set, u_weight
+from .localsolve import CHOICES, admissible_classes, u_weight
 
 # The fixed rational data of the leading constant, collected in one place so
 # every consumer reads the same values.
@@ -269,11 +269,10 @@ def lemma432_sums() -> ClassSums:
     """
     first = second = 0
     tally = dict.fromkeys(CHOICES, 0)
-    for eps, delta, nu in CLASSES:
-        if in_E_set(eps, nu, delta):
-            tally[delta, nu] += 1
-            first += u_weight(1, 1, 1, delta, nu)
-            second += u_weight(*eps, delta, nu)
+    for _, (eps, delta, nu) in admissible_classes():
+        tally[delta, nu] += 1
+        first += u_weight(1, 1, 1, delta, nu)
+        second += u_weight(*eps, delta, nu)
     return ClassSums(first, second, tally)
 
 

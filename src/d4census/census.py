@@ -297,7 +297,10 @@ def _symbols_at(values: np.ndarray, primes: np.ndarray):
     per odd prime, for a block of primes at a time.  p is below the sieve
     limit, which the memory budget keeps under 2^31.
     """
-    distinct = np.array(sorted(set(primes.ravel().tolist()) | {0}), dtype=np.int64)
+    # a presence table, not np.unique or np.union1d: those import numpy.ma
+    seen = np.zeros(int(primes.max(initial=0)) + 1, dtype=bool)
+    seen[primes] = seen[0] = True
+    distinct = np.flatnonzero(seen)
     rows = np.ones((len(distinct), len(values)), dtype=np.int8)
     step = max(1, _SYMBOL_BLOCK // max(len(values), 1))
     for start in range(1, len(distinct), step):

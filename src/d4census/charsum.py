@@ -39,15 +39,15 @@ m_i' * m_j' < 2^62; the reciprocity loop only reduces and halves.
 
 Class sums.  The per-class sums come in one layout, the class table: 768
 exact sums, one per class of localsolve.CLASSES and in its order, entry
-12 * _eps_index(*eps) + k for the class (eps, *CHOICES[k]); all_class_keys
-gives the keys in that order.  The rows of `sweep --classes`, which the CLI
-writes, read census.exact_class_sums, which reduces the census's one kernel
-collection by (eps, delta, nu) with the twist counts of the census's one
-product reduction, the same two steps exact_census takes; _admissible_keys
-gives each admissible key with its index.  class_sums is its independent
-oracle and returns the same list: one walk over the box, one block per m1',
-with one L_product_rows call per block and one twist count per distinct
-product m1'm2'm3'.  It walks the triples and evaluates L and
+12 * _eps_index(*eps) + k for the class (eps, *CHOICES[k]).  The rows of
+`sweep --classes`, which the CLI writes, read census.exact_class_sums, which
+reduces the census's one kernel collection by (eps, delta, nu) with the
+twist counts of the census's one product reduction, the same two steps
+exact_census takes; localsolve.admissible_classes gives each admissible
+class with its index.  class_sums is its independent oracle and returns the
+same list: one walk over the box, one block per m1', with one
+L_product_rows call per block and one twist count per distinct product
+m1'm2'm3'.  It walks the triples and evaluates L and
 non-degeneracy by its own code, calling none of the census's mask code,
 so four times its sum over the admissible classes == exact_census (the
 census-consistency suite) and class_sums == exact_class_sums (tier-1 tests)
@@ -76,34 +76,7 @@ import numpy as np
 from .arith import SieveTables, _legendre_rows, factor_small, kronecker
 from .asymptotic import EulerProductSpec, c_constant, c_tilde
 from .census import BoundBox, _live_choices, _required_symbols
-from .localsolve import CHOICES, CLASSES, _eps_index, in_E_set, u_weight
-
-
-@dataclass(frozen=True)
-class ClassKey:
-    """A residue class (eps mod 8, signs delta, 2-part pattern nu)."""
-
-    eps: tuple[int, int, int]
-    delta: tuple[int, int]
-    nu: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(e % 2 == 0 or not 1 <= e <= 7 for e in self.eps):
-            raise ValueError(f"eps must be odd residues mod 8: {self.eps}")
-        if self.delta == (-1, -1) or any(d not in (1, -1) for d in self.delta):
-            raise ValueError(f"invalid signs: {self.delta}")
-        if sum(self.nu) > 1 or any(x not in (0, 1) for x in self.nu):
-            raise ValueError(f"invalid 2-part pattern: {self.nu}")
-
-    @property
-    def admissible(self) -> bool:
-        """Mod-8 solubility at 2 of the class."""
-        return in_E_set(self.eps, self.nu, self.delta)
-
-
-def all_class_keys():
-    """A ClassKey per class of CLASSES, in the order of the class table."""
-    return (ClassKey(*c) for c in CLASSES)
+from .localsolve import CHOICES, CLASSES, _eps_index, u_weight
 
 
 # rows of m' per block of L_product_rows and L_divisor_sum_rows, to bound
@@ -491,13 +464,6 @@ def class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
         np.add.at(sums, _eps_index(*m.T), rows.astype(object)
                   * np.array([twist_of[n] for n in products], dtype=object)[:, None])
     return sums.ravel().tolist()
-
-
-@cache
-def _admissible_keys() -> tuple[tuple[int, ClassKey], ...]:
-    """(index, key) of the 432 admissible keys, in all_class_keys order,
-    built once; index is the key's entry in the class table."""
-    return tuple((index, key) for index, key in enumerate(all_class_keys()) if key.admissible)
 
 
 def T_main_term(box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:

@@ -63,7 +63,6 @@ from .charsum import (
     L_divisor_sum_rows,
     L_product_rows,
     T_main_term,
-    _admissible_keys,
     _blocks,
     class_sums,
 )
@@ -75,6 +74,7 @@ from .localsolve import (
     TWO_PLACE,
     UNIT_RESIDUES,
     Place,
+    admissible_classes,
     e_set_literal_000,
     e_set_literal_010,
     find_conic_point,
@@ -123,11 +123,8 @@ def class_csv_rows(box: BoundBox, tables, euler: EulerProductSpec) -> list[str]:
     x1, x2, x3, x4 = box.as_tuple()
     sums, main = exact_class_sums(box, tables), T_main_term(box, euler)
     rows = []
-    for index, key in _admissible_keys():
+    for index, ((e1, e2, e3), (d2, d3), (mu, alpha, beta)) in admissible_classes():
         value = sums[index]
-        e1, e2, e3 = key.eps
-        d2, d3 = key.delta
-        mu, alpha, beta = key.nu
         # .17g, not _fmt_float: a zero main term gives a ratio of nan, not null
         rows.append(f"{e1},{e2},{e3},{d2},{d3},{mu},{alpha},{beta},"
                     f"{x1:g},{x2:g},{x3:g},{x4:g},{value},{main:.17g},"
@@ -581,7 +578,7 @@ def _suite_census_consistency(args) -> list[dict]:
         # admissible classes only: the kernel's premise that the other 336 are 0 is checked too;
         # the oracle's own tables, so no twist count the census memoised reaches it
         sums = class_sums(box, build_sieve(required_sieve_limit(box)))
-        via_classes = 4 * sum(sums[index] for index, _ in _admissible_keys())
+        via_classes = 4 * sum(sums[index] for index, _ in admissible_classes())
         checks.append(_check(f"census_vs_class_sums_{raw}", exact, via_classes))
         if raw == (1, 1, 1, 1):
             checks.append(_check("unit_box_exact", 16, exact))

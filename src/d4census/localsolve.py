@@ -39,18 +39,20 @@ has a rational point.  By the Hasse principle that reduces to local checks:
   * the residue classes (eps, delta, nu): eps the odd parts mod 8
     (UNIT_RESIDUES), delta the signs (ALL_DELTAS), nu the 2-part
     (ALL_NUS).  CHOICES lists the 12 (delta, nu) of one odd triple, and
-    CLASSES the 768 classes in the one order of the class table, which
-    census.exact_class_sums and charsum.class_sums return: entry
-    12 * _eps_index(*eps) + k is (eps, *CHOICES[k]).  Every class loop of
-    the package walks CLASSES.
+    CLASSES the 768 classes, each a ClassKey, in the one order of the class
+    table, which census.exact_class_sums and charsum.class_sums return:
+    entry 12 * _eps_index(*eps) + k is (eps, *CHOICES[k]).  Every class
+    loop of the package walks CLASSES, and admissible_classes gives the
+    (index, key) of the 432 classes in_E_set admits, in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -377,7 +379,27 @@ ALL_NUS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 UNIT_RESIDUES = (1, 3, 5, 7)
 # the residue classes in the class table's order (module docstring)
 CHOICES = tuple(product(ALL_DELTAS, ALL_NUS))
-CLASSES = tuple((eps, *choice) for eps in product(UNIT_RESIDUES, repeat=3) for choice in CHOICES)
+
+
+class ClassKey(NamedTuple):
+    """A residue class (eps mod 8, signs delta, 2-part pattern nu).  Unchecked:
+    the rows of CLASSES are valid by construction."""
+
+    eps: tuple[int, int, int]
+    delta: tuple[int, int]
+    nu: tuple[int, int, int]
+
+
+CLASSES = tuple(ClassKey(eps, *choice) for eps in product(UNIT_RESIDUES, repeat=3)
+                for choice in CHOICES)
+
+
+@cache
+def admissible_classes() -> tuple[tuple[int, ClassKey], ...]:
+    """(index, key) of the 432 classes of CLASSES that in_E_set admits, in
+    table order, built once; index is the key's entry in the class table."""
+    return tuple((index, key) for index, key in enumerate(CLASSES)
+                 if in_E_set(key.eps, key.nu, key.delta))
 
 
 def _eps_index(m1, m2, m3):

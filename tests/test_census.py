@@ -34,20 +34,19 @@ from d4census.census import (
 )
 from d4census.charsum import (
     CharacterSpec,
-    ClassKey,
-    all_class_keys,
     character_sum_f,
     class_sums,
-    _admissible_keys,
 )
 from d4census.localsolve import (
     ALL_DELTAS,
     ALL_NUS,
     CLASSES,
+    ClassKey,
     REAL_PLACE,
     TWO_PLACE,
     UNIT_RESIDUES,
     Place,
+    admissible_classes,
     in_E_set,
     padic_oracle_rows,
     satisfies_local_conditions,
@@ -396,7 +395,7 @@ def test_kernel_class_sums_equal_class_sums(raw):
     sums = exact_class_sums(box, tables)
     assert len(sums) == 768 and sums == class_sums(box, tables)
     # by Hilbert reciprocity the kernel puts no mass on the 336 inadmissible keys
-    admissible = dict(_admissible_keys())
+    admissible = dict(admissible_classes())
     assert len(admissible) == 432
     assert all(sums[i] == 0 for i in range(768) if i not in admissible)
     assert 4 * sum(sums) == exact_census(box, tables).exact
@@ -433,7 +432,10 @@ def test_eps_index_orders_the_class_table():
     assert len(set(CLASSES)) == len(CLASSES) == 768
     for index, c in enumerate(CLASSES):
         assert _class_index(*c) == index
-    assert list(all_class_keys()) == [ClassKey(*c) for c in CLASSES]
+    # each row is a ClassKey that equals and hashes as its plain tuple
+    for c in CLASSES:
+        plain = (c.eps, c.delta, c.nu)
+        assert type(c) is ClassKey and c == plain and hash(c) == hash(plain)
 
 
 # every valid signed triple with entries up to 40 in absolute value
@@ -456,8 +458,8 @@ def test_kernel_class_sums_meet_the_class_tally_at_two(tables_census):
     # delta the live keys tally 48, 32, 32, 32 over nu, as the paper's count
     # of classes at 2 says (X = 20 reaches only 318 of the 432 keys)
     sums = exact_class_sums(BoundBox(40, 40, 40, 40), tables_census)
-    live = [key for key, value in zip(all_class_keys(), sums) if value]
-    assert live == [key for _, key in _admissible_keys()]
+    live = [key for key, value in zip(CLASSES, sums) if value]
+    assert live == [key for _, key in admissible_classes()]
     tally = Counter((key.delta, key.nu) for key in live)
     for delta in ALL_DELTAS:
         assert tuple(tally[delta, nu] for nu in ALL_NUS) == CONSTANTS["class_tally"]
@@ -608,6 +610,20 @@ def test_a_thin_plane_takes_many_m1_per_block(tables_100k):
     n1 = tables_100k.odd_squarefree_count(100000)
     blocks = sum(1 for _ in census._mask_blocks(100000, 1, 1, tables_100k))
     assert 0 < blocks <= -(-n1 // census._BATCH_CELLS)
+
+
+def test_thin_kernel_set_up_peak(tables_100k):
+    # the set-up sets the peak on kernel bounds (100000, 1, 1): 2.98 MB read
+    # with _symbols_at's presence table of primes, 5.46 MB when it gathered
+    # the distinct primes through a Python set
+    tracemalloc.start()
+    try:
+        for _ in census._mask_blocks(100000, 1, 1, tables_100k):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_kernel_peak_stays_under_its_charge(monkeypatch):

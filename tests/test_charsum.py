@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d4census import census, charsum
+from d4census import census, charsum, localsolve
 from d4census.arith import (
     CapacityError,
     SieveTables,
@@ -29,19 +29,16 @@ from d4census.census import (
     CHOICES, BoundBox, _is_degenerate, exact_census, exact_class_sums, required_sieve_limit)
 from d4census.charsum import (
     CharacterSpec,
-    ClassKey,
     L_divisor_sum_rows,
     L_product_rows,
-    all_class_keys,
     _kronecker_row,
     character_sum_f,
     class_sums,
-    _admissible_keys,
     _fraction_sum,
     _jacobi,
     _large_primes,
 )
-from d4census.localsolve import UNIT_RESIDUES, u_weight
+from d4census.localsolve import CLASSES, UNIT_RESIDUES, admissible_classes, in_E_set, u_weight
 
 
 # --- reference forms ------------------------------------------------------------
@@ -184,10 +181,9 @@ def test_jacobi_edge_cases():
 @pytest.mark.parametrize("raw", [(10, 10, 10, 10), (7, 3, 5, 9), (20, 12, 16, 9)])
 def test_class_sums_match_per_key_walk(tables_census, raw):
     box = BoundBox(*raw)
-    keys = list(all_class_keys())
-    assert len(keys) == 768
+    assert len(CLASSES) == 768
     sums = class_sums(box, tables_census)
-    assert sums == [per_key_walk(key, box) for key in keys]
+    assert sums == [per_key_walk(key, box) for key in CLASSES]
     assert any(sums)
 
 
@@ -201,25 +197,16 @@ def test_class_sums_need_sieve_over_odd_part_bounds():
 
 
 def test_admissible_keys_are_built_once(monkeypatch):
-    keys = _admissible_keys()
+    keys = admissible_classes()
     assert isinstance(keys, tuple) and len(keys) == 432
-    assert keys == tuple((i, key) for i, key in enumerate(all_class_keys()) if key.admissible)
+    assert keys == tuple((i, key) for i, key in enumerate(CLASSES)
+                         if in_E_set(key.eps, key.nu, key.delta))
 
     def no_in_E_set(*args):
-        raise AssertionError("the admissible keys were built again")
+        raise AssertionError("the admissible classes were built again")
 
-    monkeypatch.setattr(charsum, "in_E_set", no_in_E_set)
-    assert _admissible_keys() is keys
-
-
-def test_class_key_validation():
-    ClassKey((1, 3, 5), (1, -1), (0, 0, 1))
-    with pytest.raises(ValueError):
-        ClassKey((2, 1, 1), (1, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        ClassKey((1, 1, 1), (-1, -1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        ClassKey((1, 1, 1), (1, 1), (1, 1, 0))
+    monkeypatch.setattr(localsolve, "in_E_set", no_in_E_set)
+    assert admissible_classes() is keys
 
 
 _TRIVIAL = CHOICES.index(((1, 1), (0, 0, 0)))
@@ -501,7 +488,7 @@ def test_character_sum_peak_memory(tables_200k):
 def test_T_direct_unit_box(tables_census):
     box = BoundBox(1, 1, 1, 1)
     sums = class_sums(box, tables_census)
-    contributions = {key: sums[i] for i, key in _admissible_keys() if sums[i]}
+    contributions = {key: sums[i] for i, key in admissible_classes() if sums[i]}
     assert sum(contributions.values()) == 4  # four classes contribute 1 each
     assert all(v == 1 for v in contributions.values())
     assert 4 * sum(sums) == 16
@@ -511,7 +498,7 @@ def test_T_direct_vanishes_on_inadmissible_classes(tables_census):
     # reciprocity: odd-prime conditions plus the sign condition force the
     # dyadic symbol, so classes outside the mod-8 sets carry no triples
     sums = class_sums(BoundBox(10, 10, 10, 10), tables_census)
-    assert {v for v, key in zip(sums, all_class_keys()) if not key.admissible} == {0}
+    assert {v for v, key in zip(sums, CLASSES) if not in_E_set(key.eps, key.nu, key.delta)} == {0}
 
 
 def test_T_direct_empty_twist_range(tables_census):
@@ -569,7 +556,7 @@ def test_class_main_terms_recover_leading_constant():
 
     spec = EulerProductSpec(pmax=100_000)
     box = BoundBox(1, 1, 1, 1)
-    assert len(_admissible_keys()) == 432
+    assert len(admissible_classes()) == 432
     total = 4 * 432 * T_main_term(box, spec)
     assert total == pytest.approx(leading_constant(spec).value, rel=1e-4)
 

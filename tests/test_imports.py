@@ -14,9 +14,13 @@ only the tests read is reported as well: the package or the benchmark's
 scripts must read it, or it is named in ONLY_TESTS_READ with its reason.
 A name a module assigns at its top level must be read, as a name or an
 attribute, by the package or the benchmark's scripts outside that assignment.
+A dotted reference module.name in README.md or in any source file, with
+module one of the six modules or SieveTables, must name an attribute of it.
 """
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -172,3 +176,37 @@ def test_unread_assignment_is_reported():
     # an attribute of the module reads the name too
     assert unread_assignments({"m": source}, ["import m\nprint(m.COUNT)\n"]) == [
         "m.B (line 2)", "m.LOOP (line 4)"]
+
+
+# module.name in prose or code, for the six modules and SieveTables; a path
+# such as src/d4census/census.py is not a reference
+DOC_REFERENCE = re.compile(
+    r"(?<![\w/])(arith|asymptotic|census|charsum|cli|localsolve|SieveTables)\.(\w+)")
+DOCUMENTED = [Path(__file__).parents[1] / "README.md",
+              *sorted(Path(d4census.__file__).parent.glob("*.py"))]
+
+
+def unresolved_references(text: str) -> list[str]:
+    """The DOC_REFERENCE matches of the text that name no attribute of the
+    package's module, or of SieveTables."""
+    found = set()
+    for match in DOC_REFERENCE.finditer(text):
+        owner, name = match.groups()
+        owner = (d4census.SieveTables if owner == "SieveTables"
+                 else importlib.import_module(f"d4census.{owner}"))
+        if not hasattr(owner, name):
+            found.add(match.group(0))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", DOCUMENTED, ids=lambda p: p.name)
+def test_doc_references_resolve(path):
+    assert unresolved_references(path.read_text()) == []
+
+
+def test_unresolved_reference_is_reported():
+    text = ("census.exact_census walks SieveTables.prime_columns, but\n"
+            "census.enumerate_admissible_triples and SieveTables.nothing are gone;\n"
+            "src/d4census/census.py is a path.\n")
+    assert unresolved_references(text) == [
+        "SieveTables.nothing", "census.enumerate_admissible_triples"]
