@@ -402,16 +402,11 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _legendre(a: int, p: int) -> int:
-    """Legendre symbol (a / p) at an odd prime p, by Euler's criterion."""
-    return (pow(a, (p - 1) >> 1, p) + 1) % p - 1
-
-
 def _legendre_rows(values: np.ndarray, p) -> np.ndarray:
-    """_legendre(values, p) elementwise as int8, for int64 values and p an odd
-    prime or an int64 array of them broadcast against values; a p of 1 gives
-    1.  Euler's criterion by repeated squaring, about log2(p) passes.  p must
-    be below 2^31, so that no int64 product overflows."""
+    """The Legendre symbol (values / p) elementwise as int8, for int64 values
+    and p an odd prime or an int64 array of them broadcast against values; a
+    p of 1 gives 1.  Euler's criterion by repeated squaring, about log2(p)
+    passes.  p must be below 2^31, so that no int64 product overflows."""
     base, e = values % p, (p - 1) >> 1
     power = np.ones_like(base)
     while np.any(e):

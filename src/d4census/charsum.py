@@ -56,8 +56,10 @@ SieveTables.count_odd_squarefree_coprime, while the census takes them from a
 divisor sum whenever X4 fits the sieve, so the check covers twist counting
 too.  Every admissible class has the same main term, T_main_term.
 
-character_sum_f evaluates the weighted character sums whose main terms
-carry c(r).  All class sums are exact; floats appear only in main terms, and
+character_sum_f evaluates the weighted squarefree character sums of the
+two characters of CharacterSpec: the principal character mod q, whose main
+term carries c(rad q), and a quadratic character (D / n), whose main term is
+0.  All class sums are exact; floats appear only in main terms, and
 the module formats no output (the CLI owns every CSV format).
 """
 
@@ -67,9 +69,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm, log, pi, sqrt
+from math import gcd, isqrt, lcm, log, pi, prod, sqrt
 from operator import mul
-from typing import Optional
 
 import numpy as np
 
@@ -198,50 +199,40 @@ def L_divisor_sum_rows(m: np.ndarray, tables: SieveTables) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterSpec:
-    """A completely multiplicative character for the weighted sums.
+    """A completely multiplicative character for the weighted sums, zero
+    exactly on gcd(n, q) > 1.
 
-    kind "principal": n -> 1 on gcd(n, q) = 1, else 0.
-    kind "kronecker": n -> (disc / n) for a discriminant-style parameter
-    disc = 0 or 1 mod 4 whose radical matches the radical of q, so the
-    character vanishes exactly on gcd(n, q) > 1.
+    disc = 0: the principal character mod q, n -> 1 on gcd(n, q) = 1.
+    Otherwise the Kronecker symbol n -> (disc / n) of a discriminant-style
+    parameter disc = 0 or 1 mod 4 that is not a square, with q = |disc|: at a
+    square k^2 the symbol is the principal character mod rad(k).
     """
 
     q: int
-    kind: str = "principal"
-    disc: int = 0
-    m: int = 1
+    disc: int
 
     def __post_init__(self):
-        if self.q < 1 or self.m < 1:
-            raise ValueError("modulus and coprimality parameter must be positive")
-        if gcd(self.m, self.q) != 1:
-            raise ValueError(f"need gcd(m, q) = 1, got m={self.m}, q={self.q}")
-        if self.kind == "kronecker":
-            if self.disc == 0 or self.disc % 4 not in (0, 1):
-                raise ValueError(f"discriminant must be nonzero and 0 or 1 mod 4: {self.disc}")
-            if set(factor_small(self.disc)) != set(factor_small(self.q)):
-                raise ValueError(
-                    f"radical of disc {self.disc} must match radical of q {self.q}"
-                )
-        elif self.kind != "principal":
-            raise ValueError(f"unknown character kind {self.kind!r}")
+        if self.q < 1:
+            raise ValueError(f"modulus must be positive: q={self.q}")
+        if self.disc and (self.disc % 4 > 1 or self.q != abs(self.disc)):
+            raise ValueError(
+                f"need disc = 0 or 1 mod 4 and q = |disc|, got q={self.q}, disc={self.disc}")
+        if self.disc > 0 and isqrt(self.disc) ** 2 == self.disc:
+            raise ValueError(f"(disc / n) is principal for the square disc = {self.disc}: "
+                             "use CharacterSpec.principal")
 
     @classmethod
-    def principal(cls, q: int, m: int = 1) -> "CharacterSpec":
-        return cls(q=q, kind="principal", m=m)
+    def principal(cls, q: int) -> "CharacterSpec":
+        return cls(q, 0)
 
     @classmethod
-    def quadratic(cls, disc: int, m: int = 1) -> "CharacterSpec":
-        return cls(q=abs(disc), kind="kronecker", disc=disc, m=m)
-
-    @property
-    def is_principal(self) -> bool:
-        return self.kind == "principal"
+    def quadratic(cls, disc: int) -> "CharacterSpec":
+        return cls(abs(disc), disc)
 
     def chi(self, n: int) -> int:
-        if self.kind == "principal":
-            return 1 if gcd(n, self.q) == 1 else 0
-        return kronecker(self.disc, n)
+        if self.disc:
+            return kronecker(self.disc, n)
+        return 1 if gcd(n, self.q) == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -249,62 +240,37 @@ class CharacterSumReport:
     value: Fraction
     main_term: float
     deviation: float  # |S - main| / (sqrt(x) log x)
-    x: float
     terms: int
 
 
-def character_sum_f(
-    x: float,
-    spec: CharacterSpec,
-    tables: SieveTables,
-    residue: Optional[tuple[int, int]] = None,
-    euler: Optional[EulerProductSpec] = None,
-) -> CharacterSumReport:
-    """S = sum_{n <= x, squarefree, (n, m) = 1 [, n = a mod q0]} chi(n) f(n),
-    exactly.
+def character_sum_f(x: float, spec: CharacterSpec, tables: SieveTables) -> CharacterSumReport:
+    """S = sum_{n <= x, squarefree} chi(n) f(n), exactly.
 
-    The attached main term is c(m*q*q0) * x / phi(q0) for principal chi
-    (phi(q0) = 1 without a residue class) and 0 otherwise; the deviation
-    field records |S - main| normalized by sqrt(x) log x.  CapacityError
-    when x passes the sieve, as for every reader of the tables.
+    The attached main term is c(rad q) * x for the principal character and 0
+    otherwise; the deviation field records |S - main| normalized by
+    sqrt(x) log x.  CapacityError when x passes the sieve, as for every
+    reader of the tables.
     """
     top = tables._top(x)
-    a, q0 = (residue if residue is not None else (0, 1))
-    if q0 < 1 or (residue is not None and gcd(a, q0) != 1):
-        raise ValueError(f"residue class must have gcd(a, q0) = 1: {residue}")
-    if residue is not None and gcd(q0, spec.q) != 1:
-        raise ValueError(f"residue modulus {q0} must be coprime to character modulus {spec.q}")
     # index i of these masks and rows stands for n = i + 1
     keep = tables.mu[1 : top + 1] != 0
-    for p in factor_small(spec.m):
-        keep[p - 1 :: p] = False
-    if residue is not None:
-        in_class = np.zeros_like(keep)
-        in_class[(a - 1) % q0 :: q0] = True
-        keep &= in_class
     num = tables.f_num[1 : top + 1]
-    if spec.is_principal:
-        for p in factor_small(spec.q):
-            keep[p - 1 :: p] = False
-        num = num[keep]
-    else:
+    if spec.disc:
         chi = _kronecker_row(spec.disc, top)
         keep &= chi != 0
         num = num[keep] * chi[keep]
+        main = 0.0
+    else:
+        primes = factor_small(spec.q)
+        for p in primes:
+            keep[p - 1 :: p] = False
+        num = num[keep]
+        main = c_constant(prod(primes), EulerProductSpec()).value * x
     den = tables.f_den[1 : top + 1][keep]
     value = _fraction_sum(num, den, tables)
-    if spec.is_principal:
-        r = spec.m * spec.q * q0
-        rad = 1
-        for p in factor_small(r):
-            rad *= p
-        main = c_constant(rad, euler or EulerProductSpec()).value * x / _phi(q0)
-    else:
-        main = 0.0
     norm = sqrt(x) * log(x) if x > 1 else 1.0
     deviation = abs(float(value) - main) / norm
-    return CharacterSumReport(value=value, main_term=main, deviation=deviation,
-                              x=x, terms=len(den))
+    return CharacterSumReport(value=value, main_term=main, deviation=deviation, terms=len(den))
 
 
 def _kronecker_row(disc: int, top: int) -> np.ndarray:
@@ -413,13 +379,6 @@ def _large_primes(d: np.ndarray, tables: SieveTables) -> np.ndarray:
     return out
 
 
-def _phi(n: int) -> int:
-    out = n
-    for p in factor_small(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     """The exact census sum of every class (eps, delta, nu), in the layout of
     census.exact_class_sums (entry 12 * _eps_index(eps) + k for
@@ -466,7 +425,7 @@ def class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     return sums.ravel().tolist()
 
 
-def T_main_term(box: BoundBox, euler: Optional[EulerProductSpec] = None) -> float:
+def T_main_term(box: BoundBox, euler: EulerProductSpec) -> float:
     """Asymptotic main term of the exact census sum of each admissible class
     (an entry of class_sums or census.exact_class_sums).
 
@@ -477,5 +436,5 @@ def T_main_term(box: BoundBox, euler: Optional[EulerProductSpec] = None) -> floa
     """
     x1, x2, x3, x4 = box.as_tuple()
     # prod_{p>2} (1 - 1/p^2) = 8 / pi^2
-    return 8.0 / pi**2 * c_tilde(euler or EulerProductSpec()).value * x1 * x2 * x3 * x4
+    return 8.0 / pi**2 * c_tilde(euler).value * x1 * x2 * x3 * x4
 

@@ -5,9 +5,10 @@ has a rational point.  By the Hasse principle that reduces to local checks:
 
   * hilbert_symbol: closed-form (a, b)_v at the real place, at 2, and at odd
     primes (valuations stripped mod 2, epsilon(p) = (p-1)/2 exponent formula,
-    Legendre symbols of the unit parts by Euler's criterion), on Python ints
+    Legendre symbols of the unit parts by arith.kronecker), on Python ints
     of any size.  hilbert_symbol_rows is the same formula for every pair of
-    two int64 columns at one place.
+    two int64 columns at one place, with the Legendre symbols by Euler's
+    criterion.
   * padic_oracle_rows: an independent ground truth that searches exhaustively
     for primitive solutions modulo m = p^3 (odd p) resp. 2^6 -- Hensel-
     sufficient for coefficients of valuation <= 1 -- for a whole column of
@@ -30,7 +31,7 @@ has a rational point.  By the Hasse principle that reduces to local checks:
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
     cross-check (E_000_LITERAL / E_010_LITERAL below).
   * satisfies_local_conditions: the full bundle (odd-prime Legendre
-    conditions by Euler's criterion at the primes decompose_triple keeps,
+    conditions by arith.kronecker at the primes decompose_triple keeps,
     real-place sign condition, the mod-8 set).  local_conditions_rows is the
     same bundle for int64 columns of triples, with the primes read off
     SieveTables.prime_columns.
@@ -60,7 +61,6 @@ from .arith import (
     DecomposedTriple,
     SieveTables,
     SignedSquarefreeTriple,
-    _legendre,
     _legendre_rows,
     decompose_triple,
     factor_small,
@@ -134,9 +134,9 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     eps = ((p - 1) // 2) % 2
     sign = (-1) ** (s * t * eps)
     if t:
-        sign *= _legendre(u, p)
+        sign *= kronecker(u, p)
     if s:
-        sign *= _legendre(w, p)
+        sign *= kronecker(w, p)
     return sign
 
 
@@ -297,7 +297,7 @@ def satisfies_local_conditions(triple: SignedSquarefreeTriple | DecomposedTriple
         return False
     for arg, primes in zip((-m2 * m3, m1 * m3, m1 * m2), dec.primes):
         for p in primes:
-            if _legendre(arg, p) != 1:
+            if kronecker(arg, p) != 1:
                 return False
     return in_E_set(dec.eps, dec.nu, dec.delta)
 

@@ -162,7 +162,6 @@ def _fundamental_discriminants(bound):
 def test_criterion_9_character_sum_main_terms(capsys):
     t0 = time.perf_counter()
     tables = build_sieve(100_000)
-    spec = EulerProductSpec(pmax=100_000)
     xs = (1000, 10_000, 100_000)
     bad = []
     cache = {}
@@ -172,16 +171,14 @@ def test_criterion_9_character_sum_main_terms(capsys):
             rad *= p
         for x in xs:
             if (rad, x) not in cache:
-                cache[(rad, x)] = character_sum_f(
-                    x, CharacterSpec.principal(rad), tables, euler=spec
-                )
+                cache[(rad, x)] = character_sum_f(x, CharacterSpec.principal(rad), tables)
             rep = cache[(rad, x)]
             if abs(float(rep.value) - rep.main_term) > 100 * sqrt(x) * log(x):
                 bad.append(("principal", r, x))
     for disc in _fundamental_discriminants(50):
         q = abs(disc)
         for x in xs:
-            rep = character_sum_f(x, CharacterSpec.quadratic(disc), tables, euler=spec)
+            rep = character_sum_f(x, CharacterSpec.quadratic(disc), tables)
             if abs(float(rep.value)) > 100 * sqrt(q * x) * log(q) * log(x):
                 bad.append(("kronecker", disc, x))
     elapsed = time.perf_counter() - t0

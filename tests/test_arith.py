@@ -15,7 +15,6 @@ from d4census.arith import (
     CapacityError,
     InvalidTripleError,
     SignedSquarefreeTriple,
-    _legendre,
     _legendre_rows,
     _spf_sieve,
     _squarefree_factors,
@@ -378,22 +377,16 @@ def test_kronecker_matches_euler_criterion():
 
 
 
-def test_legendre_equals_kronecker_at_odd_primes():
-    for p in primes_up_to(500).tolist()[1:]:
-        for a in range(-p, 2 * p):
-            assert _legendre(a, p) == kronecker(a, p), (a, p)
-
-
 def test_legendre_rows_equal_the_scalar_symbol():
     primes = primes_up_to(500)[1:]
     a = np.arange(-600, 1200, dtype=np.int64)
     for p in primes.tolist():
         got = _legendre_rows(a, p)
         assert got.dtype == np.int8
-        assert got.tolist() == [_legendre(x, p) for x in a.tolist()], p
+        assert got.tolist() == [kronecker(x, p) for x in a.tolist()], p
     # a column of primes, one per value, with 1 for a pad
     p = np.resize(np.append(primes, 1), len(a))
-    want = [_legendre(x, q) if q > 1 else 1 for x, q in zip(a.tolist(), p.tolist())]
+    want = [kronecker(x, q) for x, q in zip(a.tolist(), p.tolist())]
     assert _legendre_rows(a, p).tolist() == want
 
 
@@ -404,7 +397,7 @@ def test_legendre_matches_sympy_up_to_1e12(n, a):
     # classify accepts primes up to 10^12; the largest below it is 999999999989
     p = int(nextprime(n))
     assert p < 10**12
-    assert _legendre(a, p) == legendre_symbol(a % p, p)
+    assert kronecker(a, p) == legendre_symbol(a % p, p)
 
 def test_quadratic_reciprocity_exhaustive():
     for m in range(1, 201, 2):

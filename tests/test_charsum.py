@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -248,13 +247,11 @@ def test_character_spec_validation():
     with pytest.raises(ValueError):
         CharacterSpec.quadratic(-6)   # 2 mod 4
     with pytest.raises(ValueError):
-        CharacterSpec.quadratic(0)
-    with pytest.raises(ValueError):
-        CharacterSpec(q=3, kind="kronecker", disc=5)  # radical mismatch
-    with pytest.raises(ValueError):
-        CharacterSpec(q=3, kind="principal", m=6)     # gcd(m, q) > 1
-    with pytest.raises(ValueError):
-        CharacterSpec(q=3, kind="weird")
+        CharacterSpec(q=3, disc=5)    # q != |disc|
+    # (k^2 / n) is the principal character mod rad(k), whose main term is not 0
+    for square in (0, 1, 4, 36):
+        with pytest.raises(ValueError):
+            CharacterSpec.quadratic(square)
 
 
 def test_character_vanishing_set():
@@ -271,14 +268,11 @@ def test_character_completely_multiplicative():
                 assert spec.chi(a * b) == spec.chi(a) * spec.chi(b)
 
 
-def reference_character_sum(x, spec, tables, residue=None):
+def reference_character_sum(x, spec, tables):
     """(value, terms) of character_sum_f by the per-term loop it replaced."""
-    a, q0 = residue if residue is not None else (0, 1)
     terms = []
     for n in range(1, int(x) + 1):
-        if tables.mu[n] == 0 or gcd(n, spec.m) != 1:
-            continue
-        if residue is not None and n % q0 != a % q0:
+        if tables.mu[n] == 0:
             continue
         ch = spec.chi(n)
         if ch:
@@ -286,41 +280,24 @@ def reference_character_sum(x, spec, tables, residue=None):
     return sum(terms, Fraction(0)), len(terms)
 
 
-def _radical(n):
-    out = 1
-    for p in factor_small(n):
-        out *= p
-    return out
+def _spec_id(spec):
+    return f"{'kronecker' if spec.disc else 'principal'}-q{spec.q}-D{spec.disc}"
 
 
-# every discriminant 0 or 1 mod 4 with |D| <= 60, fundamental or not, with
-# q = |D| and, where it differs, with q = rad(D)
+# every discriminant 0 or 1 mod 4 with |D| <= 60, fundamental or not; the
+# characters take the non-square ones, with q = |D|, and principal moduli
+# squarefree or not
 DISCRIMINANTS = [d for d in range(-60, 61) if d != 0 and d % 4 in (0, 1)]
-CHARACTERS = [CharacterSpec.principal(q) for q in (1, 6, 15, 30)] + [
-    CharacterSpec(q=q, kind="kronecker", disc=d)
-    for d in DISCRIMINANTS for q in sorted({abs(d), _radical(d)})
+CHARACTERS = [CharacterSpec.principal(q) for q in (1, 6, 12, 15, 30)] + [
+    CharacterSpec.quadratic(d) for d in DISCRIMINANTS if d < 0 or isqrt(d) ** 2 != d
 ]
 
 
-def _coprime_to(q, candidates):
-    return next(c for c in candidates if gcd(c, q) == 1)
-
-
-@pytest.mark.parametrize("spec", CHARACTERS, ids=lambda s: f"{s.kind}-q{s.q}-D{s.disc}")
+@pytest.mark.parametrize("spec", CHARACTERS, ids=_spec_id)
 def test_character_sum_matches_reference_loop(spec, tables_3000):
-    m = _coprime_to(spec.q, (45, 77, 91, 13))
-    q0 = _coprime_to(spec.q, (8, 9, 7, 5, 11))
-    cases = [
-        (3000, spec, None),
-        (2999.5, dataclasses.replace(spec, m=m), None),
-        (1000, spec, (-1, q0)),
-        (1000, dataclasses.replace(spec, m=m), (q0 + 2 if q0 % 2 else q0 + 3, q0)),
-        (1, spec, None),
-        (0.5, spec, None),
-    ]
-    for x, case, residue in cases:
-        rep = character_sum_f(x, case, tables_3000, residue=residue)
-        assert (rep.value, rep.terms) == reference_character_sum(x, case, tables_3000, residue)
+    for x in (3000, 2999.5, 1000, 1, 0.5):
+        rep = character_sum_f(x, spec, tables_3000)
+        assert (rep.value, rep.terms) == reference_character_sum(x, spec, tables_3000)
 
 
 @pytest.mark.parametrize("disc", DISCRIMINANTS)
@@ -350,24 +327,7 @@ def test_character_sum_empty_range(tables_census):
     assert character_sum_f(0.5, CharacterSpec.principal(1), tables_census).value == 0
 
 
-def test_character_sum_residue_class(tables_census):
-    rep = character_sum_f(
-        40, CharacterSpec.principal(1), tables_census, residue=(3, 8)
-    )
-    expected = sum(
-        (Fraction(int(tables_census.f_num[n]), int(tables_census.f_den[n]))
-         for n in (3, 11, 19, 35)), Fraction(0)
-    )  # squarefree n = 3 mod 8 up to 40: 3, 11, 19, 35
-    assert rep.value == expected
-    # main term c(8) x / phi(8): the modulus folds into c and the class
-    # contributes the 1/phi(8) density
-    full = character_sum_f(40, CharacterSpec.principal(1), tables_census)
-    assert rep.main_term == pytest.approx(full.main_term * (3 / 4) / 4)
-
-
 def test_character_sum_validation(tables_census):
-    with pytest.raises(ValueError):
-        character_sum_f(10, CharacterSpec.principal(1), tables_census, residue=(2, 8))
     with pytest.raises(CapacityError, match="sieve limit"):
         character_sum_f(10**7, CharacterSpec.principal(1), tables_census)
 
@@ -437,7 +397,7 @@ def test_large_primes_are_the_factors_above_the_root(limit, d):
 
 @pytest.mark.parametrize("spec", [CharacterSpec.principal(1), CharacterSpec.principal(15),
                                   CharacterSpec.quadratic(-43), CharacterSpec.quadratic(40)],
-                         ids=lambda s: f"{s.kind}-q{s.q}-D{s.disc}")
+                         ids=_spec_id)
 def test_character_sum_equals_the_pairwise_sum_of_its_terms(spec, tables_100k):
     # one term per n, added by _reduced_sum, which shares no code with _fraction_sum
     nums, dens = [], []

@@ -16,12 +16,16 @@ A name a module assigns at its top level must be read, as a name or an
 attribute, by the package or the benchmark's scripts outside that assignment.
 A dotted reference module.name in README.md or in any source file, with
 module one of the six modules or SieveTables, must name an attribute of it.
+A parameter with a default must be passed by some call in the package or
+the benchmark's scripts, and its default must be relied on by some call,
+the tests' included, or it is named in PARAMETERS_UNCALLED with its reason.
 """
 
 import ast
 import importlib
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,9 @@ PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 # charsum.CharacterSpec.chi is the reference character, which the tests check
 # character_sum_f against
 ONLY_TESTS_READ = {"asymptotic.twist_main_term", "charsum.CharacterSpec.chi"}
+# argparse calls an Action with option_string itself, and _NoteGiven reads
+# only the namespace, the dest and the values
+PARAMETERS_UNCALLED = {"cli._NoteGiven.__call__.option_string"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -210,3 +217,96 @@ def test_unresolved_reference_is_reported():
             "src/d4census/census.py is a path.\n")
     assert unresolved_references(text) == [
         "SieveTables.nothing", "census.enumerate_admissible_triples"]
+
+
+def defaulted_parameters(defining: dict) -> list:
+    """(module.function.parameter, function name, parameter name, its
+    position in a call or None) of every parameter with a default of every
+    function and method the defining sources (module name -> source) define,
+    at any depth.  A method's position leaves out self or cls."""
+    found = []
+
+    def visit(owner, parent):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, ast.ClassDef):
+                visit(f"{owner}.{node.name}", node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args, name = node.args, f"{owner}.{node.name}"
+                positional = args.posonlyargs + args.args
+                bound = isinstance(parent, ast.ClassDef) and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                first = len(positional) - len(args.defaults)
+                found.extend((f"{name}.{p.arg}", node.name, p.arg, i - bound)
+                             for i, p in enumerate(positional) if i >= first)
+                found.extend((f"{name}.{p.arg}", node.name, p.arg, None)
+                             for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(name, node)
+
+    for module, source in defining.items():
+        visit(module, ast.parse(source))
+    return found
+
+
+def calls_by_name(sources: list) -> dict:
+    """The calls of the sources by the name they call, as a name or an
+    attribute."""
+    calls = defaultdict(list)
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    return calls
+
+
+def passing(call: ast.Call, parameter: str, position) -> tuple[bool, bool]:
+    """Whether the call surely passes the parameter, by position or keyword,
+    and whether it may pass it through *args or **kwargs."""
+    given = list(takewhile(lambda a: not isinstance(a, ast.Starred), call.args))
+    surely = (any(k.arg == parameter for k in call.keywords)
+              or (position is not None and position < len(given)))
+    maybe = ((position is not None and len(given) < len(call.args))
+             or any(k.arg is None for k in call.keywords))
+    return surely, maybe
+
+
+def unpassed_parameters(defining: dict, callers: list) -> list[str]:
+    """The defaulted parameters of the defining sources that no call of the
+    defining or caller sources passes, or may pass."""
+    calls = calls_by_name([*defining.values(), *callers])
+    return sorted(key for key, function, parameter, position in defaulted_parameters(defining)
+                  if not any(any(passing(c, parameter, position)) for c in calls[function]))
+
+
+def unused_defaults(defining: dict, callers: list) -> list[str]:
+    """The defaulted parameters of the defining sources that every call of
+    the defining or caller sources surely passes, so none relies on the
+    default."""
+    calls = calls_by_name([*defining.values(), *callers])
+    return sorted(key for key, function, parameter, position in defaulted_parameters(defining)
+                  if all(passing(c, parameter, position)[0] for c in calls[function]))
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    found = unpassed_parameters(defining, [p.read_text() for p in PERFBENCH])
+    assert [f for f in found if f not in PARAMETERS_UNCALLED] == []
+
+
+def test_every_default_is_used():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    found = unused_defaults(defining, [p.read_text() for p in PERFBENCH + TESTS])
+    assert [f for f in found if f not in PARAMETERS_UNCALLED] == []
+
+
+def test_parameter_traffic_is_reported():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    return a\n\n"
+              "class Box:\n    def grow(self, by=1, unit=None):\n        return by\n\n"
+              "    @staticmethod\n    def make(size=0):\n        return Box()\n")
+    callers = ["f(0, 5)\nf(0, c=1)\nBox.make(3)\nBox().grow(2)\nBox().grow(3, unit=1)\n"]
+    assert unpassed_parameters({"m": source}, callers) == ["m.f.d"]
+    assert unused_defaults({"m": source}, callers) == ["m.Box.grow.by", "m.Box.make.size"]
+    # *args may pass a positional parameter and **kwargs any, or leave it at its default
+    callers.append("f(*args)\nBox().grow(**options)\n")
+    assert unpassed_parameters({"m": source}, callers) == ["m.f.d"]
+    assert unused_defaults({"m": source}, callers) == ["m.Box.make.size"]
