@@ -139,26 +139,13 @@ def _product_over(factor: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
 
 
 @lru_cache(maxsize=1)
-def _last_table() -> list:
-    """[pmax, primes] of the last prime table sieved, one mutable slot that
-    cache_clear empties along with the other caches."""
-    return [0, np.zeros(0)]
-
-
-@lru_cache(maxsize=1)
 def _primes(pmax: int) -> np.ndarray:
-    """The primes <= pmax as a read-only float64 table, shared by the Euler products.
-
-    A pmax no larger than that of the last table sieved is served as a prefix
-    of that table, without sieving again.
-    """
-    slot = _last_table()
-    top, table = slot
-    if pmax > top:
-        table = primes_up_to(pmax).astype(np.float64)
-        table.setflags(write=False)
-        slot[:] = pmax, table
-    return table[: np.searchsorted(table, pmax, side="right")]
+    """The primes <= pmax as a read-only float64 table, shared by the Euler
+    products.  Only the last table asked for is kept, so asking for another
+    pmax frees the one before."""
+    table = primes_up_to(pmax).astype(np.float64)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)

@@ -45,15 +45,28 @@ before any is built.
 
 Three readers take the census off the kernel: exact_census (the count),
 exact_class_sums (the per-class sums) and census_rows (the CSV breakdown).
-Each collects the kernel through one function, _kernel_entries: four
-per-entry columns in kernel order, m1', m2', m3' and the mask.
 The twist count tau(n) * A(X4, n), A(Y, n) = #{t <= Y odd squarefree coprime
-to n}, depends only on n = m1'm2'm3'.  One argsort groups the entries by n
-(_twists_by_product, the one product reduction), and a group's first entry
-gives a split of n whose three parts the spf walk SieveTables.prime_columns
-factors into padded prime columns.  tau(n) is 2 to the number of primes,
-and the twist counters take the same columns and drop the primes above
-Y = X4.  One call of
+to n}, depends only on n = m1'm2'm3', so one product reduction,
+_group_by_product, groups the kernel entries by n, and each entry carries
+what its reader needs.  For the count and the class sums it packs each
+entry into one int64 key as its block leaves the kernel, from high bits to
+low:
+
+    n (bits(X1 X2 X3)) | m1' (bits(X3)) | m2' (bits(X1)) | carried value
+
+The count carries the popcount of the mask (4 bits), the class sums the
+mask itself (12 bits).  The keys are sorted in place by ndarray.sort, a
+group of equal n starts where key >> (the bits below n) changes, and its
+first key gives a split of n, m3' = n // (m1' m2').  The key must fit 63
+bits, which holds for symmetric boxes up to X = 3250 for the count and
+X = 1023 for the class sums.  Wider boxes, and census_rows, whose rows stay
+in kernel order, collect the kernel's columns (_kernel_entries) and sort
+their int64 products with each entry's index in kernel order below them
+(_sort_with_order): one packed key while it fits 63 bits, an argsort when
+it does not.  The spf walk SieveTables.prime_columns factors each group's
+split into padded prime columns; tau(n) is 2 to the number of primes, and
+the twist counters take the same columns and drop the primes above Y = X4.
+One call of
 SieveTables.count_odd_squarefree_coprime_rows counts them all: when Y fits
 the sieve, by one divisor sum A(Y, n) = sum over d | n of mu(d) * C(d) over a
 table C of counts of odd squarefree t <= Y divisible by d; above it, by the
@@ -61,12 +74,14 @@ memoised recursion once per distinct product, which reads the sieve only up
 to isqrt(X4).  So one sieve of max(X1, X2, X3, isqrt(X4)) entries serves the
 whole census (required_sieve_limit), however large X4 is.
 
-exact_census weights each product by the popcounts of its entries, in
-Python integers; exact_class_sums adds its twist count at each entry's
-(eps, mask), eps read off the three columns mod 8; census_rows expands the
-set bits of the masks in one numpy step (_signed_triples) into the signed
-triples, in (m1', m2', m3', delta, nu) order, and gives each the twist count
-of its entry's product group, as one more int64 column.
+exact_census weights each product by the sum of its entries' popcounts and
+takes the weighted sum as one int64 dot when sum(weight) * max(twists)
+<= 2^63 - 1, in Python integers otherwise; exact_class_sums adds its twist
+count at each entry's (eps, mask), eps read off the entry's split mod 8;
+census_rows expands the set bits of the masks in one numpy step
+(_signed_triples) into the signed triples, in (m1', m2', m3', delta, nu)
+order, and gives each the twist count of its entry's product group, as one
+more int64 column.
 
 The class table.  The per-class sums have one layout: a list of 768 sums,
 one per class of localsolve.CLASSES in its order, so entry
@@ -86,11 +101,12 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isfinite, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -201,6 +217,10 @@ _SYMBOL_BLOCK = 1 << 16
 # X = 200 and hold more: on kernel bounds (200, 50, 100) the collected
 # kernel peaked at 1.7 MB (tracemalloc) with 2^16 cells, 0.6 MB with 2^14
 _BATCH_CELLS = 1 << 14
+# The product reduction packs an entry into one int64 key while it fits in
+# these bits, and passes over the sorted keys this many entries at a time
+_KEY_BITS = 63
+_KEY_CHUNK = 1 << 16
 # the Legendre symbols -1, 0, +1, as a column
 _SYMBOLS = np.array([[-1], [0], [1]], dtype=np.int8)
 
@@ -432,53 +452,171 @@ def _kernel_entries(box: BoundBox, tables: SieveTables):
     return tuple(np.concatenate(parts.pop(0)) for _ in types)
 
 
-def _twists_by_product(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray, x4: float,
-                       tables: SieveTables):
-    """The census's product reduction: group the kernel entries, given by
-    their columns m1', m2' and m3', by their product n = m1'*m2'*m3' and
-    twist-count each distinct n once.
+def _key_layout(box: BoundBox, carry: np.ndarray) -> tuple[int, int, int] | None:
+    """(b1, b2, bc): the bits of m1' (bits(X3)), m2' (bits(X1)) and the
+    carried value (those of carry's largest value) in the packed key of box's
+    kernel entries; None when the key, bits(X1 X2 X3) + b1 + b2 + bc bits,
+    is wider than _KEY_BITS."""
+    tops = [int(max(b, 0)) for b in (box.x3, box.x1, box.x2)]
+    b1, b2, bc = tops[0].bit_length(), tops[1].bit_length(), int(carry.max()).bit_length()
+    width = (tops[0] * tops[1] * tops[2]).bit_length() + b1 + b2 + bc
+    return (b1, b2, bc) if width <= _KEY_BITS else None
 
-    Returns (order, starts, twists): the entries in product order; where each
-    distinct product's entries start in that order; tau(n) * A(X4, n) for
-    each distinct n, increasing, as int64.
+
+def _group_starts(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Where each run of equal keys >> shift starts in the sorted int64
+    keys, compared a chunk at a time."""
+    parts = [np.zeros(min(len(keys), 1), dtype=np.intp)]
+    for lo in range(1, len(keys), _KEY_CHUNK):
+        n = keys[lo - 1:lo + _KEY_CHUNK] >> shift
+        part = np.flatnonzero(n[1:] != n[:-1])
+        part += lo
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+def _sort_with_order(products: np.ndarray) -> np.ndarray:
+    """Sort the int64 products in place and return the order that sorts
+    them: through one packed key, the product over the entry's index, sorted
+    in place while it fits _KEY_BITS, and an argsort otherwise."""
+    bits = len(products).bit_length()
+    if int(products.max(initial=0)).bit_length() + bits > _KEY_BITS:
+        order = np.argsort(products)
+        products.sort()
+        return order
+    products <<= bits
+    for lo in range(0, len(products), _KEY_CHUNK):
+        products[lo:lo + _KEY_CHUNK] |= np.arange(lo, min(lo + _KEY_CHUNK, len(products)))
+    products.sort()
+    order = products & ((1 << bits) - 1)
+    products >>= bits
+    return order
+
+
+class _Groups(NamedTuple):
+    """The kernel entries grouped by their product n = m1'*m2'*m3', in
+    product order (_group_by_product)."""
+
+    starts: np.ndarray  # where each distinct n's entries start, n increasing
+    head: tuple  # (m1', m2', m3') of one entry of each distinct n: a split of it
+    size: int  # the number of entries
+    carried: Callable[[int, int], np.ndarray]  # (lo, hi) -> what entries lo..hi carry
+    # (lo, hi) -> (m1', m2', m3') of entries lo..hi; None when they carry their index
+    split: Callable[[int, int], tuple] | None
+
+    def chunks(self) -> Iterator[tuple[int, int, int, int]]:
+        """(g0, g1, lo, hi): the products g0..g1-1 and their entries lo..hi,
+        whole groups of about _KEY_CHUNK entries at a time."""
+        g0 = 0
+        while g0 < len(self.starts):
+            lo = int(self.starts[g0])
+            g1 = int(np.searchsorted(self.starts, lo + _KEY_CHUNK))
+            yield g0, g1, lo, int(self.starts[g1]) if g1 < len(self.starts) else self.size
+            g0 = g1
+
+
+def _group_by_product(box: BoundBox, tables: SieveTables, carry: np.ndarray | None,
+                      columns: tuple | None = None) -> _Groups:
+    """The census's product reduction: group the kernel entries of box by
+    their product n = m1'*m2'*m3', in increasing n; _twist_counts then
+    counts each distinct n's twists once, from its head's split.
+
+    Each entry carries carry[mask], from a table over the 12-bit masks; or,
+    when carry is None, its index in kernel order.  columns are the kernel's
+    entry columns (m1', m2', m3') when the caller has collected them; else
+    the kernel runs here.
+
+    The packed key.  When the caller passes no columns and _key_layout fits,
+    each entry is packed into one int64 key, from high bits to low: n, m1',
+    m2' and what it carries.  The keys are built a kernel block at a time,
+    as the blocks leave the kernel, and sorted in place by ndarray.sort; the
+    groups start where key >> (the bits below n) changes, and a group's head
+    gives a split of n, with m3' = n // (m1' m2').  Otherwise the entry
+    columns are grouped by their int64 products (_sort_with_order), and each
+    group's head entry gives the split.
     """
-    products = m1.astype(np.int64)
-    products *= m2
-    products *= m3
-    # one sort groups the entries by product; any entry of a product gives its
-    # split n = m1' * m2' * m3', since the twist step reads only its primes
-    order = np.argsort(products)
-    products.sort()  # in place: the products in that order, with no gathered copy
-    first = np.ones(len(products), dtype=bool)  # the first entry of each product
-    np.not_equal(products[1:], products[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del products, first
-    head = order[starts]
-    columns = np.concatenate([tables.prime_columns(m[head]) for m in (m1, m2, m3)], axis=1)
-    del head
+    layout = None if columns is not None else _key_layout(box, carry)
+    if layout is not None:
+        b1, b2, bc = layout
+        shift = b1 + b2 + bc  # the bits below n
+
+        def pack(m1, m2, m3, masks):
+            key = m1 * m2
+            key *= m3
+            for value, bits in ((m1, b1), (m2, b2), (carry[masks], bc)):
+                key <<= bits
+                key |= value
+            return key
+
+        blocks = _mask_blocks(box.x3, box.x1, box.x2, tables)
+        keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [pack(*b) for b in blocks])
+        keys.sort()  # in place: numpy's SIMD sort on int64
+        starts = _group_starts(keys, shift)
+
+        def split(k):
+            m2 = (k >> bc) & ((1 << b2) - 1)
+            m1 = (k >> (b2 + bc)) & ((1 << b1) - 1)
+            return m1, m2, (k >> shift) // (m1 * m2)
+
+        size, head = len(keys), split(keys[starts])
+        carried = lambda lo, hi: keys[lo:hi] & ((1 << bc) - 1)
+        split_of = lambda lo, hi: split(keys[lo:hi])
+    else:
+        m1, m2, m3, masks = _kernel_entries(box, tables) if columns is None else (*columns, None)
+        values = None if carry is None else carry[masks]
+        del masks
+        products = m1.astype(np.int64)
+        products *= m2
+        products *= m3
+        order = _sort_with_order(products)
+        size, starts = len(products), _group_starts(products, 0)
+        del products
+        head = order[starts]
+        head = tuple(m[head] for m in (m1, m2, m3))
+        if values is None:  # the caller holds the columns, so no split of them is kept
+            carried, split_of = (lambda lo, hi: order[lo:hi]), None
+        else:
+            carried = lambda lo, hi: values[order[lo:hi]]
+            split_of = lambda lo, hi: tuple(m[order[lo:hi]] for m in (m1, m2, m3))
+    return _Groups(starts, head, size, carried, split_of)
+
+
+def _twist_counts(head: tuple, x4: float, tables: SieveTables) -> np.ndarray:
+    """tau(n) * A(X4, n) for each n = m1'*m2'*m3' split by the columns of
+    head, as int64, in one call of SieveTables.count_odd_squarefree_coprime_rows."""
+    # the twist step reads only the primes of a split, so any split will do
+    columns = np.concatenate([tables.prime_columns(m) for m in head], axis=1)
     # A counts t <= X4 only, so it is at most (X4 + 1) / 2 < 5e14 (the budget
     # keeps isqrt(X4) under 31.6M); tau(n) = 2^omega(n) <= 2^14 for n < 2^63,
     # so tau * A < 2^14 * 5e14 fits int64
-    twists = ((1 << np.count_nonzero(columns, axis=1))
-              * tables.count_odd_squarefree_coprime_rows(x4, columns))
-    return order, starts, twists
+    return ((1 << np.count_nonzero(columns, axis=1))
+            * tables.count_odd_squarefree_coprime_rows(x4, columns))
 
 
 def exact_census(box: BoundBox, tables: SieveTables) -> CensusReport:
     """Exact count of pairs with invariants in the box, in integers only: the
     predicted main term and its ratio are the caller's (asymptotic.predicted_count).
 
-    Deterministic: the kernel runs once, each distinct product m1'*m2'*m3' is
-    twist-counted once, and the weighted sum is taken in Python integers.
+    Deterministic: the kernel runs once, and each distinct product
+    n = m1'*m2'*m3' is twist-counted once and weighted by the popcounts its
+    entries carry (_group_by_product).  The weighted sum is one int64 dot
+    when sum(weight) * max(twists) <= 2^63 - 1: every term is non-negative,
+    so that bounds every partial sum.  Otherwise it is taken in Python ints.
     """
-    m1, m2, m3, masks = _kernel_entries(box, tables)
-    counts = _mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)[masks]  # popcounts
-    del masks
-    triples_visited = int(counts.sum())
-    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
-    del m1, m2, m3
-    weight = np.add.reduceat(counts[order], starts, dtype=np.int64)
-    total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
+    popcounts = _mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)
+    groups = _group_by_product(box, tables, popcounts)
+    weight = np.zeros(len(groups.starts), dtype=np.int64)
+    for g0, g1, lo, hi in groups.chunks():
+        weight[g0:g1] = np.add.reduceat(groups.carried(lo, hi), groups.starts[g0:g1] - lo,
+                                        dtype=np.int64)
+    head = groups.head
+    del groups  # the keys are freed before the twist step
+    twists = _twist_counts(head, box.x4, tables)
+    triples_visited = int(weight.sum())
+    if triples_visited * int(twists.max(initial=0)) <= _INT64_MAX:
+        total = int(np.dot(weight, twists))
+    else:
+        total = sum(w * t for w, t in zip(weight.tolist(), twists.tolist()))
     return CensusReport(exact=4 * total, triples_visited=triples_visited)
 
 
@@ -499,15 +637,18 @@ def census_rows(box: BoundBox, tables: SieveTables,
     m1, m2, m3, masks = _kernel_entries(box, tables)
     row_entry, *signed = _signed_triples(m1, m2, m3, masks)
     del masks
-    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
+    # the rows stay in kernel order: each entry carries its index in it
+    groups = _group_by_product(box, tables, None, (m1, m2, m3))
     del m1, m2, m3
-    # each entry's group, the place of its product among the distinct ones
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
-    del order, starts
+    group = np.empty(groups.size, dtype=np.intp)  # each entry's product, among the distinct ones
+    for g0, g1, lo, hi in groups.chunks():
+        group[groups.carried(lo, hi)] = np.repeat(np.arange(g0, g1),
+                                                  np.diff(groups.starts[g0:g1], append=hi))
+    head = groups.head
+    del groups  # and with it the order and the columns it reads
     row_group = group[row_entry]
     del row_entry, group
-    return (*signed, twists[row_group])
+    return (*signed, _twist_counts(head, box.x4, tables)[row_group])
 
 
 def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
@@ -522,22 +663,21 @@ def exact_class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     Hilbert reciprocity its triples fall in admissible classes only, so the
     336 inadmissible entries are 0.
 
-    Each entry's twist count, from the census's product reduction, is added
-    at its (eps index, mask), and one product with the table of choice bits
-    spreads each mask over its choices.  The sum is in int64 while the number
-    of entries times the largest twist stays below 2^63, so that no partial
-    sum can overflow, and in Python ints otherwise.
+    Each entry carries its mask through the census's product reduction, and
+    its twist count is added at (eps index of its own split, mask); one
+    product with the table of choice bits spreads each mask over its
+    choices.  The sum is in int64 while the number of entries times the
+    largest twist stays below 2^63, so that no partial sum can overflow, and
+    in Python ints otherwise.
     """
-    m1, m2, m3, masks = _kernel_entries(box, tables)
-    eps = _eps_index(m1, m2, m3).astype(np.uint8, copy=False)
-    order, starts, twists = _twists_by_product(m1, m2, m3, box.x4, tables)
-    del m1, m2, m3
-    eps, masks = eps[order], masks[order]  # in product order
-    del order
-    twist = np.repeat(twists, np.diff(starts, append=len(eps)))  # per entry, in product order
-    exact = len(twist) * int(twists.max(initial=0)) <= _INT64_MAX
+    groups = _group_by_product(box, tables, np.arange(_ALL_CHOICES + 1, dtype=np.uint16))
+    twists = _twist_counts(groups.head, box.x4, tables)
+    exact = groups.size * int(twists.max(initial=0)) <= _INT64_MAX
     sums = np.zeros((len(UNIT_RESIDUES) ** 3, _ALL_CHOICES + 1), np.int64 if exact else object)
-    np.add.at(sums, (eps, masks), twist if exact else twist.astype(object))
+    for g0, g1, lo, hi in groups.chunks():
+        twist = np.repeat(twists[g0:g1], np.diff(groups.starts[g0:g1], append=hi))
+        np.add.at(sums, (_eps_index(*groups.split(lo, hi)), groups.carried(lo, hi)),
+                  twist if exact else twist.astype(object))
     return (sums @ _mask_tables().choice_bits).ravel().tolist()
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -246,15 +247,29 @@ def test_euler_products_stay_below_one_prime_table():
         assert peak < table_bytes / 2, product
 
 
-def test_smaller_pmax_reads_a_prefix_of_the_last_table():
-    large = _primes(10**6)
-    small = _primes(10**5)
-    assert np.array_equal(small, primes_up_to(10**5).astype(np.float64))
-    assert np.shares_memory(small, large)
-    assert not small.flags.writeable
+def _clear_euler_caches():
+    for cached in (_primes, c_base, c_tilde, leading_constant):
+        cached.cache_clear()
 
 
-def test_constants_suite_sieves_once(monkeypatch, capsys):
+def test_another_pmax_frees_the_last_prime_table(capsys):
+    # only _primes' own cache holds a table: after the constants at pmax 10^7,
+    # a product at the default pmax sieves its own table and the 5.3 MB one
+    # of 10^7 is freed
+    _clear_euler_caches()
+    assert cli.main(["constants", "--pmax", "10000000"]) == 0
+    capsys.readouterr()
+    large = weakref.ref(_primes(10**7))  # the cached table, no new sieve
+    assert len(large()) == 664_579 and not large().flags.writeable
+    c_constant(1, EulerProductSpec())
+    assert large() is None
+    assert np.array_equal(_primes(10**5), primes_up_to(10**5).astype(np.float64))
+
+
+def test_constants_command_sieves_once(monkeypatch, capsys):
+    # every product of the constants command reads the one table of its pmax;
+    # the constants suite also takes the identity at pmax // 2, whose table
+    # takes the place of the first
     calls = []
 
     def counting(n):
@@ -262,10 +277,13 @@ def test_constants_suite_sieves_once(monkeypatch, capsys):
         return primes_up_to(n)
 
     monkeypatch.setattr(asymptotic, "primes_up_to", counting)
-    for cached in (asymptotic._last_table, _primes, c_base, c_tilde, leading_constant):
-        cached.cache_clear()
-    assert cli.main(["verify", "--suite", "constants", "--pmax", "54321"]) == 0
+    _clear_euler_caches()
+    assert cli.main(["constants", "--pmax", "54321"]) == 0
     assert calls == [54321]
+    _clear_euler_caches()
+    calls.clear()
+    assert cli.main(["verify", "--suite", "constants", "--pmax", "54321"]) == 0
+    assert calls == [54321, 27160]
     capsys.readouterr()
 
 

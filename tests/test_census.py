@@ -488,23 +488,24 @@ def test_kernel_class_sums_refuse_a_short_table_as_class_sums_does():
 
 
 def test_count_path_peak_per_kernel_entry(tables_census):
-    # one argsort groups the entries by product and reads 29.9 B/entry here
-    # for the count and 31.9 for the class sums, which also carry the eps
-    # index and the mask; the three uint16 columns m1', m2', m3' stay alive
-    # through the sort.  np.unique with its inverse array and the scatter of
-    # one entry per product read 53.3, and the sorted copy of the products
-    # kept alive through reduceat's int64 cast of the popcounts 41.6
+    # the packed keys, one int64 per entry built a kernel block at a time and
+    # sorted in place, read 18.2 B/entry here for the count, which frees them
+    # before the twist step, and 26.2 for the class sums, which read them
+    # through it (the bounds add about 15%).  With one argsort of the int64
+    # products and the three uint16 columns alive through it, the count read
+    # 29.9 and the class sums 31.9; np.unique with its inverse array and the
+    # scatter of one entry per product 53.3
     box = BoundBox(300, 300, 300, 300)
     entries = sum(len(m2ps) for _, m2ps, _, _ in census._mask_blocks(300, 300, 300, tables_census))
-    for reader in (lambda: exact_census(box, tables_census),
-                   lambda: exact_class_sums(box, tables_census)):
+    for reader, bound in ((lambda: exact_census(box, tables_census), 21),
+                          (lambda: exact_class_sums(box, tables_census), 30)):
         tracemalloc.start()
         try:
             reader()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / entries < 40
+        assert peak / entries < bound
 
 
 def test_census_rows_peak_per_row(tables_census):
@@ -868,3 +869,103 @@ def test_splitting_rows():
         assert row[1] == "1^2" and row[2] == "1 1"
     with pytest.raises(ValueError):
         splitting_rows(InertiaClass.UNRAMIFIED)
+
+
+def _readers(box, tables):
+    """What the three readers give on box: the count and its triples, the
+    class sums and the CSV columns."""
+    report = exact_census(box, tables)
+    rows = census_rows(box, tables)
+    return ((report.exact, report.triples_visited), exact_class_sums(box, tables),
+            [column.tolist() for column in rows], [column.dtype for column in rows])
+
+
+def _branches(box, tables):
+    """_readers(box, tables) on the packed keys, passed over in chunks of 3
+    entries; with the columns grouped by a packed (product, index) key; and
+    with the columns grouped by argsort."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(census, "_KEY_CHUNK", 3)
+        chunked = _readers(box, tables)
+        m.setattr(census, "_key_layout", lambda box, carry: None)
+        columns = _readers(box, tables)
+        m.setattr(census, "_KEY_BITS", 1)
+        argsorted = _readers(box, tables)
+    return _readers(box, tables), chunked, columns, argsorted
+
+
+_bound = st.integers(0, 24)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x1=_bound, x2=_bound, x3=_bound, skew=st.sampled_from([1, 1, 6]),
+       which=st.integers(0, 2), x4=st.sampled_from([0, 5, 24, 700, 30_000]), tiny=st.booleans())
+def test_packed_reduction_matches_the_argsort_and_the_oracles(x1, x2, x3, skew, which, x4, tiny):
+    # random small boxes, one bound stretched up to 144 on some, and X4 both
+    # inside the sieve and above it; the tiny ones also go to the brute census
+    bounds = [x1 % 5, x2 % 5, x3 % 5] if tiny else [x1, x2, x3]
+    bounds[which] *= skew
+    x4 = min(x4, 24) if tiny else x4
+    box = BoundBox(*bounds, x4)
+    tables = build_sieve(required_sieve_limit(box))
+    packed, *others = _branches(box, tables)
+    assert all(other == packed for other in others)
+    (exact, _), sums, (*_, twists), _ = packed
+    assert sums == class_sums(box, tables)
+    assert exact == 4 * sum(sums) == 4 * sum(twists)
+    if tiny:
+        assert exact == brute_census(*bounds, x4)
+
+
+@pytest.mark.parametrize("raw", [(40, 40, 40, 40), (30, 30, 30, 1e5), (5, 300, 30, 50)])
+def test_forced_argsort_branch_gives_the_same_results(raw):
+    box = BoundBox(*raw)
+    tables = build_sieve(required_sieve_limit(box))
+    argsort, argsorts = np.argsort, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(census, "_KEY_BITS", 1)
+        m.setattr(census.np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+        forced = _readers(box, tables)
+    assert len(argsorts) == 3  # one per reader
+    assert forced == _readers(box, tables)
+
+
+def test_packed_branch_takes_no_argsort(tables_census, monkeypatch):
+    box = BoundBox(40, 40, 40, 40)
+    want = _readers(box, tables_census)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argsort on the packed branch")
+
+    monkeypatch.setattr(census.np, "argsort", refused)
+    assert _readers(box, tables_census) == want
+
+
+# what the count and the class sums carry through the product reduction
+POPCOUNTS = census._mask_tables().choice_bits.sum(axis=1, dtype=np.uint8)
+MASKS = np.arange(4096, dtype=np.uint16)
+
+
+def test_count_key_of_20000_1_20000_1_is_packed_in_63_bits():
+    # X3 = 20000 bounds m1', X1 = 20000 bounds m2', X2 = 1 bounds m3':
+    # bits(4e8) + bits(20000) + bits(20000) + 4 = 29 + 15 + 15 + 4 = 63
+    box = BoundBox(20000, 1, 20000, 1)
+    assert census._key_layout(box, POPCOUNTS) == (15, 15, 4)
+    # the class sums carry the mask (12 bits): 71 bits, so they sort columns
+    assert census._key_layout(box, MASKS) is None
+    # one bit more of m1' passes 63
+    assert census._key_layout(BoundBox(20000, 1, 40000, 1), POPCOUNTS) is None
+    # the largest symmetric boxes each reader packs
+    for carry, top in ((POPCOUNTS, 3250), (MASKS, 1023)):
+        assert census._key_layout(BoundBox(top, top, top, 1), carry) is not None
+        assert census._key_layout(BoundBox(top + 1, top + 1, top + 1, 1), carry) is None
+
+
+def test_count_past_the_int64_bound_sums_in_python_ints(tables_census, monkeypatch):
+    box = BoundBox(40, 40, 40, 400)
+    want = exact_census(box, tables_census)
+    # triples_visited * largest twist > 40^3, so the weighted sum leaves the
+    # int64 dot; the kernel's own product check, 40^3 <= bound, still passes
+    monkeypatch.setattr(census, "_INT64_MAX", 40**3)
+    monkeypatch.setattr(census.np, "dot", None)
+    assert exact_census(box, tables_census) == want
