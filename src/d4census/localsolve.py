@@ -27,6 +27,24 @@ has a rational point.  By the Hasse principle that reduces to local checks:
         x^2 - b*z^2 = a, a solution with y = 1.
       - If p | y and p | b, then x^2 = b mod p^2, so p | x and p^2 | b,
         which a valuation of at most 1 forbids.
+    The verdict depends on a and b only through their square classes, so
+    the search runs once per class key.  For a unit w mod m the solutions of
+    x^2 - b*z^2 = a*w^2 map one to one to those of (x/w)^2 - b*(z/w)^2 = a,
+    and those of x^2 - b*w^2*z^2 = a to those of x^2 - b*z'^2 = a, z' = w*z;
+    at 2 the case z = 1 maps the same way.  So the verdict is constant on
+    each orbit of a, and of b, mod m under multiplication by unit squares.
+    The key of a residue r, (p | r, class of its unit part u), names that
+    orbit:
+      - Odd p: (Z/p^k)* is cyclic of even order, so the unit squares have
+        index 2, and by Hensel's lemma a unit is a square mod p^k iff it is
+        a square mod p.  The units fall into two orbits, told apart by
+        whether r is a square mod p.  If p | r, then r = p*u with u known
+        only mod p^2, and r*w^2 = p*(u*w^2 mod p^2).  The unit squares mod
+        p^3 reduce to all the unit squares mod p^2, so whether u is a square
+        mod p is enough.
+      - p = 2: the odd squares mod 64, and mod 32, are exactly the residues
+        1 mod 8.  So an odd r has the orbit of r mod 8, and r = 2*u, with u
+        known only mod 32, has the orbit of u mod 8.
   * in_E_set: the mod-8 residue criterion at 2, stated operationally through
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
     cross-check (E_000_LITERAL / E_010_LITERAL below).
@@ -177,8 +195,9 @@ def hilbert_symbol_rows(a, b, v: Place) -> np.ndarray:
 
 
 # Each block of padic_oracle_rows takes as many rows as fit this many cells of
-# rows x modulus (its arrays, rows x number of squares, are smaller); past
-# p = 37 one row holds more, and a block is one row.
+# rows x modulus (its arrays, rows x number of squares, are smaller).  It
+# searches at most 16 rows, one per class key (64 at 2), in one block up to
+# p = 13; from p = 37 on a block is one row, which keeps a large p in bounds.
 _ORACLE_BLOCK_CELLS = 1 << 16
 
 
@@ -209,6 +228,17 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
     case y = 1 exhaustively, and at 2 the case z = 1 as well; the module
     docstring proves that these cover every primitive solution.
 
+    Multiplying a, or b, by the square of a unit w mod m maps the search's
+    solutions one to one (x^2 - b*z^2 = a*w^2 is (x/w)^2 - b*(z/w)^2 = a),
+    so the verdict depends on each coefficient only through its key: whether
+    p divides its residue r, and the class of the unit part u = r/p or r --
+    u a square mod p or not at an odd p, u mod 8 at 2.  Each key is one
+    orbit: the unit squares mod p^k have index 2 at an odd p and are the
+    squares mod p (Hensel), the odd squares mod 64 and mod 32 are the
+    residues 1 mod 8, and u known mod p^2 (2^5 at 2) is enough; the module
+    docstring gives the proof.  The search runs on one row per (key of a,
+    key of b), at most 16 (64 at 2), and every row takes its key's verdict.
+
     It runs a block of rows at a time: bq = b*q (q the distinct squares mod
     m) is formed once per block, and the y = 1 case reads the doubled
     squares mask at a + bq; at 2 the z = 1 case reads it at b + a*q as well.
@@ -228,6 +258,16 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
     sq, q = _square_table(modulus)
     am = (a % modulus).astype(np.int64)
     bm = (b % modulus).astype(np.int64)
+
+    def key(r):  # 2 * (class of the unit part u) + (p | r), below 16; at an
+        # odd p, sq[u] (u a square mod p^3) is u a square mod p, by Hensel
+        s = r % p == 0
+        u = np.where(s, r // p, r)
+        return 2 * (u % 8 if p == 2 else sq[u]) + s
+
+    _, first, inverse = np.unique(16 * key(am) + key(bm), return_index=True,
+                                  return_inverse=True)
+    am, bm = am[first], bm[first]
     out = np.zeros(len(am), dtype=bool)
     step = max(1, _ORACLE_BLOCK_CELLS // modulus)
     for start in range(0, len(am), step):
@@ -237,7 +277,7 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
         if p == 2:  # z = 1: need x^2 - a*y^2 = b
             hit |= sq[bb + (ab * q) % modulus].any(axis=1)
         out[start:start + step] = hit
-    return out
+    return out[inverse]
 
 
 def in_E_set(eps: tuple[int, int, int], nu: tuple[int, int, int],

@@ -169,7 +169,8 @@ def block_rows(v):
 @st.composite
 def oracle_batches(draw):
     """A place and a batch of pairs of valuation <= 1 there, signs mixed; the
-    batch is empty, small, or repeated past one block of padic_oracle_rows."""
+    batch is empty, small, or repeated past one block of padic_oracle_rows
+    (whose repeats take the verdicts of the one row it searches per key)."""
     v = draw(st.sampled_from(ORACLE_PLACES))
     p = v.p or 1
 
@@ -229,6 +230,45 @@ def test_oracle_rows_equal_the_reference_on_every_residue_pair(p):
     expected = [reference_oracle(x, y, Place(p)) for x, y in zip(a.tolist(), b.tolist())]
     assert got.tolist() == expected
     assert 0 < np.count_nonzero(got) < len(got)
+
+
+def residues_by_square_class(p, per_key, rng):
+    """per_key distinct residues of valuation <= 1 mod the oracle's modulus
+    for each key (p | r, class of the unit part u = r/p or r): Euler's
+    criterion for u at an odd p, u mod 8 at 2.  4 keys at an odd p, 8 at 2."""
+    modulus, residues = residues_of_low_valuation(p)
+    s = residues % p == 0
+    u = np.where(s, residues // p, residues)
+    cls = u % 8 if p == 2 else np.array([pow(int(x), (p - 1) // 2, p) for x in u])
+    keys = {}
+    for key in sorted(set(zip(s.tolist(), cls.tolist()))):
+        members = residues[(s == key[0]) & (cls == key[1])]
+        keys[key] = rng.choice(members, size=per_key, replace=False).tolist()
+    return modulus, keys
+
+
+@pytest.mark.parametrize("p", [2, 7, 11, 37])
+def test_oracle_rows_equal_the_reference_on_every_square_class(p):
+    # padic_oracle_rows searches one row per (key of a, key of b); several
+    # residues of every key pair, as int64 and shifted past int64 (object
+    # dtype, so the keys must come from the residues), match the reference
+    rng = np.random.default_rng(p)
+    modulus, keys = residues_by_square_class(p, 3, rng)
+    assert len(keys) == (8 if p == 2 else 4)
+    pairs = [(x, y) for ka in keys.values() for kb in keys.values()
+             for x, y in zip(ka, rng.permutation(kb).tolist())]
+    assert len(pairs) == 3 * (64 if p == 2 else 16)
+    expected = [reference_oracle(x, y, Place(p)) for x, y in pairs]
+    assert 0 < sum(expected) < len(expected)
+    a, b = (np.array(c, dtype=np.int64) - modulus for c in zip(*pairs))
+    assert padic_oracle_rows(a, b, Place(p)).tolist() == expected
+    shifts = rng.integers(-10**6, 10**6, (2, len(pairs))).tolist()
+    big_a, big_b = (np.array([x + modulus * 10**20 * k for x, k in zip(c, ks)], dtype=object)
+                    for c, ks in zip(zip(*pairs), shifts))
+    assert max(abs(big_a).max(), abs(big_b).max()) > 2**63
+    got = padic_oracle_rows(big_a, big_b, Place(p)).tolist()
+    assert got == [reference_oracle(x, y, Place(p)) for x, y in zip(big_a, big_b)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
