@@ -100,15 +100,15 @@ class SieveTables:
             rest = rest // p
         return np.array(columns, dtype=np.int32).reshape(len(columns), len(rest)).T
 
-    def odd_squarefree_upto(self, bound: float) -> list[int]:
-        """All odd squarefree integers <= bound, increasing; CapacityError
-        when bound is past the table."""
+    def odd_squarefree_upto(self, bound: float) -> np.ndarray:
+        """All odd squarefree integers <= bound, increasing, as int64;
+        CapacityError when bound is past the table."""
         top = self._top(bound)
-        return (2 * np.flatnonzero(self.mu[1 : top + 1 : 2]) + 1).tolist()
+        return 2 * np.flatnonzero(self.mu[1 : top + 1 : 2]).astype(np.int64, copy=False) + 1
 
     def odd_squarefree_count(self, bound: float) -> int:
         """len(odd_squarefree_upto(bound)), read off odd_sf_count without
-        building the list; the same CapacityError past the table."""
+        building the array; the same CapacityError past the table."""
         return int(self.odd_sf_count[self._top(bound)])
 
     def _top(self, bound: float) -> int:

@@ -158,7 +158,6 @@ def c_base(spec: EulerProductSpec) -> EulerValue:
 class CConstant:
     """c(r): an exact rational prefactor over p | r times the base product."""
 
-    r: int
     prefactor: Fraction
     base: EulerValue
 
@@ -183,7 +182,7 @@ def c_constant(r: int, spec: EulerProductSpec) -> CConstant:
     pre = Fraction(1)
     for p in primes:
         pre *= Fraction(p + 1, p + 2)
-    return CConstant(r=r, prefactor=pre, base=c_base(spec))
+    return CConstant(prefactor=pre, base=c_base(spec))
 
 
 @lru_cache(maxsize=32)

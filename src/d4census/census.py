@@ -62,11 +62,11 @@ bits, which holds for symmetric boxes up to X = 3250 for the count and
 X = 1023 for the class sums.  Wider boxes, and census_rows, whose rows stay
 in kernel order, collect the kernel's columns (_kernel_entries) and sort
 their int64 products with each entry's index in kernel order below them
-(_sort_with_order): one packed key while it fits 63 bits, an argsort when
-it does not.  The spf walk SieveTables.prime_columns factors each group's
-split into padded prime columns; tau(n) is 2 to the number of primes, and
-the twist counters take the same columns and drop the primes above Y = X4.
-One call of
+(_sort_with_order): one packed key, and a CapacityError past 63 bits, from
+about symmetric X = 2590, far past arith.MEMORY_BUDGET.  The spf walk
+SieveTables.prime_columns factors each group's split into padded prime
+columns; tau(n) is 2 to the number of primes, and the twist counters take
+the same columns and drop the primes above Y = X4.  One call of
 SieveTables.count_odd_squarefree_coprime_rows counts them all: when Y fits
 the sieve, by one divisor sum A(Y, n) = sum over d | n of mu(d) * C(d) over a
 table C of counts of odd squarefree t <= Y divisible by d; above it, by the
@@ -396,7 +396,7 @@ def _mask_blocks(
                   + n1 * (n2 * (k2 + _PAIR_BYTES) + n3 * (k3 + _PAIR_BYTES)))
     if not (n1 and n2 and n3):
         return
-    v1, v2, v3 = (np.array(tables.odd_squarefree_upto(b), dtype=np.int64) for b in tops)
+    v1, v2, v3 = map(tables.odd_squarefree_upto, tops)
     p1, p2, p3 = map(tables.prime_columns, (v1, v2, v3))
     masks = _mask_tables()
     at1, at2, at3 = (_symbols_at(v1, np.append(p2, p3)), _symbols_at(v2, np.append(p1, p3)),
@@ -478,12 +478,11 @@ def _group_starts(keys: np.ndarray, shift: int) -> np.ndarray:
 def _sort_with_order(products: np.ndarray) -> np.ndarray:
     """Sort the int64 products in place and return the order that sorts
     them: through one packed key, the product over the entry's index, sorted
-    in place while it fits _KEY_BITS, and an argsort otherwise."""
+    in place; CapacityError when that key is wider than _KEY_BITS."""
     bits = len(products).bit_length()
     if int(products.max(initial=0)).bit_length() + bits > _KEY_BITS:
-        order = np.argsort(products)
-        products.sort()
-        return order
+        raise CapacityError(f"{len(products)} kernel entries: their (product | index) key "
+                            f"passes {_KEY_BITS} bits")
     products <<= bits
     for lo in range(0, len(products), _KEY_CHUNK):
         products[lo:lo + _KEY_CHUNK] |= np.arange(lo, min(lo + _KEY_CHUNK, len(products)))
@@ -532,8 +531,8 @@ def _group_by_product(box: BoundBox, tables: SieveTables, carry: np.ndarray | No
     as the blocks leave the kernel, and sorted in place by ndarray.sort; the
     groups start where key >> (the bits below n) changes, and a group's head
     gives a split of n, with m3' = n // (m1' m2').  Otherwise the entry
-    columns are grouped by their int64 products (_sort_with_order), and each
-    group's head entry gives the split.
+    columns are grouped by their int64 products (_sort_with_order, which
+    may raise CapacityError), and each group's head entry gives the split.
     """
     layout = None if columns is not None else _key_layout(box, carry)
     if layout is not None:

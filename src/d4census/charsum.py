@@ -403,7 +403,7 @@ def class_sums(box: BoundBox, tables: SieveTables) -> list[int]:
     (eps, choice).  CapacityError when tables do not reach the odd-part
     bounds, or isqrt(X4) once a triple is twist-counted, as in exact_census.
     """
-    vals = np.array(tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3)), dtype=np.int64)
+    vals = tables.odd_squarefree_upto(max(box.x1, box.x2, box.x3))
     v2, v3 = vals[vals <= box.x1], vals[vals <= box.x2]
     sums = np.zeros((64, len(CHOICES)), dtype=object)
     twist_of = {}  # product m1'm2'm3' -> its twist count

@@ -258,7 +258,7 @@ def _emit_result(args, t0: float, result, text: str, checks=None) -> None:
             "command": args.command,
             "config": {k: list(v) if isinstance(v, (list, tuple)) else v
                        for k, v in vars(args).items()
-                       if k not in ("func", "given") and v is not None},
+                       if k != "func" and v is not None},
             "result": result,
             "elapsed_seconds": time.perf_counter() - t0,
         }
@@ -539,7 +539,7 @@ def _suite_esets(args) -> list[dict]:
 def _suite_divisor_identity(args) -> list[dict]:
     bound = 3000 if args.bound is None else args.bound
     tables = build_sieve(bound)
-    odd_sf = tables.odd_squarefree_upto(bound)
+    odd_sf = tables.odd_squarefree_upto(bound).tolist()
     # int64 columns: lists of Python ints would leave their objects on the heap
     flat = array("q")
     for m1 in odd_sf:
@@ -648,15 +648,6 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-class _NoteGiven(argparse.Action):
-    """Store the value and add the dest to namespace.given, which tells an
-    option given on the command line from one left at its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
-
-
 # argparse names a type in its usage errors by __name__ ("invalid integer
 # value: 'x'"), so each type below is named for the user
 
@@ -707,26 +698,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"d4census {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, *flags, formats=("text", "json"), box_required=False, action="store"):
+    def add_shared(p, *flags, formats=("text", "json"), box_required=False):
         """Give subparser p the shared options it reads, named by flag."""
         options = {
             "--x": dict(nargs=4, type=float, metavar=("X1", "X2", "X3", "X4"),
                         required=box_required,
                         help="invariant bounds; X1->m2', X2->m3', X3->m1', X4->twist"),
-            "--pmax": dict(type=_pmax, default=100_000,
+            # None tells a given option from its default, which main fills in
+            "--pmax": dict(type=_pmax, default=None,
                            help="Euler product truncation (default 100000)"),
             "--format": dict(choices=formats, default="text"),
             "--out": dict(default=None, help="write output to this path"),
             "--sieve-cache": dict(default=None, help="sieve cache file path"),
         }
         for flag in flags:
-            p.add_argument(flag, action=action, **options[flag])
+            p.add_argument(flag, **options[flag])
 
     p_count = sub.add_parser("count", help="exact census of a box")
-    add_shared(p_count, "--x", box_required=True)
     # CSV rows carry no prediction: main rejects --pmax with --format csv
-    add_shared(p_count, "--pmax", action=_NoteGiven)
-    add_shared(p_count, "--format", "--out", "--sieve-cache", formats=("text", "json", "csv"))
+    add_shared(p_count, "--x", "--pmax", "--format", "--out", "--sieve-cache",
+               formats=("text", "json", "csv"), box_required=True)
     p_count.set_defaults(func=cmd_count)
 
     p_predict = sub.add_parser("predict", help="main-term prediction for a box")
@@ -740,11 +731,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     # each suite reads some of these four; main rejects the others (_SUITES)
-    p_verify.add_argument("--tol", type=_number(float, 0), default=1e-8, action=_NoteGiven)
-    p_verify.add_argument("--bound", type=_number(int, 0), default=None, action=_NoteGiven,
+    # and fills in --tol's default, 1e-8
+    p_verify.add_argument("--tol", type=_number(float, 0), default=None)
+    p_verify.add_argument("--bound", type=_number(int, 0), default=None,
                           help="case bound for exhaustive suites")
-    add_shared(p_verify, "--x", "--pmax", action=_NoteGiven)
-    add_shared(p_verify, "--format", "--out")
+    add_shared(p_verify, "--x", "--pmax", "--format", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_classify = sub.add_parser("classify", help="invariants and inertia classes "
@@ -784,16 +775,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify":
             _, reads, caps = _SUITES[args.suite]
-            unread = sorted(set(getattr(args, "given", ())) - set(reads))
+            unread = [dest for dest in ("bound", "pmax", "tol", "x")
+                      if getattr(args, dest) is not None and dest not in reads]
             if unread:
                 parser.error(f"verify --suite {args.suite} does not read "
                              + ", ".join(f"--{dest}" for dest in unread))
             if any(value > cap for value, cap in zip(args.x or [args.bound or 0], caps)):
                 parser.error(f"verify --suite {args.suite} takes --{reads[0]} up to "
                              + " ".join(map(str, caps)))
-        if args.command == "count" and args.format == "csv" and "pmax" in getattr(
-                args, "given", ()):
+        if args.command == "count" and args.format == "csv" and args.pmax is not None:
             parser.error("count --format csv does not read --pmax")
+        for dest, default in (("pmax", EulerProductSpec().pmax), ("tol", 1e-8)):
+            if getattr(args, dest, 0) is None:
+                setattr(args, dest, default)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

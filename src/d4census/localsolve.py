@@ -47,7 +47,7 @@ has a rational point.  By the Hasse principle that reduces to local checks:
         known only mod 32, has the orbit of u mod 8.
   * in_E_set: the mod-8 residue criterion at 2, stated operationally through
     the 2-adic Hilbert symbol.  Transcribed residue lists survive only as a
-    cross-check (E_000_LITERAL / E_010_LITERAL below).
+    cross-check (e_set_literal_000 / e_set_literal_010 below).
   * satisfies_local_conditions: the full bundle (odd-prime Legendre
     conditions by arith.kronecker at the primes decompose_triple keeps,
     real-place sign condition, the mod-8 set).  local_conditions_rows is the
@@ -180,7 +180,7 @@ def hilbert_symbol_rows(a, b, v: Place) -> np.ndarray:
         raise ValueError("hilbert_symbol needs nonzero arguments")
     if v.is_real:
         return np.where((a < 0) & (b < 0), -1, 1).astype(np.int8)
-    p = 2 if v.is_two else v.p
+    p = v.p
     if p >= 1 << 31:
         raise ValueError(f"hilbert_symbol_rows needs p < 2^31, not {p}")
     s, u = _strip_rows(a, p)
@@ -248,7 +248,7 @@ def padic_oracle_rows(a, b, v: Place) -> np.ndarray:
         raise ValueError("padic_oracle needs nonzero arguments")
     if v.is_real:
         return ~((a < 0) & (b < 0))
-    p = 2 if v.is_two else v.p
+    p = v.p
     high = (a % (p * p) == 0) | (b % (p * p) == 0)
     if high.any():
         i = int(np.argmax(high))

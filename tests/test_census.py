@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from d4census import arith, census
+from d4census import arith, census, cli
 from d4census.arith import (
     CapacityError,
     SignedSquarefreeTriple,
@@ -706,7 +706,7 @@ def test_symbols_at_match_kronecker(tables_100k):
     (symbol 0) and the pad prime 0 (a row of 1)."""
     rng = random.Random(12)
     primes = rng.sample(primes_up_to(100_000)[1:].tolist(), 40) + [3]
-    values = rng.sample(tables_100k.odd_squarefree_upto(100_000), 300)
+    values = rng.sample(tables_100k.odd_squarefree_upto(100_000).tolist(), 300)
     values += [p * q for p in primes for q in (1, 5 if p != 5 else 7)]
     at = census._symbols_at(np.array(values, dtype=np.int64), np.array(primes))
     for p in primes:
@@ -881,17 +881,15 @@ def _readers(box, tables):
 
 
 def _branches(box, tables):
-    """_readers(box, tables) on the packed keys, passed over in chunks of 3
-    entries; with the columns grouped by a packed (product, index) key; and
-    with the columns grouped by argsort."""
+    """_readers(box, tables) on the packed keys; on them passed over in
+    chunks of 3 entries; and with the columns grouped by a packed
+    (product, index) key."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(census, "_KEY_CHUNK", 3)
         chunked = _readers(box, tables)
         m.setattr(census, "_key_layout", lambda box, carry: None)
         columns = _readers(box, tables)
-        m.setattr(census, "_KEY_BITS", 1)
-        argsorted = _readers(box, tables)
-    return _readers(box, tables), chunked, columns, argsorted
+    return _readers(box, tables), chunked, columns
 
 
 _bound = st.integers(0, 24)
@@ -900,7 +898,7 @@ _bound = st.integers(0, 24)
 @settings(max_examples=25, deadline=None)
 @given(x1=_bound, x2=_bound, x3=_bound, skew=st.sampled_from([1, 1, 6]),
        which=st.integers(0, 2), x4=st.sampled_from([0, 5, 24, 700, 30_000]), tiny=st.booleans())
-def test_packed_reduction_matches_the_argsort_and_the_oracles(x1, x2, x3, skew, which, x4, tiny):
+def test_packed_reduction_matches_the_column_sort_and_the_oracles(x1, x2, x3, skew, which, x4, tiny):
     # random small boxes, one bound stretched up to 144 on some, and X4 both
     # inside the sieve and above it; the tiny ones also go to the brute census
     bounds = [x1 % 5, x2 % 5, x3 % 5] if tiny else [x1, x2, x3]
@@ -917,27 +915,30 @@ def test_packed_reduction_matches_the_argsort_and_the_oracles(x1, x2, x3, skew, 
         assert exact == brute_census(*bounds, x4)
 
 
-@pytest.mark.parametrize("raw", [(40, 40, 40, 40), (30, 30, 30, 1e5), (5, 300, 30, 50)])
-def test_forced_argsort_branch_gives_the_same_results(raw):
-    box = BoundBox(*raw)
-    tables = build_sieve(required_sieve_limit(box))
-    argsort, argsorts = np.argsort, []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(census, "_KEY_BITS", 1)
-        m.setattr(census.np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
-        forced = _readers(box, tables)
-    assert len(argsorts) == 3  # one per reader
-    assert forced == _readers(box, tables)
+def test_a_product_key_past_63_bits_is_a_capacity_error(tables_census, monkeypatch, capsys):
+    # with one bit, neither the packed key nor the (product | index) key fits
+    box = BoundBox(40, 40, 40, 40)
+    monkeypatch.setattr(census, "_KEY_BITS", 1)
+    for reader in (exact_census, exact_class_sums, census_rows):
+        with pytest.raises(CapacityError, match=r"\(product \| index\) key passes 1 bits"):
+            reader(box, tables_census)
+    assert cli.main(["count", "--x", "40", "40", "40", "40", "--format", "csv"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("capacity error: ")
 
 
 def test_packed_branch_takes_no_argsort(tables_census, monkeypatch):
+    # nor does the column branch, the one census_rows always takes
     box = BoundBox(40, 40, 40, 40)
     want = _readers(box, tables_census)
 
     def refused(*args, **kwargs):
-        raise AssertionError("argsort on the packed branch")
+        raise AssertionError("argsort in the census")
 
     monkeypatch.setattr(census.np, "argsort", refused)
+    assert _readers(box, tables_census) == want
+    monkeypatch.setattr(census, "_key_layout", lambda box, carry: None)
     assert _readers(box, tables_census) == want
 
 

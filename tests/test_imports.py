@@ -18,7 +18,7 @@ A dotted reference module.name in README.md or in any source file, with
 module one of the six modules or SieveTables, must name an attribute of it.
 A parameter with a default must be passed by some call in the package or
 the benchmark's scripts, and its default must be relied on by some call,
-the tests' included, or it is named in PARAMETERS_UNCALLED with its reason.
+the tests' included.
 """
 
 import ast
@@ -44,9 +44,6 @@ PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 # charsum.CharacterSpec.chi is the reference character, which the tests check
 # character_sum_f against
 ONLY_TESTS_READ = {"asymptotic.twist_main_term", "charsum.CharacterSpec.chi"}
-# argparse calls an Action with option_string itself, and _NoteGiven reads
-# only the namespace, the dest and the values
-PARAMETERS_UNCALLED = {"cli._NoteGiven.__call__.option_string"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -289,14 +286,12 @@ def unused_defaults(defining: dict, callers: list) -> list[str]:
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     defining = {p.stem: p.read_text() for p in MODULES}
-    found = unpassed_parameters(defining, [p.read_text() for p in PERFBENCH])
-    assert [f for f in found if f not in PARAMETERS_UNCALLED] == []
+    assert unpassed_parameters(defining, [p.read_text() for p in PERFBENCH]) == []
 
 
 def test_every_default_is_used():
     defining = {p.stem: p.read_text() for p in MODULES}
-    found = unused_defaults(defining, [p.read_text() for p in PERFBENCH + TESTS])
-    assert [f for f in found if f not in PARAMETERS_UNCALLED] == []
+    assert unused_defaults(defining, [p.read_text() for p in PERFBENCH + TESTS]) == []
 
 
 def test_parameter_traffic_is_reported():
